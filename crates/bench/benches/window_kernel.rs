@@ -1,8 +1,10 @@
 //! Prepared run-plan kernel vs the reference per-cell retention loop.
 //!
 //! `window/…` compares one refresh window at the DIMM layer over the full
-//! default weak-cell population; `run/…` compares a complete multi-window
-//! evaluation at the server layer. The prepared path re-examines only the
+//! default weak-cell population; `plan/refresh` times one plan build after
+//! a contents change (the cell-state refresh plus the per-cell flip
+//! decisions); `run/…` compares a complete multi-window evaluation at the
+//! server layer. The prepared path re-examines only the
 //! VRT-contingent cells each window (everything else is pre-partitioned
 //! into static events at `prepare_run` time), so it must win by a wide
 //! margin — the PR's acceptance bar is 5×. `scripts/record_window_kernel.sh`
@@ -46,6 +48,25 @@ fn bench(c: &mut Criterion) {
             dimm.advance_window_planned(&plan, nonce, &mut events)
                 .expect("plan is fresh");
             std::hint::black_box(events.len())
+        })
+    });
+    // One plan build per evaluation: every candidate rewrites memory, so
+    // each build starts with a stale cell-state cache.
+    let rows = [
+        vec![0x3333_3333_3333_3333u64; words],
+        vec![0xCCCC_CCCC_CCCC_CCCCu64; words],
+    ];
+    let mut flip = 0;
+    c.bench_function("plan/refresh", |b| {
+        b.iter(|| {
+            flip ^= 1;
+            dimm.write_row(RowKey::new(0, 0, 0), &rows[flip]);
+            std::hint::black_box(
+                dimm.prepare_run(&env, &disturbance)
+                    .expect("plan builds")
+                    .static_events()
+                    .len(),
+            )
         })
     });
 

@@ -159,6 +159,18 @@ impl RowStore {
         }
     }
 
+    /// The word value unwritten memory reads as.
+    pub(crate) fn default_word(&self) -> u64 {
+        self.default_word
+    }
+
+    /// The stored words of a row, or `None` when the row was never written
+    /// (every word then reads [`Self::default_word`]). One lookup serves
+    /// any number of bit tests on the row.
+    pub(crate) fn row_words(&self, row: RowKey) -> Option<&[u64]> {
+        self.rows.get(&row).map(Vec::as_slice)
+    }
+
     /// Reads the logical bit `bit_in_row` (word column × 64 + bit) of a row.
     ///
     /// # Panics

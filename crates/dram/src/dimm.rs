@@ -10,9 +10,10 @@ use crate::faults::FaultSet;
 use crate::geometry::{DimmGeometry, Location, RowKey};
 use crate::plan::{PlanError, RunPlan, VrtWord};
 use crate::retention::PhysicsParams;
-use crate::topology::{Topology, TopologyConfig};
+use crate::topology::{CellKind, Topology, TopologyConfig};
 use crate::weak::{vrt_degraded, WeakCellConfig, WeakCellPopulation};
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 
 /// Full configuration of a simulated DIMM.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -50,6 +51,71 @@ struct CellCache {
     interference: Vec<f64>,
 }
 
+/// Marks a probe clipped at a row end (bitline neighbour) or at a bank edge
+/// (adjacent row).
+const NO_PROBE: u32 = u32::MAX;
+
+/// Where the cell-state refresh looks for one weak cell: logical bit
+/// positions (word column × 64 + bit) with remapping and per-row scrambling
+/// already applied, so a refresh only tests bits of stored words.
+#[derive(Debug, Clone, Copy)]
+struct CellProbe {
+    /// The cell itself, in its own row.
+    bit: u32,
+    /// Whether the cell is an anti-cell. Its adjacent-row probes share its
+    /// physical column, hence its polarity. A cell is charged when its
+    /// stored bit differs from its anti flag.
+    anti: bool,
+    /// Whether each bitline neighbour is an anti-cell.
+    neighbour_anti: [bool; 2],
+    /// The cell's physical left and right bitline neighbours, in its own
+    /// row.
+    neighbours: [u32; 2],
+    /// The cell's physical position in the rows above and below (row − 1,
+    /// row + 1) of the same bank.
+    adjacent: [u32; 2],
+}
+
+/// The data-independent half of the cell-state refresh: one [`CellProbe`]
+/// per weak cell, in population order.
+fn probe_table(topology: &Topology, population: &WeakCellPopulation) -> Vec<CellProbe> {
+    let rows_per_bank = topology.geometry().rows_per_bank;
+    let mut cells = Vec::with_capacity(population.total_cells());
+    for word in population.words() {
+        let row = word.loc.row_key();
+        for cell in &word.cells {
+            let bit = word.loc.col * 64 + cell.bit as u32;
+            let phys = topology.physical_bit(row, bit);
+            let (left, right) = topology.physical_neighbours(phys);
+            let mut neighbours = [NO_PROBE; 2];
+            let mut neighbour_anti = [false; 2];
+            for (i, np) in [left, right].into_iter().enumerate() {
+                if let Some(np) = np {
+                    neighbours[i] = topology.logical_bit(row, np);
+                    neighbour_anti[i] = topology.kind_at_physical(np) == CellKind::Anti;
+                }
+            }
+            let mut adjacent = [NO_PROBE; 2];
+            for (i, adj) in [row.row.checked_sub(1), row.row.checked_add(1)]
+                .into_iter()
+                .enumerate()
+            {
+                if let Some(adj) = adj.filter(|&r| r < rows_per_bank) {
+                    adjacent[i] = topology.logical_bit(RowKey::new(row.rank, row.bank, adj), phys);
+                }
+            }
+            cells.push(CellProbe {
+                bit,
+                anti: topology.kind_at_physical(phys) == CellKind::Anti,
+                neighbour_anti,
+                neighbours,
+                adjacent,
+            });
+        }
+    }
+    cells
+}
+
 /// A simulated DIMM.
 ///
 /// The public surface mirrors what a platform can do with real memory —
@@ -68,6 +134,11 @@ pub struct Dimm {
     map: AddressMap,
     cache: CellCache,
     cache_generation: Option<u64>,
+    /// The topology and the population never change after [`Dimm::new`],
+    /// so the probe table is built once, on the first cell-state refresh
+    /// (a DIMM that is never evaluated never pays for it), and shared by
+    /// every clone.
+    probes: Arc<OnceLock<Vec<CellProbe>>>,
     faults: FaultSet,
 }
 
@@ -93,6 +164,7 @@ impl Dimm {
             map,
             cache: CellCache::default(),
             cache_generation: None,
+            probes: Arc::default(),
             faults: FaultSet::new(),
         }
     }
@@ -569,10 +641,88 @@ impl Dimm {
     }
 
     /// Recomputes the data-dependent per-cell state when contents changed.
+    ///
+    /// Per weak row it looks up the row and its two adjacent rows once;
+    /// per cell it only tests the bits its [`CellProbe`] names. The result
+    /// must be bit-identical to `cell_cache_reference`.
     fn refresh_cache_if_stale(&mut self) {
-        if self.cache_generation == Some(self.contents.generation()) {
+        let generation = self.contents.generation();
+        if self.cache_generation == Some(generation) {
             return;
         }
+        let probes = self
+            .probes
+            .get_or_init(|| probe_table(&self.topology, &self.population));
+        let physics = self.config.physics;
+        let contents = &self.contents;
+        let default = contents.default_word();
+        let bit_at = |words: Option<&[u64]>, bit: u32| {
+            let word = words.map_or(default, |w| w[(bit / 64) as usize]);
+            (word >> (bit % 64)) & 1 == 1
+        };
+        let cache = &mut self.cache;
+        cache.offsets.clear();
+        cache.charged.clear();
+        cache.interference.clear();
+        let mut probes = probes.iter();
+        let mut fetched: Option<RowKey> = None;
+        let mut rows: [Option<&[u64]>; 3] = [None; 3];
+        for word in self.population.words() {
+            let row = word.loc.row_key();
+            if fetched != Some(row) {
+                // Probes into a clipped adjacent row are NO_PROBE, so the
+                // out-of-bank neighbour of an edge row is never read.
+                let adj = |r: Option<u32>| {
+                    r.and_then(|r| contents.row_words(RowKey::new(row.rank, row.bank, r)))
+                };
+                rows = [
+                    contents.row_words(row),
+                    adj(row.row.checked_sub(1)),
+                    adj(row.row.checked_add(1)),
+                ];
+                fetched = Some(row);
+            }
+            let [own, above, below] = rows;
+            cache.offsets.push(cache.charged.len() as u32);
+            for probe in probes.by_ref().take(word.cells.len()) {
+                let charged = bit_at(own, probe.bit) != probe.anti;
+                let interference = if charged {
+                    let mut intra = 0u32;
+                    for (&np, &anti) in probe.neighbours.iter().zip(&probe.neighbour_anti) {
+                        if np != NO_PROBE && bit_at(own, np) != anti {
+                            intra += 1;
+                        }
+                    }
+                    // Inter-row interference: a charged victim node facing a
+                    // *discharged* node in the adjacent row of the same bank
+                    // sees the largest field and leaks fastest. (A uniform
+                    // worst-word fill charges everything and gets none of
+                    // this — which is exactly why the per-row 24 KB patterns
+                    // can beat it, Fig. 9.)
+                    let mut inter = 0u32;
+                    for (words, &bit) in [above, below].into_iter().zip(&probe.adjacent) {
+                        if bit != NO_PROBE && bit_at(words, bit) == probe.anti {
+                            inter += 1;
+                        }
+                    }
+                    1.0 + physics.intra_row_coupling * intra as f64
+                        + physics.inter_row_coupling * inter as f64
+                } else {
+                    1.0
+                };
+                cache.charged.push(charged);
+                cache.interference.push(interference);
+            }
+        }
+        cache.offsets.push(cache.charged.len() as u32);
+        self.cache_generation = Some(generation);
+    }
+
+    /// The cell-state oracle: re-derives every physical position, polarity
+    /// and neighbour from the topology, cell by cell. The differential
+    /// tests pin [`Self::refresh_cache_if_stale`] against it.
+    #[cfg(test)]
+    fn cell_cache_reference(&self) -> CellCache {
         let physics = self.config.physics;
         let geometry = self.config.geometry;
         let total = self.population.total_cells();
@@ -598,12 +748,6 @@ impl Dimm {
                             intra += 1;
                         }
                     }
-                    // Inter-row interference: a charged victim node facing a
-                    // *discharged* node in the adjacent row of the same bank
-                    // sees the largest field and leaks fastest. (A uniform
-                    // worst-word fill charges everything and gets none of
-                    // this — which is exactly why the per-row 24 KB patterns
-                    // can beat it, Fig. 9.)
                     let mut inter = 0u32;
                     for adj in [row.row.checked_sub(1), row.row.checked_add(1)]
                         .into_iter()
@@ -625,12 +769,12 @@ impl Dimm {
             }
         }
         cache.offsets.push(cache.charged.len() as u32);
-        self.cache = cache;
-        self.cache_generation = Some(self.contents.generation());
+        cache
     }
 
     /// Whether the cell at a *physical* bitline position of a row is
     /// charged, given current contents.
+    #[cfg(test)]
     fn physical_cell_charged(&self, row: RowKey, phys: u32) -> bool {
         let logical = self.topology.logical_bit(row, phys);
         let value = self.contents.read_bit(row, logical);
@@ -649,6 +793,7 @@ fn plan_index(what: &'static str, value: usize) -> Result<u32, PlanError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::HashMap;
 
     /// The worst-case word under the TTAA layout: LSB-first bit string
@@ -987,6 +1132,178 @@ mod tests {
                 assert_eq!(got, d.read_word(loc), "column {}", from + i as u32);
             }
         }
+    }
+
+    /// Word bits that carry a weak cell in every word of the probe
+    /// fixture: both word edges (so the first and last bit of each row are
+    /// weak, whatever the remapping) and a few bits in between.
+    const PROBE_BITS: [u8; 8] = [0, 1, 2, 3, 31, 60, 62, 63];
+    const PROBE_BANKS: u8 = 2;
+    const PROBE_ROWS: u32 = 6;
+    const PROBE_COLS: u32 = 4;
+
+    /// A tiny DIMM whose every word carries weak cells at [`PROBE_BITS`]:
+    /// half its rows scrambled, two word-column swaps drawn per bank, and
+    /// every row — including rows 0 and `rows_per_bank − 1` — weak.
+    fn probe_fixture(seed: u64, default_fill: u64) -> Dimm {
+        let config = DimmConfig {
+            geometry: DimmGeometry {
+                ranks: 1,
+                banks: PROBE_BANKS,
+                rows_per_bank: PROBE_ROWS,
+                row_bytes: PROBE_COLS * 8,
+            },
+            topology: TopologyConfig {
+                scrambled_row_fraction: 0.5,
+                scramble_mask: 0b10,
+                remapped_pairs_per_bank: 2,
+            },
+            weak: WeakCellConfig {
+                singles_per_rank: 0,
+                pairs_per_rank: 0,
+                triples_per_rank: 0,
+                ..WeakCellConfig::default()
+            },
+            default_fill,
+            ..DimmConfig::default()
+        };
+        let mut d = Dimm::new(config, seed);
+        let mut words = Vec::new();
+        for bank in 0..PROBE_BANKS {
+            for row in 0..PROBE_ROWS {
+                for col in 0..PROBE_COLS {
+                    let cells = PROBE_BITS
+                        .iter()
+                        .map(|&bit| crate::weak::WeakCell {
+                            bit,
+                            base_retention_s: 1.0,
+                            is_vrt: false,
+                            vrt_index: 0,
+                        })
+                        .collect();
+                    words.push(crate::weak::WeakWord {
+                        loc: Location::new(0, bank, row, col),
+                        cells,
+                    });
+                }
+            }
+        }
+        d.population = WeakCellPopulation::from_words(words);
+        d
+    }
+
+    /// Asserts the probe-table refresh reproduces the reference walk bit
+    /// for bit.
+    fn assert_cache_matches_reference(d: &mut Dimm) {
+        d.refresh_cache_if_stale();
+        let want = d.cell_cache_reference();
+        assert_eq!(d.cache.offsets, want.offsets);
+        assert_eq!(d.cache.charged, want.charged);
+        let bits = |c: &CellCache| {
+            c.interference
+                .iter()
+                .map(|f| f.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&d.cache), bits(&want));
+    }
+
+    #[test]
+    fn probe_fixture_covers_scrambled_rows_and_remapped_columns() {
+        for seed in 0..8 {
+            let d = probe_fixture(seed, 0);
+            let topo = d.topology();
+            let rows: Vec<RowKey> = (0..PROBE_BANKS)
+                .flat_map(|bank| (0..PROBE_ROWS).map(move |row| RowKey::new(0, bank, row)))
+                .collect();
+            let scrambled = rows.iter().filter(|&&r| topo.is_scrambled(r)).count();
+            assert!(scrambled > 0 && scrambled < rows.len(), "seed {seed}");
+            let remapped = rows.iter().any(|&r| {
+                (0..PROBE_COLS).any(|col| topo.physical_bit(r, col * 64 + 8) / 64 != col)
+            });
+            assert!(remapped, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn probe_table_is_built_lazily_and_shared_by_clones() {
+        let mut d = probe_fixture(3, 0);
+        assert!(d.probes.get().is_none(), "Dimm::new must not build it");
+        let mut replica = d.clone();
+        replica.write_word(Location::new(0, 1, 2, 3), WORST);
+        replica.refresh_cache_if_stale();
+        assert!(Arc::ptr_eq(&d.probes, &replica.probes));
+        assert!(
+            d.probes.get().is_some(),
+            "a clone's build serves the original"
+        );
+        assert_cache_matches_reference(&mut d);
+    }
+
+    /// One contents mutation of the probe-table differential test.
+    #[derive(Debug, Clone)]
+    enum ContentsOp {
+        Word(u8, u32, u32, u64),
+        Row(u8, u32, Vec<u64>),
+        Clear,
+    }
+
+    fn word_value() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0),
+            Just(u64::MAX),
+            Just(WORST),
+            Just(BEST),
+            any::<u64>()
+        ]
+    }
+
+    fn contents_op() -> impl Strategy<Value = ContentsOp> {
+        prop_oneof![
+            6 => (0..PROBE_BANKS, 0..PROBE_ROWS, 0..PROBE_COLS, word_value())
+                .prop_map(|(b, r, c, v)| ContentsOp::Word(b, r, c, v)),
+            3 => (0..PROBE_BANKS, 0..PROBE_ROWS, proptest::collection::vec(word_value(), PROBE_COLS as usize))
+                .prop_map(|(b, r, words)| ContentsOp::Row(b, r, words)),
+            1 => Just(ContentsOp::Clear),
+        ]
+    }
+
+    proptest! {
+        /// The probe-table refresh must equal the per-cell reference walk
+        /// after any sequence of writes and clears — including rows next to
+        /// never-written (default-fill) rows.
+        #[test]
+        fn probe_refresh_matches_reference_walk(
+            seed in 0u64..8,
+            default_fill in word_value(),
+            ops in proptest::collection::vec(contents_op(), 1..24),
+        ) {
+            let mut d = probe_fixture(seed, default_fill);
+            assert_cache_matches_reference(&mut d);
+            for op in ops {
+                match op {
+                    ContentsOp::Word(bank, row, col, value) => {
+                        d.write_word(Location::new(0, bank, row, col), value)
+                    }
+                    ContentsOp::Row(bank, row, words) => d.write_row(RowKey::new(0, bank, row), &words),
+                    ContentsOp::Clear => d.clear_contents(),
+                }
+                assert_cache_matches_reference(&mut d);
+            }
+        }
+    }
+
+    #[test]
+    fn probe_refresh_matches_reference_walk_on_the_default_dimm() {
+        let mut d = dimm(21);
+        assert_cache_matches_reference(&mut d);
+        fill_all(&mut d, WORST);
+        assert_cache_matches_reference(&mut d);
+        let geo = d.geometry();
+        for row in (0..geo.rows_per_bank).step_by(3) {
+            d.write_row(RowKey::new(1, 4, row), &vec![BEST; geo.words_per_row()]);
+        }
+        assert_cache_matches_reference(&mut d);
     }
 
     #[test]

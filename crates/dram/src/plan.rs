@@ -90,7 +90,7 @@ pub const MAX_LANES: usize = 64;
 
 /// One weak word with at least one VRT-contingent cell: its static base
 /// flip mask plus the range of contingent bits in the plan's flat arrays.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct VrtWord {
     /// Pre-built static events to emit before this word (events and VRT
     /// words interleave in population order; prefix counts preserve it).
@@ -114,7 +114,7 @@ pub(crate) struct VrtWord {
 /// [`crate::Dimm::advance_window_planned`]. The plan is tied to the
 /// contents generation it was built against; writing to the DIMM
 /// invalidates it (enforced by an assertion at evaluation time).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunPlan {
     /// Contents generation the plan was built against.
     pub(crate) generation: u64,

@@ -240,6 +240,15 @@ impl WeakCellPopulation {
         WeakCellPopulation { words, total_cells }
     }
 
+    /// A hand-placed population (tests that need cells at exact
+    /// positions); words are sorted by location as [`Self::sample`] does.
+    #[cfg(test)]
+    pub(crate) fn from_words(mut words: Vec<WeakWord>) -> Self {
+        words.sort_by_key(|w| w.loc);
+        let total_cells = words.iter().map(|w| w.cells.len()).sum();
+        WeakCellPopulation { words, total_cells }
+    }
+
     /// The weak words, sorted by location.
     pub fn words(&self) -> &[WeakWord] {
         &self.words

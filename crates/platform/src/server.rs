@@ -13,7 +13,7 @@ use dstress_dram::{
 use dstress_ecc::{classify_flips, CounterSnapshot, EccCounters, EventKind};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Number of memory controller units on the X-Gene 2 (paper Fig. 5).
 pub const MCUS: usize = 4;
@@ -57,7 +57,7 @@ impl EnvKey {
 /// A [`RunPlan`] bundled with the pre-classified summary of its static
 /// events, shared (via `Arc`) between the plan cache and every
 /// [`PreparedRun`] that hit it.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct McuPlan {
     plan: RunPlan,
     statics: StaticSummary,
@@ -83,7 +83,28 @@ struct CachedPlan {
 struct CachedProfile {
     trefps: [u64; MCUS],
     trace: RecordedRun,
-    profile: Arc<ReplayProfile>,
+    entry: Arc<ProfileEntry>,
+}
+
+/// A replay profile plus each MCU's disturbance profile derived from it,
+/// memoized on the first plan build that needs it. A disturbance profile is
+/// a pure function of the profile's activations and of the DIMM's weak-cell
+/// population and disturbance model, which never change after boot, so the
+/// memo stays valid for as long as the entry lives: it is evicted with its
+/// profile-cache entry and dropped by [`XGene2Server::clear_eval_caches`].
+#[derive(Debug)]
+struct ProfileEntry {
+    profile: ReplayProfile,
+    disturbance: [OnceLock<Vec<f64>>; MCUS],
+}
+
+impl ProfileEntry {
+    fn new(profile: ReplayProfile) -> Self {
+        ProfileEntry {
+            profile,
+            disturbance: Default::default(),
+        }
+    }
 }
 
 /// The per-window ECC contribution of a plan's static events, computed
@@ -92,7 +113,7 @@ struct CachedProfile {
 /// evaluation path applies this summary scaled by the number of completed
 /// windows — integer sums, so the result is bit-identical to the
 /// event-at-a-time accounting of [`record_events`].
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 struct StaticSummary {
     /// Per-rank counter delta of one window's static events.
     per_rank: [CounterSnapshot; RANKS],
@@ -213,7 +234,7 @@ pub struct RowErrors {
 /// loop of a fitness call reuses one `PreparedRun` across all its nonces,
 /// paying the per-cell retention math once instead of once per window per
 /// run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PreparedRun {
     plans: Vec<Arc<McuPlan>>,
 }
@@ -549,13 +570,18 @@ impl XGene2Server {
 
     /// Builds the per-MCU [`RunPlan`]s for a recorded run under the current
     /// contents and operating points, serving repeats from the per-MCU plan
-    /// cache: candidates sharing a (contents, operating point, activation
-    /// profile) key — in a GA population that is every candidate for the
-    /// idle MCUs, and repeat evaluations of one candidate for the target
-    /// MCU — pay the per-cell retention math once. A cache hit requires
-    /// exact equality of the stored activation profile, so cached and
-    /// freshly built plans are interchangeable bit for bit and outcomes
-    /// never depend on cache state.
+    /// cache: prepares sharing a (contents, operating point, activation
+    /// profile) key pay the per-cell retention math once. In a campaign
+    /// that is the idle MCUs, whose contents stay put across candidates,
+    /// and repeat prepares of unchanged contents. The target MCU's plans do
+    /// not hit across evaluations: each evaluation resets memory and
+    /// rewrites the target DIMM, which moves its contents generation. What
+    /// the target MCU does reuse is the replay profile and the disturbance
+    /// profile memoized on it, whenever consecutive candidates record the
+    /// same trace. A cache hit requires exact equality of the stored
+    /// activation profile, so cached and freshly built plans are
+    /// interchangeable bit for bit and outcomes never depend on cache
+    /// state.
     ///
     /// Evaluate with [`Self::evaluate_prepared`]; rebuild after any write
     /// or knob change.
@@ -565,12 +591,12 @@ impl XGene2Server {
     /// [`PlanError::IndexOverflow`] if a weak-cell population overflows the
     /// plan index layout.
     pub fn prepare_run(&mut self, run: &RecordedRun) -> Result<PreparedRun, PlanError> {
-        let profile = self.profile_cached(run);
+        let entry = self.profile_cached(run);
         let mut plans = Vec::with_capacity(MCUS);
         for mcu in 0..MCUS {
             let env = EnvKey::of(&self.operating_env(mcu));
             let generation = self.mcus[mcu].dimm.contents_generation();
-            let acts = &profile.acts_per_window[mcu];
+            let acts = &entry.profile.acts_per_window[mcu];
             if let Some(hit) = self.mcus[mcu]
                 .plan_cache
                 .iter()
@@ -579,7 +605,7 @@ impl XGene2Server {
                 plans.push(Arc::clone(&hit.prepared));
                 continue;
             }
-            let prepared = Arc::new(self.build_mcu_plan(mcu, &profile)?);
+            let prepared = Arc::new(self.build_mcu_plan(mcu, &entry)?);
             let cache = &mut self.mcus[mcu].plan_cache;
             if cache.len() >= PLAN_CACHE_CAP {
                 cache.pop_front();
@@ -604,31 +630,28 @@ impl XGene2Server {
     /// [`PlanError::IndexOverflow`] if a weak-cell population overflows the
     /// plan index layout.
     pub fn prepare_run_uncached(&mut self, run: &RecordedRun) -> Result<PreparedRun, PlanError> {
-        let profile = self.build_profile(run);
+        let entry = ProfileEntry::new(self.build_profile(run));
         let mut plans = Vec::with_capacity(MCUS);
         for mcu in 0..MCUS {
-            plans.push(Arc::new(self.build_mcu_plan(mcu, &profile)?));
+            plans.push(Arc::new(self.build_mcu_plan(mcu, &entry)?));
         }
         Ok(PreparedRun { plans })
     }
 
-    fn build_mcu_plan(
-        &mut self,
-        mcu: usize,
-        profile: &ReplayProfile,
-    ) -> Result<McuPlan, PlanError> {
+    fn build_mcu_plan(&mut self, mcu: usize, entry: &ProfileEntry) -> Result<McuPlan, PlanError> {
         let env = self.operating_env(mcu);
-        let disturbance = self.mcus[mcu]
-            .dimm
-            .disturbance_profile(&profile.acts_per_window[mcu]);
-        let plan = self.mcus[mcu].dimm.prepare_run(&env, &disturbance)?;
+        let dimm = &mut self.mcus[mcu].dimm;
+        let disturbance = entry.disturbance[mcu]
+            .get_or_init(|| dimm.disturbance_profile(&entry.profile.acts_per_window[mcu]));
+        let plan = dimm.prepare_run(&env, disturbance)?;
         let statics = StaticSummary::build(plan.static_events());
         Ok(McuPlan { plan, statics })
     }
 
-    /// Drops every cached plan and replay profile. Outcomes are
-    /// cache-state independent, so this only affects wall-clock — it
-    /// exists for benchmarks and cache-coherence tests.
+    /// Drops every cached plan and replay profile (with the disturbance
+    /// profiles memoized on them). Outcomes are cache-state independent,
+    /// so this only affects wall-clock — it exists for benchmarks and
+    /// cache-coherence tests.
     pub fn clear_eval_caches(&mut self) {
         for mcu in &mut self.mcus {
             mcu.plan_cache.clear();
@@ -636,31 +659,31 @@ impl XGene2Server {
         self.profile_cache.clear();
     }
 
-    /// The replay profile for a recorded run, served from the profile
-    /// cache when an entry with an identical (trace, refresh periods) key
-    /// exists. Equality of the full trace is verified on every hit, so the
+    /// The replay profile (with its disturbance memo) for a recorded run,
+    /// served from the profile cache when an entry with an identical
+    /// (trace, refresh periods) key exists. Equality of the full trace is verified on every hit, so the
     /// cache can never alias two different traces; data-pattern viruses,
     /// whose traces record addresses and access kinds but not values,
     /// share one entry across a whole population.
-    fn profile_cached(&mut self, run: &RecordedRun) -> Arc<ReplayProfile> {
+    fn profile_cached(&mut self, run: &RecordedRun) -> Arc<ProfileEntry> {
         let trefps: [u64; MCUS] = std::array::from_fn(|i| self.mcus[i].trefp_s.to_bits());
         if let Some(hit) = self
             .profile_cache
             .iter()
             .find(|c| c.trefps == trefps && &c.trace == run)
         {
-            return Arc::clone(&hit.profile);
+            return Arc::clone(&hit.entry);
         }
-        let profile = Arc::new(self.build_profile(run));
+        let entry = Arc::new(ProfileEntry::new(self.build_profile(run)));
         if self.profile_cache.len() >= PROFILE_CACHE_CAP {
             self.profile_cache.pop_front();
         }
         self.profile_cache.push_back(CachedProfile {
             trefps,
             trace: run.clone(),
-            profile: Arc::clone(&profile),
+            entry: Arc::clone(&entry),
         });
-        profile
+        entry
     }
 
     /// Evaluates one run through prepared plans — the hot path behind
@@ -1266,6 +1289,103 @@ mod tests {
             "cache hits must be bit-identical to rebuilds"
         );
         assert_eq!(sv.counters(), cold.counters());
+    }
+
+    /// Fills `rows` rows of the target DIMM with a word pattern and
+    /// streams them back. The reads miss the cache model and activate
+    /// rows, so the trace has a non-zero disturbance profile; the trace
+    /// depends on `rows` but not on the pattern.
+    fn hammer_run(server: &mut XGene2Server, mcu: usize, rows: u64, word: u64) -> RecordedRun {
+        server.reset_memory();
+        let words = rows * server.row_bytes() / 8;
+        let mut s = server.session(mcu);
+        let base = s.alloc(words * 8).expect("allocation fits");
+        s.fill(base, &vec![word; words as usize])
+            .expect("write in range");
+        let mut out = Vec::new();
+        s.read_span(base, words, &mut out).expect("read in range");
+        s.finish()
+    }
+
+    /// Whether the profile-cache entry for `run` memoized MCU `mcu`'s
+    /// disturbance profile.
+    fn memoized(server: &XGene2Server, run: &RecordedRun, mcu: usize) -> bool {
+        server
+            .profile_cache
+            .iter()
+            .any(|c| &c.trace == run && c.entry.disturbance[mcu].get().is_some())
+    }
+
+    /// Asserts every memoized disturbance profile equals a fresh one for
+    /// its entry's activations, bit for bit.
+    fn assert_memos_coherent(server: &XGene2Server) {
+        for cached in &server.profile_cache {
+            for (mcu, memo) in cached.entry.disturbance.iter().enumerate() {
+                if let Some(memo) = memo.get() {
+                    let acts = &cached.entry.profile.acts_per_window[mcu];
+                    let fresh = server.dimm(mcu).disturbance_profile(acts);
+                    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(memo), bits(&fresh), "stale memo for MCU {mcu}");
+                }
+            }
+        }
+    }
+
+    /// Asserts `prepare_run` (caches and memo) builds exactly the plans
+    /// of the cold oracle, and that every memo is coherent.
+    fn assert_prepare_matches_uncached(server: &mut XGene2Server, run: &RecordedRun) {
+        let warm = server.prepare_run(run).unwrap();
+        assert_eq!(warm, server.prepare_run_uncached(run).unwrap());
+        assert_memos_coherent(server);
+    }
+
+    #[test]
+    fn disturbance_memo_plans_match_uncached_rebuilds() {
+        let mut sv = server();
+        sv.relax_second_domain();
+        sv.set_dimm_temperature(2, 60.0).unwrap();
+        let run = hammer_run(&mut sv, 2, 48, WORST);
+        assert!(sv.build_profile(&run).acts_per_window[2].total() > 0);
+        let first = sv.prepare_run(&run).unwrap();
+        assert_eq!(first, sv.prepare_run_uncached(&run).unwrap());
+        assert!(memoized(&sv, &run, 2));
+
+        // Same trace, new contents: the memo is reused for new plans.
+        let rewritten = hammer_run(&mut sv, 2, 48, 0x5A5A_5A5A_5A5A_5A5A);
+        assert_eq!(rewritten, run, "the pattern does not change the trace");
+        assert_ne!(
+            sv.prepare_run(&run).unwrap(),
+            first,
+            "new contents, new plans"
+        );
+        assert_prepare_matches_uncached(&mut sv, &run);
+
+        // A refresh-period change keys a new profile entry.
+        sv.set_trefp(3, dstress_dram::env::NOMINAL_TREFP_S);
+        assert_prepare_matches_uncached(&mut sv, &run);
+        sv.set_trefp(3, dstress_dram::env::MAX_TREFP_S);
+
+        // On a clone, which shares the memoized entries.
+        let mut replica = sv.clone();
+        assert_prepare_matches_uncached(&mut replica, &run);
+        assert_eq!(
+            replica.prepare_run(&run).unwrap(),
+            sv.prepare_run(&run).unwrap()
+        );
+
+        // After more distinct traces than the cache holds evict the entry.
+        for rows in 1..=PROFILE_CACHE_CAP as u64 {
+            let other = hammer_run(&mut sv, 2, 48 + rows, WORST);
+            assert_prepare_matches_uncached(&mut sv, &other);
+        }
+        let run = hammer_run(&mut sv, 2, 48, WORST);
+        assert!(!memoized(&sv, &run, 2), "the entry must have been evicted");
+        assert_prepare_matches_uncached(&mut sv, &run);
+
+        // After the caches are dropped.
+        sv.clear_eval_caches();
+        assert!(!memoized(&sv, &run, 2));
+        assert_prepare_matches_uncached(&mut sv, &run);
     }
 
     #[test]
