@@ -1,15 +1,13 @@
 //! Ablation benches for the design choices DESIGN.md §6 calls out:
-//! selection scheme, fitness-averaging depth, and the cache model's effect
-//! on access-virus evaluation.
+//! selection scheme and the cache model's effect on access-virus
+//! evaluation. (Averaging depth is measured on the real evaluator by the
+//! `ablation` experiment, whose `runs` knob repeats the VRT replay.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use dstress::experiments::ablation::chromosome_noise;
 use dstress::{DStress, EnvKind, ExperimentScale, Metric, WORST_WORD};
-use dstress_ga::{
-    AveragedFitness, BitGenome, Fitness, FnFitness, GaConfig, GaEngine, SelectionScheme,
-};
+use dstress_ga::{BitGenome, FnFitness, GaConfig, GaEngine, SelectionScheme};
 use dstress_vpl::BoundValue;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation");
@@ -35,29 +33,11 @@ fn bench(c: &mut Criterion) {
                 config.selection = scheme;
                 config.max_generations = 60;
                 let mut engine = GaEngine::new(config, seed);
-                let mut noise = StdRng::seed_from_u64(seed);
                 let mut fitness = FnFitness::new(move |g: &BitGenome| {
-                    g.count_ones() as f64 + noise.gen_range(0.0..4.0)
+                    g.count_ones() as f64 + 4.0 * chromosome_noise(seed, g)
                 });
-                let r = engine.run(|rng| BitGenome::random(rng, 64), &mut fitness);
+                let r = engine.run_parallel(1, |rng| BitGenome::random(rng, 64), &mut fitness);
                 std::hint::black_box(r.best_fitness)
-            })
-        });
-    }
-
-    // Averaging depth under noise (paper: 10 runs per virus).
-    for runs in [1u32, 10] {
-        group.bench_function(&format!("averaging_depth_{runs}"), |b| {
-            let mut seed = 100u64;
-            b.iter(|| {
-                seed += 1;
-                let mut noise = StdRng::seed_from_u64(seed);
-                let inner = FnFitness::new(move |g: &BitGenome| {
-                    g.count_ones() as f64 + noise.gen_range(0.0..16.0)
-                });
-                let mut avg = AveragedFitness::new(inner, runs);
-                let g = BitGenome::repeat_word(WORST_WORD, 64);
-                std::hint::black_box(avg.evaluate(&g))
             })
         });
     }

@@ -13,7 +13,7 @@ fn bench(c: &mut Criterion) {
             seed += 1;
             let mut engine = GaEngine::new(GaConfig::paper_defaults(), seed);
             let mut fitness = FnFitness::new(|g: &BitGenome| g.count_ones() as f64);
-            let result = engine.run(|rng| BitGenome::random(rng, 64), &mut fitness);
+            let result = engine.run_parallel(1, |rng| BitGenome::random(rng, 64), &mut fitness);
             std::hint::black_box(result.best_fitness)
         })
     });

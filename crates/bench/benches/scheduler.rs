@@ -1,17 +1,13 @@
-//! Persistent work-stealing evaluation pool vs the per-generation scoped
-//! executor, and multi-campaign fair-share scheduling throughput.
+//! Persistent work-stealing evaluation pool throughput, and multi-campaign
+//! fair-share scheduling throughput.
 //!
 //! Every row drives a full multi-generation GA campaign over a synthetic
 //! fitness whose cost is a pure, deterministic function of the chromosome:
 //!
-//! * `even` — every candidate costs the same, so the scoped executor's
-//!   static round-robin deal is already balanced. The pool must stay
-//!   within noise of it (the PR's ±5% bar).
+//! * `even` — every candidate costs the same.
 //! * `uneven` — roughly a quarter of random chromosomes cost ~32× more
 //!   (the adversarial shape of retry storms, step-budget blowouts and
-//!   cold plan caches). The scoped executor blocks the generation barrier
-//!   on whichever lane drew the most heavy candidates; the stealing pool
-//!   balances them (the PR's ≥1.5× bar at 8 workers).
+//!   cold plan caches), which work stealing balances across the workers.
 //!
 //! `scheduler/serialN` vs `scheduler/multiplexN` compare running N uneven
 //! campaigns back to back (each on its own pool) against the
@@ -87,22 +83,12 @@ fn session(seed: u64) -> SearchSession<BitGenome> {
     })
 }
 
-/// One full campaign on the per-generation scoped executor.
-fn campaign_scoped(seed: u64, workers: usize, uneven: bool) -> f64 {
-    let mut session = session(seed);
-    let mut replicas: Vec<SpinFitness> = (0..workers).map(|_| SpinFitness { uneven }).collect();
-    while !session.done() {
-        session.step(&mut replicas);
-    }
-    session.finish().best_fitness
-}
-
 /// One full campaign on the persistent work-stealing pool.
 fn campaign_pooled(seed: u64, workers: usize, uneven: bool) -> f64 {
     let mut session = session(seed);
     let pool = EvalPool::new(&SpinFitness { uneven }, workers);
     while !session.done() {
-        session.step_pooled(&pool);
+        session.step(&pool);
     }
     pool.shutdown();
     session.finish().best_fitness
@@ -130,9 +116,6 @@ fn campaigns_multiplexed(n: u64, workers: usize) -> f64 {
 fn bench(c: &mut Criterion) {
     for workers in [1usize, 4, 8] {
         for (shape, uneven) in [("even", false), ("uneven", true)] {
-            c.bench_function(&format!("scheduler/scope_{shape}_w{workers}"), |b| {
-                b.iter(|| std::hint::black_box(campaign_scoped(7, workers, uneven)))
-            });
             c.bench_function(&format!("scheduler/pool_{shape}_w{workers}"), |b| {
                 b.iter(|| std::hint::black_box(campaign_pooled(7, workers, uneven)))
             });

@@ -578,19 +578,16 @@ fn run(raw: Vec<String>) -> Result<(), String> {
             if campaigns > 1 {
                 if let Some(db) = args.str("db") {
                     let paths = campaign_db_paths(db, campaigns)?;
-                    for path in &paths {
-                        if resume {
-                            if !path.exists() {
-                                return Err(format!(
-                                    "--resume: per-campaign journal `{}` is missing; \
-                                     rerun with the original --campaigns/--db flags",
-                                    path.display()
-                                ));
-                            }
-                        } else if path.exists() {
-                            let journal = CampaignJournal::open(DiskStorage::new(), path)
-                                .map_err(|e| format!("opening {}: {e}", path.display()))?;
-                            if let Some(cp) = journal.checkpoint() {
+                    let base = DStress::word64_campaign_name(temp, &metric, minimize);
+                    for (i, path) in paths.iter().enumerate() {
+                        // Opening a journal that does not exist writes
+                        // nothing; an interrupted campaign that never
+                        // compacted has only its `.journal` file.
+                        let journal = CampaignJournal::open(DiskStorage::new(), path)
+                            .map_err(|e| format!("opening {}: {e}", path.display()))?;
+                        let name = format!("{base}-c{i}");
+                        match journal.checkpoint() {
+                            Some(cp) if !resume => {
                                 return Err(format!(
                                     "{} holds an interrupted search for campaign `{}`; \
                                      pass --resume to continue it",
@@ -598,6 +595,22 @@ fn run(raw: Vec<String>) -> Result<(), String> {
                                     cp.campaign
                                 ));
                             }
+                            Some(cp) if cp.campaign != name => {
+                                return Err(format!(
+                                    "--resume: {} holds the interrupted campaign `{}` but \
+                                     these flags select `{name}`; rerun with the original flags",
+                                    path.display(),
+                                    cp.campaign
+                                ));
+                            }
+                            None if resume && journal.db().records().is_empty() => {
+                                return Err(format!(
+                                    "--resume: per-campaign journal `{}` is missing; \
+                                     rerun with the original --campaigns/--db flags",
+                                    path.display()
+                                ));
+                            }
+                            _ => {}
                         }
                     }
                     println!(
@@ -928,6 +941,7 @@ fn run(raw: Vec<String>) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dstress_ga::{BitGenome, JournaledCampaign, SearchSession};
 
     fn strings(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()
@@ -1045,6 +1059,74 @@ mod tests {
         assert!(err.contains("unknown flag --temp"), "{err}");
         let err = run(strings(&["status", "--workers", "2"])).unwrap_err();
         assert!(err.contains("unknown flag --workers"), "{err}");
+    }
+
+    #[test]
+    fn batch_resume_rejects_a_journal_of_another_campaign() {
+        // Two interrupted per-campaign journals of a maximizing batch, each
+        // holding the opening checkpoint the batch driver writes.
+        let dir = std::env::temp_dir().join(format!("dstress-cli-batch-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let db = dir.join("batch.json");
+        let db = db.to_str().unwrap();
+        let paths = campaign_db_paths(db, 2).unwrap();
+        let base = DStress::word64_campaign_name(60.0, &Metric::CeAverage, false);
+        let config = ExperimentScale::quick().ga;
+        for (i, path) in paths.iter().enumerate() {
+            let mut journal = CampaignJournal::open(DiskStorage::new(), path).unwrap();
+            let (log, session) = JournaledCampaign::open(&journal, &format!("{base}-c{i}"), || {
+                SearchSession::start(config, i as u64, |rng| BitGenome::random(rng, 64))
+            })
+            .unwrap();
+            log.checkpoint(&mut journal, &session).unwrap();
+        }
+        let files = |paths: &[std::path::PathBuf]| -> Vec<Option<Vec<u8>>> {
+            paths
+                .iter()
+                .flat_map(|p| [p.clone(), p.with_extension("json.journal")])
+                .map(|p| std::fs::read(p).ok())
+                .collect()
+        };
+        let before = files(&paths);
+        assert!(before.iter().any(Option::is_some));
+        // Resuming with --minimize flipped selects other campaigns: the
+        // batch must refuse instead of starting fresh over the journals.
+        let err = run(strings(&[
+            "search-word64",
+            "--scale",
+            "quick",
+            "--temp",
+            "60",
+            "--campaigns",
+            "2",
+            "--db",
+            db,
+            "--resume",
+            "--minimize",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--resume"), "{err}");
+        assert!(err.contains(&format!("{base}-c0")), "{err}");
+        assert_eq!(files(&paths), before, "the journals must be untouched");
+        // The original flags resume both campaigns, although neither
+        // journal has compacted into a snapshot yet.
+        assert!(paths.iter().all(|p| !p.exists()));
+        run(strings(&[
+            "search-word64",
+            "--scale",
+            "quick",
+            "--temp",
+            "60",
+            "--campaigns",
+            "2",
+            "--db",
+            db,
+            "--resume",
+        ]))
+        .unwrap();
+        assert!(paths.iter().all(|p| p.exists()), "both campaigns finish");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

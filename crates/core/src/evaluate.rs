@@ -446,46 +446,9 @@ impl VirusEvaluator {
         }
     }
 
-    /// Evaluates a whole generation of candidate viruses through the
-    /// batched evaluation path. Distinct binding-sets are collected first,
-    /// so a chromosome occurring several times in the population — common
-    /// once a search converges — is bound, compiled and run once, with the
-    /// outcome fanned back out to every slot it fills; beneath that, each
-    /// candidate's repeat runs go through the server's lane-batched window
-    /// kernel and shared plan/profile caches. Slot `i` of the result is
-    /// exactly `evaluate_bindings(chromosomes[i].clone())` — dedup is
-    /// sound because evaluation is a pure function of the bindings.
-    ///
-    /// Failed candidates count once per *distinct* chromosome in
-    /// `failed_evaluations`, matching one substrate evaluation each.
-    pub fn evaluate_generation(
-        &mut self,
-        chromosomes: &[HashMap<String, BoundValue>],
-    ) -> Vec<Result<EvalOutcome, DStressError>> {
-        let mut results: Vec<Option<Result<EvalOutcome, DStressError>>> =
-            vec![None; chromosomes.len()];
-        let mut distinct: Vec<usize> = Vec::new();
-        for i in 0..chromosomes.len() {
-            if let Some(&first) = distinct.iter().find(|&&j| chromosomes[j] == chromosomes[i]) {
-                results[i] = results[first].clone();
-            } else {
-                distinct.push(i);
-                let result = self.evaluate_bindings(chromosomes[i].clone());
-                if result.is_err() {
-                    self.failed_evaluations += 1;
-                }
-                results[i] = Some(result);
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every slot is filled above"))
-            .collect()
-    }
-
     /// Fallible scoring for the supervised evaluation path: instead of
-    /// smuggling failures into a 0.0 score (as [`Self::fitness_of`] does for
-    /// the legacy path), failures surface as classified [`EvalFault`]s the
+    /// smuggling failures into a 0.0 score (as [`Self::fitness_of`] does),
+    /// failures surface as classified [`EvalFault`]s the
     /// GA supervisor can act on. The step-budget watchdog firing maps to
     /// [`dstress_ga::FaultKind::BudgetExhausted`]; every other template or
     /// execution failure is deterministic for a given chromosome, hence
@@ -513,68 +476,6 @@ impl VirusEvaluator {
     }
 }
 
-/// Scores a generation through [`VirusEvaluator::evaluate_generation`],
-/// mapping failed candidates to 0.0 exactly as
-/// [`VirusEvaluator::fitness_of`] does on the per-candidate path.
-fn generation_scores(
-    evaluator: &mut VirusEvaluator,
-    chromosomes: Vec<HashMap<String, BoundValue>>,
-) -> Vec<f64> {
-    evaluator
-        .evaluate_generation(&chromosomes)
-        .into_iter()
-        .map(|result| result.map(|o| o.fitness).unwrap_or(0.0))
-        .collect()
-}
-
-/// [`Fitness`] adapter for bit-genome searches.
-#[derive(Debug)]
-pub struct BitFitness<'a> {
-    /// The campaign evaluator.
-    pub evaluator: &'a mut VirusEvaluator,
-    /// The chromosome codec.
-    pub codec: BitCodec,
-}
-
-impl Fitness<BitGenome> for BitFitness<'_> {
-    fn evaluate(&mut self, genome: &BitGenome) -> f64 {
-        self.evaluator.fitness_of(self.codec.bindings(genome))
-    }
-
-    fn try_evaluate(&mut self, genome: &BitGenome) -> Result<f64, EvalFault> {
-        self.evaluator.try_fitness_of(self.codec.bindings(genome))
-    }
-
-    fn evaluate_generation(&mut self, population: &[BitGenome]) -> Vec<f64> {
-        let chromosomes = population.iter().map(|g| self.codec.bindings(g)).collect();
-        generation_scores(self.evaluator, chromosomes)
-    }
-}
-
-/// [`Fitness`] adapter for integer-genome searches.
-#[derive(Debug)]
-pub struct IntFitness<'a> {
-    /// The campaign evaluator.
-    pub evaluator: &'a mut VirusEvaluator,
-    /// The chromosome codec.
-    pub codec: IntCodec,
-}
-
-impl Fitness<IntGenome> for IntFitness<'_> {
-    fn evaluate(&mut self, genome: &IntGenome) -> f64 {
-        self.evaluator.fitness_of(self.codec.bindings(genome))
-    }
-
-    fn try_evaluate(&mut self, genome: &IntGenome) -> Result<f64, EvalFault> {
-        self.evaluator.try_fitness_of(self.codec.bindings(genome))
-    }
-
-    fn evaluate_generation(&mut self, population: &[IntGenome]) -> Vec<f64> {
-        let chromosomes = population.iter().map(|g| self.codec.bindings(g)).collect();
-        generation_scores(self.evaluator, chromosomes)
-    }
-}
-
 /// Owning [`ParallelFitness`] adapter for bit-genome campaigns: each
 /// evaluation worker gets a replica that owns its own evaluator, server
 /// included, so workers never contend for the substrate.
@@ -593,11 +494,6 @@ impl Fitness<BitGenome> for ParallelBitFitness {
 
     fn try_evaluate(&mut self, genome: &BitGenome) -> Result<f64, EvalFault> {
         self.evaluator.try_fitness_of(self.codec.bindings(genome))
-    }
-
-    fn evaluate_generation(&mut self, population: &[BitGenome]) -> Vec<f64> {
-        let chromosomes = population.iter().map(|g| self.codec.bindings(g)).collect();
-        generation_scores(&mut self.evaluator, chromosomes)
     }
 }
 
@@ -636,11 +532,6 @@ impl Fitness<IntGenome> for ParallelIntFitness {
 
     fn try_evaluate(&mut self, genome: &IntGenome) -> Result<f64, EvalFault> {
         self.evaluator.try_fitness_of(self.codec.bindings(genome))
-    }
-
-    fn evaluate_generation(&mut self, population: &[IntGenome]) -> Vec<f64> {
-        let chromosomes = population.iter().map(|g| self.codec.bindings(g)).collect();
-        generation_scores(&mut self.evaluator, chromosomes)
     }
 }
 
@@ -718,33 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn generation_evaluation_matches_per_candidate_path() {
-        // Population with repeats: the generation entry dedups them, and
-        // every slot must still score exactly as an isolated evaluation.
-        let patterns: Vec<u64> = vec![
-            0x3333_3333_3333_3333,
-            0xCCCC_CCCC_CCCC_CCCC,
-            0x3333_3333_3333_3333, // repeat of slot 0
-            0x0000_0000_0000_0000,
-            0xCCCC_CCCC_CCCC_CCCC, // repeat of slot 1
-        ];
-        let chromosomes: Vec<HashMap<String, BoundValue>> = patterns
-            .iter()
-            .map(|&p| [("PATTERN".to_string(), BoundValue::Scalar(p))].into())
-            .collect();
-        let mut generation_eval = evaluator(Metric::CeAverage);
-        let batched = generation_eval.evaluate_generation(&chromosomes);
-        let mut single_eval = evaluator(Metric::CeAverage);
-        for (chromosome, got) in chromosomes.iter().zip(&batched) {
-            let expected = single_eval.evaluate_bindings(chromosome.clone()).unwrap();
-            assert_eq!(got.as_ref().unwrap(), &expected);
-        }
-        assert_eq!(batched[0], batched[2]);
-        assert_eq!(batched[1], batched[4]);
-        assert_eq!(generation_eval.failed_evaluations, 0);
-    }
-
-    #[test]
     fn plan_errors_classify_as_permanent_faults() {
         // Satellite check: a PlanError surfacing through DStressError must
         // become a permanent (non-retryable) fault, never a retried panic.
@@ -784,17 +648,17 @@ mod tests {
             )
             .unwrap()
             .fitness;
-        let mut fit = BitFitness {
-            evaluator: &mut eval,
+        let mut fit = ParallelBitFitness {
+            evaluator: eval,
             codec: BitCodec::Word64 {
                 param: "PATTERN".into(),
             },
         };
         let adapted = fit.evaluate(&g);
-        // VRT noise differs between evaluations; both must land in the same
-        // regime.
+        // The VRT nonce is chromosome-derived, so the adapter reproduces
+        // the direct evaluation exactly.
         assert!(adapted > 0.0);
-        assert!((adapted - direct).abs() < 0.5 * direct.max(adapted));
+        assert_eq!(adapted.to_bits(), direct.to_bits());
     }
 
     #[test]

@@ -58,13 +58,31 @@ pub struct AblationReport {
     pub threshold: Vec<KnobRow>,
 }
 
-/// Noisy popcount: the calibration objective plus VRT-like noise.
+/// Chromosome-derived noise in `[0, 1)`: an FNV-1a hash of `seed` and the
+/// genome's words. Like the DStress evaluator's VRT nonce, the noise is a
+/// pure function of the chromosome — re-scoring a chromosome reproduces
+/// its value, so the engine's evaluation cache stays transparent — while
+/// distinct chromosomes (and distinct seeds) draw independent noise.
+pub fn chromosome_noise(seed: u64, genome: &BitGenome) -> f64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for word in std::iter::once(seed).chain(genome.to_words()) {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    (hash >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// Noisy popcount: the calibration objective plus VRT-like noise in
+/// `[0, 3)`.
 fn noisy_popcount_run(config: GaConfig, seed: u64) -> (bool, u32) {
     let mut engine = GaEngine::new(config, seed);
-    let mut noise = StdRng::seed_from_u64(seed ^ 0xAB1A);
-    let mut fitness =
-        FnFitness::new(move |g: &BitGenome| g.count_ones() as f64 + noise.gen_range(0.0..3.0));
-    let result = engine.run(|rng| BitGenome::random(rng, 64), &mut fitness);
+    let noise_seed = seed ^ 0xAB1A;
+    let mut fitness = FnFitness::new(move |g: &BitGenome| {
+        g.count_ones() as f64 + 3.0 * chromosome_noise(noise_seed, g)
+    });
+    let result = engine.run_parallel(1, |rng| BitGenome::random(rng, 64), &mut fitness);
     // "Solved" = the true optimum appeared (noise-free criterion).
     let solved = result.leaderboard.iter().any(|(g, _)| g.count_ones() == 64);
     let solved_at = result

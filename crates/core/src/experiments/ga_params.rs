@@ -90,7 +90,8 @@ pub fn run(seeds: u64) -> GaParamsReport {
                     let mut solved_at: Option<u32> = None;
                     let mut gen_counter = 0u32;
                     let mut fitness = FnFitness::new(|g: &BitGenome| g.count_ones() as f64);
-                    let result = engine.run(|rng| BitGenome::random(rng, 64), &mut fitness);
+                    let result =
+                        engine.run_parallel(1, |rng| BitGenome::random(rng, 64), &mut fitness);
                     for h in &result.history {
                         gen_counter = h.generation;
                         if h.best >= 64.0 {

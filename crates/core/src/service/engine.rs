@@ -10,12 +10,12 @@
 //! journal its new records and incidents, publish a progress event, and
 //! append its post-step checkpoint (or finish the journal when done).
 //!
-//! The journaling protocol is the same as
-//! [`run_journaled`](dstress_ga::run_journaled)'s — checkpoint, step,
-//! records, incidents, checkpoint, … — so a daemon killed at any point
-//! resumes every unfinished campaign **bit-identically** at the next
-//! boot, and a finished campaign's journal snapshot is byte-for-byte the
-//! snapshot a solo
+//! Journaling goes through the routine
+//! [`run_journaled`](dstress_ga::run_journaled) uses —
+//! [`JournaledCampaign`]: records, incidents, checkpoint after every
+//! step — so a daemon killed at any point resumes every unfinished
+//! campaign **bit-identically** at the next boot, and a finished
+//! campaign's journal snapshot is byte-for-byte the snapshot a solo
 //! [`search_word64_journaled`](crate::DStress::search_word64_journaled)
 //! run with the same spec would have written.
 //!
@@ -47,9 +47,9 @@ use crate::search::{BitCampaign, DStress, EnvKind, Seeding};
 use crate::service::broadcast::{EventBus, Subscriber};
 use crate::service::protocol::{CampaignSpec, Event, LeaderboardEntry, SeqEvent, StatusReport};
 use crate::service::registry::{CampaignRegistry, StoredResult, StoredSpec};
-use dstress_ga::journal::{CampaignJournal, DiskStorage, Storage};
+use dstress_ga::journal::{CampaignJournal, DiskStorage, JournaledCampaign, Storage};
 use dstress_ga::{
-    BitGenome, CampaignScheduler, EngineState, EvalPool, Genome, ParallelFitness, SearchSession,
+    BitGenome, CampaignScheduler, EvalPool, Genome, ParallelFitness, SearchSession,
     SupervisionPolicy, VirusRecord,
 };
 use std::collections::{HashSet, VecDeque};
@@ -58,9 +58,9 @@ use std::path::{Path, PathBuf};
 
 /// A typed service-layer failure: what went wrong, machine-matchable.
 ///
-/// The daemon renders these verbatim into [`Response::Error`]
-/// (crate::service::protocol::Response::Error) frames; nothing in the
-/// service layer panics on them.
+/// The daemon renders these verbatim into
+/// [`Response::Error`](crate::service::protocol::Response::Error) frames;
+/// nothing in the service layer panics on them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServiceError {
     /// No campaign with this id was ever submitted.
@@ -205,9 +205,8 @@ struct Live<S: Storage> {
     group: usize,
     sched: usize,
     journal: CampaignJournal<S>,
-    /// Chromosomes already journaled — a resume's replay window must not
-    /// re-append its repeats.
-    recorded: HashSet<Vec<u64>>,
+    /// The campaign's side of the shared journaling routine.
+    log: JournaledCampaign,
     /// Chromosomes already reported on the leaderboard, for event deltas.
     board_genes: HashSet<Vec<u64>>,
     /// The scheduler step budget currently in force (steps counted from
@@ -441,32 +440,30 @@ impl<S: Storage + Clone> ServiceEngine<S> {
         Ok(self.groups.len() - 1)
     }
 
-    /// Builds the session for a campaign: resumed from its journal
+    /// Opens a campaign on its journal: resumed from the journal
     /// checkpoint when one matches the campaign name, fresh otherwise.
-    fn build_session(
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidData`] for an unknown scale or a corrupt
+    /// checkpoint.
+    fn open_session(
         spec: &CampaignSpec,
         name: &str,
         journal: &CampaignJournal<S>,
-    ) -> Result<SearchSession<BitGenome>, String> {
-        let scale = scale_named(&spec.scale)?;
+    ) -> io::Result<(JournaledCampaign, SearchSession<BitGenome>)> {
+        let scale = scale_named(&spec.scale).map_err(invalid_data)?;
         let mut config = scale.ga;
         config.minimize = spec.minimize;
-        match journal.checkpoint() {
-            Some(cp) if cp.campaign == name => {
-                let state =
-                    EngineState::<BitGenome>::from_json(&cp.state).map_err(|e| e.to_string())?;
-                Ok(SearchSession::resume(state))
-            }
-            _ => {
-                let bits = word64_codec().genome_bits();
-                // The engine seed of the first campaign a solo framework
-                // with this seed would start — the determinism contract.
-                let seed = DStress::campaign_seed(spec.framework_seed(), 1);
-                Ok(SearchSession::start(config, seed, |rng| {
-                    Seeding::Random.initial_genome(rng, bits)
-                }))
-            }
-        }
+        JournaledCampaign::open(journal, name, || {
+            let bits = word64_codec().genome_bits();
+            // The engine seed of the first campaign a solo framework with
+            // this seed would start — the determinism contract.
+            let seed = DStress::campaign_seed(spec.framework_seed(), 1);
+            SearchSession::start(config, seed, |rng| {
+                Seeding::Random.initial_genome(rng, bits)
+            })
+        })
     }
 
     /// Registers and schedules a campaign, returning its id and name.
@@ -504,13 +501,9 @@ impl<S: Storage + Clone> ServiceEngine<S> {
     ) -> Result<(), ServiceError> {
         let mut journal = CampaignJournal::open(self.storage.clone(), self.registry.db_path(id))
             .map_err(|e| ServiceError::Storage(format!("opening campaign journal: {e}")))?;
-        let session = Self::build_session(&spec, name, &journal).map_err(ServiceError::Spec)?;
-        let state = session
-            .checkpoint()
-            .to_json()
-            .map_err(|e| ServiceError::Storage(e.to_string()))?;
-        journal
-            .append_checkpoint(name, state)
+        let (log, session) = Self::open_session(&spec, name, &journal)
+            .map_err(|e| ServiceError::Spec(e.to_string()))?;
+        log.checkpoint(&mut journal, &session)
             .map_err(|e| ServiceError::Storage(format!("journaling: {e}")))?;
         let budget = (spec.step_budget > 0).then_some(spec.step_budget);
         let sched = self.groups[group].scheduler.add(session, budget);
@@ -523,7 +516,7 @@ impl<S: Storage + Clone> ServiceEngine<S> {
                 group,
                 sched,
                 journal,
-                recorded: HashSet::new(),
+                log,
                 board_genes: HashSet::new(),
                 budget,
             }),
@@ -653,12 +646,7 @@ impl<S: Storage + Clone> ServiceEngine<S> {
         };
         let group = self.ensure_group(&spec).map_err(invalid_data)?;
         let journal = CampaignJournal::open(self.storage.clone(), self.registry.db_path(id))?;
-        let session = Self::build_session(&spec, &name, &journal).map_err(invalid_data)?;
-        let recorded: HashSet<Vec<u64>> = journal
-            .db()
-            .campaign(&name)
-            .map(|r| r.genes.clone())
-            .collect();
+        let (log, session) = Self::open_session(&spec, &name, &journal)?;
         let budget = (spec.step_budget > 0).then_some(spec.step_budget);
         let evaluations = session.eval_stats().evaluations;
         let generation = session.generation();
@@ -672,7 +660,7 @@ impl<S: Storage + Clone> ServiceEngine<S> {
             group,
             sched,
             journal,
-            recorded,
+            log,
             board_genes: HashSet::new(),
             budget,
         });
@@ -860,70 +848,66 @@ impl<S: Storage + Clone> ServiceEngine<S> {
     }
 
     /// Journals one stepped campaign's new results, publishes its
-    /// progress event, and checkpoints (or completes) it — the per-step
-    /// half of `run_journaled`'s loop, per tenant.
+    /// progress event, and checkpoints (or completes) it — the shared
+    /// [`JournaledCampaign::commit_step`], per tenant.
     ///
     /// On error the campaign's scheduler slot is still intact; the
     /// caller ([`tick`](Self::tick)) quarantines it.
     fn settle(&mut self, idx: usize) -> io::Result<()> {
+        let capacity = self.event_capacity;
         let runtime = &mut self.campaigns[idx];
         let Some(live) = runtime.live.as_mut() else {
             return Ok(());
         };
         let group = &mut self.groups[live.group];
         let session = group.scheduler.session_mut(live.sched);
-        for (genome, value) in session.take_newly_evaluated() {
-            let record = make_record(&runtime.name, &genome, value);
-            if live.recorded.insert(record.genes.clone()) {
-                live.journal.append_record(record)?;
-            }
-        }
-        let incidents = session.take_new_incidents();
-        for incident in &incidents {
-            live.journal
-                .append_incident(&runtime.name, incident.clone())?;
-        }
-        let board = session.leaderboard();
-        let delta: Vec<LeaderboardEntry> = board
-            .iter()
-            .filter(|(g, _)| !live.board_genes.contains(&g.to_words()))
-            .map(|(g, f)| entry(g, *f))
-            .collect();
-        for (g, _) in &board {
-            live.board_genes.insert(g.to_words());
-        }
-        let generation = session.generation();
-        publish(
-            &runtime.bus,
-            &mut runtime.recent,
-            &mut runtime.event_seq,
-            self.event_capacity,
-            Event::Generation {
-                campaign: runtime.id,
-                generation,
-                best: board.first().map(|(g, f)| entry(g, *f)),
-                leaderboard_delta: delta,
-                stats: session.eval_stats().clone(),
-                incidents,
+        let id = runtime.id;
+        let name = &runtime.name;
+        let (bus, recent, event_seq) = (&runtime.bus, &mut runtime.recent, &mut runtime.event_seq);
+        let board_genes = &mut live.board_genes;
+        // Failure-ordering: when the search is done the journal finishes
+        // (and the result is persisted below) while the scheduler slot is
+        // still held, so a fault leaves a quarantinable live campaign
+        // (recovery re-runs a finished journal idempotently).
+        let done = live.log.commit_step(
+            &mut live.journal,
+            session,
+            |genome, value| make_record(name, genome, value),
+            |session, incidents| {
+                let board = session.leaderboard();
+                let delta: Vec<LeaderboardEntry> = board
+                    .iter()
+                    .filter(|(g, _)| !board_genes.contains(&g.to_words()))
+                    .map(|(g, f)| entry(g, *f))
+                    .collect();
+                for (g, _) in &board {
+                    board_genes.insert(g.to_words());
+                }
+                publish(
+                    bus,
+                    recent,
+                    event_seq,
+                    capacity,
+                    Event::Generation {
+                        campaign: id,
+                        generation: session.generation(),
+                        best: board.first().map(|(g, f)| entry(g, *f)),
+                        leaderboard_delta: delta,
+                        stats: session.eval_stats().clone(),
+                        incidents,
+                    },
+                );
             },
-        );
-        if session.done() {
-            let report = report_from_session(
-                runtime.id,
-                &runtime.name,
-                CampaignState::Done,
-                session,
-                None,
-            );
-            let leaderboard: Vec<LeaderboardEntry> =
-                board.iter().map(|(g, f)| entry(g, *f)).collect();
-            // Failure-ordering: finish the journal and persist the result
-            // while the scheduler slot is still held, so a fault here
-            // leaves a quarantinable live campaign (recovery re-runs a
-            // finished journal idempotently).
-            live.journal.finish()?;
+        )?;
+        if done {
+            let report = report_from_session(id, name, CampaignState::Done, session, None);
+            let leaderboard: Vec<LeaderboardEntry> = session
+                .leaderboard()
+                .iter()
+                .map(|(g, f)| entry(g, *f))
+                .collect();
             self.registry.write_result(
-                runtime.id,
+                id,
                 &StoredResult {
                     report: report.clone(),
                     leaderboard: leaderboard.clone(),
@@ -936,10 +920,10 @@ impl<S: Storage + Clone> ServiceEngine<S> {
                 &runtime.bus,
                 &mut runtime.recent,
                 &mut runtime.event_seq,
-                self.event_capacity,
+                capacity,
                 Event::Completed {
-                    campaign: runtime.id,
-                    generations: generation,
+                    campaign: id,
+                    generations: report.generation,
                     converged: report.converged,
                     leaderboard,
                 },
@@ -947,17 +931,13 @@ impl<S: Storage + Clone> ServiceEngine<S> {
             runtime.bus.close();
             runtime.report = Some(report);
             self.persist_state(idx)?;
-        } else {
-            let state = session.checkpoint().to_json().map_err(io::Error::other)?;
-            live.journal.append_checkpoint(&runtime.name, state)?;
-            if live
-                .budget
-                .is_some_and(|b| group.scheduler.steps_taken(live.sched) >= b)
-                && runtime.state == CampaignState::Running
-            {
-                runtime.state = CampaignState::BudgetPaused;
-                self.persist_state(idx)?;
-            }
+        } else if live
+            .budget
+            .is_some_and(|b| group.scheduler.steps_taken(live.sched) >= b)
+            && runtime.state == CampaignState::Running
+        {
+            runtime.state = CampaignState::BudgetPaused;
+            self.persist_state(idx)?;
         }
         Ok(())
     }
@@ -1234,63 +1214,42 @@ pub fn run_word64_campaigns_journaled(
     };
     let mut scheduler = CampaignScheduler::new(EvalPool::new(&fitness, workers));
     struct Slot {
-        name: String,
         journal: CampaignJournal<DiskStorage>,
-        recorded: HashSet<Vec<u64>>,
+        log: JournaledCampaign,
         sched: usize,
         result: Option<dstress_ga::SearchResult<BitGenome>>,
     }
     let mut slots: Vec<Slot> = Vec::with_capacity(paths.len());
     for (i, path) in paths.iter().enumerate() {
-        let name = format!("{base}-c{i}");
         let mut journal = CampaignJournal::open(DiskStorage::new(), path)?;
-        let mut session = match journal.checkpoint() {
-            Some(cp) if cp.campaign == name => SearchSession::resume(
-                EngineState::<BitGenome>::from_json(&cp.state).map_err(invalid_data)?,
-            ),
-            _ => {
+        let (log, mut session) =
+            JournaledCampaign::open(&journal, &format!("{base}-c{i}"), || {
                 let seed = DStress::campaign_seed(framework_seed, i as u64 + 1);
                 SearchSession::start(config, seed, |rng| {
                     Seeding::Random.initial_genome(rng, bits)
                 })
-            }
-        };
+            })?;
         session.set_supervision(supervision);
-        let recorded: HashSet<Vec<u64>> = journal
-            .db()
-            .campaign(&name)
-            .map(|r| r.genes.clone())
-            .collect();
-        let state = session.checkpoint().to_json().map_err(io::Error::other)?;
-        journal.append_checkpoint(&name, state)?;
+        log.checkpoint(&mut journal, &session)?;
         let sched = scheduler.add(session, None);
         slots.push(Slot {
-            name,
             journal,
-            recorded,
+            log,
             sched,
             result: None,
         });
     }
     while scheduler.tick() {
         for slot in slots.iter_mut().filter(|s| s.result.is_none()) {
-            let session = scheduler.session_mut(slot.sched);
-            for (genome, value) in session.take_newly_evaluated() {
-                let record = make_record(&slot.name, &genome, value);
-                if slot.recorded.insert(record.genes.clone()) {
-                    slot.journal.append_record(record)?;
-                }
-            }
-            for incident in session.take_new_incidents() {
-                slot.journal.append_incident(&slot.name, incident)?;
-            }
-            if session.done() {
-                let session = scheduler.remove(slot.sched);
-                slot.journal.finish()?;
-                slot.result = Some(session.finish());
-            } else {
-                let state = session.checkpoint().to_json().map_err(io::Error::other)?;
-                slot.journal.append_checkpoint(&slot.name, state)?;
+            let name = slot.log.name().to_string();
+            let done = slot.log.commit_step(
+                &mut slot.journal,
+                scheduler.session_mut(slot.sched),
+                |genome, value| make_record(&name, genome, value),
+                |_, _| {},
+            )?;
+            if done {
+                slot.result = Some(scheduler.remove(slot.sched).finish());
             }
         }
     }
@@ -1302,15 +1261,15 @@ pub fn run_word64_campaigns_journaled(
     let failed = fitness.evaluator.failed_evaluations;
     let mut campaigns = Vec::with_capacity(slots.len());
     for slot in slots {
+        let name = slot.log.name().to_string();
         let mut result = slot.result.ok_or_else(|| {
             DStressError::from(ServiceError::StateMismatch(format!(
-                "the scheduler never drained campaign `{}`",
-                slot.name
+                "the scheduler never drained campaign `{name}`"
             )))
         })?;
         result.eval_stats.compile_hits = compile_hits;
         campaigns.push(BitCampaign {
-            name: slot.name,
+            name,
             result,
             env: EnvKind::Word64,
             failed_evaluations: failed,
@@ -1641,6 +1600,76 @@ mod tests {
         .unwrap();
         let after: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
         assert_eq!(before, after);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_batch_resumes_a_campaign_interrupted_under_the_solo_driver() {
+        // Campaign c1 of a two-campaign batch is interrupted by the solo
+        // journaled driver (same name, seed and configuration the batch
+        // gives it), then the batch finishes both campaigns. Both drivers
+        // journal through one routine, so the snapshots must match an
+        // uninterrupted batch byte for byte.
+        let dir = temp_dir("cross-driver");
+        std::fs::create_dir_all(&dir).unwrap();
+        let batch = |base: &str, workers| {
+            let paths = campaign_db_paths(dir.join(base).to_str().unwrap(), 2).unwrap();
+            run_word64_campaigns_journaled(
+                ExperimentScale::quick(),
+                42,
+                workers,
+                SupervisionPolicy::default(),
+                60.0,
+                Metric::CeAverage,
+                false,
+                &paths,
+            )
+            .unwrap();
+            paths
+                .iter()
+                .map(|p| std::fs::read(p).unwrap())
+                .collect::<Vec<_>>()
+        };
+        let clean = batch("clean.json", 2);
+
+        let paths = campaign_db_paths(dir.join("resumed.json").to_str().unwrap(), 2).unwrap();
+        let name = format!(
+            "{}-c1",
+            DStress::word64_campaign_name(60.0, &Metric::CeAverage, false)
+        );
+        let dstress = DStress::new(ExperimentScale::quick(), 42);
+        let mut fitness = ParallelBitFitness {
+            evaluator: dstress
+                .evaluator(&EnvKind::Word64, 60.0, Metric::CeAverage)
+                .unwrap(),
+            codec: word64_codec(),
+        };
+        let bits = word64_codec().genome_bits();
+        let mut journal = CampaignJournal::open(DiskStorage::new(), &paths[1]).unwrap();
+        let interrupted = dstress_ga::run_journaled(
+            &mut journal,
+            &name,
+            ExperimentScale::quick().ga,
+            DStress::campaign_seed(42, 2),
+            |rng| Seeding::Random.initial_genome(rng, bits),
+            &mut fitness,
+            1,
+            |genome, value| make_record(&name, genome, value),
+            Some(3),
+            SupervisionPolicy::default(),
+            None,
+        )
+        .unwrap();
+        assert!(interrupted.is_none(), "the step budget interrupts c1");
+        // The routine the batch opens c1 with resumes it mid-search.
+        let (_, session): (_, SearchSession<BitGenome>) =
+            JournaledCampaign::open(&journal, &name, || {
+                unreachable!("c1 must resume from its checkpoint")
+            })
+            .unwrap();
+        assert_eq!(session.generation(), 2, "seed pass + two generations");
+        drop(journal);
+        assert_eq!(batch("resumed.json", 1), clean);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -28,7 +28,7 @@
 //! build time.
 //!
 //! The VRT-contingent cells are stored structure-of-arrays style
-//! ([`RunPlan::bit_masks`] / [`RunPlan::bit_indices`] et al.) with per-word
+//! (`RunPlan::bit_masks` / `RunPlan::bit_indices` et al.) with per-word
 //! ranges, mirroring the flattened cell cache inside [`crate::Dimm`].
 
 use crate::events::WordEvent;
@@ -213,7 +213,7 @@ impl RunPlan {
     /// serves the whole batch.
     ///
     /// Per lane, the emitted events are bit-identical to the VRT-word
-    /// subsequence of [`RunPlan::advance_window`] with the same nonce: the
+    /// subsequence of `RunPlan::advance_window` with the same nonce: the
     /// same `vrt_degraded` draws in the same per-word order.
     ///
     /// # Panics

@@ -12,19 +12,19 @@
 //! runs out its generation budget — exactly the paper's convergent CE
 //! searches vs. non-convergent UE/access searches.
 
-use crate::fitness::{Fitness, ParallelFitness};
+use crate::fitness::ParallelFitness;
 use crate::genome::Genome;
 use crate::ops::selection::SelectionScheme;
 use crate::pool::{EvalPool, PoolTask, RoundSubmission};
 use crate::supervise::{
-    finite_mean, nan_last_cmp, nan_last_max, supervise_one, EvalVerdict, HazardPlan, Incident,
-    IncidentKind, PendingIncident, SupervisionPolicy,
+    finite_mean, nan_last_cmp, nan_last_max, EvalVerdict, HazardPlan, Incident, IncidentKind,
+    PendingIncident, SupervisionPolicy,
 };
 use dstress_stats::mean_pairwise;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize, Value};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::time::Instant;
 
@@ -138,10 +138,9 @@ pub struct EvalStats {
     pub evaluations: u64,
     /// Population slots served without touching the substrate because the
     /// chromosome had already been scored (elites, converged populations and
-    /// within-generation duplicates). Only the parallel path caches; the
-    /// legacy serial path always reports zero.
+    /// within-generation duplicates).
     pub cache_hits: u64,
-    /// Evaluation worker threads used (1 = serial).
+    /// Evaluation worker threads alive after the latest scored round.
     pub workers: usize,
     /// Chromosomes currently retained in the evaluation cache (bounded by
     /// a fixed cap; see [`EngineState::cache`]). Absent in checkpoints
@@ -157,30 +156,28 @@ pub struct EvalStats {
     #[serde(default)]
     pub compile_hits: u64,
     /// Tasks executed by a worker other than the one they were dealt to —
-    /// work-stealing rebalance events on the persistent-pool path. The
-    /// per-generation scoped path always reports zero. A runtime
-    /// observable (like the timing vector), not part of the determinism
-    /// contract. Absent in checkpoints from before the pool existed.
+    /// work-stealing rebalance events. A runtime observable (like the
+    /// timing vector), not part of the determinism contract. Absent in
+    /// checkpoints from before the pool existed.
     #[serde(default)]
     pub steals: u64,
     /// The longest any pool worker sat idle inside a single scored round,
     /// in nanoseconds (round wall-clock minus that worker's busy time) —
-    /// the straggler-tail measure work stealing exists to shrink. Zero on
-    /// the scoped path. Absent in pre-pool checkpoints.
+    /// the straggler-tail measure work stealing exists to shrink. Absent
+    /// in pre-pool checkpoints.
     #[serde(default)]
     pub max_worker_idle_ns: u64,
     /// Substrate tasks each pool worker executed, indexed by worker slot.
-    /// Empty on the scoped path. Absent in pre-pool checkpoints.
+    /// Absent in pre-pool checkpoints.
     #[serde(default)]
     pub worker_tasks: Vec<u64>,
     /// Evaluations served by a warm replica-internal cache (the compile
-    /// cache a persistent worker keeps across generations). Zero on the
-    /// scoped path. Absent in pre-pool checkpoints.
+    /// cache a persistent worker keeps across generations). Absent in
+    /// pre-pool checkpoints.
     #[serde(default)]
     pub replica_warm_hits: u64,
     /// Evaluations that went through a replica-internal cache cold (a
-    /// fresh compile). Zero on the scoped path. Absent in pre-pool
-    /// checkpoints.
+    /// fresh compile). Absent in pre-pool checkpoints.
     #[serde(default)]
     pub replica_cold_misses: u64,
     /// Wall-clock seconds spent evaluating each scored round; index 0 is
@@ -285,8 +282,8 @@ pub struct SearchResult<G> {
     /// wall-clock).
     pub eval_stats: EvalStats,
     /// Every supervision decision (retry, quarantine, worker loss) the
-    /// evaluation runtime made, in stream order. Empty for unsupervised
-    /// (serial-path) searches and for fault-free supervised ones.
+    /// evaluation runtime made, in stream order. Empty for fault-free
+    /// searches.
     pub incidents: Vec<Incident>,
 }
 
@@ -392,8 +389,7 @@ impl GaEngine {
         &self.config
     }
 
-    /// Sets the retry/quarantine policy the parallel evaluation path runs
-    /// under (the serial [`run`](GaEngine::run) path is unsupervised).
+    /// Sets the retry/quarantine policy evaluation runs under.
     ///
     /// # Panics
     ///
@@ -403,8 +399,8 @@ impl GaEngine {
         self.supervision = policy;
     }
 
-    /// Installs (or clears) a fault-injection plan for the parallel
-    /// evaluation path — test instrumentation, mirroring
+    /// Installs (or clears) a fault-injection plan for evaluation — test
+    /// instrumentation, mirroring
     /// [`MemStorage::fail_op`](crate::journal::MemStorage::fail_op).
     pub fn set_hazards(&mut self, hazards: Option<HazardPlan>) {
         self.hazards = hazards;
@@ -412,46 +408,14 @@ impl GaEngine {
 
     /// Runs a search from a randomly initialized population ("the
     /// chromosomes from the first offspring are generated randomly",
-    /// §III-E).
-    pub fn run<G, F, Init>(&mut self, mut init: Init, fitness: &mut F) -> SearchResult<G>
-    where
-        G: Genome + PartialEq,
-        F: Fitness<G>,
-        Init: FnMut(&mut StdRng) -> G,
-    {
-        let population: Vec<G> = (0..self.config.population_size)
-            .map(|_| init(&mut self.rng))
-            .collect();
-        self.run_from(population, fitness)
-    }
-
-    /// Runs a search from a caller-supplied initial population — how an
-    /// interrupted search resumes from the virus database (§III-F).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the population size does not match the configuration.
-    pub fn run_from<G, F>(&mut self, population: Vec<G>, fitness: &mut F) -> SearchResult<G>
-    where
-        G: Genome + PartialEq,
-        F: Fitness<G>,
-    {
-        self.search_loop(population, 1, |pop, stats| {
-            stats.evaluations += pop.len() as u64;
-            let scores = fitness.evaluate_generation(pop);
-            assert_eq!(scores.len(), pop.len(), "one score per candidate");
-            scores
-        })
-    }
-
-    /// Runs a search from a randomly initialized population, evaluating
-    /// each generation's chromosomes on `workers` threads.
+    /// §III-E), evaluating each generation's chromosomes on a persistent
+    /// pool of `workers` threads (`workers = 1` is the serial search).
     ///
     /// Each worker owns an independent replica of the fitness substrate
     /// (see [`ParallelFitness`]); repeat chromosomes are served from an
     /// evaluation cache instead of re-running the substrate. Because the
     /// fitness contract requires purity, the result is bit-identical for
-    /// any worker count, including `workers = 1`.
+    /// any worker count.
     ///
     /// # Panics
     ///
@@ -474,14 +438,13 @@ impl GaEngine {
     }
 
     /// Runs a search from a caller-supplied population on `workers`
-    /// evaluation threads — the parallel counterpart of [`run_from`].
+    /// evaluation threads — how an interrupted search resumes from the
+    /// virus database (§III-F).
     ///
     /// # Panics
     ///
     /// Panics if `workers` is zero, the population size does not match the
     /// configuration, or an evaluation worker panics.
-    ///
-    /// [`run_from`]: GaEngine::run_from
     pub fn run_from_parallel<G, F>(
         &mut self,
         workers: usize,
@@ -502,7 +465,7 @@ impl GaEngine {
         session.set_supervision(self.supervision);
         session.set_hazards(self.hazards.clone());
         while !session.done() {
-            session.step_pooled(&pool);
+            session.step(&pool);
         }
         for replica in pool.shutdown() {
             fitness.absorb(replica);
@@ -511,100 +474,6 @@ impl GaEngine {
         // engine's position in step so later campaigns draw fresh numbers.
         self.rng = StdRng::from_state(session.rng_state());
         session.finish()
-    }
-
-    /// The shared generation loop: scores rounds through `evaluate` (which
-    /// returns raw user-orientation fitness values, one per member, and
-    /// updates the evaluation counters), then applies selection, crossover,
-    /// mutation and the convergence criterion. All engine-side randomness
-    /// stays in this (single-threaded) loop, so every evaluation strategy
-    /// draws the same RNG stream.
-    fn search_loop<G, E>(
-        &mut self,
-        mut population: Vec<G>,
-        workers: usize,
-        mut evaluate: E,
-    ) -> SearchResult<G>
-    where
-        G: Genome + PartialEq,
-        E: FnMut(&[G], &mut EvalStats) -> Vec<f64>,
-    {
-        assert_eq!(
-            population.len(),
-            self.config.population_size,
-            "initial population size mismatch"
-        );
-        let sign = if self.config.minimize { -1.0 } else { 1.0 };
-        let mut eval_stats = EvalStats {
-            workers,
-            ..EvalStats::default()
-        };
-        let mut leaderboard = Leaderboard::new(self.config.population_size);
-        // Scores one round and offers every member to the leaderboard in
-        // population order — the same order the serial loop used, so the
-        // leaderboard's tie-breaking is identical across strategies.
-        let mut score_round =
-            |pop: &[G], leaderboard: &mut Leaderboard<G>, stats: &mut EvalStats| -> Vec<f64> {
-                let started = Instant::now();
-                let raw = evaluate(pop, stats);
-                stats
-                    .generation_eval_seconds
-                    .push(started.elapsed().as_secs_f64());
-                let scores: Vec<f64> = raw.into_iter().map(|v| sign * v).collect();
-                for (g, s) in pop.iter().zip(&scores) {
-                    leaderboard.offer(g, *s);
-                }
-                scores
-            };
-        let mut scores = score_round(&population, &mut leaderboard, &mut eval_stats);
-        let mut history = Vec::new();
-        let mut generations = 0;
-        let mut converged = false;
-        let mut similarity = leaderboard.similarity();
-        let mut best_so_far = nan_last_max(&scores);
-        let mut stagnant_generations = 0u32;
-
-        for generation in 0..self.config.max_generations {
-            generations = generation + 1;
-            history.push(round_stats(generation, &scores, sign, similarity));
-
-            population = breed_next(&self.config, &population, &scores, &mut self.rng);
-            scores = score_round(&population, &mut leaderboard, &mut eval_stats);
-            similarity = leaderboard.similarity();
-            let generation_best = nan_last_max(&scores);
-            if nan_last_cmp(generation_best, best_so_far) == std::cmp::Ordering::Greater {
-                best_so_far = generation_best;
-                stagnant_generations = 0;
-            } else {
-                stagnant_generations += 1;
-            }
-            if leaderboard.is_full()
-                && similarity >= self.config.convergence_threshold
-                && stagnant_generations >= self.config.stagnation_window
-            {
-                converged = true;
-                history.push(round_stats(generation + 1, &scores, sign, similarity));
-                break;
-            }
-        }
-
-        let leaderboard: Vec<(G, f64)> = leaderboard
-            .entries
-            .into_iter()
-            .map(|(g, s)| (g, sign * s))
-            .collect();
-        let (best, best_fitness) = leaderboard[0].clone();
-        SearchResult {
-            best,
-            best_fitness,
-            leaderboard,
-            generations,
-            converged,
-            similarity,
-            history,
-            eval_stats,
-            incidents: Vec::new(),
-        }
     }
 }
 
@@ -623,8 +492,7 @@ fn round_stats(generation: u32, scores: &[f64], sign: f64, similarity: f64) -> G
 }
 
 /// One generation of breeding: elitism, then selection + crossover +
-/// mutation until the population is refilled. Shared by the legacy serial
-/// loop and [`SearchSession`] so the two can never drift apart.
+/// mutation until the population is refilled.
 fn breed_next<G: Genome>(
     config: &GaConfig,
     population: &[G],
@@ -662,14 +530,6 @@ fn breed_next<G: Genome>(
         }
     }
     next
-}
-
-/// What one worker brought back from its share of a dealing round: the
-/// candidates it finished (with their supervision incidents) and, if it
-/// died, the evaluation index the kill fired at.
-struct WorkerReport {
-    completed: Vec<(usize, EvalVerdict, Vec<PendingIncident>)>,
-    died_at: Option<u64>,
 }
 
 /// Retention bound of the evaluation cache: the most recently used
@@ -770,8 +630,8 @@ impl<G: Genome + Eq + Hash> EvalCache<G> {
 /// The cache pre-pass of one scoring round: repeats resolved, distinct new
 /// chromosomes collected in dealing order with the population slots each
 /// fills, and the round's base evaluation index pinned. Shared verbatim by
-/// the scoped executor, the persistent pool and the campaign scheduler, so
-/// the canonical numbering can never drift between paths.
+/// a lone session's [`SearchSession::step`] and the campaign scheduler, so
+/// the canonical numbering can never drift between them.
 #[derive(Debug)]
 pub(crate) struct RoundPlan<G> {
     /// Scores with cache hits pre-filled; pending slots still zero.
@@ -800,17 +660,16 @@ impl<G: Genome> RoundPlan<G> {
     }
 }
 
-/// What an executor (scoped or pooled) brought back from one round: a
-/// verdict per pending candidate in dealing order, the round's supervision
-/// incidents already canonically sorted by [`PendingIncident::sort_key`],
-/// the worker count surviving the round, and — on the pool path — the
-/// round's observability counters.
+/// What the pool brought back from one round: a verdict per pending
+/// candidate in dealing order, the round's supervision incidents already
+/// canonically sorted by [`PendingIncident::sort_key`], the worker count
+/// surviving the round, and the round's observability counters.
 #[derive(Debug)]
 pub(crate) struct RoundExecution {
     pub(crate) verdicts: Vec<EvalVerdict>,
     pub(crate) incidents: Vec<PendingIncident>,
     pub(crate) alive_workers: usize,
-    pub(crate) pool: Option<PoolRoundStats>,
+    pub(crate) pool: PoolRoundStats,
 }
 
 /// One opened step of a [`SearchSession`]: the round plan plus the timing
@@ -858,139 +717,6 @@ where
     }
 }
 
-/// Runs one planned round on per-generation scoped threads — the
-/// pre-pool executor, kept as the differential baseline the persistent
-/// pool is benched and tested against. Candidates are dealt by static
-/// round-robin over the live workers and evaluated under supervision
-/// (panic isolation, deterministic retry/quarantine — see
-/// [`crate::supervise`]).
-///
-/// A worker that dies mid-round (a [`Hazard::KillWorker`]) is removed from
-/// the pool (`dead`) and its unfinished share is redealt to the survivors;
-/// if the last worker dies it is revived, so the round always completes.
-/// Every verdict and incident is keyed by the search-global evaluation
-/// index, never by worker identity, so the result — scores, `newly` order,
-/// incident stream — is bit-identical for any worker count.
-///
-/// [`Hazard::KillWorker`]: crate::supervise::Hazard::KillWorker
-fn run_round_scoped<G, F>(
-    plan: &RoundPlan<G>,
-    replicas: &mut [F],
-    dead: &mut HashSet<usize>,
-    policy: &SupervisionPolicy,
-    hazards: Option<&HazardPlan>,
-) -> RoundExecution
-where
-    G: Genome + PartialEq + Eq + Hash + Sync,
-    F: ParallelFitness<G>,
-{
-    let pending = &plan.pending;
-    let base_index = plan.base_index;
-    // A stale dead-set (the pool was resized between steps) must not mask
-    // every worker; dead workers stay dead only while their index exists.
-    dead.retain(|&w| w < replicas.len());
-    if dead.len() >= replicas.len() {
-        dead.clear();
-    }
-    let mut verdicts: Vec<Option<EvalVerdict>> = vec![None; pending.len()];
-    let mut round_incidents: Vec<PendingIncident> = Vec::new();
-    // Dealing-order indices into `pending` still awaiting a verdict. Each
-    // pass deals them round-robin over the live workers; a worker loss
-    // leaves its unfinished share here for the next pass.
-    let mut remaining: Vec<usize> = (0..pending.len()).collect();
-    while !remaining.is_empty() {
-        let alive: Vec<usize> = (0..replicas.len()).filter(|w| !dead.contains(w)).collect();
-        let lanes = alive.len();
-        let mut alive_replicas: Vec<&mut F> = replicas
-            .iter_mut()
-            .enumerate()
-            .filter(|(w, _)| !dead.contains(w))
-            .map(|(_, replica)| replica)
-            .collect();
-        let reports: Vec<WorkerReport> = crossbeam::scope(|s| {
-            let handles: Vec<_> = alive_replicas
-                .iter_mut()
-                .enumerate()
-                .map(|(lane, replica)| {
-                    let share: Vec<(usize, &G)> = remaining
-                        .iter()
-                        .enumerate()
-                        .filter(|(pos, _)| pos % lanes == lane)
-                        .map(|(_, &j)| (j, &pending[j].0))
-                        .collect();
-                    s.spawn(move |_| {
-                        let mut completed = Vec::new();
-                        for (j, genome) in share {
-                            let eval_index = base_index + j as u64;
-                            if hazards.is_some_and(|h| h.take_kill(eval_index)) {
-                                // The worker dies before touching this
-                                // candidate; the rest of its share is
-                                // abandoned for the survivors.
-                                return WorkerReport {
-                                    completed,
-                                    died_at: Some(eval_index),
-                                };
-                            }
-                            let mut local = Vec::new();
-                            let verdict = supervise_one(
-                                &mut **replica,
-                                genome,
-                                eval_index,
-                                policy,
-                                hazards,
-                                &mut local,
-                            );
-                            completed.push((j, verdict, local));
-                        }
-                        WorkerReport {
-                            completed,
-                            died_at: None,
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("evaluation worker panicked"))
-                .collect()
-        })
-        .expect("evaluation scope panicked");
-        for (lane, report) in reports.into_iter().enumerate() {
-            if let Some(eval_index) = report.died_at {
-                dead.insert(alive[lane]);
-                round_incidents.push(PendingIncident {
-                    eval_index,
-                    attempt: 0,
-                    kind: IncidentKind::WorkerLoss,
-                });
-            }
-            for (j, verdict, local) in report.completed {
-                verdicts[j] = Some(verdict);
-                round_incidents.extend(local);
-            }
-        }
-        // Graceful degradation, never extinction: losing the last worker
-        // revives the pool (one fresh dealing lane) so the round finishes.
-        if dead.len() >= replicas.len() {
-            dead.clear();
-        }
-        remaining.retain(|&j| verdicts[j].is_none());
-    }
-    // Canonicalize the incident stream: order by evaluation index, then
-    // attempt, then phase — a pure function of the search, independent of
-    // which worker interleaving produced it.
-    round_incidents.sort_by_key(|incident| incident.sort_key());
-    RoundExecution {
-        verdicts: verdicts
-            .into_iter()
-            .map(|v| v.expect("every pending candidate has a verdict"))
-            .collect(),
-        incidents: round_incidents,
-        alive_workers: replicas.len() - dead.len(),
-        pool: None,
-    }
-}
-
 /// Drains an executed round back into the search in canonical dealing
 /// order: verdicts fill scores, newly evaluated chromosomes are pushed
 /// onto `newly` (raw user-orientation values) so a journal can persist
@@ -1022,9 +748,7 @@ where
         return (scores, Vec::new());
     };
     stats.workers = execution.alive_workers;
-    if let Some(pool_stats) = &execution.pool {
-        stats.note_pool_round(pool_stats);
-    }
+    stats.note_pool_round(&execution.pool);
     debug_assert_eq!(execution.verdicts.len(), pending.len());
     for (verdict, (genome, slots)) in execution.verdicts.into_iter().zip(&pending) {
         let value = match verdict {
@@ -1046,8 +770,8 @@ where
     (scores, execution.incidents)
 }
 
-/// A stepwise, checkpointable GA search: the parallel engine loop unrolled
-/// so callers can persist the complete engine state between generations and
+/// A stepwise, checkpointable GA search: the engine loop unrolled so
+/// callers can persist the complete engine state between generations and
 /// continue an interrupted search **bit-identically** (§III-F).
 ///
 /// One [`step`] call scores the initial population; each further call runs
@@ -1086,9 +810,6 @@ pub struct SearchSession<G> {
     policy: SupervisionPolicy,
     /// Injected faults (tests); `None` in production.
     hazards: Option<HazardPlan>,
-    /// Workers lost this process (runtime state, deliberately not
-    /// checkpointed: a resume starts with a fresh pool).
-    dead_workers: HashSet<usize>,
     /// Completed generations.
     generation: u32,
     /// Whether the initial population has been scored.
@@ -1149,7 +870,6 @@ impl<G: Genome + PartialEq + Eq + Hash + Sync> SearchSession<G> {
             fresh_incidents: Vec::new(),
             policy: SupervisionPolicy::default(),
             hazards: None,
-            dead_workers: HashSet::new(),
             generation: 0,
             initialized: false,
             converged: false,
@@ -1183,7 +903,6 @@ impl<G: Genome + PartialEq + Eq + Hash + Sync> SearchSession<G> {
             fresh_incidents: Vec::new(),
             policy: SupervisionPolicy::default(),
             hazards: None,
-            dead_workers: HashSet::new(),
             generation: state.generation,
             initialized: state.initialized,
             converged: state.converged,
@@ -1271,56 +990,22 @@ impl<G: Genome + PartialEq + Eq + Hash + Sync> SearchSession<G> {
         }
     }
 
-    /// Runs one step: the first call scores the initial population, each
-    /// later call runs exactly one generation (breed, score, update the
-    /// convergence state). A no-op once [`done`](SearchSession::done).
+    /// Runs one step on a persistent evaluation pool: the first call
+    /// scores the initial population, each later call runs exactly one
+    /// generation (breed, score, update the convergence state). A no-op
+    /// once [`done`](SearchSession::done).
     ///
-    /// Evaluation runs on per-generation scoped threads — the pre-pool
-    /// executor, kept as the baseline the persistent pool
-    /// ([`step_pooled`](SearchSession::step_pooled)) is benched and
-    /// differentially tested against. Both paths are bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas` is empty or an evaluation worker panics.
-    pub fn step<F: ParallelFitness<G>>(&mut self, replicas: &mut [F]) {
-        assert!(
-            !replicas.is_empty(),
-            "at least one evaluation worker is required"
-        );
-        if self.done {
-            return;
-        }
-        self.eval_stats.workers = replicas.len();
-        let Some(round) = self.begin_round() else {
-            return;
-        };
-        let execution = if round.plan.pending.is_empty() {
-            None
-        } else {
-            Some(run_round_scoped(
-                &round.plan,
-                replicas,
-                &mut self.dead_workers,
-                &self.policy,
-                self.hazards.as_ref(),
-            ))
-        };
-        self.finish_round(round, execution);
-    }
-
-    /// Runs one step on a persistent evaluation pool — the production
-    /// executor: candidates become tasks in the pool's work-stealing
-    /// deques, evaluated by long-lived workers whose replica caches stay
-    /// warm across generations. Bit-identical to
-    /// [`step`](SearchSession::step) for any worker count, any steal
-    /// interleaving and any hazard schedule, because verdicts are keyed by
-    /// the campaign-dense evaluation index and drained in dealing order.
+    /// Candidates become tasks in the pool's work-stealing deques,
+    /// evaluated by long-lived workers whose replica caches stay warm
+    /// across generations. The step is bit-identical for any worker count,
+    /// any steal interleaving and any hazard schedule, because verdicts are
+    /// keyed by the campaign-dense evaluation index and drained in dealing
+    /// order.
     ///
     /// # Panics
     ///
     /// Panics if a pool worker panics outside the supervised evaluation.
-    pub fn step_pooled<F>(&mut self, pool: &EvalPool<G, F>)
+    pub fn step<F>(&mut self, pool: &EvalPool<G, F>)
     where
         G: Send + 'static,
         F: ParallelFitness<G> + 'static,
@@ -1328,7 +1013,7 @@ impl<G: Genome + PartialEq + Eq + Hash + Sync> SearchSession<G> {
         if self.done {
             return;
         }
-        self.eval_stats.workers = pool.workers();
+        self.note_workers(pool.workers());
         let Some(round) = self.begin_round() else {
             return;
         };
@@ -1349,8 +1034,8 @@ impl<G: Genome + PartialEq + Eq + Hash + Sync> SearchSession<G> {
 
     /// Opens one step: breeds the next population (when past the initial
     /// round) and runs the cache pre-pass, yielding the round's plan.
-    /// `None` once the search is done. The caller must pass the plan to an
-    /// executor (scoped or pooled) iff it has pending candidates, then
+    /// `None` once the search is done. The caller must pass the plan to the
+    /// pool iff it has pending candidates, then
     /// hand the outcome to [`finish_round`](SearchSession::finish_round) —
     /// the seam that lets the campaign scheduler interleave many sessions'
     /// rounds into one pool batch.
@@ -1444,8 +1129,8 @@ impl<G: Genome + PartialEq + Eq + Hash + Sync> SearchSession<G> {
         }
     }
 
-    /// Records the worker count a scheduler is about to run this session
-    /// on (what [`step`](SearchSession::step) does with `replicas.len()`).
+    /// Records the worker count of the pool this session is about to step
+    /// on.
     pub(crate) fn note_workers(&mut self, workers: usize) {
         self.eval_stats.workers = workers;
     }
@@ -1644,7 +1329,7 @@ impl<G: Deserialize> Deserialize for EngineState<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fitness::FnFitness;
+    use crate::fitness::{Fitness, FnFitness};
     use crate::genome::{BitGenome, IntGenome};
 
     #[test]
@@ -1667,7 +1352,7 @@ mod tests {
         // population 40 the GA solves 64-bit popcount in ~80 generations.
         let mut engine = GaEngine::new(GaConfig::paper_defaults(), 11);
         let mut fitness = FnFitness::new(|g: &BitGenome| g.count_ones() as f64);
-        let result = engine.run(|rng| BitGenome::random(rng, 64), &mut fitness);
+        let result = engine.run_parallel(1, |rng| BitGenome::random(rng, 64), &mut fitness);
         assert!(
             result.best_fitness >= 63.0,
             "best = {}",
@@ -1685,7 +1370,7 @@ mod tests {
     fn history_best_is_monotone_with_elitism() {
         let mut engine = GaEngine::new(GaConfig::paper_defaults(), 3);
         let mut fitness = FnFitness::new(|g: &BitGenome| g.count_ones() as f64);
-        let result = engine.run(|rng| BitGenome::random(rng, 64), &mut fitness);
+        let result = engine.run_parallel(1, |rng| BitGenome::random(rng, 64), &mut fitness);
         for w in result.history.windows(2) {
             assert!(w[1].best >= w[0].best - 1e-9, "best dropped: {w:?}");
         }
@@ -1697,7 +1382,7 @@ mod tests {
         config.minimize = true;
         let mut engine = GaEngine::new(config, 5);
         let mut fitness = FnFitness::new(|g: &BitGenome| g.count_ones() as f64);
-        let result = engine.run(|rng| BitGenome::random(rng, 64), &mut fitness);
+        let result = engine.run_parallel(1, |rng| BitGenome::random(rng, 64), &mut fitness);
         assert!(result.best_fitness <= 1.0, "best = {}", result.best_fitness);
         // Leaderboard is sorted best-first in the *minimization* sense.
         for w in result.leaderboard.windows(2) {
@@ -1714,7 +1399,7 @@ mod tests {
         config.max_generations = 60;
         let mut engine = GaEngine::new(config, 9);
         let mut fitness = FnFitness::new(|_: &BitGenome| 1.0);
-        let result = engine.run(|rng| BitGenome::random(rng, 256), &mut fitness);
+        let result = engine.run_parallel(1, |rng| BitGenome::random(rng, 256), &mut fitness);
         assert!(!result.converged);
         assert_eq!(result.generations, 60);
         assert!(result.similarity < 0.65, "similarity {}", result.similarity);
@@ -1728,17 +1413,17 @@ mod tests {
         // plateau members, capping its similarity — the mechanism behind
         // the paper's non-convergent access-pattern searches (Fig. 11,
         // SMF ≈ 0.5: disturbance saturates, VRT adds noise).
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        // The noise is a hash of the chromosome, as the evaluator's VRT
+        // nonce is: pure, so the evaluation cache stays transparent.
         let mut config = GaConfig::paper_defaults();
         config.max_generations = 120;
         let mut engine = GaEngine::new(config, 21);
-        let mut noise = StdRng::seed_from_u64(99);
-        let mut fitness = FnFitness::new(move |g: &BitGenome| {
+        let mut fitness = FnFitness::new(|g: &BitGenome| {
             let plateau = (g.count_ones() as f64).min(32.0);
-            plateau * 10.0 + noise.gen_range(0.0..30.0)
+            let hash = g.to_words()[0].wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+            plateau * 10.0 + 30.0 * hash as f64 / (1u64 << 53) as f64
         });
-        let result = engine.run(|rng| BitGenome::random(rng, 64), &mut fitness);
+        let result = engine.run_parallel(1, |rng| BitGenome::random(rng, 64), &mut fitness);
         assert!(!result.converged, "plateau search must not converge");
         assert!(result.similarity < 0.8, "similarity {}", result.similarity);
     }
@@ -1747,7 +1432,7 @@ mod tests {
     fn leaderboard_is_distinct_and_sorted() {
         let mut engine = GaEngine::new(GaConfig::paper_defaults(), 13);
         let mut fitness = FnFitness::new(|g: &BitGenome| g.count_ones() as f64);
-        let result = engine.run(|rng| BitGenome::random(rng, 64), &mut fitness);
+        let result = engine.run_parallel(1, |rng| BitGenome::random(rng, 64), &mut fitness);
         assert_eq!(result.leaderboard.len(), 40);
         for w in result.leaderboard.windows(2) {
             assert!(w[0].1 >= w[1].1, "leaderboard must be sorted best-first");
@@ -1768,7 +1453,7 @@ mod tests {
         // Maximize the sum of 16 genes in [0, 20].
         let mut engine = GaEngine::new(GaConfig::paper_defaults(), 17);
         let mut fitness = FnFitness::new(|g: &IntGenome| g.values().iter().sum::<u64>() as f64);
-        let result = engine.run(|rng| IntGenome::random(rng, 16, 0, 20), &mut fitness);
+        let result = engine.run_parallel(1, |rng| IntGenome::random(rng, 16, 0, 20), &mut fitness);
         assert!(
             result.best_fitness >= 0.9 * 320.0,
             "best = {}",
@@ -1784,13 +1469,13 @@ mod tests {
         let mut engine = GaEngine::new(config, 19);
         let mut fitness = FnFitness::new(|g: &BitGenome| g.count_ones() as f64);
         let seeded = vec![BitGenome::from_words(&[u64::MAX], 64); 40];
-        let seeded_result = engine.run_from(seeded, &mut fitness);
+        let seeded_result = engine.run_from_parallel(1, seeded, &mut fitness);
         assert_eq!(seeded_result.best_fitness, 64.0);
         config.max_generations = seeded_result.generations;
         // A fresh random search given the same (small) budget does worse on
         // its first generations.
         let mut fresh_engine = GaEngine::new(config, 19);
-        let fresh = fresh_engine.run(|rng| BitGenome::random(rng, 64), &mut fitness);
+        let fresh = fresh_engine.run_parallel(1, |rng| BitGenome::random(rng, 64), &mut fitness);
         assert!(seeded_result.generations <= fresh.generations);
     }
 
@@ -1799,7 +1484,7 @@ mod tests {
     fn run_from_validates_population_size() {
         let mut engine = GaEngine::new(GaConfig::paper_defaults(), 1);
         let mut fitness = FnFitness::new(|g: &BitGenome| g.count_ones() as f64);
-        engine.run_from(vec![BitGenome::zeros(8); 3], &mut fitness);
+        engine.run_from_parallel(1, vec![BitGenome::zeros(8); 3], &mut fitness);
     }
 
     /// A pure, replicable fitness that counts how many substrate
@@ -1836,17 +1521,105 @@ mod tests {
         }
     }
 
+    /// The serial reference loop the pool is pinned against: every member
+    /// of every round is scored by a direct `evaluate` call in population
+    /// order — no pool, no evaluation cache, no supervision. It shares only
+    /// breeding and round statistics with [`SearchSession`], so a drift in
+    /// the session's planning, dealing or draining fails the differential
+    /// tests below.
+    fn serial_oracle<G, F>(
+        config: GaConfig,
+        seed: u64,
+        mut init: impl FnMut(&mut StdRng) -> G,
+        fitness: &mut F,
+    ) -> SearchResult<G>
+    where
+        G: Genome + PartialEq,
+        F: Fitness<G>,
+    {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut population: Vec<G> = (0..config.population_size)
+            .map(|_| init(&mut rng))
+            .collect();
+        let sign = if config.minimize { -1.0 } else { 1.0 };
+        let mut eval_stats = EvalStats {
+            workers: 1,
+            ..EvalStats::default()
+        };
+        let mut leaderboard = Leaderboard::new(config.population_size);
+        let mut score_round =
+            |pop: &[G], leaderboard: &mut Leaderboard<G>, stats: &mut EvalStats| -> Vec<f64> {
+                let started = Instant::now();
+                let scores: Vec<f64> = pop.iter().map(|g| sign * fitness.evaluate(g)).collect();
+                stats.evaluations += pop.len() as u64;
+                stats
+                    .generation_eval_seconds
+                    .push(started.elapsed().as_secs_f64());
+                for (g, s) in pop.iter().zip(&scores) {
+                    leaderboard.offer(g, *s);
+                }
+                scores
+            };
+        let mut scores = score_round(&population, &mut leaderboard, &mut eval_stats);
+        let mut history = Vec::new();
+        let mut generations = 0;
+        let mut converged = false;
+        let mut similarity = leaderboard.similarity();
+        let mut best_so_far = nan_last_max(&scores);
+        let mut stagnant_generations = 0u32;
+        for generation in 0..config.max_generations {
+            generations = generation + 1;
+            history.push(round_stats(generation, &scores, sign, similarity));
+            population = breed_next(&config, &population, &scores, &mut rng);
+            scores = score_round(&population, &mut leaderboard, &mut eval_stats);
+            similarity = leaderboard.similarity();
+            let generation_best = nan_last_max(&scores);
+            if nan_last_cmp(generation_best, best_so_far) == std::cmp::Ordering::Greater {
+                best_so_far = generation_best;
+                stagnant_generations = 0;
+            } else {
+                stagnant_generations += 1;
+            }
+            if leaderboard.is_full()
+                && similarity >= config.convergence_threshold
+                && stagnant_generations >= config.stagnation_window
+            {
+                converged = true;
+                history.push(round_stats(generation + 1, &scores, sign, similarity));
+                break;
+            }
+        }
+        let leaderboard: Vec<(G, f64)> = leaderboard
+            .entries
+            .into_iter()
+            .map(|(g, s)| (g, sign * s))
+            .collect();
+        let (best, best_fitness) = leaderboard[0].clone();
+        SearchResult {
+            best,
+            best_fitness,
+            leaderboard,
+            generations,
+            converged,
+            similarity,
+            history,
+            eval_stats,
+            incidents: Vec::new(),
+        }
+    }
+
     #[test]
     fn parallel_search_is_bit_identical_to_serial() {
-        // The tentpole acceptance criterion: the same seed produces the
-        // same SearchResult (leaderboard, history, everything but timing)
-        // through the legacy serial path and through the parallel path at
-        // any worker count.
-        let serial = {
-            let mut engine = GaEngine::new(GaConfig::paper_defaults(), 29);
-            let mut fitness = CountingPopcount::new();
-            engine.run(|rng| BitGenome::random(rng, 64), &mut fitness)
-        };
+        // The same seed produces the same SearchResult (leaderboard,
+        // history, everything but timing and cache counters) through the
+        // serial oracle and through the pool at any worker count.
+        let serial = serial_oracle(
+            GaConfig::paper_defaults(),
+            29,
+            |rng| BitGenome::random(rng, 64),
+            &mut CountingPopcount::new(),
+        );
+
         for workers in [1usize, 4] {
             let mut engine = GaEngine::new(GaConfig::paper_defaults(), 29);
             let mut fitness = CountingPopcount::new();
@@ -1860,6 +1633,100 @@ mod tests {
             assert_eq!(parallel.similarity, serial.similarity);
             assert_eq!(parallel.history, serial.history);
             assert_eq!(parallel.eval_stats.workers, workers);
+        }
+    }
+
+    fn small_config() -> GaConfig {
+        let mut config = GaConfig::paper_defaults();
+        config.population_size = 10;
+        config.max_generations = 6;
+        config.stagnation_window = 3;
+        config
+    }
+
+    /// A full campaign on a fresh pool at the given worker count.
+    fn pooled_run(seed: u64, workers: usize) -> SearchResult<BitGenome> {
+        let mut session = SearchSession::start(small_config(), seed, |rng: &mut StdRng| {
+            BitGenome::random(rng, 24)
+        });
+        let pool = EvalPool::new(&CountingPopcount::new(), workers);
+        while !session.done() {
+            session.step(&pool);
+        }
+        pool.shutdown();
+        session.finish()
+    }
+
+    /// The worker counts the pool sweep runs at. CI pins 1 and 4 via
+    /// `DSTRESS_WORKERS`; the sweep widens without a recompile.
+    fn worker_counts() -> Vec<usize> {
+        let mut counts = vec![1, 2, 8];
+        if let Some(extra) = std::env::var("DSTRESS_WORKERS")
+            .ok()
+            .and_then(|w| w.parse::<usize>().ok())
+        {
+            counts.push(extra.max(1));
+        }
+        counts
+    }
+
+    /// Trajectory equality: the search path (winner, leaderboard, history,
+    /// incidents). The serial oracle evaluates without a dedup cache, so
+    /// its evaluation counters lawfully differ from the pool's;
+    /// [`assert_search_identical`] adds them back for pool-vs-pool
+    /// comparisons.
+    fn assert_trajectory_identical(
+        run: &SearchResult<BitGenome>,
+        reference: &SearchResult<BitGenome>,
+        tag: &str,
+    ) {
+        let bits = |r: &SearchResult<BitGenome>| -> Vec<(Vec<u64>, u64)> {
+            r.leaderboard
+                .iter()
+                .map(|(g, f)| (g.to_words(), f.to_bits()))
+                .collect()
+        };
+        assert_eq!(run.best, reference.best, "{tag}: best");
+        assert_eq!(
+            run.best_fitness.to_bits(),
+            reference.best_fitness.to_bits(),
+            "{tag}: best fitness"
+        );
+        assert_eq!(bits(run), bits(reference), "{tag}: leaderboard");
+        assert_eq!(run.history, reference.history, "{tag}: history");
+        assert_eq!(run.generations, reference.generations, "{tag}: generations");
+        assert_eq!(run.incidents, reference.incidents, "{tag}: incidents");
+    }
+
+    fn assert_search_identical(
+        run: &SearchResult<BitGenome>,
+        reference: &SearchResult<BitGenome>,
+        tag: &str,
+    ) {
+        assert_trajectory_identical(run, reference, tag);
+        assert_eq!(
+            run.eval_stats.evaluations, reference.eval_stats.evaluations,
+            "{tag}: evaluations"
+        );
+        assert_eq!(
+            run.eval_stats.cache_hits, reference.eval_stats.cache_hits,
+            "{tag}: cache hits"
+        );
+    }
+
+    #[test]
+    fn pool_matches_the_serial_oracle_for_any_worker_count() {
+        let oracle = serial_oracle(
+            small_config(),
+            41,
+            |rng| BitGenome::random(rng, 24),
+            &mut CountingPopcount::new(),
+        );
+        let reference = pooled_run(41, 1);
+        assert_trajectory_identical(&reference, &oracle, "workers=1 vs serial oracle");
+        for workers in worker_counts() {
+            let pooled = pooled_run(41, workers);
+            assert_search_identical(&pooled, &reference, &format!("workers={workers}"));
         }
     }
 
@@ -1928,9 +1795,15 @@ mod tests {
 
     #[test]
     fn serial_path_reports_eval_stats_without_cache() {
-        let mut engine = GaEngine::new(GaConfig::paper_defaults(), 7);
+        // The oracle must stay an uncached reference: every population slot
+        // of every round is a substrate evaluation.
         let mut fitness = CountingPopcount::new();
-        let result = engine.run(|rng| BitGenome::random(rng, 64), &mut fitness);
+        let result = serial_oracle(
+            GaConfig::paper_defaults(),
+            7,
+            |rng| BitGenome::random(rng, 64),
+            &mut fitness,
+        );
         assert_eq!(result.eval_stats.workers, 1);
         assert_eq!(result.eval_stats.cache_hits, 0);
         assert_eq!(result.eval_stats.cache_size, 0);
@@ -2009,8 +1882,8 @@ mod tests {
         config.max_generations = 2;
         let mut session =
             SearchSession::start(config, 5, |rng: &mut StdRng| BitGenome::random(rng, 32));
-        let mut replicas = vec![CountingPopcount::new()];
-        session.step(&mut replicas);
+        let pool = EvalPool::new(&CountingPopcount::new(), 1);
+        session.step(&pool);
         let json = session.checkpoint().to_json().unwrap();
         assert!(json.contains("\"cache_size\""));
         let needle = "\"cache_size\":";
@@ -2023,7 +1896,7 @@ mod tests {
         // And the rest of the state still resumes.
         let mut resumed = SearchSession::resume(state);
         while !resumed.done() {
-            resumed.step(&mut replicas);
+            resumed.step(&pool);
         }
     }
 
@@ -2041,7 +1914,7 @@ mod tests {
             let mut engine = GaEngine::new(GaConfig::paper_defaults(), seed);
             let mut fitness = FnFitness::new(|g: &BitGenome| g.count_ones() as f64);
             engine
-                .run(|rng| BitGenome::random(rng, 64), &mut fitness)
+                .run_parallel(1, |rng| BitGenome::random(rng, 64), &mut fitness)
                 .best_fitness
         };
         assert_eq!(run(23), run(23));
@@ -2061,26 +1934,26 @@ mod tests {
         let init = |rng: &mut StdRng| BitGenome::random(rng, 32);
         let clean = {
             let mut session = SearchSession::start(config, 77, init);
-            let mut replicas = vec![CountingPopcount::new()];
+            let pool = EvalPool::new(&CountingPopcount::new(), 1);
             while !session.done() {
-                session.step(&mut replicas);
+                session.step(&pool);
             }
             session.finish()
         };
         for boundary in 0.. {
             let mut session = SearchSession::start(config, 77, init);
-            let mut replicas = vec![CountingPopcount::new()];
+            let pool = EvalPool::new(&CountingPopcount::new(), 1);
             for _ in 0..boundary {
-                session.step(&mut replicas);
+                session.step(&pool);
             }
             let finished_already = session.done();
             let json = session.checkpoint().to_json().unwrap();
             drop(session); // the "crash"
             let state = EngineState::<BitGenome>::from_json(&json).unwrap();
             let mut resumed = SearchSession::resume(state);
-            let mut replicas = vec![CountingPopcount::new(), CountingPopcount::new()];
+            let pool = EvalPool::new(&CountingPopcount::new(), 2);
             while !resumed.done() {
-                resumed.step(&mut replicas);
+                resumed.step(&pool);
             }
             let result = resumed.finish();
             assert_eq!(result.best, clean.best, "boundary={boundary}");
@@ -2247,9 +2120,9 @@ mod tests {
         let clean = {
             let mut session = SearchSession::start(config, 91, init);
             session.set_hazards(Some(make_plan()));
-            let mut replicas = vec![CountingPopcount::new(), CountingPopcount::new()];
+            let pool = EvalPool::new(&CountingPopcount::new(), 2);
             while !session.done() {
-                session.step(&mut replicas);
+                session.step(&pool);
             }
             session.finish()
         };
@@ -2257,9 +2130,9 @@ mod tests {
         for boundary in 0.. {
             let mut session = SearchSession::start(config, 91, init);
             session.set_hazards(Some(make_plan()));
-            let mut replicas = vec![CountingPopcount::new(), CountingPopcount::new()];
+            let pool = EvalPool::new(&CountingPopcount::new(), 2);
             for _ in 0..boundary {
-                session.step(&mut replicas);
+                session.step(&pool);
             }
             let finished_already = session.done();
             let json = session.checkpoint().to_json().unwrap();
@@ -2269,9 +2142,9 @@ mod tests {
             // A fresh plan: hazards at already-cached indices never re-fire
             // (the cache serves them), the rest fire exactly as scheduled.
             resumed.set_hazards(Some(make_plan()));
-            let mut replicas = vec![CountingPopcount::new()];
+            let pool = EvalPool::new(&CountingPopcount::new(), 1);
             while !resumed.done() {
-                resumed.step(&mut replicas);
+                resumed.step(&pool);
             }
             let result = resumed.finish();
             assert_eq!(result.best, clean.best, "boundary={boundary}");
@@ -2294,8 +2167,8 @@ mod tests {
         plan.schedule(0, Hazard::Permanent);
         let mut session = SearchSession::start(config, 7, |rng| BitGenome::random(rng, 16));
         session.set_hazards(Some(plan));
-        let mut replicas = vec![CountingPopcount::new()];
-        session.step(&mut replicas);
+        let pool = EvalPool::new(&CountingPopcount::new(), 1);
+        session.step(&pool);
         let state = session.checkpoint();
         let nan_cached = state.cache.iter().filter(|(_, v)| v.is_nan()).count();
         assert_eq!(nan_cached, 1, "the quarantined chromosome is cached NaN");
@@ -2315,10 +2188,10 @@ mod tests {
         config.population_size = 8;
         config.max_generations = 3;
         let mut session = SearchSession::start(config, 41, |rng| BitGenome::random(rng, 16));
-        let mut replicas = vec![CountingPopcount::new()];
+        let pool = EvalPool::new(&CountingPopcount::new(), 1);
         let mut seen = 0u64;
         while !session.done() {
-            session.step(&mut replicas);
+            session.step(&pool);
             let newly = session.take_newly_evaluated();
             for (g, v) in &newly {
                 assert_eq!(*v, g.count_ones() as f64);

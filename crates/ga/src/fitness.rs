@@ -80,9 +80,16 @@ impl std::error::Error for EvalFault {}
 /// engine; minimization searches (the paper's best-case data pattern,
 /// §V-A.1) are handled by the engine's `minimize` flag, which negates the
 /// reported objective.
+///
+/// Scores must be a pure function of the chromosome (the purity contract
+/// of [`ParallelFitness`]): the engine caches every score and serves
+/// repeats from the cache, so a fitness whose value depends on call order
+/// would make the search depend on the cache. Noisy substrates derive
+/// their noise from the chromosome — DRAM fitness is noisy because VRT
+/// makes error counts vary run-to-run, and the DStress evaluator seeds
+/// that noise from the bound chromosome.
 pub trait Fitness<G: Genome> {
-    /// Scores one chromosome. May be stochastic (DRAM fitness is: VRT makes
-    /// error counts vary run-to-run).
+    /// Scores one chromosome.
     fn evaluate(&mut self, genome: &G) -> f64;
 
     /// Fallible scoring: the supervised evaluation path calls this so a
@@ -104,24 +111,14 @@ pub trait Fitness<G: Genome> {
     fn try_evaluate(&mut self, genome: &G) -> Result<f64, EvalFault> {
         Ok(self.evaluate(genome))
     }
-
-    /// Scores a whole generation at once — the entry point the serial
-    /// engine path feeds each population through. The default evaluates
-    /// candidates one at a time in population order; substrates with
-    /// generation-level batching (shared compilation, repeat-chromosome
-    /// dedup, grouped plan preparation) override it. Overrides must be
-    /// observationally identical to the per-candidate loop: slot `i` of
-    /// the result is exactly `evaluate(&population[i])`.
-    fn evaluate_generation(&mut self, population: &[G]) -> Vec<f64> {
-        population.iter().map(|g| self.evaluate(g)).collect()
-    }
 }
 
 /// A fitness that can be replicated across evaluation workers.
 ///
-/// The engine's parallel path ([`crate::GaEngine::run_parallel`]) hands each
-/// worker thread its own replica and splits every generation's population
-/// among them, so implementations must uphold two contracts:
+/// The engine's evaluation pool ([`crate::EvalPool`]) hands each worker
+/// thread its own long-lived replica and deals every generation's distinct
+/// new chromosomes among them as tasks, so implementations must uphold two
+/// contracts:
 ///
 /// * **Purity** — `evaluate` must be a pure function of the genome: the same
 ///   chromosome scores identically on every replica, in any order. This is
@@ -204,40 +201,6 @@ impl<F> std::fmt::Debug for FnFitness<F> {
     }
 }
 
-/// Averages a noisy inner fitness over `runs` evaluations — the paper runs
-/// "each virus ten times and average\[s\] the number of obtained CEs since the
-/// number of errors may vary from run-to-run due to … Variable Retention
-/// Time" (§V-A.1).
-#[derive(Debug)]
-pub struct AveragedFitness<F> {
-    inner: F,
-    runs: u32,
-}
-
-impl<F> AveragedFitness<F> {
-    /// Wraps `inner`, averaging over `runs` evaluations per chromosome.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs` is zero.
-    pub fn new(inner: F, runs: u32) -> Self {
-        assert!(runs > 0, "averaging requires at least one run");
-        AveragedFitness { inner, runs }
-    }
-
-    /// The configured number of runs.
-    pub fn runs(&self) -> u32 {
-        self.runs
-    }
-}
-
-impl<G: Genome, F: Fitness<G>> Fitness<G> for AveragedFitness<F> {
-    fn evaluate(&mut self, genome: &G) -> f64 {
-        let sum: f64 = (0..self.runs).map(|_| self.inner.evaluate(genome)).sum();
-        sum / self.runs as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,29 +225,5 @@ mod tests {
         assert!(!EvalFault::budget_exhausted("hung").is_retryable());
         let fault = EvalFault::budget_exhausted("5000 steps");
         assert_eq!(fault.to_string(), "step budget exhausted: 5000 steps");
-    }
-
-    #[test]
-    fn averaging_reduces_noise() {
-        // A fitness that alternates 0/10: the average over 10 runs is 5±1.
-        let mut toggle = 0u32;
-        let noisy = FnFitness::new(move |_: &BitGenome| {
-            toggle += 1;
-            if toggle.is_multiple_of(2) {
-                10.0
-            } else {
-                0.0
-            }
-        });
-        let mut avg = AveragedFitness::new(noisy, 10);
-        let v = avg.evaluate(&BitGenome::zeros(4));
-        assert!((v - 5.0).abs() <= 1.0, "averaged value {v}");
-        assert_eq!(avg.runs(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one run")]
-    fn zero_runs_panics() {
-        AveragedFitness::new(FnFitness::new(|_: &BitGenome| 0.0), 0);
     }
 }

@@ -25,6 +25,7 @@ use crate::db::{VirusDatabase, VirusRecord};
 use crate::engine::{EngineState, SearchResult, SearchSession};
 use crate::fitness::ParallelFitness;
 use crate::genome::Genome;
+use crate::pool::EvalPool;
 use crate::supervise::{HazardPlan, Incident, SupervisionPolicy};
 use crate::GaConfig;
 use rand::rngs::StdRng;
@@ -420,7 +421,7 @@ impl<S: Storage> Storage for SharedStorage<S> {
 pub struct StoredCheckpoint {
     /// The campaign the interrupted search belongs to.
     pub campaign: String,
-    /// The serialized [`EngineState`](crate::engine::EngineState).
+    /// The serialized [`EngineState`].
     pub state: String,
 }
 
@@ -775,21 +776,149 @@ fn invalid_data<E: std::fmt::Display>(e: E) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
-/// Drives a journaled GA search to completion (or a step budget),
-/// journaling every newly evaluated virus, every supervision incident, and
-/// a checkpoint per generation.
+/// The per-campaign journaling routine every journaled driver shares: the
+/// solo [`run_journaled`], a batch of campaigns multiplexed on one
+/// [`CampaignScheduler`](crate::pool::CampaignScheduler), and the campaign
+/// service. Keeping one copy means every change to the journaling protocol
+/// is made — and proven by the crash and fault suites — once.
+///
+/// [`open`](Self::open) resumes the campaign from the journal's checkpoint
+/// when it names this campaign (the checkpoint pins configuration and seed)
+/// or starts it fresh, and seeds the set of chromosomes the journal already
+/// holds for it. After every engine step,
+/// [`commit_step`](Self::commit_step) appends the step's newly evaluated
+/// viruses, then its supervision incidents, then a checkpoint — or, once
+/// the search is done, [`CampaignJournal::finish`].
+///
+/// Records are journaled *before* the checkpoint whose evaluation cache
+/// contains them, so a crash in between re-evaluates (purity makes the
+/// values identical) and the recorded-set dedup drops the repeats — no
+/// crash point loses or duplicates an acknowledged record. Incidents
+/// replayed in the resume window carry the same sequence numbers (the
+/// supervisor is deterministic), so the journal's `(campaign, seq)` dedup
+/// absorbs their re-acks the same way.
+#[derive(Debug)]
+pub struct JournaledCampaign {
+    name: String,
+    /// Chromosomes this campaign has already journaled: a resume
+    /// re-executes the window after its checkpoint, and the repeats must
+    /// not re-append.
+    recorded: HashSet<Vec<u64>>,
+}
+
+impl JournaledCampaign {
+    /// Opens campaign `name` on `journal`: the session resumes from the
+    /// journal's checkpoint when that checkpoint belongs to `name`, and is
+    /// built by `start` otherwise. Appends nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidData`] when the matching checkpoint does not
+    /// decode.
+    pub fn open<G, S>(
+        journal: &CampaignJournal<S>,
+        name: &str,
+        start: impl FnOnce() -> SearchSession<G>,
+    ) -> io::Result<(Self, SearchSession<G>)>
+    where
+        G: Genome + PartialEq + Eq + Hash + Sync + Deserialize,
+        S: Storage,
+    {
+        let session = match journal.checkpoint() {
+            Some(cp) if cp.campaign == name => {
+                SearchSession::resume(EngineState::from_json(&cp.state).map_err(invalid_data)?)
+            }
+            _ => start(),
+        };
+        let recorded = journal
+            .db()
+            .campaign(name)
+            .map(|r| r.genes.clone())
+            .collect();
+        let campaign = JournaledCampaign {
+            name: name.to_string(),
+            recorded,
+        };
+        Ok((campaign, session))
+    }
+
+    /// The campaign name records, incidents and checkpoints are filed
+    /// under.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Journals the session's between-steps state as the campaign's latest
+    /// checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// Propagates storage and serialization failures.
+    pub fn checkpoint<G, S>(
+        &self,
+        journal: &mut CampaignJournal<S>,
+        session: &SearchSession<G>,
+    ) -> io::Result<()>
+    where
+        G: Genome + PartialEq + Eq + Hash + Sync + Serialize,
+        S: Storage,
+    {
+        let state = session.checkpoint().to_json().map_err(io::Error::other)?;
+        journal.append_checkpoint(&self.name, state)
+    }
+
+    /// Journals one finished engine step: the newly evaluated viruses
+    /// (built by `make_record`, deduplicated against everything already
+    /// recorded), then the new supervision incidents, then `publish` (which
+    /// sees the step's incidents — the service broadcasts its progress
+    /// event here; other drivers pass a no-op), then the checkpoint, or
+    /// [`CampaignJournal::finish`] when the search is done. Returns whether
+    /// it was done.
+    ///
+    /// # Errors
+    ///
+    /// Propagates storage and serialization failures; the operations before
+    /// the failing one stay acknowledged.
+    pub fn commit_step<G, S>(
+        &mut self,
+        journal: &mut CampaignJournal<S>,
+        session: &mut SearchSession<G>,
+        make_record: impl Fn(&G, f64) -> VirusRecord,
+        publish: impl FnOnce(&SearchSession<G>, Vec<Incident>),
+    ) -> io::Result<bool>
+    where
+        G: Genome + PartialEq + Eq + Hash + Sync + Serialize,
+        S: Storage,
+    {
+        for (genome, value) in session.take_newly_evaluated() {
+            let record = make_record(&genome, value);
+            if self.recorded.insert(record.genes.clone()) {
+                journal.append_record(record)?;
+            }
+        }
+        let incidents = session.take_new_incidents();
+        for incident in &incidents {
+            journal.append_incident(&self.name, incident.clone())?;
+        }
+        publish(session, incidents);
+        if session.done() {
+            journal.finish()?;
+            return Ok(true);
+        }
+        self.checkpoint(journal, session)?;
+        Ok(false)
+    }
+}
+
+/// Drives a journaled GA search to completion (or a step budget) through
+/// [`JournaledCampaign`]: an opening checkpoint, then one
+/// [`commit_step`](JournaledCampaign::commit_step) per engine step.
 ///
 /// If `journal` holds a checkpoint for `campaign`, the search **resumes**
 /// from it and continues bit-identically to an uninterrupted run (`config`
 /// and `seed` are then ignored — the checkpoint pins them; `supervision`
 /// is re-applied and must match the interrupted run's policy). Otherwise a
-/// fresh search starts from `seed`. Records are journaled *before* the
-/// checkpoint whose evaluation cache contains them, so a crash in between
-/// re-evaluates (purity makes the values identical) and the sequence-level
-/// dedup below drops the repeats — no crash point loses or duplicates an
-/// acknowledged record. Incidents replayed in the resume window carry the
-/// same sequence numbers (the supervisor is deterministic), so their
-/// re-acks dedup the same way.
+/// fresh search starts from `seed`.
 ///
 /// Returns `Ok(None)` when `max_steps` ran out before the search finished
 /// (the checkpoint is journaled, ready to resume); `Ok(Some(result))` when
@@ -825,56 +954,29 @@ where
     S: Storage,
 {
     assert!(workers >= 1, "at least one evaluation worker is required");
-    let mut session = match journal.checkpoint() {
-        Some(cp) if cp.campaign == campaign => {
-            let state = EngineState::<G>::from_json(&cp.state).map_err(invalid_data)?;
-            SearchSession::resume(state)
-        }
-        _ => SearchSession::start(config, seed, init),
-    };
+    let (mut log, mut session) = JournaledCampaign::open(journal, campaign, || {
+        SearchSession::start(config, seed, init)
+    })?;
     session.set_supervision(supervision);
     session.set_hazards(hazards);
-    let pool = crate::pool::EvalPool::new(&*fitness, workers);
-    let absorb_pool = |fitness: &mut F, pool: crate::pool::EvalPool<G, F>| {
-        for replica in pool.shutdown() {
-            fitness.absorb(replica);
-        }
-    };
-    // Chromosomes this campaign has already journaled: a resume re-executes
-    // the window after its checkpoint, and the repeats must not re-append.
-    let mut recorded: HashSet<Vec<u64>> = journal
-        .db()
-        .campaign(campaign)
-        .map(|r| r.genes.clone())
-        .collect();
-    let mut steps = 0u32;
-    loop {
-        for (genome, value) in session.take_newly_evaluated() {
-            let record = make_record(&genome, value);
-            if recorded.insert(record.genes.clone()) {
-                journal.append_record(record)?;
+    let pool = EvalPool::new(&*fitness, workers);
+    let mut drive = || -> io::Result<bool> {
+        log.checkpoint(journal, &session)?;
+        let mut steps = 0u32;
+        while max_steps.is_none_or(|limit| steps < limit) {
+            session.step(&pool);
+            steps += 1;
+            if log.commit_step(journal, &mut session, &make_record, |_, _| {})? {
+                return Ok(true);
             }
         }
-        for incident in session.take_new_incidents() {
-            // `(campaign, seq)` dedup inside the journal absorbs the
-            // resume window's replayed decisions.
-            journal.append_incident(campaign, incident)?;
-        }
-        if session.done() {
-            break;
-        }
-        let state = session.checkpoint().to_json().map_err(io::Error::other)?;
-        journal.append_checkpoint(campaign, state)?;
-        if max_steps.is_some_and(|limit| steps >= limit) {
-            absorb_pool(fitness, pool);
-            return Ok(None);
-        }
-        session.step_pooled(&pool);
-        steps += 1;
+        Ok(false)
+    };
+    let finished = drive();
+    for replica in pool.shutdown() {
+        fitness.absorb(replica);
     }
-    absorb_pool(fitness, pool);
-    journal.finish()?;
-    Ok(Some(session.finish()))
+    Ok(finished?.then(|| session.finish()))
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@
 //! let config = GaConfig::paper_defaults();
 //! let mut engine = GaEngine::new(config, 42);
 //! let mut fitness = FnFitness::new(|g: &BitGenome| g.count_ones() as f64);
-//! let result = engine.run(|rng| BitGenome::random(rng, 64), &mut fitness);
+//! let result = engine.run_parallel(1, |rng| BitGenome::random(rng, 64), &mut fitness);
 //! assert!(result.best_fitness >= 60.0, "GA should nearly solve popcount");
 //! ```
 
@@ -54,11 +54,11 @@ pub use db::{VirusDatabase, VirusRecord};
 pub use engine::{
     EngineState, EvalStats, GaConfig, GaEngine, GenerationStats, SearchResult, SearchSession,
 };
-pub use fitness::{AveragedFitness, EvalFault, FaultKind, Fitness, FnFitness, ParallelFitness};
+pub use fitness::{EvalFault, FaultKind, Fitness, FnFitness, ParallelFitness};
 pub use genome::{BitGenome, Genome, IntGenome};
 pub use journal::{
-    run_journaled, CampaignJournal, DiskStorage, MemStorage, SharedStorage, Snapshot, Storage,
-    StoredCheckpoint, StoredIncident,
+    run_journaled, CampaignJournal, DiskStorage, JournaledCampaign, MemStorage, SharedStorage,
+    Snapshot, Storage, StoredCheckpoint, StoredIncident,
 };
 pub use ops::crossover::CrossoverOp;
 pub use ops::selection::SelectionScheme;

@@ -1,15 +1,13 @@
-//! The persistent work-stealing evaluation pool and the multi-campaign
-//! scheduler built on it.
+//! The persistent work-stealing evaluation pool — the engine's only
+//! executor — and the multi-campaign scheduler built on it.
 //!
-//! The per-generation scoped executor (kept in [`crate::engine`] as the
-//! differential baseline) pays thread spawn and replica churn every round
-//! and blocks on a static round-robin deal, so one expensive candidate —
-//! a retry storm, a step-budget blowout, a cold plan cache — leaves every
-//! other worker idle at the generation barrier. [`EvalPool`] replaces it
-//! with workers spawned **once per campaign driver**: each owns a warm
-//! [`ParallelFitness`] replica whose plan/profile/compile caches survive
-//! across generations, candidates are pushed as tasks into per-worker
-//! deques, and an idle worker steals from the back of a loaded one.
+//! [`EvalPool`] spawns its workers **once per campaign driver**: each owns
+//! a warm [`ParallelFitness`] replica whose plan/profile/compile caches
+//! survive across generations, candidates are pushed as tasks into
+//! per-worker deques, and an idle worker steals from the back of a loaded
+//! one, so one expensive candidate — a retry storm, a step-budget blowout,
+//! a cold plan cache — does not leave every other worker idle at the
+//! generation barrier. A serial search is a pool of one worker.
 //!
 //! # Why stealing cannot change the result
 //!
@@ -29,8 +27,9 @@
 //!   sorted by `(eval index, attempt, phase)`.
 //!
 //! The result — scores, journal records, incident stream — is therefore
-//! bit-identical to the scoped baseline for any worker count, any steal
-//! interleaving and any hazard schedule; the differential suites pin this.
+//! bit-identical for any worker count, any steal interleaving and any
+//! hazard schedule; the differential suites pin this, and pin the pool
+//! against a serial reference loop in the engine's tests.
 //!
 //! # Fair-share scheduling
 //!
@@ -112,8 +111,7 @@ struct PoolState<G, F> {
     batch: Option<Batch<G>>,
     /// Workers currently dead (killed by a hazard). Persists across
     /// batches — a dead worker stays dead for the rest of the campaign
-    /// unless the whole pool dies and is revived — mirroring the scoped
-    /// executor's session-lifetime dead set.
+    /// unless the whole pool dies and is revived.
     dead: HashSet<usize>,
     shutdown: bool,
     /// Replicas handed back by exiting workers, by worker slot.
@@ -269,7 +267,7 @@ where
 /// determinism argument.
 ///
 /// Construct one per campaign driver (or per process), drive sessions
-/// through [`SearchSession::step_pooled`] or a [`CampaignScheduler`], and
+/// through [`SearchSession::step`] or a [`CampaignScheduler`], and
 /// [`shutdown`](EvalPool::shutdown) at the end to absorb the replicas'
 /// bookkeeping back into the master fitness.
 #[derive(Debug)]
@@ -467,7 +465,7 @@ where
                         .collect(),
                     incidents: round_incidents,
                     alive_workers,
-                    pool: Some(round_stats),
+                    pool: round_stats,
                 }
             })
             .collect()
@@ -839,20 +837,6 @@ mod tests {
         session
     }
 
-    fn run_scoped(
-        seed: u64,
-        workers: usize,
-        hazards: Option<HazardPlan>,
-    ) -> SearchResult<BitGenome> {
-        let mut session = session_with(seed, hazards);
-        let mut replicas: Vec<MemoPopcount> =
-            (0..workers).map(|_| MemoPopcount::default()).collect();
-        while !session.done() {
-            session.step(&mut replicas);
-        }
-        session.finish()
-    }
-
     fn run_pooled(
         seed: u64,
         workers: usize,
@@ -861,7 +845,7 @@ mod tests {
         let mut session = session_with(seed, hazards);
         let pool = EvalPool::new(&MemoPopcount::default(), workers);
         while !session.done() {
-            session.step_pooled(&pool);
+            session.step(&pool);
         }
         pool.shutdown();
         session.finish()
@@ -899,7 +883,10 @@ mod tests {
 
     #[test]
     fn pooled_matches_scoped_for_any_worker_count() {
-        let reference = run_scoped(77, 1, None);
+        // The reference is the pool at one worker; the pool's one-worker
+        // trajectory is pinned against the serial reference loop in the
+        // engine's tests.
+        let reference = run_pooled(77, 1, None);
         for workers in [1usize, 2, 8] {
             let pooled = run_pooled(77, workers, None);
             assert_same_search(&pooled, &reference, &format!("workers={workers}"));
@@ -908,7 +895,7 @@ mod tests {
 
     #[test]
     fn pooled_matches_scoped_under_hazards() {
-        let reference = run_scoped(53, 1, Some(hazard_mix()));
+        let reference = run_pooled(53, 1, Some(hazard_mix()));
         assert!(reference.quarantined() >= 2);
         assert!(reference.workers_lost() >= 1);
         for workers in [1usize, 2, 8] {
@@ -929,8 +916,8 @@ mod tests {
             plan
         };
         let pooled = run_pooled(19, 2, Some(kills()));
-        let scoped = run_scoped(19, 2, Some(kills()));
-        assert_same_search(&pooled, &scoped, "revival");
+        let lone = run_pooled(19, 1, Some(kills()));
+        assert_same_search(&pooled, &lone, "revival");
         assert_eq!(pooled.workers_lost(), 3);
         assert!(pooled.best_fitness.is_finite());
     }
@@ -940,7 +927,7 @@ mod tests {
         let mut session = session_with(31, None);
         let pool = EvalPool::new(&MemoPopcount::default(), 4);
         while !session.done() {
-            session.step_pooled(&pool);
+            session.step(&pool);
         }
         let replicas = pool.shutdown();
         assert_eq!(replicas.len(), 4);
@@ -1002,12 +989,12 @@ mod tests {
         // paused session can simply keep stepping.
         let (mut sessions, _replicas) = scheduler.finish();
         let paused = &mut sessions[0];
-        let mut replicas = vec![MemoPopcount::default()];
+        let pool = EvalPool::new(&MemoPopcount::default(), 1);
         while !paused.done() {
-            paused.step(&mut replicas);
+            paused.step(&pool);
         }
         let resumed = std::mem::replace(paused, session_with(7, None)).finish();
-        let reference = run_scoped(7, 1, None);
+        let reference = run_pooled(7, 1, None);
         assert_same_search(&resumed, &reference, "budget-paused continuation");
     }
 
@@ -1098,7 +1085,7 @@ mod tests {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut session = session_with(41, None);
             let pool = EvalPool::new(&master, 4);
-            session.step_pooled(&pool);
+            session.step(&pool);
             assert!(!session.done(), "campaign must still be mid-flight");
             panic!("campaign driver dies with the pool live");
         }));

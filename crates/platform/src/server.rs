@@ -749,7 +749,7 @@ impl XGene2Server {
     /// ([`RunPlan::advance_window_vrt_lanes`]) computes every live run's
     /// VRT events in a single cell-outer pass over the plan's flat SoA,
     /// and the static events — identical in every window — are applied
-    /// once per run via the plan's precomputed [`StaticSummary`] scaled by
+    /// once per run via the plan's precomputed `StaticSummary` scaled by
     /// the run's completed windows. All accounting is integer sums, so the
     /// outcomes (and the persistent EDAC counters) are bit-identical to
     /// evaluating the runs one at a time.

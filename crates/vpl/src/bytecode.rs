@@ -38,7 +38,7 @@
 //!
 //! # Fusion
 //!
-//! Constants fold into [`Operand::Imm`] at compile time, so the paper's
+//! Constants fold into `Operand::Imm` at compile time, so the paper's
 //! inner-loop shapes cost one op each: `v[i] = 0x3333…` becomes a single
 //! `StoreIndex` with an immediate source, and `acc += v[i]` becomes
 //! `LoadIndex` + `FoldSlot` (read-modify-write of a variable slot in one
@@ -47,7 +47,7 @@
 //! On top of that, a peephole pass recognizes the two loop shapes that
 //! dominate every virus template — the background fill
 //! `for (i = 0; i < N; i += 1) { buf[i] = C; }` and the read-pressure
-//! reduction `acc += buf[i]` — and plants a [`Op::FusedLoop`]
+//! reduction `acc += buf[i]` — and plants a `Op::FusedLoop`
 //! superinstruction in front of the ordinary loop code. The fused handler
 //! runs the whole loop without per-op dispatch, charging steps at exactly
 //! the three check points the unfused sequence has (condition jump, bus

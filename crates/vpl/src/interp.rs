@@ -12,7 +12,7 @@
 //! * a step budget bounds execution, so a pathological candidate virus
 //!   cannot wedge a search campaign.
 //!
-//! Internally the program is first resolved (see [`crate::resolve`]): every
+//! Internally the program is first resolved (see `crate::resolve`): every
 //! variable name becomes a slot index, so the execution loop never hashes a
 //! string.
 //!

@@ -4,10 +4,10 @@
 //! per resolved tree node plus the fused-loop peephole. A GA campaign
 //! re-executes the same chromosome-shaped programs thousands of times, so
 //! classic loop optimizations pay for themselves many times over. This
-//! module adds four of them — loop-invariant code motion ([`licm`]),
-//! strength reduction of induction-variable arithmetic ([`strength`]),
-//! dead-store elimination ([`dse`]), and unrolling of short constant trip
-//! counts ([`unroll`]) — each individually toggleable through
+//! module adds four of them — loop-invariant code motion (`licm`),
+//! strength reduction of induction-variable arithmetic (`strength`),
+//! dead-store elimination (`dse`), and unrolling of short constant trip
+//! counts (`unroll`) — each individually toggleable through
 //! [`PassConfig`] and each differential-tested against the tree-walking
 //! interpreter oracle.
 //!
@@ -29,15 +29,15 @@
 //!   op that can touch the bus or fail checks first), so an earlier check
 //!   only skips unobservable register work. This licenses replacing a
 //!   non-checking charge carrier (a `LoadSlot` of a register slot) with a
-//!   checking [`crate::bytecode::Op::Bump`].
+//!   checking `Op::Bump`.
 //! * **Removing a check is safe when nothing observable can happen before
 //!   the next check.** This licenses coalescing adjacent `Bump`s and
 //!   folding a `Bump` into a following jump.
 //!
 //! Ops inside a fused-loop window (the unfused fallback body behind an
-//! [`crate::bytecode::Op::FusedLoop`]) are *frozen*: the superinstruction
-//! replays their charges and falls back to them when its guards fail, so
-//! no pass may rewrite them. The fused bulk fast paths — the campaign's
+//! `Op::FusedLoop`) are *frozen*: the superinstruction replays their
+//! charges and falls back to them when its guards fail, so no pass may
+//! rewrite them. The fused bulk fast paths — the campaign's
 //! hot loops — are therefore preserved verbatim.
 
 use crate::ast::Program;

@@ -14,7 +14,7 @@
 //! ```
 
 use dstress::{DStress, ExperimentScale, Metric};
-use dstress_ga::{BitGenome, Fitness, GaEngine};
+use dstress_ga::{BitGenome, Fitness, GaEngine, ParallelFitness};
 use dstress_vpl::{pretty, BoundValue, Template};
 use std::collections::HashMap;
 
@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ]
     .into_iter()
     .collect();
-    let mut evaluator = dstress::VirusEvaluator::new(
+    let evaluator = dstress::VirusEvaluator::new(
         dstress.server_at(60.0)?,
         processed.clone(),
         env.clone(),
@@ -72,10 +72,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Synthesis phase: a 128-bit chromosome = the two searched words.
-    struct TwoWordFitness<'a> {
-        evaluator: &'a mut dstress::VirusEvaluator,
+    struct TwoWordFitness {
+        evaluator: dstress::VirusEvaluator,
     }
-    impl Fitness<BitGenome> for TwoWordFitness<'_> {
+    impl Fitness<BitGenome> for TwoWordFitness {
         fn evaluate(&mut self, genome: &BitGenome) -> f64 {
             let words = genome.to_words();
             self.evaluator.fitness_of(
@@ -87,13 +87,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )
         }
     }
+    // Each evaluation worker gets its own replica of the evaluator.
+    impl ParallelFitness<BitGenome> for TwoWordFitness {
+        fn replicate(&self) -> Self {
+            TwoWordFitness {
+                evaluator: self.evaluator.replicate(),
+            }
+        }
+    }
 
     println!("\nsearching the two-word pattern space at 60 °C ...");
     let mut engine = GaEngine::new(scale.ga, 11);
-    let mut fitness = TwoWordFitness {
-        evaluator: &mut evaluator,
-    };
-    let result = engine.run(|rng| BitGenome::random(rng, 128), &mut fitness);
+    let mut fitness = TwoWordFitness { evaluator };
+    let result = engine.run_parallel(1, |rng| BitGenome::random(rng, 128), &mut fitness);
     let words = result.best.to_words();
     println!(
         "best pair: even {:#018x} / odd {:#018x} -> {:.1} CEs/run ({} generations)",

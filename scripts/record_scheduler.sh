@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Runs the scheduler benchmark (persistent work-stealing pool vs the
-# per-generation scoped executor, plus multi-campaign multiplexing) and
-# records the medians and ratios to BENCH_scheduler.json. The vendored
+# Runs the scheduler benchmark (full campaigns on the persistent
+# work-stealing pool, plus multi-campaign multiplexing) and records the
+# medians and the multiplexing ratios to BENCH_scheduler.json. The vendored
 # criterion stub prints lines of the form:
 #   name: median 1.23 us mean 1.25 us (20 samples x 813 iters)
 set -euo pipefail
@@ -24,12 +24,6 @@ for line in sys.stdin:
         medians[m.group(1)] = float(m.group(2)) * UNITS[m.group(3)]
 
 report = {\"median_ns\": medians, \"speedup\": {}}
-for shape in (\"even\", \"uneven\"):
-    for workers in (1, 4, 8):
-        scope = medians.get(f\"scheduler/scope_{shape}_w{workers}\")
-        pool = medians.get(f\"scheduler/pool_{shape}_w{workers}\")
-        if scope and pool:
-            report[\"speedup\"][f\"{shape}_w{workers}\"] = round(scope / pool, 2)
 for n in (2, 4):
     serial = medians.get(f\"scheduler/serial{n}_w8\")
     multiplex = medians.get(f\"scheduler/multiplex{n}_w8\")

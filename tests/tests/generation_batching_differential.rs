@@ -1,9 +1,9 @@
-//! Differential tests for the population-batched generation evaluation
-//! path: batching (chromosome dedup, shared plan/profile caches, the
-//! lane-packed VRT window kernel, the VM's bulk-fill fast path) is a pure
-//! optimization, so every score must be bit-identical to the uncached
-//! per-candidate reference oracle — for any worker count, any cache state,
-//! and under hazard schedules. Also pins the regression behaviour of the
+//! Differential tests for the batched evaluation path: the engine's
+//! per-round chromosome dedup, the evaluator's shared plan/profile and
+//! compile caches, the lane-packed VRT window kernel and the VM's
+//! bulk-fill fast path are pure optimizations, so every score must be
+//! bit-identical to the uncached per-candidate reference oracle — for any
+//! worker count, any cache state, and under hazard schedules. Also pins the regression behaviour of the
 //! three bugfixes that rode along: typed stale-plan errors, exact index
 //! narrowing, and the bounded evaluation cache.
 
@@ -36,14 +36,15 @@ fn chromosome(pattern: u64) -> HashMap<String, BoundValue> {
     [("PATTERN".to_string(), BoundValue::Scalar(pattern))].into()
 }
 
-/// Scores `patterns` through the batched generation entry point, asserting
-/// that no slot faulted.
+/// Scores `patterns` in population order through one evaluator — its
+/// caches warm across the population, exactly as one pool worker's replica
+/// is — asserting that no slot faulted.
 fn batched_scores(eval: &mut VirusEvaluator, patterns: &[u64]) -> Vec<f64> {
-    let chromosomes: Vec<_> = patterns.iter().map(|&p| chromosome(p)).collect();
-    eval.evaluate_generation(&chromosomes)
-        .into_iter()
-        .map(|r| {
-            r.expect("quick-scale word64 candidates never fault")
+    patterns
+        .iter()
+        .map(|&p| {
+            eval.evaluate_bindings(chromosome(p))
+                .expect("quick-scale word64 candidates never fault")
                 .fitness
         })
         .collect()

@@ -121,7 +121,7 @@ fn interrupted_search_resumes_from_database() {
     config.max_generations = 3;
     let mut engine = GaEngine::new(config, 4);
     let mut fitness = dstress_ga::FnFitness::new(|g: &BitGenome| g.count_ones() as f64);
-    let first = engine.run(|rng| BitGenome::random(rng, 64), &mut fitness);
+    let first = engine.run_parallel(1, |rng| BitGenome::random(rng, 64), &mut fitness);
     for (g, f) in &first.leaderboard {
         db.record(VirusRecord {
             campaign: "resume-demo".into(),
@@ -144,7 +144,7 @@ fn interrupted_search_resumes_from_database() {
     config.population_size = 10;
     config.max_generations = 40;
     let mut engine = GaEngine::new(config, 5);
-    let resumed = engine.run_from(top, &mut fitness);
+    let resumed = engine.run_from_parallel(1, top, &mut fitness);
     assert!(
         resumed.best_fitness >= first.best_fitness,
         "resumed search ({}) must not regress below the recorded best ({})",
