@@ -17,10 +17,10 @@
 //! dstress pause|resume|cancel --addr HOST:PORT --campaign N
 //! ```
 
-use dstress::search::BitCampaign;
+use dstress::search::{BitCampaign, Campaign};
 use dstress::service::{
-    campaign_db_paths, read_frame, run_word64_campaigns_journaled, CampaignSpec, DaemonConfig,
-    Dstressd, Event, Request, Response, SeqEvent, StatusReport,
+    campaign_db_paths, read_frame, CampaignSpec, DaemonConfig, Dstressd, Event, Request, Response,
+    SeqEvent, StatusReport,
 };
 use dstress::usecases::{find_marginal_trefp, savings_at_margin, SafetyCriterion};
 use dstress::{
@@ -31,6 +31,7 @@ use dstress_vpl::{compile_staged, BoundValue, PassConfig};
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Minimal flag parser: `--name value` and boolean `--name`.
@@ -190,6 +191,30 @@ fn usage() -> &'static str {
        pause           Pause a running campaign   --addr HOST:PORT --campaign N\n\
        resume          Resume a paused campaign   --addr HOST:PORT --campaign N\n\
        cancel          Cancel a campaign          --addr HOST:PORT --campaign N\n"
+}
+
+/// Checks a `--db` journal against the campaign `name` these flags
+/// select: returns whether it holds an interrupted search to resume.
+fn check_journal(
+    journal: &CampaignJournal<DiskStorage>,
+    path: &Path,
+    name: &str,
+    resume: bool,
+) -> Result<bool, String> {
+    match journal.checkpoint() {
+        Some(cp) if !resume => Err(format!(
+            "{} holds an interrupted search for campaign `{}`; pass --resume to continue it",
+            path.display(),
+            cp.campaign
+        )),
+        Some(cp) if cp.campaign != name => Err(format!(
+            "--resume: {} holds the interrupted campaign `{}` but these flags select \
+             `{name}`; rerun with the original flags",
+            path.display(),
+            cp.campaign
+        )),
+        checkpoint => Ok(checkpoint.is_some()),
+    }
 }
 
 fn print_word64_campaign(campaign: &BitCampaign) {
@@ -561,10 +586,9 @@ fn run(raw: Vec<String>) -> Result<(), String> {
             }
             let campaigns = usize::try_from(campaigns)
                 .map_err(|_| format!("--campaigns: {campaigns} does not fit in usize"))?;
-            let supervision = supervision_from(&args)?;
             let mut dstress = DStress::new(scale, seed);
             dstress.set_workers(workers);
-            dstress.set_supervision(supervision);
+            dstress.set_supervision(supervision_from(&args)?);
             let metric = if args.bool("ue") {
                 Metric::UeRuns
             } else {
@@ -575,77 +599,83 @@ fn run(raw: Vec<String>) -> Result<(), String> {
             if resume && args.str("db").is_none() {
                 return Err("--resume requires --db FILE (the journal to continue from)".into());
             }
-            if campaigns > 1 {
-                if let Some(db) = args.str("db") {
-                    let paths = campaign_db_paths(db, campaigns)?;
-                    let base = DStress::word64_campaign_name(temp, &metric, minimize);
-                    for (i, path) in paths.iter().enumerate() {
-                        // Opening a journal that does not exist writes
-                        // nothing; an interrupted campaign that never
-                        // compacted has only its `.journal` file.
-                        let journal = CampaignJournal::open(DiskStorage::new(), path)
-                            .map_err(|e| format!("opening {}: {e}", path.display()))?;
-                        let name = format!("{base}-c{i}");
-                        match journal.checkpoint() {
-                            Some(cp) if !resume => {
-                                return Err(format!(
-                                    "{} holds an interrupted search for campaign `{}`; \
-                                     pass --resume to continue it",
-                                    path.display(),
-                                    cp.campaign
-                                ));
-                            }
-                            Some(cp) if cp.campaign != name => {
-                                return Err(format!(
-                                    "--resume: {} holds the interrupted campaign `{}` but \
-                                     these flags select `{name}`; rerun with the original flags",
-                                    path.display(),
-                                    cp.campaign
-                                ));
-                            }
-                            None if resume && journal.db().records().is_empty() => {
-                                return Err(format!(
-                                    "--resume: per-campaign journal `{}` is missing; \
-                                     rerun with the original --campaigns/--db flags",
-                                    path.display()
-                                ));
-                            }
-                            _ => {}
-                        }
-                    }
-                    println!(
-                        "scheduling {campaigns} journaled 64-bit pattern searches at {temp} C \
-                         over one {workers}-worker pool ..."
-                    );
-                    let results = run_word64_campaigns_journaled(
-                        scale,
-                        seed,
-                        workers,
-                        supervision,
-                        temp,
-                        metric,
-                        minimize,
-                        &paths,
-                    )
-                    .map_err(|e| e.to_string())?;
-                    for (campaign, path) in results.iter().zip(&paths) {
-                        println!("\n== campaign {} ==", campaign.name);
-                        print_word64_campaign(campaign);
-                        println!("virus database written to {}", path.display());
-                    }
-                    return Ok(());
-                }
+            let campaign = Campaign::word64(temp, metric, minimize);
+            let batch = campaigns > 1;
+            if !batch {
                 println!(
-                    "scheduling {campaigns} concurrent 64-bit pattern searches at {temp} C \
-                     over one {workers}-worker pool ..."
+                    "searching 64-bit patterns at {temp} C ({}, {}) ...",
+                    if args.bool("ue") { "UE runs" } else { "CEs" },
+                    if minimize { "minimizing" } else { "maximizing" }
                 );
-                let results = dstress
-                    .search_word64_concurrent(campaigns, temp, metric, minimize)
-                    .map_err(|e| e.to_string())?;
-                for campaign in &results {
-                    println!("\n== campaign {} ==", campaign.name);
-                    print_word64_campaign(campaign);
+            }
+            // With --db, run i journals into its own file: the given path
+            // alone, or the derived `-c{i}` siblings of a batch.
+            let paths = match args.str("db") {
+                Some(db) if batch => campaign_db_paths(db, campaigns)?,
+                Some(db) => vec![PathBuf::from(db)],
+                None => Vec::new(),
+            };
+            let mut journals = Vec::with_capacity(paths.len());
+            for (i, path) in paths.iter().enumerate() {
+                // Opening a journal that does not exist writes nothing; an
+                // interrupted campaign that never compacted has only its
+                // `.journal` file.
+                let journal = CampaignJournal::open(DiskStorage::new(), path)
+                    .map_err(|e| format!("opening {}: {e}", path.display()))?;
+                let name = campaign.run_name(i, campaigns);
+                let interrupted = check_journal(&journal, path, &name, resume)?;
+                match (interrupted, resume) {
+                    (true, _) if !batch => println!(
+                        "resuming interrupted campaign `{name}` from {}",
+                        path.display()
+                    ),
+                    (false, true) if !batch => println!(
+                        "no interrupted search in {}; starting fresh",
+                        path.display()
+                    ),
+                    (false, true) if journal.db().records().is_empty() => {
+                        return Err(format!(
+                            "--resume: per-campaign journal `{}` is missing; \
+                             rerun with the original --campaigns/--db flags",
+                            path.display()
+                        ));
+                    }
+                    _ => {}
                 }
+                journals.push(journal);
+            }
+            if batch {
+                println!(
+                    "scheduling {campaigns} {} 64-bit pattern searches at {temp} C \
+                     over one {workers}-worker pool ...",
+                    if paths.is_empty() {
+                        "concurrent"
+                    } else {
+                        "journaled"
+                    }
+                );
+            }
+            let runs: Vec<Option<&mut CampaignJournal<DiskStorage>>> = if journals.is_empty() {
+                (0..campaigns).map(|_| None).collect()
+            } else {
+                journals.iter_mut().map(Some).collect()
+            };
+            let results: Vec<BitCampaign> = dstress
+                .run(&campaign, runs, None)
+                .map_err(|e| e.to_string())?
+                .into_iter()
+                .flatten()
+                .collect();
+            for (i, campaign) in results.iter().enumerate() {
+                if batch {
+                    println!("\n== campaign {} ==", campaign.name);
+                }
+                print_word64_campaign(campaign);
+                if let Some(path) = paths.get(i) {
+                    println!("virus database written to {}", path.display());
+                }
+            }
+            if batch && paths.is_empty() {
                 let mut merged = dstress::EvalStats::default();
                 for campaign in &results {
                     merged.merge(&campaign.result.eval_stats);
@@ -657,50 +687,7 @@ fn run(raw: Vec<String>) -> Result<(), String> {
                     results.len(),
                 );
                 print_pool_stats(&merged);
-                return Ok(());
             }
-            println!(
-                "searching 64-bit patterns at {temp} C ({}, {}) ...",
-                if args.bool("ue") { "UE runs" } else { "CEs" },
-                if minimize { "minimizing" } else { "maximizing" }
-            );
-            let campaign = match args.str("db") {
-                Some(path) => {
-                    let mut journal = CampaignJournal::open(DiskStorage::new(), path)
-                        .map_err(|e| format!("opening {path}: {e}"))?;
-                    let name = DStress::word64_campaign_name(temp, &metric, minimize);
-                    match journal.checkpoint() {
-                        Some(cp) if !resume => {
-                            return Err(format!(
-                                "{path} holds an interrupted search for campaign `{}`; \
-                                 pass --resume to continue it",
-                                cp.campaign
-                            ));
-                        }
-                        Some(cp) if cp.campaign != name => {
-                            return Err(format!(
-                                "--resume: the interrupted campaign is `{}` but these flags \
-                                 select `{name}`; rerun with the original flags",
-                                cp.campaign
-                            ));
-                        }
-                        Some(_) => println!("resuming interrupted campaign `{name}` from {path}"),
-                        None if resume => {
-                            println!("no interrupted search in {path}; starting fresh")
-                        }
-                        None => {}
-                    }
-                    let campaign = dstress
-                        .search_word64_journaled(&mut journal, temp, metric, minimize)
-                        .map_err(|e| e.to_string())?;
-                    println!("virus database written to {path}");
-                    campaign
-                }
-                None => dstress
-                    .search_word64(temp, metric, minimize)
-                    .map_err(|e| e.to_string())?,
-            };
-            print_word64_campaign(&campaign);
             Ok(())
         }
         "measure" => {

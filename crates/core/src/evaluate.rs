@@ -3,8 +3,9 @@
 
 use crate::error::DStressError;
 use crate::patterns::{BitCodec, IntCodec};
+use crate::search::GenomeCodec;
 use dstress_dram::geometry::RowKey;
-use dstress_ga::{BitGenome, EvalFault, Fitness, IntGenome, ParallelFitness};
+use dstress_ga::{EvalFault, Fitness, ParallelFitness};
 use dstress_platform::{RunOutcome, XGene2Server};
 use dstress_vpl::{
     compile_opt, BoundValue, CompiledProgram, ExecLimits, Interpreter, OptLevel, ProcessedTemplate,
@@ -476,68 +477,36 @@ impl VirusEvaluator {
     }
 }
 
-/// Owning [`ParallelFitness`] adapter for bit-genome campaigns: each
-/// evaluation worker gets a replica that owns its own evaluator, server
-/// included, so workers never contend for the substrate.
+/// Owning [`ParallelFitness`] adapter for a campaign's chromosome codec:
+/// each evaluation worker gets a replica that owns its own evaluator,
+/// server included, so workers never contend for the substrate.
 #[derive(Debug)]
-pub struct ParallelBitFitness {
+pub struct CampaignFitness<C> {
     /// The campaign evaluator this fitness owns.
     pub evaluator: VirusEvaluator,
     /// The chromosome codec.
-    pub codec: BitCodec,
+    pub codec: C,
 }
 
-impl Fitness<BitGenome> for ParallelBitFitness {
-    fn evaluate(&mut self, genome: &BitGenome) -> f64 {
+/// The fitness adapter of bit-genome campaigns.
+pub type ParallelBitFitness = CampaignFitness<BitCodec>;
+
+/// The fitness adapter of integer-genome campaigns.
+pub type ParallelIntFitness = CampaignFitness<IntCodec>;
+
+impl<C: GenomeCodec> Fitness<C::Genome> for CampaignFitness<C> {
+    fn evaluate(&mut self, genome: &C::Genome) -> f64 {
         self.evaluator.fitness_of(self.codec.bindings(genome))
     }
 
-    fn try_evaluate(&mut self, genome: &BitGenome) -> Result<f64, EvalFault> {
+    fn try_evaluate(&mut self, genome: &C::Genome) -> Result<f64, EvalFault> {
         self.evaluator.try_fitness_of(self.codec.bindings(genome))
     }
 }
 
-impl ParallelFitness<BitGenome> for ParallelBitFitness {
+impl<C: GenomeCodec> ParallelFitness<C::Genome> for CampaignFitness<C> {
     fn replicate(&self) -> Self {
-        ParallelBitFitness {
-            evaluator: self.evaluator.replicate(),
-            codec: self.codec.clone(),
-        }
-    }
-
-    fn absorb(&mut self, replica: Self) {
-        self.evaluator.failed_evaluations += replica.evaluator.failed_evaluations;
-        self.evaluator.compile_hits += replica.evaluator.compile_hits;
-        self.evaluator.compiles += replica.evaluator.compiles;
-    }
-
-    fn cache_counters(&self) -> (u64, u64) {
-        (self.evaluator.compile_hits, self.evaluator.compiles)
-    }
-}
-
-/// Owning [`ParallelFitness`] adapter for integer-genome campaigns.
-#[derive(Debug)]
-pub struct ParallelIntFitness {
-    /// The campaign evaluator this fitness owns.
-    pub evaluator: VirusEvaluator,
-    /// The chromosome codec.
-    pub codec: IntCodec,
-}
-
-impl Fitness<IntGenome> for ParallelIntFitness {
-    fn evaluate(&mut self, genome: &IntGenome) -> f64 {
-        self.evaluator.fitness_of(self.codec.bindings(genome))
-    }
-
-    fn try_evaluate(&mut self, genome: &IntGenome) -> Result<f64, EvalFault> {
-        self.evaluator.try_fitness_of(self.codec.bindings(genome))
-    }
-}
-
-impl ParallelFitness<IntGenome> for ParallelIntFitness {
-    fn replicate(&self) -> Self {
-        ParallelIntFitness {
+        CampaignFitness {
             evaluator: self.evaluator.replicate(),
             codec: self.codec.clone(),
         }
@@ -559,6 +528,7 @@ mod tests {
     use super::*;
     use crate::scale::ExperimentScale;
     use crate::templates;
+    use dstress_ga::BitGenome;
 
     /// A word64 evaluator on a quick-scale server heated to 60 °C.
     fn evaluator(metric: Metric) -> VirusEvaluator {

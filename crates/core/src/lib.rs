@@ -67,8 +67,10 @@ pub use dstress_ga::pool::{CampaignScheduler, EvalPool};
 pub use dstress_ga::supervise::{Hazard, HazardPlan, Incident, IncidentKind, SupervisionPolicy};
 pub use dstress_ga::EvalStats;
 pub use error::{DStressError, PlatformError};
-pub use evaluate::{EvalOutcome, Metric, ParallelBitFitness, ParallelIntFitness, VirusEvaluator};
+pub use evaluate::{
+    CampaignFitness, EvalOutcome, Metric, ParallelBitFitness, ParallelIntFitness, VirusEvaluator,
+};
 pub use microbench::Baseline;
 pub use scale::ExperimentScale;
-pub use search::{DStress, EnvKind, BEST_WORD, WORST_WORD};
+pub use search::{Campaign, DStress, EnvKind, BEST_WORD, WORST_WORD};
 pub use workloads::Workload;

@@ -2,20 +2,22 @@
 //! (paper Fig. 4).
 
 use crate::error::{DStressError, PlatformError};
-use crate::evaluate::{Metric, ParallelBitFitness, ParallelIntFitness, VirusEvaluator};
+use crate::evaluate::{CampaignFitness, Metric, VirusEvaluator};
 use crate::patterns::{BitCodec, IntCodec};
 use crate::scale::ExperimentScale;
 use crate::templates;
 use dstress_dram::geometry::RowKey;
-use dstress_ga::journal::{run_journaled, CampaignJournal, Storage};
+use dstress_ga::journal::{run_campaigns, CampaignJournal, CampaignRun, MemStorage, Storage};
 use dstress_ga::{
-    BitGenome, CampaignScheduler, EvalPool, GaEngine, Genome, HazardPlan, IntGenome,
-    ParallelFitness, SearchResult, SearchSession, SupervisionPolicy, VirusDatabase, VirusRecord,
+    BitGenome, GaConfig, Genome, HazardPlan, IntGenome, SearchResult, SearchSession,
+    SupervisionPolicy, VirusDatabase, VirusRecord,
 };
 use dstress_platform::{RowErrors, XGene2Server};
 use dstress_vpl::BoundValue;
+use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// The 64-bit word the TTAA cell layout is most stressed by — repeating
 /// `1100` in bit order, the paper's headline discovery (§V-A.1). The GA is
@@ -305,51 +307,281 @@ pub enum Seeding {
     },
 }
 
-impl Seeding {
-    pub(crate) fn initial_genome(&self, rng: &mut rand::rngs::StdRng, bits: usize) -> BitGenome {
-        match self {
-            Seeding::Random => BitGenome::random(rng, bits),
-            Seeding::WordSlice { word, start, len } => {
-                let mut g = BitGenome::random(rng, bits);
-                for w in *start..(*start + *len) {
-                    for b in 0..64 {
-                        let idx = w * 64 + b;
-                        if idx < bits {
-                            g.set_bit(idx, (word >> b) & 1 == 1);
-                        }
-                    }
-                }
-                g
+/// How an integer-genome campaign's initial population is drawn: `genes`
+/// values, each uniform in `[lo, hi]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IntRange {
+    /// Genes per chromosome.
+    pub genes: usize,
+    /// Smallest gene value.
+    pub lo: u64,
+    /// Largest gene value.
+    pub hi: u64,
+}
+
+/// A campaign's genome kind: how a chromosome binds to the template's
+/// parameters, how the initial population is drawn, and which genes a
+/// database record stores.
+pub trait GenomeCodec: Clone + std::fmt::Debug + Send + 'static {
+    /// The chromosome the GA evolves.
+    type Genome: Genome + PartialEq + Eq + Hash + Sync + Serialize + Deserialize + 'static;
+    /// How the initial population is drawn: [`Seeding`] for bit genomes,
+    /// [`IntRange`] for integer genomes.
+    type Init: std::fmt::Debug;
+
+    /// Converts a chromosome into template bindings.
+    fn bindings(&self, genome: &Self::Genome) -> HashMap<String, BoundValue>;
+
+    /// Genes per chromosome.
+    fn genome_len(&self, init: &Self::Init) -> usize;
+
+    /// Draws one chromosome of the initial population.
+    fn draw(&self, init: &Self::Init, rng: &mut StdRng) -> Self::Genome;
+
+    /// The genes a [`VirusRecord`] stores.
+    fn genes(genome: &Self::Genome) -> Vec<u64>;
+}
+
+impl GenomeCodec for BitCodec {
+    type Genome = BitGenome;
+    type Init = Seeding;
+
+    fn bindings(&self, genome: &BitGenome) -> HashMap<String, BoundValue> {
+        BitCodec::bindings(self, genome)
+    }
+
+    fn genome_len(&self, _: &Seeding) -> usize {
+        self.genome_bits()
+    }
+
+    fn draw(&self, init: &Seeding, rng: &mut StdRng) -> BitGenome {
+        let bits = self.genome_bits();
+        let mut g = BitGenome::random(rng, bits);
+        if let Seeding::WordSlice { word, start, len } = *init {
+            for idx in start * 64..((start + len) * 64).min(bits) {
+                g.set_bit(idx, (word >> (idx % 64)) & 1 == 1);
             }
+        }
+        g
+    }
+
+    fn genes(genome: &BitGenome) -> Vec<u64> {
+        genome.to_words()
+    }
+}
+
+impl GenomeCodec for IntCodec {
+    type Genome = IntGenome;
+    type Init = IntRange;
+
+    fn bindings(&self, genome: &IntGenome) -> HashMap<String, BoundValue> {
+        IntCodec::bindings(self, genome)
+    }
+
+    fn genome_len(&self, init: &IntRange) -> usize {
+        init.genes
+    }
+
+    fn draw(&self, init: &IntRange, rng: &mut StdRng) -> IntGenome {
+        IntGenome::random(rng, init.genes, init.lo, init.hi)
+    }
+
+    fn genes(genome: &IntGenome) -> Vec<u64> {
+        genome.values().to_vec()
+    }
+}
+
+/// One search campaign, described once: its name, the environment and
+/// temperature its viruses run in, what it optimizes in which direction,
+/// and its genome kind. Every driver — the figure experiments, the CLI,
+/// `dstressd` — opens a campaign from this description, and
+/// [`DStress::run`] runs it.
+#[derive(Debug)]
+pub struct Campaign<C: GenomeCodec> {
+    /// Campaign identifier (database key).
+    pub name: String,
+    /// The environment the viruses run in.
+    pub env: EnvKind,
+    /// DIMM2's temperature.
+    pub temp_c: f64,
+    /// What the search scores.
+    pub metric: Metric,
+    /// Whether the search minimizes the metric.
+    pub minimize: bool,
+    /// The chromosome codec.
+    pub codec: C,
+    /// How the initial population is drawn.
+    pub init: C::Init,
+}
+
+impl Campaign<BitCodec> {
+    /// The 64-bit data-pattern search (Fig. 8a/b: maximize CEs; Fig. 8c:
+    /// minimize; Fig. 8d: maximize UE runs).
+    pub fn word64(temp_c: f64, metric: Metric, minimize: bool) -> Self {
+        Campaign {
+            name: DStress::word64_campaign_name(temp_c, &metric, minimize),
+            env: EnvKind::Word64,
+            temp_c,
+            metric,
+            minimize,
+            codec: BitCodec::Word64 {
+                param: "PATTERN".into(),
+            },
+            init: Seeding::Random,
+        }
+    }
+
+    /// The row-triple ("24 KB") data-pattern search (Fig. 9).
+    pub fn row_triple(scale: &ExperimentScale, temp_c: f64, victims: Vec<RowKey>) -> Self {
+        let row_words = scale.row_words() as usize;
+        let codec = BitCodec::WordArrays {
+            segments: vec![
+                ("PREV_PATTERN".into(), row_words),
+                ("VICTIM_PATTERN".into(), row_words),
+                ("NEXT_PATTERN".into(), row_words),
+            ],
+        };
+        // Victim slice starts from the known worst word (§III-F);
+        // neighbour rows explore freely.
+        let init = Seeding::WordSlice {
+            word: WORST_WORD,
+            start: row_words,
+            len: row_words,
+        };
+        Campaign::victim_ces(
+            "row-triple",
+            temp_c,
+            EnvKind::RowTriple { victims },
+            codec,
+            init,
+        )
+    }
+
+    /// The chunk-span ("512 KB") data-pattern search (Fig. 10).
+    pub fn chunks(scale: &ExperimentScale, temp_c: f64, victims: Vec<RowKey>) -> Self {
+        let row_words = scale.row_words() as usize;
+        let codec = BitCodec::WordArrays {
+            segments: vec![("CHUNK_PATTERN".into(), 64 * row_words)],
+        };
+        // The victim row sits 32 chunks into the span.
+        let init = Seeding::WordSlice {
+            word: WORST_WORD,
+            start: 32 * row_words,
+            len: row_words,
+        };
+        Campaign::victim_ces("chunks", temp_c, EnvKind::Chunks { victims }, codec, init)
+    }
+
+    /// Access-pattern search, template 1 (Fig. 11): which neighbour rows
+    /// to stream, memory pre-filled with `fill`.
+    pub fn row_access(temp_c: f64, victims: Vec<RowKey>, fill: u64) -> Self {
+        let codec = BitCodec::BitFlags {
+            param: "SEL".into(),
+        };
+        let env = EnvKind::RowAccess { victims, fill };
+        Campaign::victim_ces("row-access", temp_c, env, codec, Seeding::Random)
+    }
+}
+
+impl Campaign<IntCodec> {
+    /// Access-pattern search, template 2 (Fig. 12): per-row stride
+    /// coefficients `aᵢ·x + bᵢ` with `aᵢ, bᵢ ∈ [0, 20]`, memory pre-filled
+    /// with `fill`.
+    pub fn stride_access(temp_c: f64, victims: Vec<RowKey>, fill: u64) -> Self {
+        let codec = IntCodec {
+            param: "COEFFS".into(),
+        };
+        let init = IntRange {
+            genes: 32,
+            lo: 0,
+            hi: 20,
+        };
+        let env = EnvKind::StrideAccess { victims, fill };
+        Campaign::victim_ces("stride-access", temp_c, env, codec, init)
+    }
+}
+
+impl<C: GenomeCodec> Campaign<C> {
+    /// A search maximizing the CEs in `env`'s victim rows, named after
+    /// its figure family.
+    fn victim_ces(family: &str, temp_c: f64, env: EnvKind, codec: C, init: C::Init) -> Self {
+        Campaign {
+            name: format!("{family}-ce-{}C", temp_c as i64),
+            metric: Metric::CeInRows(env.victims().to_vec()),
+            env,
+            temp_c,
+            minimize: false,
+            codec,
+            init,
+        }
+    }
+
+    /// The GA configuration: `base` searching in this campaign's
+    /// direction, with more reach for large chromosomes.
+    fn ga_config(&self, base: GaConfig) -> GaConfig {
+        let mut config = base;
+        config.minimize = self.minimize;
+        let genes = self.codec.genome_len(&self.init);
+        if genes > 1024 {
+            // Large pattern chromosomes: only a sparse subset of bits moves
+            // the fitness (the weak cells and their coupled neighbours), so
+            // give mutation more reach and the stagnation check more
+            // patience — the paper's large-pattern searches ran for two
+            // weeks where the 64-bit ones took one.
+            config.gene_rate = Some(4.0 / genes as f64);
+            config.stagnation_window = config.stagnation_window.max(40);
+        }
+        config
+    }
+
+    /// A fresh search of this campaign from engine seed `seed`, its initial
+    /// population drawn from the seed's stream.
+    pub fn start(&self, base: GaConfig, seed: u64) -> SearchSession<C::Genome> {
+        SearchSession::start(self.ga_config(base), seed, |rng| {
+            self.codec.draw(&self.init, rng)
+        })
+    }
+
+    /// The name of run `run` of `runs` concurrent runs: the campaign name,
+    /// suffixed `-c{run}` when there is more than one run so database keys
+    /// stay distinct.
+    pub fn run_name(&self, run: usize, runs: usize) -> String {
+        if runs > 1 {
+            format!("{}-c{run}", self.name)
+        } else {
+            self.name.clone()
+        }
+    }
+
+    /// The database record of one evaluated virus of campaign `name`.
+    pub(crate) fn record(name: &str, genome: &C::Genome, fitness: f64) -> VirusRecord {
+        VirusRecord {
+            campaign: name.to_string(),
+            genes: C::genes(genome),
+            gene_len: genome.len(),
+            fitness,
+            ce: fitness.max(0.0) as u64,
+            ue: 0,
+            sequence: 0,
         }
     }
 }
 
-/// A finished search campaign over bit genomes.
+/// A finished search campaign.
 #[derive(Debug, Clone)]
-pub struct BitCampaign {
+pub struct FinishedCampaign<G> {
     /// Campaign identifier (database key).
     pub name: String,
     /// The GA outcome.
-    pub result: SearchResult<BitGenome>,
+    pub result: SearchResult<G>,
     /// The environment the viruses ran in.
     pub env: EnvKind,
     /// Evaluations that failed at runtime.
     pub failed_evaluations: u64,
 }
 
-/// A finished search campaign over integer genomes.
-#[derive(Debug, Clone)]
-pub struct IntCampaign {
-    /// Campaign identifier (database key).
-    pub name: String,
-    /// The GA outcome.
-    pub result: SearchResult<IntGenome>,
-    /// The environment the viruses ran in.
-    pub env: EnvKind,
-    /// Evaluations that failed at runtime.
-    pub failed_evaluations: u64,
-}
+/// A finished search campaign over bit genomes.
+pub type BitCampaign = FinishedCampaign<BitGenome>;
 
 /// The DStress framework facade: processing + synthesis + evaluation phases
 /// over a simulated experimental server (paper Fig. 4).
@@ -483,11 +715,27 @@ impl DStress {
         Ok(evaluator)
     }
 
+    /// Builds a campaign's fitness: an evaluator for its environment,
+    /// temperature and metric, paired with its codec.
+    ///
+    /// # Errors
+    ///
+    /// Propagates evaluator construction failures.
+    pub fn fitness<C: GenomeCodec>(
+        &self,
+        campaign: &Campaign<C>,
+    ) -> Result<CampaignFitness<C>, DStressError> {
+        Ok(CampaignFitness {
+            evaluator: self.evaluator(&campaign.env, campaign.temp_c, campaign.metric.clone())?,
+            codec: campaign.codec.clone(),
+        })
+    }
+
     /// The engine seed of the `seq`-th campaign (1-based) started on a
     /// framework seeded with `framework_seed` — the derivation every
-    /// campaign entry point shares. Exposed so external drivers (the
-    /// `dstressd` service, differential tests) can reproduce a solo
-    /// campaign's seed exactly.
+    /// campaign run shares. Exposed so external drivers (the `dstressd`
+    /// service, differential tests) can reproduce a solo campaign's seed
+    /// exactly.
     pub fn campaign_seed(framework_seed: u64, seq: u64) -> u64 {
         framework_seed.wrapping_add(seq.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
@@ -497,122 +745,88 @@ impl DStress {
         DStress::campaign_seed(self.seed, self.campaign_seq)
     }
 
-    fn record_bit_leaderboard(&mut self, name: &str, result: &SearchResult<BitGenome>) {
-        for (genome, fitness) in &result.leaderboard {
-            self.db.record(VirusRecord {
-                campaign: name.to_string(),
-                genes: genome.to_words(),
-                gene_len: genome.len(),
-                fitness: *fitness,
-                ce: fitness.max(0.0) as u64,
-                ue: 0,
-                sequence: 0,
-            });
-        }
-    }
-
-    /// Runs a bit-genome campaign: GA search with the given codec over the
-    /// given environment, recording the leaderboard in the database.
+    /// Runs `journals.len()` independent runs of `campaign` concurrently
+    /// over one persistent pool of this framework's workers — the one
+    /// campaign driver behind the figure experiments, the CLI and the
+    /// crash-safe searches.
+    ///
+    /// Run `i` draws the framework's next campaign seed, so it matches the
+    /// `i`-th solo run on a fresh framework, and is named `{name}-c{i}`
+    /// when there is more than one run. A run given a journal
+    /// write-ahead journals every evaluated virus and a checkpoint per
+    /// generation, and continues from the journal's checkpoint when that
+    /// names the run; a resumed run is bit-identical to an uninterrupted
+    /// one. `step_budget` bounds the steps (generations) each run takes
+    /// here: a run it interrupts comes back `None`, its checkpoint
+    /// journaled. A finished run's leaderboard is recorded in
+    /// [`db`](DStress::db); its compile and failure counters are those of
+    /// the shared substrate.
     ///
     /// # Errors
     ///
-    /// Propagates evaluator construction failures.
-    #[allow(clippy::too_many_arguments)] // campaign knobs mirror the paper's experiment table
-    pub fn run_bit_campaign(
+    /// Propagates evaluator construction and journal I/O failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `journals` is empty.
+    pub fn run<C: GenomeCodec, S: Storage>(
         &mut self,
-        name: &str,
-        env: EnvKind,
-        codec: BitCodec,
-        temp_c: f64,
-        metric: Metric,
-        minimize: bool,
-        seeding: Seeding,
-    ) -> Result<BitCampaign, DStressError> {
-        let evaluator = self.evaluator(&env, temp_c, metric)?;
-        let mut ga_config = self.scale.ga;
-        ga_config.minimize = minimize;
-        let bits = codec.genome_bits();
-        if bits > 1024 {
-            // Large pattern chromosomes: only a sparse subset of bits moves
-            // the fitness (the weak cells and their coupled neighbours), so
-            // give mutation more reach and the stagnation check more
-            // patience — the paper's large-pattern searches ran for two
-            // weeks where the 64-bit ones took one.
-            ga_config.gene_rate = Some(4.0 / bits as f64);
-            ga_config.stagnation_window = ga_config.stagnation_window.max(40);
+        campaign: &Campaign<C>,
+        journals: Vec<Option<&mut CampaignJournal<S>>>,
+        step_budget: Option<u64>,
+    ) -> Result<Vec<Option<FinishedCampaign<C::Genome>>>, DStressError> {
+        assert!(!journals.is_empty(), "at least one run is required");
+        let mut fitness = self.fitness(campaign)?;
+        let count = journals.len();
+        let mut names = Vec::with_capacity(count);
+        let mut runs = Vec::with_capacity(count);
+        for (i, journal) in journals.into_iter().enumerate() {
+            let name = campaign.run_name(i, count);
+            let seed = self.next_campaign_seed();
+            let start = || campaign.start(self.scale.ga, seed);
+            let mut run = match journal {
+                Some(journal) => {
+                    let record_name = name.clone();
+                    CampaignRun::journaled(journal, &name, start, move |genome, value| {
+                        Campaign::<C>::record(&record_name, genome, value)
+                    })?
+                }
+                None => CampaignRun::new(start()),
+            };
+            run.session.set_supervision(self.supervision);
+            run.session.set_hazards(self.hazards.clone());
+            runs.push(run);
+            names.push(name);
         }
-        let seed = self.next_campaign_seed();
-        let mut engine = GaEngine::new(ga_config, seed);
-        engine.set_supervision(self.supervision);
-        engine.set_hazards(self.hazards.clone());
-        let mut fitness = ParallelBitFitness {
-            evaluator,
-            codec: codec.clone(),
-        };
-        let mut result = engine.run_parallel(
-            self.workers,
-            |rng| seeding.initial_genome(rng, bits),
-            &mut fitness,
-        );
-        result.eval_stats.compile_hits = fitness.evaluator.compile_hits;
+        let sessions = run_campaigns(&mut fitness, self.workers, runs, step_budget)?;
+        let compile_hits = fitness.evaluator.compile_hits;
         let failed = fitness.evaluator.failed_evaluations;
-        self.record_bit_leaderboard(name, &result);
-        Ok(BitCampaign {
-            name: name.to_string(),
-            result,
-            env,
-            failed_evaluations: failed,
-        })
+        let finished = sessions.into_iter().zip(names).map(|(session, name)| {
+            if !session.done() {
+                return None;
+            }
+            let mut result = session.finish();
+            result.eval_stats.compile_hits = compile_hits;
+            for (genome, value) in &result.leaderboard {
+                self.db.record(Campaign::<C>::record(&name, genome, *value));
+            }
+            Some(FinishedCampaign {
+                name,
+                result,
+                env: campaign.env.clone(),
+                failed_evaluations: failed,
+            })
+        });
+        Ok(finished.collect())
     }
 
-    /// Runs an integer-genome campaign (the stride access search).
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluator construction failures.
-    #[allow(clippy::too_many_arguments)] // campaign knobs mirror the paper's experiment table
-    pub fn run_int_campaign(
+    /// One unjournaled, unbounded [`run`](DStress::run) of `campaign`.
+    fn run_alone<C: GenomeCodec>(
         &mut self,
-        name: &str,
-        env: EnvKind,
-        codec: IntCodec,
-        temp_c: f64,
-        metric: Metric,
-        genes: usize,
-        lo: u64,
-        hi: u64,
-    ) -> Result<IntCampaign, DStressError> {
-        let evaluator = self.evaluator(&env, temp_c, metric)?;
-        let ga_config = self.scale.ga;
-        let seed = self.next_campaign_seed();
-        let mut engine = GaEngine::new(ga_config, seed);
-        engine.set_supervision(self.supervision);
-        engine.set_hazards(self.hazards.clone());
-        let mut fitness = ParallelIntFitness { evaluator, codec };
-        let mut result = engine.run_parallel(
-            self.workers,
-            |rng| IntGenome::random(rng, genes, lo, hi),
-            &mut fitness,
-        );
-        result.eval_stats.compile_hits = fitness.evaluator.compile_hits;
-        for (genome, fit) in &result.leaderboard {
-            self.db.record(VirusRecord {
-                campaign: name.to_string(),
-                genes: genome.values().to_vec(),
-                gene_len: genome.len(),
-                fitness: *fit,
-                ce: fit.max(0.0) as u64,
-                ue: 0,
-                sequence: 0,
-            });
-        }
-        let failed = fitness.evaluator.failed_evaluations;
-        Ok(IntCampaign {
-            name: name.to_string(),
-            result,
-            env,
-            failed_evaluations: failed,
-        })
+        campaign: &Campaign<C>,
+    ) -> Result<FinishedCampaign<C::Genome>, DStressError> {
+        let runs = self.run::<C, MemStorage>(campaign, vec![None], None)?;
+        Ok(finished_alone(runs))
     }
 
     /// The 64-bit data-pattern search (Fig. 8a/b: maximize CEs; Fig. 8c:
@@ -627,18 +841,7 @@ impl DStress {
         metric: Metric,
         minimize: bool,
     ) -> Result<BitCampaign, DStressError> {
-        let name = DStress::word64_campaign_name(temp_c, &metric, minimize);
-        self.run_bit_campaign(
-            &name,
-            EnvKind::Word64,
-            BitCodec::Word64 {
-                param: "PATTERN".into(),
-            },
-            temp_c,
-            metric,
-            minimize,
-            Seeding::Random,
-        )
+        self.run_alone(&Campaign::word64(temp_c, metric, minimize))
     }
 
     /// The campaign name [`search_word64`](DStress::search_word64) and its
@@ -653,79 +856,6 @@ impl DStress {
             },
             temp_c as i64
         )
-    }
-
-    /// Runs `campaigns` independent 64-bit data-pattern searches
-    /// concurrently, multiplexed over **one** persistent evaluation pool by
-    /// a fair-share [`CampaignScheduler`] — the scheduling core of the
-    /// planned multi-tenant `dstressd` daemon. Each campaign draws its own
-    /// seed from the engine stream (so campaign `i` here matches the
-    /// `i`-th solo [`search_word64`](DStress::search_word64) on a fresh
-    /// framework) and keeps its own session state, so every campaign's
-    /// result and leaderboard is bit-identical to running it alone; names
-    /// are suffixed `-c0`, `-c1`, … to keep database keys distinct.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluator construction failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `campaigns` is zero.
-    pub fn search_word64_concurrent(
-        &mut self,
-        campaigns: usize,
-        temp_c: f64,
-        metric: Metric,
-        minimize: bool,
-    ) -> Result<Vec<BitCampaign>, DStressError> {
-        assert!(campaigns >= 1, "at least one campaign is required");
-        let base = DStress::word64_campaign_name(temp_c, &metric, minimize);
-        let codec = BitCodec::Word64 {
-            param: "PATTERN".into(),
-        };
-        let bits = codec.genome_bits();
-        let mut ga_config = self.scale.ga;
-        ga_config.minimize = minimize;
-        let mut fitness = ParallelBitFitness {
-            evaluator: self.evaluator(&EnvKind::Word64, temp_c, metric)?,
-            codec: codec.clone(),
-        };
-        let mut scheduler = CampaignScheduler::new(EvalPool::new(&fitness, self.workers));
-        let mut names = Vec::with_capacity(campaigns);
-        for i in 0..campaigns {
-            let seed = self.next_campaign_seed();
-            let mut session = SearchSession::start(ga_config, seed, |rng| {
-                Seeding::Random.initial_genome(rng, bits)
-            });
-            session.set_supervision(self.supervision);
-            session.set_hazards(self.hazards.clone());
-            scheduler.add(session, None);
-            names.push(format!("{base}-c{i}"));
-        }
-        scheduler.run();
-        let (sessions, replicas) = scheduler.finish();
-        for replica in replicas {
-            fitness.absorb(replica);
-        }
-        // The pool's replicas did all the evaluating, so the absorbed
-        // master counters are the exact campaign-wide compile statistics;
-        // every campaign of the batch shares the one substrate.
-        let compile_hits = fitness.evaluator.compile_hits;
-        let failed = fitness.evaluator.failed_evaluations;
-        let mut finished = Vec::with_capacity(campaigns);
-        for (session, name) in sessions.into_iter().zip(names) {
-            let mut result = session.finish();
-            result.eval_stats.compile_hits = compile_hits;
-            self.record_bit_leaderboard(&name, &result);
-            finished.push(BitCampaign {
-                name,
-                result,
-                env: EnvKind::Word64,
-                failed_evaluations: failed,
-            });
-        }
-        Ok(finished)
     }
 
     /// The crash-safe 64-bit data-pattern search: like
@@ -745,78 +875,9 @@ impl DStress {
         metric: Metric,
         minimize: bool,
     ) -> Result<BitCampaign, DStressError> {
-        Ok(self
-            .search_word64_journaled_budget(journal, temp_c, metric, minimize, None)?
-            .expect("an unbounded journaled search always finishes"))
-    }
-
-    /// [`search_word64_journaled`](DStress::search_word64_journaled) with a
-    /// step budget: runs at most `max_steps` engine steps (each is one
-    /// generation), returning `Ok(None)` when the budget expires before the
-    /// search finishes — the checkpoint is journaled, ready to resume. The
-    /// differential crash tests use this to interrupt a search at an exact
-    /// generation boundary.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluator construction and journal I/O failures.
-    pub fn search_word64_journaled_budget<S: Storage>(
-        &mut self,
-        journal: &mut CampaignJournal<S>,
-        temp_c: f64,
-        metric: Metric,
-        minimize: bool,
-        max_steps: Option<u32>,
-    ) -> Result<Option<BitCampaign>, DStressError> {
-        let name = DStress::word64_campaign_name(temp_c, &metric, minimize);
-        let env = EnvKind::Word64;
-        let codec = BitCodec::Word64 {
-            param: "PATTERN".into(),
-        };
-        let evaluator = self.evaluator(&env, temp_c, metric)?;
-        let mut ga_config = self.scale.ga;
-        ga_config.minimize = minimize;
-        let bits = codec.genome_bits();
-        // Same seed derivation as the non-journaled campaign: a fresh
-        // journaled run is bit-identical to `search_word64`.
-        let seed = self.next_campaign_seed();
-        let mut fitness = ParallelBitFitness {
-            evaluator,
-            codec: codec.clone(),
-        };
-        let seeding = Seeding::Random;
-        let result = run_journaled(
-            journal,
-            &name,
-            ga_config,
-            seed,
-            |rng| seeding.initial_genome(rng, bits),
-            &mut fitness,
-            self.workers,
-            |genome, value| VirusRecord {
-                campaign: name.clone(),
-                genes: genome.to_words(),
-                gene_len: genome.len(),
-                fitness: value,
-                ce: value.max(0.0) as u64,
-                ue: 0,
-                sequence: 0,
-            },
-            max_steps,
-            self.supervision,
-            self.hazards.clone(),
-        )?;
-        let failed = fitness.evaluator.failed_evaluations;
-        let compile_hits = fitness.evaluator.compile_hits;
-        Ok(result.map(|mut result| {
-            result.eval_stats.compile_hits = compile_hits;
-            BitCampaign {
-                name,
-                result,
-                env,
-                failed_evaluations: failed,
-            }
-        }))
+        let campaign = Campaign::word64(temp_c, metric, minimize);
+        let runs = self.run(&campaign, vec![Some(journal)], None)?;
+        Ok(finished_alone(runs))
     }
 
     /// Profiles error-prone rows: runs the given 64-bit fill word and
@@ -825,24 +886,20 @@ impl DStress {
     ///
     /// # Errors
     ///
-    /// Propagates evaluator failures; fails if no rows erred.
+    /// Propagates template and platform failures; fails if no rows erred.
     pub fn profile_victims(&mut self, temp_c: f64, fill: u64) -> Result<Vec<RowKey>, DStressError> {
-        let mut evaluator = self.evaluator(&EnvKind::Word64, temp_c, Metric::CeAverage)?;
-        evaluator.evaluate_bindings([("PATTERN".to_string(), BoundValue::Scalar(fill))].into())?;
-        // Re-run directly to gather row errors across several nonces.
-        let mut tallies: HashMap<RowKey, u64> = HashMap::new();
         let template = templates::process(templates::WORD64, &self.scale)?;
         let mut bindings = EnvKind::Word64.bindings(&self.scale)?;
         bindings.insert("PATTERN".into(), BoundValue::Scalar(fill));
         let program = template.instantiate(&bindings)?;
-        let server = evaluator.server_mut();
-        server.reset_memory();
-        let mut session = server.session(2);
         let compiled = dstress_vpl::compile(&program).map_err(DStressError::from)?;
+        let mut server = self.server_at(temp_c)?;
+        let mut session = server.session(2);
         dstress_vpl::Vm::new(dstress_vpl::ExecLimits::default())
             .run(&compiled, &mut session)
             .map_err(DStressError::from)?;
         let run = session.finish();
+        let mut tallies: HashMap<RowKey, u64> = HashMap::new();
         for outcome in server.evaluate_runs(&run, self.scale.runs_per_virus, 0xF00D)? {
             for e in &outcome.row_errors {
                 if e.mcu == 2 {
@@ -884,29 +941,7 @@ impl DStress {
         temp_c: f64,
         victims: Vec<RowKey>,
     ) -> Result<BitCampaign, DStressError> {
-        let row_words = self.scale.row_words() as usize;
-        let metric = Metric::CeInRows(victims.clone());
-        self.run_bit_campaign(
-            &format!("row-triple-ce-{}C", temp_c as i64),
-            EnvKind::RowTriple { victims },
-            BitCodec::WordArrays {
-                segments: vec![
-                    ("PREV_PATTERN".into(), row_words),
-                    ("VICTIM_PATTERN".into(), row_words),
-                    ("NEXT_PATTERN".into(), row_words),
-                ],
-            },
-            temp_c,
-            metric,
-            false,
-            // Victim slice starts from the known worst word (§III-F);
-            // neighbour rows explore freely.
-            Seeding::WordSlice {
-                word: WORST_WORD,
-                start: row_words,
-                len: row_words,
-            },
-        )
+        self.run_alone(&Campaign::row_triple(&self.scale, temp_c, victims))
     }
 
     /// The chunk-span ("512 KB") data-pattern search (Fig. 10).
@@ -919,24 +954,7 @@ impl DStress {
         temp_c: f64,
         victims: Vec<RowKey>,
     ) -> Result<BitCampaign, DStressError> {
-        let row_words = self.scale.row_words() as usize;
-        let metric = Metric::CeInRows(victims.clone());
-        self.run_bit_campaign(
-            &format!("chunks-ce-{}C", temp_c as i64),
-            EnvKind::Chunks { victims },
-            BitCodec::WordArrays {
-                segments: vec![("CHUNK_PATTERN".into(), 64 * row_words)],
-            },
-            temp_c,
-            metric,
-            false,
-            // The victim row sits 32 chunks into the span.
-            Seeding::WordSlice {
-                word: WORST_WORD,
-                start: 32 * row_words,
-                len: row_words,
-            },
-        )
+        self.run_alone(&Campaign::chunks(&self.scale, temp_c, victims))
     }
 
     /// Access-pattern search, template 1 (Fig. 11): which neighbour rows to
@@ -951,18 +969,7 @@ impl DStress {
         victims: Vec<RowKey>,
         fill: u64,
     ) -> Result<BitCampaign, DStressError> {
-        let metric = Metric::CeInRows(victims.clone());
-        self.run_bit_campaign(
-            &format!("row-access-ce-{}C", temp_c as i64),
-            EnvKind::RowAccess { victims, fill },
-            BitCodec::BitFlags {
-                param: "SEL".into(),
-            },
-            temp_c,
-            metric,
-            false,
-            Seeding::Random,
-        )
+        self.run_alone(&Campaign::row_access(temp_c, victims, fill))
     }
 
     /// Access-pattern search, template 2 (Fig. 12): per-row stride
@@ -976,20 +983,8 @@ impl DStress {
         temp_c: f64,
         victims: Vec<RowKey>,
         fill: u64,
-    ) -> Result<IntCampaign, DStressError> {
-        let metric = Metric::CeInRows(victims.clone());
-        self.run_int_campaign(
-            &format!("stride-access-ce-{}C", temp_c as i64),
-            EnvKind::StrideAccess { victims, fill },
-            IntCodec {
-                param: "COEFFS".into(),
-            },
-            temp_c,
-            metric,
-            32,
-            0,
-            20,
-        )
+    ) -> Result<FinishedCampaign<IntGenome>, DStressError> {
+        self.run_alone(&Campaign::stride_access(temp_c, victims, fill))
     }
 
     /// Measures a single concrete virus (no search): used for baselines and
@@ -1008,6 +1003,14 @@ impl DStress {
         let mut evaluator = self.evaluator(env, temp_c, metric)?;
         evaluator.evaluate_bindings(chromosome)
     }
+}
+
+/// The one run of an unbounded single-run [`DStress::run`].
+fn finished_alone<G>(runs: Vec<Option<FinishedCampaign<G>>>) -> FinishedCampaign<G> {
+    runs.into_iter()
+        .next()
+        .flatten()
+        .expect("an unbounded run always finishes")
 }
 
 #[cfg(test)]

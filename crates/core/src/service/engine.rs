@@ -10,8 +10,8 @@
 //! journal its new records and incidents, publish a progress event, and
 //! append its post-step checkpoint (or finish the journal when done).
 //!
-//! Journaling goes through the routine
-//! [`run_journaled`](dstress_ga::run_journaled) uses —
+//! Journaling goes through the routine the campaign driver
+//! [`run_campaigns`](dstress_ga::run_campaigns) uses —
 //! [`JournaledCampaign`]: records, incidents, checkpoint after every
 //! step — so a daemon killed at any point resumes every unfinished
 //! campaign **bit-identically** at the next boot, and a finished
@@ -43,15 +43,12 @@ use crate::error::DStressError;
 use crate::evaluate::{Metric, ParallelBitFitness};
 use crate::patterns::BitCodec;
 use crate::scale::ExperimentScale;
-use crate::search::{BitCampaign, DStress, EnvKind, Seeding};
+use crate::search::{Campaign, DStress};
 use crate::service::broadcast::{EventBus, Subscriber};
 use crate::service::protocol::{CampaignSpec, Event, LeaderboardEntry, SeqEvent, StatusReport};
 use crate::service::registry::{CampaignRegistry, StoredResult, StoredSpec};
 use dstress_ga::journal::{CampaignJournal, DiskStorage, JournaledCampaign, Storage};
-use dstress_ga::{
-    BitGenome, CampaignScheduler, EvalPool, Genome, ParallelFitness, SearchSession,
-    SupervisionPolicy, VirusRecord,
-};
+use dstress_ga::{BitGenome, CampaignScheduler, EvalPool, SearchSession, SupervisionPolicy};
 use std::collections::{HashSet, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -105,13 +102,6 @@ impl From<ServiceError> for DStressError {
     }
 }
 
-/// The word64 chromosome codec every service campaign uses.
-fn word64_codec() -> BitCodec {
-    BitCodec::Word64 {
-        param: "PATTERN".into(),
-    }
-}
-
 /// Resolves a spec's scale name (`""` defaults to `quick` — the service
 /// is a long-running multiplexer, so the cheap scale is the safe default).
 fn scale_named(name: &str) -> Result<ExperimentScale, String> {
@@ -122,30 +112,20 @@ fn scale_named(name: &str) -> Result<ExperimentScale, String> {
     }
 }
 
-fn spec_metric(spec: &CampaignSpec) -> Metric {
-    if spec.ue {
+/// The word64 campaign a spec describes.
+fn spec_campaign(spec: &CampaignSpec) -> Campaign<BitCodec> {
+    let metric = if spec.ue {
         Metric::UeRuns
     } else {
         Metric::CeAverage
-    }
+    };
+    Campaign::word64(spec.temperature(), metric, spec.minimize)
 }
 
 fn entry(genome: &BitGenome, fitness: f64) -> LeaderboardEntry {
     LeaderboardEntry {
         genes: genome.to_words(),
         fitness,
-    }
-}
-
-fn make_record(campaign: &str, genome: &BitGenome, value: f64) -> VirusRecord {
-    VirusRecord {
-        campaign: campaign.to_string(),
-        genes: genome.to_words(),
-        gene_len: genome.len(),
-        fitness: value,
-        ce: value.max(0.0) as u64,
-        ue: 0,
-        sequence: 0,
     }
 }
 
@@ -426,13 +406,9 @@ impl<S: Storage + Clone> ServiceEngine<S> {
         if let Some(i) = self.groups.iter().position(|g| g.key == key) {
             return Ok(i);
         }
-        let dstress = DStress::new(scale, 0);
-        let fitness = ParallelBitFitness {
-            evaluator: dstress
-                .evaluator(&EnvKind::Word64, spec.temperature(), spec_metric(spec))
-                .map_err(|e| e.to_string())?,
-            codec: word64_codec(),
-        };
+        let fitness = DStress::new(scale, 0)
+            .fitness(&spec_campaign(spec))
+            .map_err(|e| e.to_string())?;
         self.groups.push(Group {
             key,
             scheduler: CampaignScheduler::new(EvalPool::new(&fitness, self.workers)),
@@ -453,16 +429,11 @@ impl<S: Storage + Clone> ServiceEngine<S> {
         journal: &CampaignJournal<S>,
     ) -> io::Result<(JournaledCampaign, SearchSession<BitGenome>)> {
         let scale = scale_named(&spec.scale).map_err(invalid_data)?;
-        let mut config = scale.ga;
-        config.minimize = spec.minimize;
         JournaledCampaign::open(journal, name, || {
-            let bits = word64_codec().genome_bits();
             // The engine seed of the first campaign a solo framework with
             // this seed would start — the determinism contract.
             let seed = DStress::campaign_seed(spec.framework_seed(), 1);
-            SearchSession::start(config, seed, |rng| {
-                Seeding::Random.initial_genome(rng, bits)
-            })
+            spec_campaign(spec).start(scale.ga, seed)
         })
     }
 
@@ -478,8 +449,7 @@ impl<S: Storage + Clone> ServiceEngine<S> {
     /// stale checkpoint.
     pub fn submit(&mut self, spec: CampaignSpec) -> Result<(u64, String), ServiceError> {
         let group = self.ensure_group(&spec).map_err(ServiceError::Spec)?;
-        let name =
-            DStress::word64_campaign_name(spec.temperature(), &spec_metric(&spec), spec.minimize);
+        let name = spec_campaign(&spec).name;
         let id = self.registry.alloc_id();
         match self.schedule_submitted(id, &name, spec, group) {
             Ok(()) => Ok((id, name)),
@@ -872,7 +842,7 @@ impl<S: Storage + Clone> ServiceEngine<S> {
         let done = live.log.commit_step(
             &mut live.journal,
             session,
-            |genome, value| make_record(name, genome, value),
+            |genome, value| Campaign::<BitCodec>::record(name, genome, value),
             |session, incidents| {
                 let board = session.leaderboard();
                 let delta: Vec<LeaderboardEntry> = board
@@ -1174,115 +1144,13 @@ pub fn campaign_db_paths(db: &str, campaigns: usize) -> Result<Vec<PathBuf>, Str
     Ok(paths)
 }
 
-/// Runs `paths.len()` independent 64-bit data-pattern searches
-/// concurrently over one persistent pool — like
-/// [`search_word64_concurrent`](DStress::search_word64_concurrent) — with
-/// every campaign write-ahead journaled into **its own** database file,
-/// so an interrupted batch resumes bit-identically per campaign. Campaign
-/// `i` is named `{base}-c{i}` and draws the same seed its solo equivalent
-/// would; a campaign whose journal already finished is re-run
-/// idempotently (same records, deduplicated).
-///
-/// # Errors
-///
-/// Propagates evaluator construction and journal I/O failures.
-///
-/// # Panics
-///
-/// Panics if `paths` is empty or `workers` is zero.
-#[allow(clippy::too_many_arguments)] // campaign knobs mirror the solo entry point
-pub fn run_word64_campaigns_journaled(
-    scale: ExperimentScale,
-    framework_seed: u64,
-    workers: usize,
-    supervision: SupervisionPolicy,
-    temp_c: f64,
-    metric: Metric,
-    minimize: bool,
-    paths: &[PathBuf],
-) -> Result<Vec<BitCampaign>, DStressError> {
-    assert!(!paths.is_empty(), "at least one campaign is required");
-    let base = DStress::word64_campaign_name(temp_c, &metric, minimize);
-    let codec = word64_codec();
-    let bits = codec.genome_bits();
-    let mut config = scale.ga;
-    config.minimize = minimize;
-    let dstress = DStress::new(scale, framework_seed);
-    let mut fitness = ParallelBitFitness {
-        evaluator: dstress.evaluator(&EnvKind::Word64, temp_c, metric)?,
-        codec,
-    };
-    let mut scheduler = CampaignScheduler::new(EvalPool::new(&fitness, workers));
-    struct Slot {
-        journal: CampaignJournal<DiskStorage>,
-        log: JournaledCampaign,
-        sched: usize,
-        result: Option<dstress_ga::SearchResult<BitGenome>>,
-    }
-    let mut slots: Vec<Slot> = Vec::with_capacity(paths.len());
-    for (i, path) in paths.iter().enumerate() {
-        let mut journal = CampaignJournal::open(DiskStorage::new(), path)?;
-        let (log, mut session) =
-            JournaledCampaign::open(&journal, &format!("{base}-c{i}"), || {
-                let seed = DStress::campaign_seed(framework_seed, i as u64 + 1);
-                SearchSession::start(config, seed, |rng| {
-                    Seeding::Random.initial_genome(rng, bits)
-                })
-            })?;
-        session.set_supervision(supervision);
-        log.checkpoint(&mut journal, &session)?;
-        let sched = scheduler.add(session, None);
-        slots.push(Slot {
-            journal,
-            log,
-            sched,
-            result: None,
-        });
-    }
-    while scheduler.tick() {
-        for slot in slots.iter_mut().filter(|s| s.result.is_none()) {
-            let name = slot.log.name().to_string();
-            let done = slot.log.commit_step(
-                &mut slot.journal,
-                scheduler.session_mut(slot.sched),
-                |genome, value| make_record(&name, genome, value),
-                |_, _| {},
-            )?;
-            if done {
-                slot.result = Some(scheduler.remove(slot.sched).finish());
-            }
-        }
-    }
-    let (_, replicas) = scheduler.finish();
-    for replica in replicas {
-        fitness.absorb(replica);
-    }
-    let compile_hits = fitness.evaluator.compile_hits;
-    let failed = fitness.evaluator.failed_evaluations;
-    let mut campaigns = Vec::with_capacity(slots.len());
-    for slot in slots {
-        let name = slot.log.name().to_string();
-        let mut result = slot.result.ok_or_else(|| {
-            DStressError::from(ServiceError::StateMismatch(format!(
-                "the scheduler never drained campaign `{name}`"
-            )))
-        })?;
-        result.eval_stats.compile_hits = compile_hits;
-        campaigns.push(BitCampaign {
-            name,
-            result,
-            env: EnvKind::Word64,
-            failed_evaluations: failed,
-        });
-    }
-    Ok(campaigns)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::BitCampaign;
     use crate::service::broadcast::Recv;
     use dstress_ga::journal::{MemStorage, SharedStorage};
+    use dstress_ga::{run_campaigns, CampaignRun};
     use std::time::Duration;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1321,6 +1189,25 @@ mod tests {
             .search_word64_journaled(&mut journal, 60.0, Metric::CeAverage, false)
             .unwrap();
         journal.into_storage().contents(&path).unwrap().to_vec()
+    }
+
+    /// A batch of quick word64 campaigns over one pool on a framework
+    /// seeded 42, campaign `i` journaled into `paths[i]`.
+    fn journaled_batch(paths: &[PathBuf], workers: usize) -> Vec<BitCampaign> {
+        let mut journals: Vec<_> = paths
+            .iter()
+            .map(|p| CampaignJournal::open(DiskStorage::new(), p).unwrap())
+            .collect();
+        let mut dstress = DStress::new(ExperimentScale::quick(), 42);
+        dstress.set_workers(workers);
+        let campaign = Campaign::word64(60.0, Metric::CeAverage, false);
+        let runs = journals.iter_mut().map(Some).collect();
+        dstress
+            .run(&campaign, runs, None)
+            .unwrap()
+            .into_iter()
+            .map(Option::unwrap)
+            .collect()
     }
 
     #[test]
@@ -1562,22 +1449,18 @@ mod tests {
         let dir = temp_dir("multi");
         std::fs::create_dir_all(&dir).unwrap();
         let paths = campaign_db_paths(dir.join("word64.json").to_str().unwrap(), 2).unwrap();
-        let scale = ExperimentScale::quick();
-        let journaled = run_word64_campaigns_journaled(
-            scale,
-            42,
-            2,
-            SupervisionPolicy::default(),
-            60.0,
-            Metric::CeAverage,
-            false,
-            &paths,
-        )
-        .unwrap();
+        let journaled = journaled_batch(&paths, 2);
         let mut dstress = DStress::new(ExperimentScale::quick(), 42);
-        let concurrent = dstress
-            .search_word64_concurrent(2, 60.0, Metric::CeAverage, false)
-            .unwrap();
+        let concurrent: Vec<BitCampaign> = dstress
+            .run::<_, DiskStorage>(
+                &Campaign::word64(60.0, Metric::CeAverage, false),
+                vec![None, None],
+                None,
+            )
+            .unwrap()
+            .into_iter()
+            .flatten()
+            .collect();
         for (j, c) in journaled.iter().zip(&concurrent) {
             assert_eq!(j.name, c.name);
             assert_eq!(j.result.best, c.result.best);
@@ -1587,17 +1470,7 @@ mod tests {
         // Re-running the finished batch is idempotent: the snapshots do
         // not change.
         let before: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
-        run_word64_campaigns_journaled(
-            ExperimentScale::quick(),
-            42,
-            1,
-            SupervisionPolicy::default(),
-            60.0,
-            Metric::CeAverage,
-            false,
-            &paths,
-        )
-        .unwrap();
+        journaled_batch(&paths, 1);
         let after: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
         assert_eq!(before, after);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1614,17 +1487,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let batch = |base: &str, workers| {
             let paths = campaign_db_paths(dir.join(base).to_str().unwrap(), 2).unwrap();
-            run_word64_campaigns_journaled(
-                ExperimentScale::quick(),
-                42,
-                workers,
-                SupervisionPolicy::default(),
-                60.0,
-                Metric::CeAverage,
-                false,
-                &paths,
-            )
-            .unwrap();
+            journaled_batch(&paths, workers);
             paths
                 .iter()
                 .map(|p| std::fs::read(p).unwrap())
@@ -1637,30 +1500,20 @@ mod tests {
             "{}-c1",
             DStress::word64_campaign_name(60.0, &Metric::CeAverage, false)
         );
-        let dstress = DStress::new(ExperimentScale::quick(), 42);
-        let mut fitness = ParallelBitFitness {
-            evaluator: dstress
-                .evaluator(&EnvKind::Word64, 60.0, Metric::CeAverage)
-                .unwrap(),
-            codec: word64_codec(),
-        };
-        let bits = word64_codec().genome_bits();
+        let campaign = Campaign::word64(60.0, Metric::CeAverage, false);
+        let mut fitness = DStress::new(ExperimentScale::quick(), 42)
+            .fitness(&campaign)
+            .unwrap();
         let mut journal = CampaignJournal::open(DiskStorage::new(), &paths[1]).unwrap();
-        let interrupted = dstress_ga::run_journaled(
+        let run = CampaignRun::journaled(
             &mut journal,
             &name,
-            ExperimentScale::quick().ga,
-            DStress::campaign_seed(42, 2),
-            |rng| Seeding::Random.initial_genome(rng, bits),
-            &mut fitness,
-            1,
-            |genome, value| make_record(&name, genome, value),
-            Some(3),
-            SupervisionPolicy::default(),
-            None,
+            || campaign.start(ExperimentScale::quick().ga, DStress::campaign_seed(42, 2)),
+            |genome, value| Campaign::<BitCodec>::record(&name, genome, value),
         )
         .unwrap();
-        assert!(interrupted.is_none(), "the step budget interrupts c1");
+        let interrupted = run_campaigns(&mut fitness, 1, vec![run], Some(3)).unwrap();
+        assert!(!interrupted[0].done(), "the step budget interrupts c1");
         // The routine the batch opens c1 with resumes it mid-search.
         let (_, session): (_, SearchSession<BitGenome>) =
             JournaledCampaign::open(&journal, &name, || {

@@ -14,6 +14,7 @@
 
 use crate::fitness::ParallelFitness;
 use crate::genome::Genome;
+use crate::journal::{run_campaigns, CampaignRun};
 use crate::ops::selection::SelectionScheme;
 use crate::pool::{EvalPool, PoolTask, RoundSubmission};
 use crate::supervise::{
@@ -455,21 +456,14 @@ impl GaEngine {
         G: Genome + PartialEq + Eq + Hash + Sync + 'static,
         F: ParallelFitness<G> + 'static,
     {
-        assert!(workers >= 1, "at least one evaluation worker is required");
-        // One persistent pool for the whole campaign: workers are spawned
-        // once, each owning a warm replica whose internal caches survive
-        // across generations, and retired (absorbed) only at the end.
-        let pool = EvalPool::new(fitness, workers);
         let rng = StdRng::from_state(self.rng.to_state());
         let mut session = SearchSession::with_rng(self.config, rng, population);
         session.set_supervision(self.supervision);
         session.set_hazards(self.hazards.clone());
-        while !session.done() {
-            session.step(&pool);
-        }
-        for replica in pool.shutdown() {
-            fitness.absorb(replica);
-        }
+        let session = run_campaigns(fitness, workers, vec![CampaignRun::new(session)], None)
+            .expect("an unjournaled run does no storage I/O")
+            .pop()
+            .expect("one session per run");
         // The session consumed part of the engine's RNG stream; keep the
         // engine's position in step so later campaigns draw fresh numbers.
         self.rng = StdRng::from_state(session.rng_state());

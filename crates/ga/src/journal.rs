@@ -22,13 +22,11 @@
 //! that no schedule of failures loses an acknowledged record.
 
 use crate::db::{VirusDatabase, VirusRecord};
-use crate::engine::{EngineState, SearchResult, SearchSession};
+use crate::engine::{EngineState, SearchSession};
 use crate::fitness::ParallelFitness;
 use crate::genome::Genome;
-use crate::pool::EvalPool;
-use crate::supervise::{HazardPlan, Incident, SupervisionPolicy};
-use crate::GaConfig;
-use rand::rngs::StdRng;
+use crate::pool::{CampaignScheduler, EvalPool};
+use crate::supervise::Incident;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 use std::hash::Hash;
@@ -777,10 +775,10 @@ fn invalid_data<E: std::fmt::Display>(e: E) -> io::Error {
 }
 
 /// The per-campaign journaling routine every journaled driver shares: the
-/// solo [`run_journaled`], a batch of campaigns multiplexed on one
-/// [`CampaignScheduler`](crate::pool::CampaignScheduler), and the campaign
-/// service. Keeping one copy means every change to the journaling protocol
-/// is made — and proven by the crash and fault suites — once.
+/// campaign driver [`run_campaigns`] (one run or a batch multiplexed on
+/// one [`CampaignScheduler`]) and the campaign service. Keeping one copy
+/// means every change to the journaling protocol is made — and proven by
+/// the crash and fault suites — once.
 ///
 /// [`open`](Self::open) resumes the campaign from the journal's checkpoint
 /// when it names this campaign (the checkpoint pins configuration and seed)
@@ -840,12 +838,6 @@ impl JournaledCampaign {
             recorded,
         };
         Ok((campaign, session))
-    }
-
-    /// The campaign name records, incidents and checkpoints are filed
-    /// under.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Journals the session's between-steps state as the campaign's latest
@@ -910,73 +902,118 @@ impl JournaledCampaign {
     }
 }
 
-/// Drives a journaled GA search to completion (or a step budget) through
-/// [`JournaledCampaign`]: an opening checkpoint, then one
-/// [`commit_step`](JournaledCampaign::commit_step) per engine step.
+/// One campaign [`run_campaigns`] drives: its search session and, when
+/// journaled, the commit that journals each of its steps.
+pub struct CampaignRun<'a, G> {
+    /// The search, fresh or resumed. Supervision policy and hazards are
+    /// set here before driving (a checkpoint pins neither).
+    pub session: SearchSession<G>,
+    /// [`JournaledCampaign::commit_step`] bound to the run's journal.
+    commit: Option<Box<StepCommit<'a, G>>>,
+}
+
+type StepCommit<'a, G> = dyn FnMut(&mut SearchSession<G>) -> io::Result<bool> + 'a;
+
+impl<'a, G> CampaignRun<'a, G> {
+    /// An unjournaled run of `session`.
+    pub fn new(session: SearchSession<G>) -> Self {
+        CampaignRun {
+            session,
+            commit: None,
+        }
+    }
+
+    /// A run journaled into `journal` as campaign `name`, opened through
+    /// [`JournaledCampaign::open`] — resumed from the journal's checkpoint
+    /// when that names `name`, started by `start` otherwise — and
+    /// journaled from here on: an opening checkpoint now, then after every
+    /// step its records (built by `make_record`), incidents and checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// Propagates storage failures; [`io::ErrorKind::InvalidData`] when the
+    /// matching checkpoint does not decode.
+    pub fn journaled<S: Storage + 'a>(
+        journal: &'a mut CampaignJournal<S>,
+        name: &str,
+        start: impl FnOnce() -> SearchSession<G>,
+        make_record: impl Fn(&G, f64) -> VirusRecord + 'a,
+    ) -> io::Result<Self>
+    where
+        G: Genome + PartialEq + Eq + Hash + Sync + Serialize + Deserialize + 'a,
+    {
+        let (mut log, session) = JournaledCampaign::open(journal, name, start)?;
+        log.checkpoint(journal, &session)?;
+        let commit = move |session: &mut SearchSession<G>| {
+            log.commit_step(journal, session, &make_record, |_, _| {})
+        };
+        Ok(CampaignRun {
+            session,
+            commit: Some(Box::new(commit)),
+        })
+    }
+}
+
+/// The one campaign driver: runs every campaign of `runs` over one
+/// persistent [`EvalPool`] of `workers` threads, fair-shared by a
+/// [`CampaignScheduler`], until each finishes or has taken `step_budget`
+/// steps (one step is one generation round). After every tick, each
+/// journaled run that stepped commits the step: records, incidents, then
+/// the checkpoint, or the compacted snapshot once the search is done.
+/// Every run's result is bit-identical to running it alone, and a resumed
+/// run continues bit-identically to an uninterrupted one.
 ///
-/// If `journal` holds a checkpoint for `campaign`, the search **resumes**
-/// from it and continues bit-identically to an uninterrupted run (`config`
-/// and `seed` are then ignored — the checkpoint pins them; `supervision`
-/// is re-applied and must match the interrupted run's policy). Otherwise a
-/// fresh search starts from `seed`.
-///
-/// Returns `Ok(None)` when `max_steps` ran out before the search finished
-/// (the checkpoint is journaled, ready to resume); `Ok(Some(result))` when
-/// the search completed, after compacting the journal into a snapshot with
-/// the checkpoint cleared.
-///
-/// Evaluation runs on a persistent [`crate::pool::EvalPool`] whose worker
-/// replicas stay warm across generations; their bookkeeping is absorbed
-/// back into `fitness` on **every** exit — including the step-budget pause
-/// — so counters like the word64 evaluator's compile statistics stay exact
-/// across resume windows instead of reflecting only the primary replica.
+/// Returns the sessions in `runs` order; a session that is not
+/// [`done`](SearchSession::done) ran out of budget (its checkpoint is
+/// journaled, ready to resume). The pool's replicas are absorbed back into
+/// `fitness` on **every** exit, errors and budget pauses included, so
+/// substrate counters such as compile statistics stay exact across resume
+/// windows.
 ///
 /// # Errors
 ///
-/// Propagates storage failures and checkpoint decode failures.
-#[allow(clippy::too_many_arguments)] // the knobs mirror a campaign definition
-pub fn run_journaled<G, F, S>(
-    journal: &mut CampaignJournal<S>,
-    campaign: &str,
-    config: GaConfig,
-    seed: u64,
-    init: impl FnMut(&mut StdRng) -> G,
+/// Propagates storage failures of the journaled runs.
+///
+/// # Panics
+///
+/// Panics if `workers` is zero or a pool worker panics outside the
+/// supervised evaluation.
+pub fn run_campaigns<G, F>(
     fitness: &mut F,
     workers: usize,
-    make_record: impl Fn(&G, f64) -> VirusRecord,
-    max_steps: Option<u32>,
-    supervision: SupervisionPolicy,
-    hazards: Option<HazardPlan>,
-) -> io::Result<Option<SearchResult<G>>>
+    runs: Vec<CampaignRun<'_, G>>,
+    step_budget: Option<u64>,
+) -> io::Result<Vec<SearchSession<G>>>
 where
-    G: Genome + PartialEq + Eq + Hash + Sync + Serialize + Deserialize + 'static,
+    G: Genome + PartialEq + Eq + Hash + Sync + 'static,
     F: ParallelFitness<G> + 'static,
-    S: Storage,
 {
     assert!(workers >= 1, "at least one evaluation worker is required");
-    let (mut log, mut session) = JournaledCampaign::open(journal, campaign, || {
-        SearchSession::start(config, seed, init)
-    })?;
-    session.set_supervision(supervision);
-    session.set_hazards(hazards);
-    let pool = EvalPool::new(&*fitness, workers);
-    let mut drive = || -> io::Result<bool> {
-        log.checkpoint(journal, &session)?;
-        let mut steps = 0u32;
-        while max_steps.is_none_or(|limit| steps < limit) {
-            session.step(&pool);
-            steps += 1;
-            if log.commit_step(journal, &mut session, &make_record, |_, _| {})? {
-                return Ok(true);
+    let mut scheduler = CampaignScheduler::new(EvalPool::new(&*fitness, workers));
+    let mut commits = Vec::with_capacity(runs.len());
+    for run in runs {
+        scheduler.add(run.session, step_budget);
+        commits.push(run.commit);
+    }
+    let mut steps = vec![0; commits.len()];
+    let mut drive = || -> io::Result<()> {
+        while scheduler.tick() {
+            for (id, commit) in commits.iter_mut().enumerate() {
+                let taken = scheduler.steps_taken(id);
+                if let Some(commit) = commit.as_mut().filter(|_| taken > steps[id]) {
+                    commit(scheduler.session_mut(id))?;
+                }
+                steps[id] = taken;
             }
         }
-        Ok(false)
+        Ok(())
     };
-    let finished = drive();
-    for replica in pool.shutdown() {
+    let outcome = drive();
+    let (sessions, replicas) = scheduler.finish();
+    for replica in replicas {
         fitness.absorb(replica);
     }
-    Ok(finished?.then(|| session.finish()))
+    outcome.map(|()| sessions)
 }
 
 #[cfg(test)]
@@ -984,6 +1021,8 @@ mod tests {
     use super::*;
     use crate::fitness::Fitness;
     use crate::genome::BitGenome;
+    use crate::GaConfig;
+    use rand::rngs::StdRng;
 
     fn record(campaign: &str, fitness: f64, genes: Vec<u64>) -> VirusRecord {
         VirusRecord {
@@ -1188,21 +1227,18 @@ mod tests {
             plan.schedule(13, Hazard::BudgetBlowout);
             plan
         };
-        let run = |journal: &mut CampaignJournal<MemStorage>, max_steps: Option<u32>| {
-            run_journaled(
+        let run = |journal: &mut CampaignJournal<MemStorage>, max_steps: Option<u64>| {
+            let mut run = CampaignRun::journaled(
                 journal,
                 "pop",
-                config,
-                7,
-                init,
-                &mut Popcount,
-                2,
+                || SearchSession::start(config, 7, init),
                 make,
-                max_steps,
-                SupervisionPolicy::default(),
-                Some(make_plan()),
             )
-            .unwrap()
+            .unwrap();
+            run.session.set_hazards(Some(make_plan()));
+            let mut sessions = run_campaigns(&mut Popcount, 2, vec![run], max_steps).unwrap();
+            let session = sessions.pop().unwrap();
+            session.done().then(|| session.finish())
         };
         let mut clean = CampaignJournal::open(MemStorage::new(), "db.json").unwrap();
         let reference = run(&mut clean, None).expect("search must finish");
@@ -1234,21 +1270,17 @@ mod tests {
         let config = small_config();
         let init = |rng: &mut StdRng| BitGenome::random(rng, 24);
         let make = |g: &BitGenome, v: f64| record("pop", v, g.to_words());
-        let run = |journal: &mut CampaignJournal<MemStorage>, max_steps: Option<u32>| {
-            run_journaled(
+        let run = |journal: &mut CampaignJournal<MemStorage>, max_steps: Option<u64>| {
+            let run = CampaignRun::journaled(
                 journal,
                 "pop",
-                config,
-                7,
-                init,
-                &mut Popcount,
-                2,
+                || SearchSession::start(config, 7, init),
                 make,
-                max_steps,
-                SupervisionPolicy::default(),
-                None,
             )
-            .unwrap()
+            .unwrap();
+            let mut sessions = run_campaigns(&mut Popcount, 2, vec![run], max_steps).unwrap();
+            let session = sessions.pop().unwrap();
+            session.done().then(|| session.finish())
         };
         // Uninterrupted reference run.
         let mut clean = CampaignJournal::open(MemStorage::new(), "db.json").unwrap();

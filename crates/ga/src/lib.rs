@@ -57,8 +57,8 @@ pub use engine::{
 pub use fitness::{EvalFault, FaultKind, Fitness, FnFitness, ParallelFitness};
 pub use genome::{BitGenome, Genome, IntGenome};
 pub use journal::{
-    run_journaled, CampaignJournal, DiskStorage, JournaledCampaign, MemStorage, SharedStorage,
-    Snapshot, Storage, StoredCheckpoint, StoredIncident,
+    run_campaigns, CampaignJournal, CampaignRun, DiskStorage, JournaledCampaign, MemStorage,
+    SharedStorage, Snapshot, Storage, StoredCheckpoint, StoredIncident,
 };
 pub use ops::crossover::CrossoverOp;
 pub use ops::selection::SelectionScheme;

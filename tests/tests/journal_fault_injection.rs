@@ -5,8 +5,8 @@
 //! for torn journal tails: recovery keeps exactly the acked prefix.
 
 use dstress_ga::{
-    run_journaled, BitGenome, CampaignJournal, Fitness, GaConfig, Genome, MemStorage,
-    ParallelFitness, SearchResult, SupervisionPolicy, VirusRecord,
+    run_campaigns, BitGenome, CampaignJournal, CampaignRun, Fitness, GaConfig, Genome, MemStorage,
+    ParallelFitness, SearchResult, SearchSession, VirusRecord,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -50,19 +50,16 @@ fn popcount_record(genome: &BitGenome, value: f64) -> VirusRecord {
 fn drive(
     journal: &mut CampaignJournal<MemStorage>,
 ) -> std::io::Result<Option<SearchResult<BitGenome>>> {
-    run_journaled(
-        journal,
-        "pop",
-        ga_config(),
-        11,
-        |rng: &mut StdRng| BitGenome::random(rng, 24),
-        &mut Popcount,
-        1,
-        popcount_record,
-        None,
-        SupervisionPolicy::default(),
-        None,
-    )
+    let start = || {
+        SearchSession::start(ga_config(), 11, |rng: &mut StdRng| {
+            BitGenome::random(rng, 24)
+        })
+    };
+    let run = CampaignRun::journaled(journal, "pop", start, popcount_record)?;
+    let session = run_campaigns(&mut Popcount, 1, vec![run], None)?
+        .pop()
+        .expect("one session per run");
+    Ok(session.done().then(|| session.finish()))
 }
 
 #[test]

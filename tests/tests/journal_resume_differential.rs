@@ -5,10 +5,11 @@
 //! uninterrupted run. Only wall-clock timing (`generation_eval_seconds`)
 //! may differ.
 
-use dstress::{CampaignJournal, DStress, ExperimentScale, MemStorage, Metric};
+use dstress::search::Campaign;
+use dstress::{CampaignJournal, DStress, ExperimentScale, MemStorage, Metric, WORST_WORD};
 use dstress_ga::{
-    run_journaled, BitGenome, Fitness, GaConfig, Genome, ParallelFitness, SearchResult,
-    SupervisionPolicy, VirusDatabase, VirusRecord,
+    run_campaigns, BitGenome, CampaignRun, Fitness, GaConfig, Genome, ParallelFitness,
+    SearchResult, SearchSession, VirusDatabase, VirusRecord,
 };
 use rand::rngs::StdRng;
 
@@ -52,24 +53,25 @@ fn drive_popcount(
     max_steps: Option<u32>,
     workers: usize,
 ) -> Option<SearchResult<BitGenome>> {
-    run_journaled(
-        journal,
-        "pop",
-        ga_config(),
-        7,
-        |rng: &mut StdRng| BitGenome::random(rng, 24),
-        &mut Popcount,
-        workers,
-        popcount_record,
-        max_steps,
-        SupervisionPolicy::default(),
-        None,
-    )
-    .expect("journal I/O")
+    let start = || {
+        SearchSession::start(ga_config(), 7, |rng: &mut StdRng| {
+            BitGenome::random(rng, 24)
+        })
+    };
+    let run = CampaignRun::journaled(journal, "pop", start, popcount_record).expect("journal I/O");
+    let session = run_campaigns(&mut Popcount, workers, vec![run], max_steps.map(u64::from))
+        .expect("journal I/O")
+        .pop()
+        .expect("one session per run");
+    session.done().then(|| session.finish())
 }
 
 /// Everything except wall-clock timing must match.
-fn assert_results_identical(a: &SearchResult<BitGenome>, b: &SearchResult<BitGenome>, ctx: &str) {
+fn assert_results_identical<G: PartialEq + std::fmt::Debug>(
+    a: &SearchResult<G>,
+    b: &SearchResult<G>,
+    ctx: &str,
+) {
     assert_eq!(a.best, b.best, "{ctx}");
     assert_eq!(a.best_fitness, b.best_fitness, "{ctx}");
     assert_eq!(a.leaderboard, b.leaderboard, "{ctx}");
@@ -115,11 +117,14 @@ fn word64_killed_at_every_generation_boundary_resumes_bit_identically() {
     // The acceptance criterion end-to-end: the real word64 campaign over
     // the simulated server, interrupted at each generation boundary via the
     // step budget, crashed, and resumed through `--resume`'s code path.
-    let search = |journal: &mut CampaignJournal<MemStorage>, max_steps| {
+    let search = |journal: &mut CampaignJournal<MemStorage>, max_steps: Option<u32>| {
         let mut dstress = DStress::new(ExperimentScale::quick(), 42);
+        let campaign = Campaign::word64(60.0, Metric::CeAverage, false);
         dstress
-            .search_word64_journaled_budget(journal, 60.0, Metric::CeAverage, false, max_steps)
+            .run(&campaign, vec![Some(journal)], max_steps.map(u64::from))
             .expect("journaled search")
+            .pop()
+            .flatten()
     };
     let mut clean = CampaignJournal::open(MemStorage::new(), "viruses.json").unwrap();
     let reference = search(&mut clean, None).expect("clean run finishes");
@@ -226,4 +231,49 @@ fn pre_journal_databases_load_through_both_paths() {
     std::fs::write(&via_load_path, &snapshot).unwrap();
     assert_eq!(VirusDatabase::load(&via_load_path).unwrap(), legacy);
     std::fs::remove_file(&via_load_path).ok();
+}
+
+#[test]
+fn integer_genome_campaign_resumes_from_its_journal_bit_identically() {
+    // The Fig. 12 stride-access search (an `IntGenome` campaign) journaled
+    // through the same driver as word64: interrupted by the step budget,
+    // crashed and resumed, it must write the snapshot an uninterrupted
+    // journaled run writes, and find what the unjournaled run finds.
+    let victims = DStress::new(ExperimentScale::quick(), 42)
+        .profile_victims(60.0, WORST_WORD)
+        .expect("profiling finds victims");
+    let campaign = Campaign::stride_access(60.0, victims, WORST_WORD);
+    let search = |journal: Option<&mut CampaignJournal<MemStorage>>, step_budget| {
+        DStress::new(ExperimentScale::quick(), 42)
+            .run(&campaign, vec![journal], step_budget)
+            .expect("stride-access search")
+            .pop()
+            .flatten()
+    };
+    let snapshot = |journal: CampaignJournal<MemStorage>| {
+        journal
+            .into_storage()
+            .contents(std::path::Path::new("stride.json"))
+            .expect("the finished search compacts into a snapshot")
+            .to_vec()
+    };
+    let plain = search(None, None).expect("unjournaled run finishes");
+    let mut clean = CampaignJournal::open(MemStorage::new(), "stride.json").unwrap();
+    let reference = search(Some(&mut clean), None).expect("journaled run finishes");
+    assert_results_identical(&reference.result, &plain.result, "journaled vs plain");
+
+    let mut journal = CampaignJournal::open(MemStorage::new(), "stride.json").unwrap();
+    assert!(
+        search(Some(&mut journal), Some(3)).is_none(),
+        "the step budget interrupts the search"
+    );
+    let mut storage = journal.into_storage();
+    storage.crash();
+    let mut journal = CampaignJournal::open(storage, "stride.json").unwrap();
+    assert!(journal.checkpoint().is_some(), "the checkpoint survives");
+    let resumed = search(Some(&mut journal), None).expect("resumed run finishes");
+    assert_eq!(resumed.name, plain.name);
+    assert_results_identical(&resumed.result, &plain.result, "resumed vs plain");
+    assert_eq!(resumed.failed_evaluations, 0);
+    assert_eq!(snapshot(journal), snapshot(clean));
 }

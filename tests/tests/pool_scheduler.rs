@@ -6,11 +6,12 @@
 //! identically under the pool; and a campaign multiplexed with others over
 //! one shared pool produces the same journal as running it alone.
 
-use dstress::{DStress, ExperimentScale, Metric};
+use dstress::search::Campaign;
+use dstress::{DStress, ExperimentScale, MemStorage, Metric};
 use dstress_ga::{
-    run_journaled, BitGenome, CampaignJournal, CampaignScheduler, EvalPool, Fitness, GaConfig,
-    Genome, Hazard, HazardPlan, JournaledCampaign, MemStorage, ParallelFitness, SearchResult,
-    SearchSession, SupervisionPolicy, VirusRecord,
+    run_campaigns, BitGenome, CampaignJournal, CampaignRun, CampaignScheduler, EvalPool, Fitness,
+    GaConfig, Genome, Hazard, HazardPlan, JournaledCampaign, ParallelFitness, SearchResult,
+    SearchSession, VirusRecord,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -174,21 +175,18 @@ proptest! {
         boundary in 0u32..6,
     ) {
         let (spec, kills) = spec_and_kills;
-        let drive = |journal: &mut CampaignJournal<MemStorage>, max_steps, plan| {
-            run_journaled(
-                journal,
-                "pool",
-                ga_config(),
-                59,
-                |rng: &mut StdRng| BitGenome::random(rng, 24),
-                &mut Popcount,
-                3,
-                popcount_record("pool"),
-                max_steps,
-                SupervisionPolicy::default(),
-                Some(plan),
-            )
-            .expect("journal I/O")
+        let drive = |journal: &mut CampaignJournal<MemStorage>, max_steps: Option<u32>, plan| {
+            let start = || SearchSession::start(ga_config(), 59, |rng: &mut StdRng| {
+                BitGenome::random(rng, 24)
+            });
+            let mut run = CampaignRun::journaled(journal, "pool", start, popcount_record("pool"))
+                .expect("journal I/O");
+            run.session.set_hazards(Some(plan));
+            let session = run_campaigns(&mut Popcount, 3, vec![run], max_steps.map(u64::from))
+                .expect("journal I/O")
+                .pop()
+                .expect("one session per run");
+            session.done().then(|| session.finish())
         };
         let mut clean = CampaignJournal::open(MemStorage::new(), "db.json").unwrap();
         let reference = drive(&mut clean, None, plan_from(&spec, &kills))
@@ -214,8 +212,8 @@ proptest! {
 
 /// Drives a scheduler holding the given sessions to completion, journaling
 /// every campaign into its own `MemStorage` journal between ticks through
-/// the shared [`JournaledCampaign`] routine — the multi-tenant twin of
-/// `run_journaled`.
+/// the shared [`JournaledCampaign`] routine — a hand-written twin of
+/// `run_campaigns`.
 fn run_scheduled_journaled(
     sessions: Vec<SearchSession<BitGenome>>,
     names: &[&str],
@@ -305,9 +303,16 @@ fn concurrent_word64_campaigns_match_their_solo_twins() {
     let scale = ExperimentScale::quick;
     let mut multi = DStress::new(scale(), 7);
     multi.set_workers(4);
-    let results = multi
-        .search_word64_concurrent(2, 60.0, Metric::CeAverage, false)
-        .expect("concurrent campaigns run");
+    let results: Vec<_> = multi
+        .run::<_, MemStorage>(
+            &Campaign::word64(60.0, Metric::CeAverage, false),
+            vec![None, None],
+            None,
+        )
+        .expect("concurrent campaigns run")
+        .into_iter()
+        .flatten()
+        .collect();
     assert_eq!(results.len(), 2);
 
     let mut solo = DStress::new(scale(), 7);

@@ -6,6 +6,7 @@
 //! for every worker count, and a campaign killed mid-search under hazards
 //! resumes from the journal replaying the same supervision decisions.
 
+use dstress::search::Campaign;
 use dstress::{
     CampaignJournal, DStress, ExperimentScale, Hazard, HazardPlan, IncidentKind, MemStorage,
     Metric, SupervisionPolicy,
@@ -158,13 +159,16 @@ fn campaign_killed_under_hazards_resumes_with_the_same_incident_stream() {
     // plan: cached pre-checkpoint evaluations never re-fire their hazards,
     // post-checkpoint hazards fire exactly once, and the replayed incident
     // stream matches the uninterrupted run's bit for bit.
-    let search = |journal: &mut CampaignJournal<MemStorage>, max_steps, plan| {
+    let search = |journal: &mut CampaignJournal<MemStorage>, max_steps: Option<u32>, plan| {
         let mut dstress = DStress::new(ExperimentScale::quick(), 42);
         dstress.set_workers(2);
         dstress.set_hazard_plan(Some(plan));
+        let campaign = Campaign::word64(60.0, Metric::CeAverage, false);
         dstress
-            .search_word64_journaled_budget(journal, 60.0, Metric::CeAverage, false, max_steps)
+            .run(&campaign, vec![Some(journal)], max_steps.map(u64::from))
             .expect("journaled search")
+            .pop()
+            .flatten()
     };
     let mut clean = CampaignJournal::open(MemStorage::new(), "viruses.json").unwrap();
     let reference = search(&mut clean, None, full_plan()).expect("clean run finishes");

@@ -5,9 +5,9 @@
 //! an arbitrary generation boundary resumes replaying the same incidents.
 
 use dstress_ga::{
-    run_journaled, BitGenome, CampaignJournal, Fitness, GaConfig, GaEngine, Genome, Hazard,
-    HazardPlan, IncidentKind, MemStorage, ParallelFitness, SearchResult, SupervisionPolicy,
-    VirusRecord,
+    run_campaigns, BitGenome, CampaignJournal, CampaignRun, Fitness, GaConfig, GaEngine, Genome,
+    Hazard, HazardPlan, IncidentKind, MemStorage, ParallelFitness, SearchResult, SearchSession,
+    SupervisionPolicy, VirusRecord,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -168,21 +168,18 @@ proptest! {
         boundary in 0u32..6,
     ) {
         let (spec, kills) = spec_and_kills;
-        let drive = |journal: &mut CampaignJournal<MemStorage>, max_steps, plan| {
-            run_journaled(
-                journal,
-                "prop",
-                ga_config(),
-                31,
-                |rng: &mut StdRng| BitGenome::random(rng, 24),
-                &mut Popcount,
-                2,
-                popcount_record,
-                max_steps,
-                SupervisionPolicy::default(),
-                Some(plan),
-            )
-            .expect("journal I/O")
+        let drive = |journal: &mut CampaignJournal<MemStorage>, max_steps: Option<u32>, plan| {
+            let start = || SearchSession::start(ga_config(), 31, |rng: &mut StdRng| {
+                BitGenome::random(rng, 24)
+            });
+            let mut run = CampaignRun::journaled(journal, "prop", start, popcount_record)
+                .expect("journal I/O");
+            run.session.set_hazards(Some(plan));
+            let session = run_campaigns(&mut Popcount, 2, vec![run], max_steps.map(u64::from))
+                .expect("journal I/O")
+                .pop()
+                .expect("one session per run");
+            session.done().then(|| session.finish())
         };
         let mut clean = CampaignJournal::open(MemStorage::new(), "db.json").unwrap();
         let reference = drive(&mut clean, None, plan_from(&spec, &kills))
