@@ -257,6 +257,48 @@ impl Dimm {
         }
     }
 
+    /// Reads the 64-bit word at a DIMM-local address (the low three bits
+    /// are ignored): [`Self::read_word`] at the address's
+    /// [`AddressMap::map`] location, decoded with one divide. Falls back to
+    /// that decode when logical faults are injected (they are keyed by
+    /// location).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address is beyond the DIMM capacity.
+    #[inline]
+    pub fn read_addr(&self, addr: u64) -> u64 {
+        if self.faults.is_empty() {
+            self.contents.read_addr(addr)
+        } else {
+            self.read_word(self.locate(addr))
+        }
+    }
+
+    /// Writes the 64-bit word at a DIMM-local address (the low three bits
+    /// are ignored): [`Self::write_word`] at the address's
+    /// [`AddressMap::map`] location, decoded with one divide. Falls back to
+    /// that decode when logical faults are injected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address is beyond the DIMM capacity.
+    #[inline]
+    pub fn write_addr(&mut self, addr: u64, value: u64) {
+        if self.faults.is_empty() {
+            self.contents.write_addr(addr, value);
+        } else {
+            self.write_word(self.locate(addr), value);
+        }
+    }
+
+    /// The location of a DIMM-local address (the low three bits ignored).
+    fn locate(&self, addr: u64) -> Location {
+        self.map
+            .map(addr & !7)
+            .expect("address within DIMM capacity")
+    }
+
     /// Overwrites a whole row at once (fast path for fill phases).
     ///
     /// # Panics
@@ -1095,6 +1137,75 @@ mod tests {
             text.contains("bits_end") && text.contains("4294967296"),
             "{text}"
         );
+    }
+
+    /// Drives one DIMM through `write_addr`/`read_addr` and a twin through
+    /// `AddressMap::map` + `write_word`/`read_word`, word by word, and
+    /// checks that values, generation bumps and materialized rows agree.
+    fn assert_addr_path_matches_location_path(fault: Option<crate::LogicalFault>) {
+        // Not a power of two in any dimension, so no bit slicing could
+        // stand in for the divide.
+        let geometry = DimmGeometry {
+            ranks: 2,
+            banks: 3,
+            rows_per_bank: 6,
+            row_bytes: 24,
+        };
+        let config = DimmConfig {
+            geometry,
+            default_fill: 0xAAAA_AAAA_AAAA_AAAA,
+            ..DimmConfig::default()
+        };
+        let mut by_addr = Dimm::new(config, 5);
+        let mut by_loc = Dimm::new(config, 5);
+        if let Some(fault) = fault {
+            by_addr.inject_fault(fault);
+            by_loc.inject_fault(fault);
+        }
+        let map = by_loc.address_map();
+        let capacity = geometry.capacity_bytes();
+        let check = |by_addr: &Dimm, by_loc: &Dimm| {
+            assert_eq!(by_addr.contents_generation(), by_loc.contents_generation());
+            assert_eq!(by_addr.materialized_rows(), by_loc.materialized_rows());
+            for addr in (0..capacity).step_by(8) {
+                let loc = map.map(addr).unwrap();
+                assert_eq!(by_addr.read_addr(addr), by_loc.read_word(loc), "{loc}");
+                // Unaligned addresses read the word they fall in.
+                assert_eq!(by_addr.read_addr(addr + 5), by_loc.read_word(loc), "{loc}");
+            }
+        };
+        check(&by_addr, &by_loc);
+        // Default-valued writes (no-ops that still materialize rows), then
+        // distinct values, then the same values again (no-ops).
+        let default: fn(u64) -> u64 = |_| 0xAAAA_AAAA_AAAA_AAAA;
+        let distinct: fn(u64) -> u64 = |addr| addr * 0x9E37 + 1;
+        let words = capacity / 8;
+        for value in [default, distinct, distinct] {
+            // A stride coprime to the word count visits every word once,
+            // with rows materializing out of address order.
+            for w in 0..words {
+                let addr = w * 7 % words * 8;
+                by_addr.write_addr(addr, value(addr));
+                by_loc.write_word(map.map(addr).unwrap(), value(addr));
+                check(&by_addr, &by_loc);
+            }
+        }
+    }
+
+    #[test]
+    fn address_path_matches_location_path() {
+        assert_addr_path_matches_location_path(None);
+    }
+
+    #[test]
+    fn address_path_matches_location_path_with_stuck_at_fault() {
+        assert_addr_path_matches_location_path(Some(crate::LogicalFault::StuckAt {
+            // Bit 3 is set in the default fill and in the value written
+            // there, so the fault shows on every read of the word.
+            loc: Location::new(1, 2, 4, 1),
+            bit: 3,
+            value: false,
+        }));
     }
 
     #[test]

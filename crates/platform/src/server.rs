@@ -445,20 +445,14 @@ impl XGene2Server {
         self.mcus[mcu].dimm.geometry().capacity_bytes() - self.mcus[mcu].alloc_cursor
     }
 
+    #[inline]
     pub(crate) fn read_local(&self, mcu: usize, local_addr: u64) -> u64 {
-        let map = self.mcus[mcu].dimm.address_map();
-        let loc = map
-            .map(local_addr & !7)
-            .expect("session addresses are within capacity");
-        self.mcus[mcu].dimm.read_word(loc)
+        self.mcus[mcu].dimm.read_addr(local_addr)
     }
 
+    #[inline]
     pub(crate) fn write_local(&mut self, mcu: usize, local_addr: u64, value: u64) {
-        let map = self.mcus[mcu].dimm.address_map();
-        let loc = map
-            .map(local_addr & !7)
-            .expect("session addresses are within capacity");
-        self.mcus[mcu].dimm.write_word(loc, value);
+        self.mcus[mcu].dimm.write_addr(local_addr, value);
     }
 
     /// Loads consecutive words starting at a DIMM-local address; the span
