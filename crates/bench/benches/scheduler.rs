@@ -12,8 +12,10 @@
 //! `scheduler/serialN` vs `scheduler/multiplexN` compare running N uneven
 //! campaigns back to back (each on its own pool) against the
 //! `CampaignScheduler` fair-sharing them over one pool.
-//! `scripts/record_scheduler.sh` records medians and ratios to
-//! `BENCH_scheduler.json`.
+//!
+//! Run with `cargo bench -p dstress-bench --bench scheduler`; it prints the
+//! median of every row. Rows at a worker count above the host's cores
+//! measure oversubscription, not scaling.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dstress_ga::{

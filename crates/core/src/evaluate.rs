@@ -373,8 +373,11 @@ impl VirusEvaluator {
         let mut session = self.server.session(self.target_mcu);
         Vm::new(self.limits).run(&compiled, &mut session)?;
         let run = session.finish();
-        let outcomes = self.server.evaluate_runs(&run, self.runs, base_nonce)?;
-        let outcome = self.summarize(&outcomes, run.len());
+        let trace_len = run.len();
+        let outcomes = self
+            .server
+            .evaluate_runs_owned(run, self.runs, base_nonce)?;
+        let outcome = self.summarize(&outcomes, trace_len);
         self.last = Some(outcome.clone());
         Ok(outcome)
     }

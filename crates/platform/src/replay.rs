@@ -17,50 +17,85 @@ use crate::config::AccessModelConfig;
 use crate::session::RecordedRun;
 use dstress_dram::{ActivationCounts, AddressMap};
 
-/// Open-row state per (mcu, rank, bank), stored flat: each MCU's banks get
-/// a contiguous block of `ranks × banks` entries sized from its own
-/// geometry. An entry holds `row + 1` (0 = no row open), so the tracker
-/// needs one indexed load per DRAM access instead of a hash-map probe, and
-/// its iteration order is deterministic by construction.
-struct OpenRows {
-    /// First entry of each MCU's block.
-    offsets: Vec<usize>,
-    /// Per-bank open row + 1; 0 when the bank has no row open.
-    entries: Vec<u64>,
-    /// Banks per rank, per MCU (row index → entry stride).
-    banks: Vec<usize>,
+/// Activation tallies for one profile build, stored flat in address-map
+/// row order: MCU `m`'s rows are slots `first_row[m]..first_row[m + 1]`,
+/// and its row `r` holds DIMM-local addresses from `r × row_bytes` (the
+/// row-table order of the DIMM's contents), so a DRAM-reaching load finds
+/// its row with one divide. Each row slot also names its bank's entry in
+/// `open`, the per-(mcu, rank, bank) open-row register that holds the open
+/// row's slot + 1 (0 = no row open). The counts become
+/// [`ActivationCounts`] once, when the profile is assembled.
+struct RowActivations {
+    /// First row slot of each MCU, plus the total slot count at the end.
+    first_row: Vec<usize>,
+    /// Activations per row slot.
+    counts: Vec<u64>,
+    /// The `open` entry of each row slot's bank.
+    bank_of: Vec<u32>,
+    /// Open row slot + 1 per bank; 0 when the bank has no row open.
+    open: Vec<u32>,
 }
 
-impl OpenRows {
+impl RowActivations {
     fn new(maps: &[AddressMap]) -> Self {
-        let mut offsets = Vec::with_capacity(maps.len());
-        let mut banks = Vec::with_capacity(maps.len());
-        let mut total = 0usize;
+        let mut first_row = Vec::with_capacity(maps.len() + 1);
+        let mut bank_of = Vec::new();
+        let mut banks = 0u32;
         for map in maps {
             let geo = map.geometry();
-            offsets.push(total);
-            banks.push(geo.banks as usize);
-            total += geo.ranks as usize * geo.banks as usize;
+            first_row.push(bank_of.len());
+            // Address-map order: rank, then row, then bank (fastest).
+            for _rank in 0..geo.ranks {
+                for _row in 0..geo.rows_per_bank {
+                    bank_of.extend(banks..banks + geo.banks as u32);
+                }
+                banks += geo.banks as u32;
+            }
         }
-        OpenRows {
-            offsets,
-            entries: vec![0; total],
-            banks,
+        first_row.push(bank_of.len());
+        RowActivations {
+            first_row,
+            counts: vec![0; bank_of.len()],
+            bank_of,
+            open: vec![0; banks as usize],
         }
     }
 
-    /// Opens `row` on (mcu, rank, bank); returns true when that required a
-    /// new activation (the row was not already open).
+    /// Opens the row holding DIMM-local `addr` on `mcu`, counting an
+    /// activation unless that row is already open in its bank. Addresses
+    /// beyond the DIMM reach no row.
     #[inline]
-    fn activate(&mut self, mcu: usize, rank: u8, bank: u8, row: u32) -> bool {
-        let idx = self.offsets[mcu] + rank as usize * self.banks[mcu] + bank as usize;
-        let tagged = row as u64 + 1;
-        if self.entries[idx] == tagged {
-            false
-        } else {
-            self.entries[idx] = tagged;
-            true
+    fn load(&mut self, mcu: usize, addr: u64, row_bytes: u64) {
+        let (first, end) = (self.first_row[mcu], self.first_row[mcu + 1]);
+        let row = addr / row_bytes;
+        if row >= (end - first) as u64 {
+            return;
         }
+        let slot = first + row as usize;
+        let bank = self.bank_of[slot] as usize;
+        let tagged = slot as u32 + 1;
+        if self.open[bank] != tagged {
+            self.open[bank] = tagged;
+            self.counts[slot] += 1;
+        }
+    }
+
+    /// MCU `mcu`'s tally with every count scaled by `factor` and rounded
+    /// (rows rounding to zero drop out), or unscaled without a factor.
+    fn counts(&self, mcu: usize, map: &AddressMap, factor: Option<f64>) -> ActivationCounts {
+        let row_bytes = map.geometry().row_bytes as u64;
+        let rows = &self.counts[self.first_row[mcu]..self.first_row[mcu + 1]];
+        rows.iter()
+            .enumerate()
+            .filter(|&(_, &n)| n > 0)
+            .map(|(row, &n)| {
+                let loc = map
+                    .map(row as u64 * row_bytes)
+                    .expect("row slots lie inside the DIMM");
+                let n = factor.map_or(n, |f| (n as f64 * f).round().max(0.0) as u64);
+                (loc.row_key(), n)
+            })
+            .collect()
     }
 }
 
@@ -89,17 +124,21 @@ impl ReplayProfile {
         trefp_s: &[f64],
     ) -> ReplayProfile {
         let mcus = maps.len();
-        let mut acts: Vec<ActivationCounts> = vec![ActivationCounts::new(); mcus];
         let mut dram_accesses = vec![0u64; mcus];
         if run.is_empty() {
             return ReplayProfile {
-                acts_per_window: acts,
+                acts_per_window: vec![ActivationCounts::new(); mcus],
                 cache_hit_rate: 0.0,
                 dram_accesses,
             };
         }
         let mut cache = Cache::new(access.cache_bytes, access.cache_ways, access.line_bytes);
-        let mut open_rows = OpenRows::new(maps);
+        let mut rows = RowActivations::new(maps);
+        let row_bytes: Vec<u64> = maps.iter().map(|m| m.geometry().row_bytes as u64).collect();
+        // A row boundary falls inside a cache line only when the row size
+        // is not a multiple of the (power-of-two) line size.
+        let line_bytes = access.line_bytes as u64;
+        let rows_split_lines: Vec<bool> = row_bytes.iter().map(|&r| r % line_bytes != 0).collect();
         // Stores are setup (the fill phase runs once); the recorded *load*
         // stream is the virus's periodic steady state. The cache and
         // row-buffer models still see every operation in program order so
@@ -110,87 +149,74 @@ impl ReplayProfile {
         // segment at a time. Within a segment, words after the first are
         // guaranteed hits (the first access made the line resident), so
         // they go through the bulk [`Cache::access_repeat`] path; and all
-        // words share one DRAM row (rows are line-aligned), so at most one
-        // activation decision is needed per segment. The resulting profile
-        // is bit-identical to the per-word walk this replaces.
-        let line_bytes = access.line_bytes as u64;
+        // words share one DRAM row (segments stop at row boundaries), so at
+        // most one activation decision is needed per segment. The resulting
+        // profile is bit-identical to a per-word walk.
         let mut read_ops = 0u64;
         for span in run.spans() {
             let mcu = span.mcu as usize;
-            let mut off = 0u64;
-            let row_bytes = maps[mcu].geometry().row_bytes as u64;
-            while off < span.words {
-                let word_addr = span.local_addr + off * 8;
+            // Tag addresses with the MCU so lines from different DIMMs
+            // never alias in the shared cache model.
+            let mcu_tag = (span.mcu as u64) << 56;
+            let mut word_addr = span.local_addr;
+            let mut left = span.words;
+            while left > 0 {
                 // Words of this span inside word_addr's cache line, capped
                 // at the DRAM row boundary so the one-activation-per-
-                // segment argument below holds even when a line is
-                // configured larger than a row.
-                let line_end = (word_addr / line_bytes + 1) * line_bytes;
-                let row_end = (word_addr / row_bytes + 1) * row_bytes;
-                let k = ((line_end.min(row_end) - word_addr).div_ceil(8)).min(span.words - off);
-                off += k;
-                if !span.is_write {
-                    read_ops += k;
+                // segment argument above holds for any geometry.
+                let mut end = (word_addr | (line_bytes - 1)) + 1;
+                if rows_split_lines[mcu] {
+                    end = end.min((word_addr / row_bytes[mcu] + 1) * row_bytes[mcu]);
                 }
-                // Tag the address with the MCU so lines from different
-                // DIMMs never alias in the shared cache model.
-                let tagged = word_addr | ((span.mcu as u64) << 56);
-                let first_hit = cache.access(tagged);
-                cache.access_repeat(tagged, k - 1);
-                if span.is_write || (first_hit && access.model_cache) {
+                let k = (end - word_addr).div_ceil(8).min(left);
+                let first_hit = cache.access(word_addr | mcu_tag);
+                cache.access_repeat(word_addr | mcu_tag, k - 1);
+                let addr = word_addr;
+                word_addr += k * 8;
+                left -= k;
+                if span.is_write {
+                    continue;
+                }
+                read_ops += k;
+                if first_hit && access.model_cache {
                     continue;
                 }
                 // DRAM-reaching loads: just the first word of the segment
                 // when the cache filters (the rest hit the fresh line),
                 // every word when it does not.
                 dram_accesses[mcu] += if access.model_cache { 1 } else { k };
-                if let Ok(loc) = maps[mcu].map(word_addr & !7) {
-                    if open_rows.activate(mcu, loc.rank, loc.bank, loc.row) {
-                        acts[mcu].add(loc.row_key(), 1);
-                    }
-                }
+                rows.load(mcu, addr, row_bytes[mcu]);
             }
         }
         // Scale one recorded pass to a full refresh window: the core
         // sustains `accesses_per_s` loads of the steady-state loop, so one
-        // window holds `accesses_per_s * trefp / read_ops` passes.
-        if read_ops == 0 {
-            // Pure-fill virus: no steady-state loop, memory then idles.
-            return ReplayProfile {
-                acts_per_window: acts,
-                cache_hit_rate: cache.hit_rate(),
-                dram_accesses,
-            };
-        }
-        for (mcu, a) in acts.iter_mut().enumerate() {
-            let passes_per_window = access.accesses_per_s * trefp_s[mcu] / read_ops as f64;
-            a.scale_rounded(passes_per_window);
-        }
+        // window holds `accesses_per_s * trefp / read_ops` passes. A
+        // pure-fill virus has no steady-state loop: memory then idles and
+        // the counts stay unscaled.
+        let acts_per_window = maps
+            .iter()
+            .enumerate()
+            .map(|(mcu, map)| {
+                let passes_per_window =
+                    (read_ops > 0).then(|| access.accesses_per_s * trefp_s[mcu] / read_ops as f64);
+                rows.counts(mcu, map, passes_per_window)
+            })
+            .collect();
         ReplayProfile {
-            acts_per_window: acts,
+            acts_per_window,
             cache_hit_rate: cache.hit_rate(),
             dram_accesses,
         }
-    }
-
-    /// Total DRAM-reaching accesses per second implied by the profile
-    /// (for the power model's access-energy term). `steady_ops` is the
-    /// number of steady-state (load) operations per pass.
-    pub fn dram_access_rate(&self, access: &AccessModelConfig, steady_ops: usize) -> f64 {
-        if steady_ops == 0 {
-            return 0.0;
-        }
-        let total: u64 = self.dram_accesses.iter().sum();
-        let passes_per_s = access.accesses_per_s / steady_ops as f64;
-        total as f64 * passes_per_s
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::reference::StampCache;
     use crate::session::TraceOp;
     use dstress_dram::DimmGeometry;
+    use proptest::prelude::*;
 
     fn maps() -> Vec<AddressMap> {
         (0..4)
@@ -221,8 +247,44 @@ mod tests {
         run_of(ops)
     }
 
-    /// The original per-word replay walk, kept as the oracle for the
-    /// span-consuming production path.
+    /// Open-row state per (mcu, rank, bank), found through the
+    /// [`AddressMap::map`] decode: the oracle's row-buffer model.
+    struct OpenRows {
+        offsets: Vec<usize>,
+        banks: Vec<usize>,
+        entries: Vec<u64>,
+    }
+
+    impl OpenRows {
+        fn new(maps: &[AddressMap]) -> Self {
+            let mut offsets = Vec::new();
+            let mut banks = Vec::new();
+            let mut total = 0usize;
+            for map in maps {
+                let geo = map.geometry();
+                offsets.push(total);
+                banks.push(geo.banks as usize);
+                total += geo.ranks as usize * geo.banks as usize;
+            }
+            OpenRows {
+                offsets,
+                banks,
+                entries: vec![0; total],
+            }
+        }
+
+        fn activate(&mut self, mcu: usize, rank: u8, bank: u8, row: u32) -> bool {
+            let idx = self.offsets[mcu] + rank as usize * self.banks[mcu] + bank as usize;
+            let tagged = row as u64 + 1;
+            let opened = self.entries[idx] != tagged;
+            self.entries[idx] = tagged;
+            opened
+        }
+    }
+
+    /// The per-word replay walk through the stamp-based reference cache,
+    /// the full address decode and a hashed activation tally: the oracle
+    /// for the span-consuming production path.
     fn build_word_at_a_time(
         run: &RecordedRun,
         access: &AccessModelConfig,
@@ -240,7 +302,7 @@ mod tests {
                 dram_accesses,
             };
         }
-        let mut cache = Cache::new(access.cache_bytes, access.cache_ways, access.line_bytes);
+        let mut cache = StampCache::new(access.cache_bytes, access.cache_ways, access.line_bytes);
         let mut open_rows = OpenRows::new(maps);
         let mut read_ops = 0u64;
         for op in run.iter() {
@@ -388,13 +450,42 @@ mod tests {
         assert!(long.acts_per_window[2].total() > 10 * short.acts_per_window[2].total());
     }
 
-    #[test]
-    fn dram_access_rate_scales_with_miss_fraction() {
-        let run = streaming_rows(64);
-        let trace_len = run.len();
-        let p = ReplayProfile::build(&run, &access(), &maps(), &[2.283; 4]);
-        let rate = p.dram_access_rate(&access(), trace_len);
-        // All misses: rate approaches the issue rate divided by words/line.
-        assert!(rate > 0.0 && rate <= access().accesses_per_s);
+    proptest! {
+        /// Random span traces over small geometries (rows that split cache
+        /// lines, bank counts that are not powers of two, spans running
+        /// past the DIMM) replay exactly as the word-at-a-time oracle does.
+        #[test]
+        fn random_traces_match_word_at_a_time_oracle(
+            ranks in 1u8..3,
+            banks in 1u8..6,
+            rows_per_bank in 1u32..6,
+            row_bytes in prop_oneof![Just(24u32), Just(64), Just(96), Just(256), Just(1024)],
+            ways in prop_oneof![Just(1usize), Just(2), Just(3), Just(8)],
+            sets_log2 in 0u32..4,
+            model_cache in any::<bool>(),
+            spans in proptest::collection::vec(
+                (0u8..4, 0u64..1200, 1u64..40, any::<bool>()),
+                0..120,
+            ),
+        ) {
+            let geometry = DimmGeometry { ranks, banks, rows_per_bank, row_bytes };
+            let maps: Vec<AddressMap> = (0..4).map(|_| AddressMap::new(geometry)).collect();
+            let access = AccessModelConfig {
+                cache_bytes: (1 << sets_log2) * ways * 64,
+                cache_ways: ways,
+                model_cache,
+                ..AccessModelConfig::default()
+            };
+            let mut run = RecordedRun::idle(2);
+            for &(mcu, word, words, is_write) in &spans {
+                run.push_span(mcu, word * 8, words, is_write);
+            }
+            let trefps = [0.064, 1.0, 2.283, 0.5];
+            let fast = ReplayProfile::build(&run, &access, &maps, &trefps);
+            let oracle = build_word_at_a_time(&run, &access, &maps, &trefps);
+            prop_assert_eq!(fast.acts_per_window, oracle.acts_per_window);
+            prop_assert_eq!(fast.dram_accesses, oracle.dram_accesses);
+            prop_assert_eq!(fast.cache_hit_rate.to_bits(), oracle.cache_hit_rate.to_bits());
+        }
     }
 }

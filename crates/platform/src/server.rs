@@ -12,6 +12,7 @@ use dstress_dram::{
 };
 use dstress_ecc::{classify_flips, CounterSnapshot, EccCounters, EventKind};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 
@@ -31,8 +32,10 @@ const PLAN_CACHE_CAP: usize = 8;
 
 /// Bounded retention of the replay-profile cache. Candidates of one
 /// population whose templates record value-independent traces (all the
-/// data-pattern viruses) share one entry.
-const PROFILE_CACHE_CAP: usize = 4;
+/// data-pattern viruses) share one entry. With the spare trace buffer the
+/// server keeps for the next session, at most four traces stay allocated
+/// between evaluations.
+const PROFILE_CACHE_CAP: usize = 3;
 
 /// An operating point as exact bit patterns — the plan-cache key must use
 /// bitwise equality, not approximate float comparison, because the plan is
@@ -104,6 +107,19 @@ impl ProfileEntry {
             profile,
             disturbance: Default::default(),
         }
+    }
+}
+
+/// The trace buffer of the profile-cache entry a new run evicted, kept for
+/// the next [`Session`] to record into instead of growing a fresh one. A
+/// clone starts without one, so a replicated server owns no buffer it did
+/// not record itself.
+#[derive(Debug, Default)]
+struct SpareTrace(Option<RecordedRun>);
+
+impl Clone for SpareTrace {
+    fn clone(&self) -> Self {
+        SpareTrace(None)
     }
 }
 
@@ -277,6 +293,8 @@ pub struct XGene2Server {
     events_scratch: Vec<WordEvent>,
     /// FIFO cache of replay profiles keyed by (trace, refresh periods).
     profile_cache: VecDeque<CachedProfile>,
+    /// Trace buffer for the next session.
+    spare_trace: SpareTrace,
 }
 
 impl XGene2Server {
@@ -306,6 +324,7 @@ impl XGene2Server {
             row_errors_scratch: HashMap::new(),
             events_scratch: Vec::new(),
             profile_cache: VecDeque::new(),
+            spare_trace: SpareTrace::default(),
         }
     }
 
@@ -431,6 +450,18 @@ impl XGene2Server {
         }
     }
 
+    /// An empty trace for a new session on `target_mcu`, recording into the
+    /// spare buffer when there is one.
+    pub(crate) fn spare_trace(&mut self, target_mcu: usize) -> RecordedRun {
+        match self.spare_trace.0.take() {
+            Some(mut trace) => {
+                trace.reset(target_mcu);
+                trace
+            }
+            None => RecordedRun::idle(target_mcu),
+        }
+    }
+
     pub(crate) fn allocate(&mut self, mcu: usize, bytes: u64) -> Option<u64> {
         let capacity = self.mcus[mcu].dimm.geometry().capacity_bytes();
         let cursor = self.mcus[mcu].alloc_cursor;
@@ -543,6 +574,24 @@ impl XGene2Server {
         self.evaluate_prepared_runs(&prepared, runs, base_nonce)
     }
 
+    /// [`Self::evaluate_runs`] for a run the caller is done with: a new
+    /// profile-cache entry keeps it without a copy, and the entry it evicts
+    /// backs the next session's recording. Outcomes are the same as
+    /// [`Self::evaluate_runs`] gives.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError`] on a plan-layer programming error.
+    pub fn evaluate_runs_owned(
+        &mut self,
+        run: RecordedRun,
+        runs: u32,
+        base_nonce: u64,
+    ) -> Result<Vec<RunOutcome>, PlanError> {
+        let prepared = self.prepare(Cow::Owned(run))?;
+        self.evaluate_prepared_runs(&prepared, runs, base_nonce)
+    }
+
     /// Per-run oracle for [`Self::evaluate_runs`]: the same prepared plans
     /// evaluated one run at a time through [`Self::evaluate_prepared`].
     /// The differential suite pins the batched path against this.
@@ -585,6 +634,11 @@ impl XGene2Server {
     /// [`PlanError::IndexOverflow`] if a weak-cell population overflows the
     /// plan index layout.
     pub fn prepare_run(&mut self, run: &RecordedRun) -> Result<PreparedRun, PlanError> {
+        self.prepare(Cow::Borrowed(run))
+    }
+
+    /// [`Self::prepare_run`] over a borrowed or an owned run.
+    fn prepare(&mut self, run: Cow<'_, RecordedRun>) -> Result<PreparedRun, PlanError> {
         let entry = self.profile_cached(run);
         let mut plans = Vec::with_capacity(MCUS);
         for mcu in 0..MCUS {
@@ -659,22 +713,28 @@ impl XGene2Server {
     /// cache can never alias two different traces; data-pattern viruses,
     /// whose traces record addresses and access kinds but not values,
     /// share one entry across a whole population.
-    fn profile_cached(&mut self, run: &RecordedRun) -> Arc<ProfileEntry> {
+    ///
+    /// A new entry stores an owned run as it is and a borrowed one as a
+    /// copy, and the entry it evicts becomes the spare trace buffer for the
+    /// next session. An owned run that hits is dropped: keeping it as the
+    /// spare too would hold one more trace between evaluations than the
+    /// cache does.
+    fn profile_cached(&mut self, run: Cow<'_, RecordedRun>) -> Arc<ProfileEntry> {
         let trefps: [u64; MCUS] = std::array::from_fn(|i| self.mcus[i].trefp_s.to_bits());
         if let Some(hit) = self
             .profile_cache
             .iter()
-            .find(|c| c.trefps == trefps && &c.trace == run)
+            .find(|c| c.trefps == trefps && c.trace == *run)
         {
             return Arc::clone(&hit.entry);
         }
-        let entry = Arc::new(ProfileEntry::new(self.build_profile(run)));
+        let entry = Arc::new(ProfileEntry::new(self.build_profile(&run)));
         if self.profile_cache.len() >= PROFILE_CACHE_CAP {
-            self.profile_cache.pop_front();
+            self.spare_trace.0 = self.profile_cache.pop_front().map(|evicted| evicted.trace);
         }
         self.profile_cache.push_back(CachedProfile {
             trefps,
-            trace: run.clone(),
+            trace: run.into_owned(),
             entry: Arc::clone(&entry),
         });
         entry
@@ -1380,6 +1440,41 @@ mod tests {
         sv.clear_eval_caches();
         assert!(!memoized(&sv, &run, 2));
         assert_prepare_matches_uncached(&mut sv, &run);
+    }
+
+    #[test]
+    fn recycled_trace_buffers_prepare_like_uncached() {
+        let mut sv = server();
+        sv.relax_second_domain();
+        sv.set_dimm_temperature(2, 60.0).unwrap();
+        // One more distinct run than the profile cache holds, each handed
+        // over by value: the entry the last one evicts becomes the spare.
+        for rows in 0..=PROFILE_CACHE_CAP as u64 {
+            let run = hammer_run(&mut sv, 2, 8 + rows, WORST);
+            sv.evaluate_runs_owned(run, 2, rows).unwrap();
+        }
+        assert!(sv.spare_trace.0.is_some(), "the evicted trace is kept");
+        assert!(
+            sv.clone().spare_trace.0.is_none(),
+            "a replica starts without a spare buffer"
+        );
+
+        // The next session records into it.
+        let run = hammer_run(&mut sv, 2, 20, WORST);
+        assert!(sv.spare_trace.0.is_none(), "the session took the spare");
+        assert_prepare_matches_uncached(&mut sv, &run);
+
+        // The borrowed prepare missed, so its eviction left a new spare. A
+        // repeat handed over by value hits the cache and is dropped, leaving
+        // that spare as it was; outcomes match the borrowed path.
+        let spare = sv.spare_trace.0.clone();
+        assert!(spare.is_some());
+        let owned = sv.evaluate_runs_owned(run.clone(), 2, 5).unwrap();
+        assert_eq!(sv.spare_trace.0, spare, "a hit leaves the spare alone");
+        let again = hammer_run(&mut sv, 2, 20, WORST);
+        assert_eq!(again, run);
+        assert_prepare_matches_uncached(&mut sv, &again);
+        assert_eq!(owned, sv.evaluate_runs(&again, 2, 5).unwrap());
     }
 
     #[test]

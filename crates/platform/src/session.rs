@@ -222,6 +222,18 @@ impl RecordedRun {
         }
     }
 
+    /// Empties the run for a new recording on `target_mcu`, keeping the
+    /// span table's allocation (the server hands a finished run's buffer
+    /// to the next session this way).
+    pub(crate) fn reset(&mut self, target_mcu: usize) {
+        self.addrs.clear();
+        self.lens.clear();
+        self.meta.clear();
+        self.total = 0;
+        self.target_mcu = target_mcu;
+        self.truncated = false;
+    }
+
     /// A run holding the given operations (test/workload construction).
     pub fn from_trace(ops: impl IntoIterator<Item = TraceOp>, target_mcu: usize) -> Self {
         let mut run = RecordedRun::idle(target_mcu);
@@ -375,12 +387,13 @@ impl<'a> Session<'a> {
         target_mcu: usize,
         max_trace: usize,
     ) -> Self {
+        let trace = server.spare_trace(target_mcu);
         Session {
             server,
             target_mcu,
             segments: Vec::new(),
             next_virt: 0x1_0000,
-            trace: RecordedRun::idle(target_mcu),
+            trace,
             max_trace,
         }
     }
@@ -915,6 +928,60 @@ mod tests {
             SessionError::Unmapped(_)
         ));
         assert_eq!(s.read_u64(base).unwrap(), 7);
+    }
+
+    /// A fixed mix of accesses: a row fill, then single-word reads in
+    /// reverse (one span each), then a span read.
+    fn workload(s: &mut Session<'_>, words: u64) {
+        let base = s.alloc(words * 8).unwrap();
+        let values: Vec<u64> = (0..words).collect();
+        s.fill(base, &values).unwrap();
+        for i in (0..words).rev() {
+            s.read_u64(base + i * 8).unwrap();
+        }
+        let mut out = Vec::new();
+        s.read_span(base, words, &mut out).unwrap();
+    }
+
+    #[test]
+    fn recycled_buffer_records_like_a_fresh_one() {
+        let mut config = ServerConfig::small();
+        config.access.max_trace_len = 48;
+        let mut server = XGene2Server::new(config);
+        // More distinct capped runs handed over by value than the profile
+        // cache holds: the entries they evict become the spare buffer.
+        for words in 40..45 {
+            server.reset_memory();
+            let mut s = server.session(1);
+            workload(&mut s, words);
+            let capped = s.finish();
+            assert!(capped.truncated, "the accesses exceed the 48-access cap");
+            server.evaluate_runs_owned(capped, 1, 0).unwrap();
+        }
+
+        server.reset_memory();
+        let mut s = server.session(2);
+        assert!(
+            s.trace.addrs.capacity() > 0 && s.trace.is_empty() && !s.trace.truncated,
+            "the session records into the cleared spare buffer"
+        );
+        workload(&mut s, 10);
+        let recycled = s.finish();
+
+        let mut fresh_server = XGene2Server::new(config);
+        let mut s = fresh_server.session(2);
+        workload(&mut s, 10);
+        let fresh = s.finish();
+
+        assert_eq!(recycled, fresh);
+        assert_eq!(
+            recycled.spans().collect::<Vec<_>>(),
+            fresh.spans().collect::<Vec<_>>()
+        );
+        assert_eq!(recycled.len(), 30);
+        assert_eq!(recycled.len(), fresh.len());
+        assert_eq!(recycled.target_mcu, 2);
+        assert!(!recycled.truncated);
     }
 
     #[test]
