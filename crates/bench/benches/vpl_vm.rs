@@ -7,8 +7,7 @@
 //! tier exists to remove. `session/…` runs the same virus through a real
 //! recording [`Session`] (address translation + trace append per access),
 //! the configuration `core::evaluate` uses. `compile/program` prices the
-//! one-time lowering. `scripts/record_vpl_vm.sh` records medians and
-//! speedups to `BENCH_vpl_vm.json`; the acceptance bar for `virus` is 5×.
+//! one-time lowering.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dstress::templates::{process, WORD64};

@@ -7,8 +7,8 @@
 //! server layer. The prepared path re-examines only the
 //! VRT-contingent cells each window (everything else is pre-partitioned
 //! into static events at `prepare_run` time), so it must win by a wide
-//! margin — the PR's acceptance bar is 5×. `scripts/record_window_kernel.sh`
-//! records both sides to `BENCH_window_kernel.json`.
+//! margin. `run/prepared` times the per-run oracle; `runs/batched` times
+//! the lane-batched path the GA takes, ten runs of one virus per call.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dstress_dram::geometry::RowKey;
@@ -101,6 +101,17 @@ fn bench(c: &mut Criterion) {
                     .evaluate_prepared(&prepared, nonce)
                     .expect("fresh")
                     .totals,
+            )
+        })
+    });
+    c.bench_function("runs/batched", |b| {
+        b.iter(|| {
+            nonce += 10;
+            std::hint::black_box(
+                server
+                    .evaluate_prepared_runs(&prepared, 10, nonce)
+                    .expect("fresh")
+                    .len(),
             )
         })
     });

@@ -8,7 +8,7 @@ use crate::env::OperatingEnv;
 use crate::events::WordEvent;
 use crate::faults::FaultSet;
 use crate::geometry::{DimmGeometry, Location, RowKey};
-use crate::plan::{PlanError, RunPlan, VrtWord};
+use crate::plan::{PlanError, RunPlan, VrtEvent, VrtWord};
 use crate::retention::PhysicsParams;
 use crate::topology::{CellKind, Topology, TopologyConfig};
 use crate::weak::{vrt_degraded, WeakCellConfig, WeakCellPopulation};
@@ -151,8 +151,29 @@ impl Dimm {
     /// Panics if the geometry fails validation.
     pub fn new(config: DimmConfig, seed: u64) -> Self {
         config.geometry.validate().expect("invalid DIMM geometry");
-        let topology = Topology::new(config.geometry, config.topology, seed);
         let population = WeakCellPopulation::sample(config.geometry, &config.weak, seed);
+        Dimm::with_population(config, seed, population)
+    }
+
+    /// Builds a DIMM around a given weak-cell population instead of one
+    /// sampled from `config.weak` — for tests that need weak cells at
+    /// exact positions, such as several VRT cells in one word, which the
+    /// sampler never places.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry fails validation or a weak word lies outside
+    /// it.
+    pub fn with_population(config: DimmConfig, seed: u64, population: WeakCellPopulation) -> Self {
+        config.geometry.validate().expect("invalid DIMM geometry");
+        assert!(
+            population
+                .words()
+                .iter()
+                .all(|w| config.geometry.contains(w.loc)),
+            "weak word outside the DIMM geometry"
+        );
+        let topology = Topology::new(config.geometry, config.topology, seed);
         let contents = RowStore::new(config.geometry, config.default_fill);
         let map = AddressMap::new(config.geometry);
         Dimm {
@@ -657,7 +678,7 @@ impl Dimm {
         plan: &RunPlan,
         nonces: &[u64],
         live: u64,
-        out: &mut [Vec<WordEvent>],
+        out: &mut [Vec<VrtEvent>],
     ) -> Result<(), PlanError> {
         self.ensure_plan_fresh(plan)?;
         plan.advance_window_vrt_lanes(self.seed, nonces, live, out);
@@ -1058,9 +1079,10 @@ mod tests {
         // 7 lanes with irregular nonces and a hole in the live mask.
         let nonces: Vec<u64> = (0..7u64).map(|l| l.wrapping_mul(0x9E37_79B9) ^ 5).collect();
         let live = 0b110_1011u64;
-        let mut lanes: Vec<Vec<WordEvent>> = vec![Vec::new(); nonces.len()];
+        let mut lanes: Vec<Vec<VrtEvent>> = vec![Vec::new(); nonces.len()];
         d.advance_window_planned_lanes(&plan, &nonces, live, &mut lanes)
             .unwrap();
+        let sites: Vec<(Location, u64)> = plan.vrt_word_sites().collect();
         let mut full = Vec::new();
         for (l, &nonce) in nonces.iter().enumerate() {
             if live & (1 << l) == 0 {
@@ -1076,7 +1098,18 @@ mod tests {
                 .filter(|e| !statics.contains(e))
                 .copied()
                 .collect();
-            assert_eq!(lanes[l], vrt_only, "lane {l}");
+            let resolved: Vec<WordEvent> = lanes[l]
+                .iter()
+                .map(|e| {
+                    let (loc, written) = sites[e.word as usize];
+                    WordEvent {
+                        loc,
+                        written,
+                        flip_mask: e.flip_mask,
+                    }
+                })
+                .collect();
+            assert_eq!(resolved, vrt_only, "lane {l}");
         }
     }
 

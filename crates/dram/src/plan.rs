@@ -88,6 +88,18 @@ impl std::error::Error for PlanError {}
 /// call can serve: one bit of a `u64` lane mask per candidate-run.
 pub const MAX_LANES: usize = 64;
 
+/// One lane's flips in one VRT word during one window: the word's index in
+/// [`RunPlan::vrt_word_sites`] and the mask of its data bits that flipped.
+/// The lane kernel emits these instead of full [`WordEvent`]s; a caller
+/// resolves the word's location and contents once per plan, not per event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VrtEvent {
+    /// Index of the word in [`RunPlan::vrt_word_sites`].
+    pub word: u32,
+    /// Mask of data bits that flipped this window (never zero).
+    pub flip_mask: u64,
+}
+
 /// One weak word with at least one VRT-contingent cell: its static base
 /// flip mask plus the range of contingent bits in the plan's flat arrays.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -197,12 +209,19 @@ impl RunPlan {
         &self.static_events
     }
 
+    /// The location and plan-time contents of each word with VRT-contingent
+    /// cells, in population order; [`VrtEvent::word`] indexes this.
+    pub fn vrt_word_sites(&self) -> impl ExactSizeIterator<Item = (Location, u64)> + '_ {
+        self.vrt_words.iter().map(|word| (word.loc, word.written))
+    }
+
     /// Evaluates one refresh window for up to [`MAX_LANES`] evaluation
     /// lanes at once, emitting **only the VRT-word events** of lane `l`
-    /// into `out[l]` (cleared first). Static events are invariant across
-    /// lanes and windows; batched callers account for them through a
-    /// precomputed summary of [`RunPlan::static_events`] instead of
-    /// re-materializing them per lane.
+    /// into `out[l]` (cleared first), as compact [`VrtEvent`]s. Static
+    /// events are invariant across lanes and windows; batched callers
+    /// account for them through a precomputed summary of
+    /// [`RunPlan::static_events`] instead of re-materializing them per
+    /// lane.
     ///
     /// `nonces[l]` is lane `l`'s window nonce; a lane is evaluated only
     /// when bit `l` of `live` is set (dead lanes — runs already stopped on
@@ -212,7 +231,8 @@ impl RunPlan {
     /// scattered into per-lane flip masks, so one pass over the flat SoA
     /// serves the whole batch.
     ///
-    /// Per lane, the emitted events are bit-identical to the VRT-word
+    /// Per lane, the emitted events, resolved through
+    /// [`RunPlan::vrt_word_sites`], are bit-identical to the VRT-word
     /// subsequence of `RunPlan::advance_window` with the same nonce: the
     /// same `vrt_degraded` draws in the same per-word order.
     ///
@@ -225,7 +245,7 @@ impl RunPlan {
         seed: u64,
         nonces: &[u64],
         live: u64,
-        out: &mut [Vec<WordEvent>],
+        out: &mut [Vec<VrtEvent>],
     ) {
         assert!(nonces.len() <= MAX_LANES, "at most {MAX_LANES} lanes");
         assert_eq!(nonces.len(), out.len(), "one event buffer per lane");
@@ -241,13 +261,10 @@ impl RunPlan {
             return;
         }
         let mut lane_masks = [0u64; MAX_LANES];
-        for word in &self.vrt_words {
-            let mut lanes = live;
-            while lanes != 0 {
-                let lane = lanes.trailing_zeros() as usize;
-                lanes &= lanes - 1;
-                lane_masks[lane] = word.base_mask;
-            }
+        for (word_index, word) in (0u32..).zip(&self.vrt_words) {
+            // Lanes where at least one contingent cell flipped; only their
+            // masks differ from the word's base mask.
+            let mut flipped = 0u64;
             for i in word.bits_start as usize..word.bits_end as usize {
                 let index = self.bit_indices[i];
                 let flip_when_degraded = self.bit_flip_when_degraded[i];
@@ -265,23 +282,32 @@ impl RunPlan {
                     }
                 }
                 let mask = self.bit_masks[i];
-                while flipping != 0 {
-                    let lane = flipping.trailing_zeros() as usize;
-                    flipping &= flipping - 1;
-                    lane_masks[lane] |= mask;
+                let mut lanes = flipping;
+                while lanes != 0 {
+                    let lane = lanes.trailing_zeros() as usize;
+                    lanes &= lanes - 1;
+                    let before = if flipped & (1u64 << lane) != 0 {
+                        lane_masks[lane]
+                    } else {
+                        word.base_mask
+                    };
+                    lane_masks[lane] = before | mask;
                 }
+                flipped |= flipping;
             }
-            let mut lanes = live;
+            let mut lanes = if word.base_mask != 0 { live } else { flipped };
             while lanes != 0 {
                 let lane = lanes.trailing_zeros() as usize;
                 lanes &= lanes - 1;
-                if lane_masks[lane] != 0 {
-                    out[lane].push(WordEvent {
-                        loc: word.loc,
-                        written: word.written,
-                        flip_mask: lane_masks[lane],
-                    });
-                }
+                let flip_mask = if flipped & (1u64 << lane) != 0 {
+                    lane_masks[lane]
+                } else {
+                    word.base_mask
+                };
+                out[lane].push(VrtEvent {
+                    word: word_index,
+                    flip_mask,
+                });
             }
         }
     }

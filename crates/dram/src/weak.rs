@@ -242,8 +242,7 @@ impl WeakCellPopulation {
 
     /// A hand-placed population (tests that need cells at exact
     /// positions); words are sorted by location as [`Self::sample`] does.
-    #[cfg(test)]
-    pub(crate) fn from_words(mut words: Vec<WeakWord>) -> Self {
+    pub fn from_words(mut words: Vec<WeakWord>) -> Self {
         words.sort_by_key(|w| w.loc);
         let total_cells = words.iter().map(|w| w.cells.len()).sum();
         WeakCellPopulation { words, total_cells }

@@ -59,6 +59,12 @@ impl std::fmt::Display for EventKind {
 /// are masks of the bits that leaked in the array (data bits and ECC-chip
 /// bits respectively).
 ///
+/// With no check-bit flips, a mask of 0, 1 or 2 data bits is classified by
+/// its popcount alone: the code is linear with minimum distance 4, so every
+/// single flip is corrected and every double flip detected, whatever the
+/// data word. Only masks of three or more bits — the ones that can end in
+/// silent corruption — go through the full encode and decode.
+///
 /// # Examples
 ///
 /// ```
@@ -69,8 +75,13 @@ impl std::fmt::Display for EventKind {
 /// assert_eq!(classify_flips(0xFFFF, 0b11, 0), EventKind::Ue);
 /// ```
 pub fn classify_flips(data: u64, data_flips: u64, check_flips: u8) -> EventKind {
-    if data_flips == 0 && check_flips == 0 {
-        return EventKind::None;
+    if check_flips == 0 {
+        match data_flips.count_ones() {
+            0 => return EventKind::None,
+            1 => return EventKind::Ce,
+            2 => return EventKind::Ue,
+            _ => {}
+        }
     }
     let stored = Codeword::encode(data)
         .with_data_flips(data_flips)
@@ -216,6 +227,42 @@ mod tests {
             EventKind::SdcUndetected,
         ] {
             assert!(!k.to_string().is_empty());
+        }
+    }
+
+    /// The full decode of `data` with `data_flips` flipped, classified the
+    /// way [`classify_flips`] reads a decoder outcome.
+    fn decoded_kind(data: u64, data_flips: u64) -> EventKind {
+        match Codeword::encode(data).with_data_flips(data_flips).decode() {
+            EccEvent::Clean { data: d } if d == data => EventKind::None,
+            EccEvent::Clean { .. } => EventKind::SdcUndetected,
+            EccEvent::Corrected { data: d, .. } if d == data => EventKind::Ce,
+            EccEvent::Corrected { .. } => EventKind::SdcMiscorrected,
+            EccEvent::DetectedUncorrectable => EventKind::Ue,
+        }
+    }
+
+    #[test]
+    fn popcount_fast_path_matches_full_decode_for_every_low_weight_mask() {
+        let mut masks = vec![0u64];
+        for a in 0..64 {
+            masks.push(1 << a);
+            for b in (a + 1)..64 {
+                masks.push((1 << a) | (1 << b));
+            }
+        }
+        assert_eq!(masks.len(), 1 + 64 + 64 * 63 / 2);
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut words = vec![0, u64::MAX, 0x3333_3333_3333_3333, 0xCCCC_CCCC_CCCC_CCCC];
+        words.extend((0..4).map(|_| rng.gen::<u64>()));
+        for &data in &words {
+            for &mask in &masks {
+                assert_eq!(
+                    classify_flips(data, mask, 0),
+                    decoded_kind(data, mask),
+                    "data {data:#x} mask {mask:#x}"
+                );
+            }
         }
     }
 

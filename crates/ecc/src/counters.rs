@@ -140,6 +140,13 @@ impl EccCounters {
         }
     }
 
+    /// Adds a whole counter delta under one lock: the bulk equivalent of
+    /// one [`Self::record`] per outcome it counts.
+    pub fn record_snapshot(&self, delta: &CounterSnapshot) {
+        let mut c = self.inner.lock();
+        *c = *c + *delta;
+    }
+
     /// Returns a copy of the current tallies.
     pub fn snapshot(&self) -> CounterSnapshot {
         *self.inner.lock()
@@ -181,6 +188,21 @@ mod tests {
         let c = EccCounters::new();
         c.record_many(EventKind::Ce, 1000);
         assert_eq!(c.snapshot().ce, 1000);
+    }
+
+    #[test]
+    fn record_snapshot_adds_every_field() {
+        let c = EccCounters::new();
+        c.record(EventKind::Ce);
+        let delta = CounterSnapshot {
+            ce: 2,
+            ue: 3,
+            sdc_miscorrected: 4,
+            sdc_undetected: 5,
+            clean: 6,
+        };
+        c.record_snapshot(&delta);
+        assert_eq!(c.snapshot(), CounterSnapshot { ce: 3, ..delta });
     }
 
     #[test]

@@ -8,7 +8,8 @@ use crate::session::{RecordedRun, Session};
 use crate::thermal::{SettleReport, ThermalError, ThermalTestbed};
 use dstress_dram::geometry::RowKey;
 use dstress_dram::{
-    ActivationCounts, AddressMap, Dimm, OperatingEnv, PlanError, RunPlan, WordEvent, MAX_LANES,
+    ActivationCounts, AddressMap, Dimm, OperatingEnv, PlanError, RunPlan, VrtEvent, WordEvent,
+    MAX_LANES,
 };
 use dstress_ecc::{classify_flips, CounterSnapshot, EccCounters, EventKind};
 use serde::{Deserialize, Serialize};
@@ -57,13 +58,89 @@ impl EnvKey {
     }
 }
 
-/// A [`RunPlan`] bundled with the pre-classified summary of its static
-/// events, shared (via `Arc`) between the plan cache and every
-/// [`PreparedRun`] that hit it.
+/// A [`RunPlan`] bundled with what the batched path needs to account for
+/// its events per run instead of per event, shared (via `Arc`) between the
+/// plan cache and every [`PreparedRun`] that hit it.
+///
+/// Static events are byte-identical every window of every run, so they are
+/// classified once here and applied scaled by a run's completed windows —
+/// integer sums, bit-identical to the event-at-a-time accounting of
+/// [`record_events`]. Every row an event of the plan can touch gets a slot
+/// in a sorted row table, so a run tallies rows into a flat array instead
+/// of a map.
 #[derive(Debug, PartialEq)]
 struct McuPlan {
     plan: RunPlan,
-    statics: StaticSummary,
+    /// Per-rank counter delta of one window's static events.
+    static_per_rank: [CounterSnapshot; RANKS],
+    /// Whether the static events include an uncorrectable error (which
+    /// then fires in every window).
+    static_ue: bool,
+    /// The row table, sorted: the rows of the visible static events and of
+    /// every VRT word. A row's index here is its slot.
+    rows: Vec<RowKey>,
+    /// Per slot, the (CE, UE) tally of one window's static events.
+    static_rows: Vec<[u64; 2]>,
+    /// Per VRT word, indexed like [`RunPlan::vrt_word_sites`].
+    vrt_sites: Vec<VrtSite>,
+}
+
+/// Where a VRT word's events are accounted: its row slot, its rank and the
+/// contents the decoder checks a multi-bit flip against.
+#[derive(Debug, PartialEq)]
+struct VrtSite {
+    slot: u32,
+    rank: u8,
+    written: u64,
+}
+
+impl McuPlan {
+    fn new(plan: RunPlan) -> McuPlan {
+        let mut static_per_rank = [CounterSnapshot::default(); RANKS];
+        let mut static_ue = false;
+        let mut visible = Vec::new();
+        for event in plan.static_events() {
+            let kind = classify_flips(event.written, event.flip_mask, 0);
+            static_per_rank[event.loc.rank as usize].count(kind);
+            static_ue |= kind == EventKind::Ue;
+            if kind.is_visible() {
+                visible.push((event.loc.row_key(), kind));
+            }
+        }
+        let mut rows: Vec<RowKey> = visible
+            .iter()
+            .map(|&(row, _)| row)
+            .chain(plan.vrt_word_sites().map(|(loc, _)| loc.row_key()))
+            .collect();
+        rows.sort_unstable();
+        rows.dedup();
+        let slot = |row: RowKey| rows.binary_search(&row).expect("every row has a slot");
+        let mut static_rows = vec![[0u64; 2]; rows.len()];
+        for (row, kind) in visible {
+            static_rows[slot(row)][tally_index(kind)] += 1;
+        }
+        let vrt_sites = plan
+            .vrt_word_sites()
+            .map(|(loc, written)| VrtSite {
+                slot: u32::try_from(slot(loc.row_key())).expect("row slots fit u32"),
+                rank: loc.rank,
+                written,
+            })
+            .collect();
+        McuPlan {
+            plan,
+            static_per_rank,
+            static_ue,
+            rows,
+            static_rows,
+            vrt_sites,
+        }
+    }
+}
+
+/// The (CE, UE) tally column a visible event kind counts in.
+fn tally_index(kind: EventKind) -> usize {
+    usize::from(kind == EventKind::Ue)
 }
 
 /// One plan-cache entry: the full (contents, operating point, disturbance)
@@ -123,50 +200,6 @@ impl Clone for SpareTrace {
     }
 }
 
-/// The per-window ECC contribution of a plan's static events, computed
-/// once per plan. Static events are byte-identical every window of every
-/// run, so instead of re-classifying them per (run, window) the batched
-/// evaluation path applies this summary scaled by the number of completed
-/// windows — integer sums, so the result is bit-identical to the
-/// event-at-a-time accounting of [`record_events`].
-#[derive(Debug, Default, PartialEq)]
-struct StaticSummary {
-    /// Per-rank counter delta of one window's static events.
-    per_rank: [CounterSnapshot; RANKS],
-    /// Per-row (CE, UE) tallies of one window's static events.
-    rows: Vec<(RowKey, u64, u64)>,
-    /// Whether the static events include an uncorrectable error (which
-    /// then fires in every window).
-    saw_ue: bool,
-}
-
-impl StaticSummary {
-    fn build(statics: &[WordEvent]) -> StaticSummary {
-        let mut summary = StaticSummary::default();
-        let mut rows: HashMap<RowKey, (u64, u64)> = HashMap::new();
-        for event in statics {
-            let kind = classify_flips(event.written, event.flip_mask, 0);
-            summary.per_rank[event.loc.rank as usize].count(kind);
-            if kind.is_visible() {
-                let entry = rows.entry(event.loc.row_key()).or_insert((0, 0));
-                match kind {
-                    EventKind::Ce => entry.0 += 1,
-                    EventKind::Ue => entry.1 += 1,
-                    _ => {}
-                }
-            }
-            if kind == EventKind::Ue {
-                summary.saw_ue = true;
-            }
-        }
-        summary.rows = rows.into_iter().map(|(r, (ce, ue))| (r, ce, ue)).collect();
-        // Deterministic order (the tallies are sums either way, but a
-        // stable order keeps Debug output and iteration reproducible).
-        summary.rows.sort_unstable_by_key(|&(r, _, _)| r);
-        summary
-    }
-}
-
 /// Multiplies every field of a per-window counter delta by a window count.
 fn scale_snapshot(s: &CounterSnapshot, windows: u64) -> CounterSnapshot {
     CounterSnapshot {
@@ -178,19 +211,108 @@ fn scale_snapshot(s: &CounterSnapshot, windows: u64) -> CounterSnapshot {
     }
 }
 
-/// Records a whole counter delta into the persistent EDAC tallies (the
-/// bulk equivalent of per-event [`EccCounters::record`] calls).
-fn record_snapshot(counters: &EccCounters, snap: &CounterSnapshot) {
-    for (kind, count) in [
-        (EventKind::Ce, snap.ce),
-        (EventKind::Ue, snap.ue),
-        (EventKind::SdcMiscorrected, snap.sdc_miscorrected),
-        (EventKind::SdcUndetected, snap.sdc_undetected),
-        (EventKind::None, snap.clean),
-    ] {
-        if count > 0 {
-            counters.record_many(kind, count);
+/// The row tables of a prepared run's plans laid end to end — MCU `m`'s
+/// slot `s` is global slot `offsets[m] + s` — and their one-window static
+/// rows, sorted into outcome order. Built once per evaluation: scaling
+/// every static count by the same window count w ≥ 1 keeps that order, so
+/// each run only sorts the rows its VRT events touched and merges them in.
+struct RunRows {
+    offsets: [usize; MCUS + 1],
+    /// (global slot, one-window row tally), in outcome order.
+    statics: Vec<(usize, RowErrors)>,
+}
+
+impl RunRows {
+    fn new(prepared: &PreparedRun) -> RunRows {
+        let mut offsets = [0; MCUS + 1];
+        let mut statics = Vec::new();
+        for (mcu, plan) in prepared.plans.iter().enumerate() {
+            offsets[mcu + 1] = offsets[mcu] + plan.rows.len();
+            for (slot, (&row, &[ce, ue])) in plan.rows.iter().zip(&plan.static_rows).enumerate() {
+                if ce + ue > 0 {
+                    statics.push((offsets[mcu] + slot, RowErrors { mcu, row, ce, ue }));
+                }
+            }
         }
+        statics.sort_unstable_by(|a, b| outcome_order(&a.1, &b.1));
+        RunRows { offsets, statics }
+    }
+
+    /// Number of global slots.
+    fn len(&self) -> usize {
+        self.offsets[MCUS]
+    }
+
+    /// One run's row errors in outcome order: its static rows scaled by
+    /// its completed windows, merged with the rows its VRT events touched.
+    fn row_errors(&self, prepared: &PreparedRun, tally: &RowTally, windows: u64) -> Vec<RowErrors> {
+        if windows == 0 {
+            // Nothing fired: a run stopped before its first window has no rows.
+            return Vec::new();
+        }
+        let mut touched: Vec<RowErrors> = tally
+            .touched
+            .iter()
+            .map(|&global| {
+                let mcu = self.offsets.partition_point(|&o| o <= global) - 1;
+                let slot = global - self.offsets[mcu];
+                let plan = &prepared.plans[mcu];
+                let [static_ce, static_ue] = plan.static_rows[slot];
+                let [ce, ue] = tally.counts[global];
+                RowErrors {
+                    mcu,
+                    row: plan.rows[slot],
+                    ce: static_ce * windows + ce,
+                    ue: static_ue * windows + ue,
+                }
+            })
+            .collect();
+        touched.sort_unstable_by(outcome_order);
+        let mut touched = touched.into_iter().peekable();
+        let mut rows = Vec::with_capacity(self.statics.len() + touched.len());
+        for &(global, row) in &self.statics {
+            if tally.counts[global] != [0, 0] {
+                continue; // merged into its touched entry
+            }
+            let scaled = RowErrors {
+                ce: row.ce * windows,
+                ue: row.ue * windows,
+                ..row
+            };
+            while let Some(fresh) =
+                touched.next_if(|t| outcome_order(t, &scaled) == std::cmp::Ordering::Less)
+            {
+                rows.push(fresh);
+            }
+            rows.push(scaled);
+        }
+        rows.extend(touched);
+        rows
+    }
+}
+
+/// One run's VRT-event row tallies over a [`RunRows`] slot space.
+struct RowTally {
+    /// (CE, UE) per global slot.
+    counts: Vec<[u64; 2]>,
+    /// The slots with a non-zero tally, in first-touch order.
+    touched: Vec<usize>,
+}
+
+impl RowTally {
+    fn new(slots: usize) -> RowTally {
+        RowTally {
+            counts: vec![[0; 2]; slots],
+            touched: Vec::new(),
+        }
+    }
+
+    fn add(&mut self, slot: usize, kind: EventKind) {
+        let count = &mut self.counts[slot];
+        if *count == [0, 0] {
+            self.touched.push(slot);
+        }
+        count[tally_index(kind)] += 1;
     }
 }
 
@@ -691,9 +813,7 @@ impl XGene2Server {
         let dimm = &mut self.mcus[mcu].dimm;
         let disturbance = entry.disturbance[mcu]
             .get_or_init(|| dimm.disturbance_profile(&entry.profile.acts_per_window[mcu]));
-        let plan = dimm.prepare_run(&env, disturbance)?;
-        let statics = StaticSummary::build(plan.static_events());
-        Ok(McuPlan { plan, statics })
+        Ok(McuPlan::new(dimm.prepare_run(&env, disturbance)?))
     }
 
     /// Drops every cached plan and replay profile (with the disturbance
@@ -801,12 +921,14 @@ impl XGene2Server {
     /// Evaluates `runs` repeat runs of a prepared virus in one batched
     /// sweep: per (window, MCU) the lane kernel
     /// ([`RunPlan::advance_window_vrt_lanes`]) computes every live run's
-    /// VRT events in a single cell-outer pass over the plan's flat SoA,
-    /// and the static events — identical in every window — are applied
-    /// once per run via the plan's precomputed `StaticSummary` scaled by
-    /// the run's completed windows. All accounting is integer sums, so the
-    /// outcomes (and the persistent EDAC counters) are bit-identical to
-    /// evaluating the runs one at a time.
+    /// VRT events in a single cell-outer pass over the plan's flat SoA.
+    /// Everything that is the same in every window is accounted once per
+    /// run: the static events through the plan's one-window summary scaled
+    /// by the run's completed windows, the row tallies through the plans'
+    /// row slots, and the persistent EDAC counters through one fold per
+    /// (MCU, rank). All accounting is integer sums, so the outcomes (and
+    /// the persistent EDAC counters) are bit-identical to evaluating the
+    /// runs one at a time.
     ///
     /// A run stops after the first full window in which any MCU raised an
     /// uncorrectable error, exactly as in [`Self::evaluate_prepared`]; its
@@ -823,6 +945,7 @@ impl XGene2Server {
         base_nonce: u64,
     ) -> Result<Vec<RunOutcome>, PlanError> {
         self.ensure_prepared_fresh(prepared)?;
+        let rows = RunRows::new(prepared);
         let mut outcomes = Vec::with_capacity(runs as usize);
         let mut batch_start = 0u64;
         while batch_start < runs as u64 {
@@ -830,7 +953,7 @@ impl XGene2Server {
             let nonces: Vec<u64> = (0..lanes as u64)
                 .map(|l| base_nonce.wrapping_add(batch_start + l))
                 .collect();
-            outcomes.extend(self.evaluate_lane_batch(prepared, &nonces));
+            outcomes.extend(self.evaluate_lane_batch(prepared, &rows, &nonces));
             batch_start += lanes as u64;
         }
         Ok(outcomes)
@@ -839,11 +962,16 @@ impl XGene2Server {
     /// One ≤[`MAX_LANES`]-lane batch of [`Self::evaluate_prepared_runs`]:
     /// `nonces[l]` is lane `l`'s run nonce. Freshness must already be
     /// checked.
-    fn evaluate_lane_batch(&mut self, prepared: &PreparedRun, nonces: &[u64]) -> Vec<RunOutcome> {
+    fn evaluate_lane_batch(
+        &mut self,
+        prepared: &PreparedRun,
+        rows: &RunRows,
+        nonces: &[u64],
+    ) -> Vec<RunOutcome> {
         let lanes = nonces.len();
         let mut deltas = vec![[[CounterSnapshot::default(); RANKS]; MCUS]; lanes];
-        let mut row_errors: Vec<HashMap<(usize, RowKey), (u64, u64)>> = vec![HashMap::new(); lanes];
-        let mut lane_events: Vec<Vec<WordEvent>> = vec![Vec::new(); lanes];
+        let mut tallies: Vec<RowTally> = (0..lanes).map(|_| RowTally::new(rows.len())).collect();
+        let mut lane_events: Vec<Vec<VrtEvent>> = vec![Vec::new(); lanes];
         let mut window_nonces = vec![0u64; lanes];
         let mut windows_completed = vec![0u32; lanes];
         let mut stopped_on_ue = vec![false; lanes];
@@ -857,35 +985,37 @@ impl XGene2Server {
                 break;
             }
             let mut ue_this_window = 0u64;
-            #[allow(clippy::needless_range_loop)]
-            for mcu in 0..MCUS {
+            for (mcu, plan) in prepared.plans.iter().enumerate() {
                 for (l, &nonce) in nonces.iter().enumerate() {
                     window_nonces[l] = window_nonce(nonce, window, mcu);
                 }
                 self.mcus[mcu]
                     .dimm
                     .advance_window_planned_lanes(
-                        &prepared.plans[mcu].plan,
+                        &plan.plan,
                         &window_nonces,
                         live,
                         &mut lane_events,
                     )
                     .expect("plan freshness checked by caller; no writes happen mid-evaluation");
-                if prepared.plans[mcu].statics.saw_ue {
+                if plan.static_ue {
                     ue_this_window |= live;
                 }
+                let offset = rows.offsets[mcu];
                 let mut scan = live;
                 while scan != 0 {
                     let lane = scan.trailing_zeros() as usize;
                     scan &= scan - 1;
-                    if record_events(
-                        &self.counters[mcu],
-                        &mut deltas[lane][mcu],
-                        &mut row_errors[lane],
-                        mcu,
-                        &lane_events[lane],
-                    ) {
-                        ue_this_window |= 1u64 << lane;
+                    for event in &lane_events[lane] {
+                        let site = &plan.vrt_sites[event.word as usize];
+                        let kind = classify_flips(site.written, event.flip_mask, 0);
+                        deltas[lane][mcu][site.rank as usize].count(kind);
+                        if kind.is_visible() {
+                            tallies[lane].add(offset + site.slot as usize, kind);
+                        }
+                        if kind == EventKind::Ue {
+                            ue_this_window |= 1u64 << lane;
+                        }
                     }
                 }
             }
@@ -906,27 +1036,21 @@ impl XGene2Server {
             }
             live &= !stopping;
         }
-        // Apply each run's static-event contribution in one scaled pass:
-        // the statics fired identically in every completed window.
+        // Fold each run into the persistent EDAC counters once, its static
+        // events scaled by the windows they fired in.
         (0..lanes)
             .map(|lane| {
                 let windows = windows_completed[lane];
                 for (mcu, lane_deltas) in deltas[lane].iter_mut().enumerate() {
-                    let statics = &prepared.plans[mcu].statics;
+                    let statics = &prepared.plans[mcu].static_per_rank;
                     for (rank, delta) in lane_deltas.iter_mut().enumerate() {
-                        let scaled = scale_snapshot(&statics.per_rank[rank], windows as u64);
-                        record_snapshot(&self.counters[mcu][rank], &scaled);
-                        *delta = *delta + scaled;
-                    }
-                    for &(row, ce, ue) in &statics.rows {
-                        let entry = row_errors[lane].entry((mcu, row)).or_insert((0, 0));
-                        entry.0 += ce * windows as u64;
-                        entry.1 += ue * windows as u64;
+                        *delta = *delta + scale_snapshot(&statics[rank], windows as u64);
+                        self.counters[mcu][rank].record_snapshot(delta);
                     }
                 }
-                finalize_outcome(
+                run_outcome(
                     &deltas[lane],
-                    &mut row_errors[lane],
+                    rows.row_errors(prepared, &tallies[lane], windows as u64),
                     windows,
                     stopped_on_ue[lane],
                 )
@@ -1067,12 +1191,36 @@ fn record_events(
 }
 
 /// Assembles a [`RunOutcome`] from run-local deltas and the per-row tally
-/// (drained, so the caller's map can be reused). The row sort key is total
-/// — descending CE, then UE, then row, then MCU — so the order never
-/// depends on hash-map iteration.
+/// (drained, so the caller's map can be reused).
 fn finalize_outcome(
     deltas: &[[CounterSnapshot; RANKS]; MCUS],
     row_errors: &mut HashMap<(usize, RowKey), (u64, u64)>,
+    windows_completed: u32,
+    stopped_on_ue: bool,
+) -> RunOutcome {
+    let mut rows: Vec<RowErrors> = row_errors
+        .drain()
+        .map(|((mcu, row), (ce, ue))| RowErrors { mcu, row, ce, ue })
+        .collect();
+    rows.sort_by(outcome_order);
+    run_outcome(deltas, rows, windows_completed, stopped_on_ue)
+}
+
+/// The order of [`RunOutcome::row_errors`]. The key is total — descending
+/// CE, then UE, then row, then MCU — so the order never depends on
+/// hash-map iteration or on the order rows were tallied in.
+fn outcome_order(a: &RowErrors, b: &RowErrors) -> std::cmp::Ordering {
+    b.ce.cmp(&a.ce)
+        .then(b.ue.cmp(&a.ue))
+        .then(a.row.cmp(&b.row))
+        .then(a.mcu.cmp(&b.mcu))
+}
+
+/// Assembles a [`RunOutcome`] from run-local deltas and row errors already
+/// in outcome order.
+fn run_outcome(
+    deltas: &[[CounterSnapshot; RANKS]; MCUS],
+    row_errors: Vec<RowErrors>,
     windows_completed: u32,
     stopped_on_ue: bool,
 ) -> RunOutcome {
@@ -1089,22 +1237,12 @@ fn finalize_outcome(
     let totals = per_domain
         .iter()
         .fold(CounterSnapshot::default(), |acc, d| acc + d.counts);
-    let mut rows: Vec<RowErrors> = row_errors
-        .drain()
-        .map(|((mcu, row), (ce, ue))| RowErrors { mcu, row, ce, ue })
-        .collect();
-    rows.sort_by(|a, b| {
-        b.ce.cmp(&a.ce)
-            .then(b.ue.cmp(&a.ue))
-            .then(a.row.cmp(&b.row))
-            .then(a.mcu.cmp(&b.mcu))
-    });
     RunOutcome {
         totals,
         per_domain,
         windows_completed,
         stopped_on_ue,
-        row_errors: rows,
+        row_errors,
     }
 }
 
@@ -1290,21 +1428,30 @@ mod tests {
     #[test]
     fn batched_runs_match_sequential_oracle() {
         // 60C exercises the CE-only regime, 70C the stop-on-UE regime
-        // (lanes dying at different windows inside one batch).
-        for temp in [60.0, 70.0] {
-            let mut sv = server();
-            sv.relax_second_domain();
-            sv.set_dimm_temperature(2, temp).unwrap();
-            let run = fill_run(&mut sv, 2, WORST);
-            let mut oracle_sv = sv.clone();
-            let batched = sv.evaluate_runs(&run, 10, 3).unwrap();
-            let sequential = oracle_sv.evaluate_runs_sequential(&run, 10, 3).unwrap();
-            assert_eq!(batched, sequential, "batched path diverged at {temp}C");
-            assert_eq!(
-                sv.counters(),
-                oracle_sv.counters(),
-                "persistent EDAC tallies diverged at {temp}C"
-            );
+        // (lanes dying at different windows inside one batch); zero windows
+        // must leave every run without rows.
+        for windows in [0, 1, 6] {
+            for temp in [60.0, 70.0] {
+                let mut sv = XGene2Server::new(ServerConfig {
+                    windows_per_run: windows,
+                    ..ServerConfig::small()
+                });
+                sv.relax_second_domain();
+                sv.set_dimm_temperature(2, temp).unwrap();
+                let run = fill_run(&mut sv, 2, WORST);
+                let mut oracle_sv = sv.clone();
+                let batched = sv.evaluate_runs(&run, 10, 3).unwrap();
+                let sequential = oracle_sv.evaluate_runs_sequential(&run, 10, 3).unwrap();
+                assert_eq!(
+                    batched, sequential,
+                    "batched path diverged at {temp}C, {windows} windows"
+                );
+                assert_eq!(
+                    sv.counters(),
+                    oracle_sv.counters(),
+                    "persistent EDAC tallies diverged at {temp}C, {windows} windows"
+                );
+            }
         }
     }
 

@@ -11,13 +11,20 @@
 //!   hammering profile, nonce);
 //! * determinism tests at the server layer, checking that
 //!   `evaluate_prepared` over a shared [`PreparedRun`] equals both
-//!   `evaluate_run` and the retained reference path for every nonce.
+//!   `evaluate_run` and the retained reference path for every nonce;
+//! * a property test pinning the lane-batched `evaluate_runs` (per-run
+//!   accounting of static events, row slots and EDAC counters) against the
+//!   one-run-at-a-time oracle `evaluate_runs_sequential`.
 
 use dstress_dram::geometry::RowKey;
-use dstress_dram::{ActivationCounts, Dimm, DimmConfig, Location, OperatingEnv};
+use dstress_dram::{
+    ActivationCounts, Dimm, DimmConfig, Location, OperatingEnv, WeakCell, WeakCellPopulation,
+    MAX_LANES,
+};
 use dstress_platform::session::MemoryBus;
 use dstress_platform::{RecordedRun, ServerConfig, XGene2Server};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// A DIMM config with a weak-cell population small enough for hundreds of
 /// property cases but still containing singles, pairs, and VRT cells.
@@ -192,5 +199,183 @@ fn cloned_server_replays_identical_outcomes() {
             original.evaluate_run(&run, nonce).expect("evaluate"),
             replica.evaluate_run(&run, nonce).expect("evaluate")
         );
+    }
+}
+
+/// Adds two cells beside the first cell of each word in `sites`, with the
+/// same retention and VRT behaviour, so those words carry several
+/// VRT-contingent cells — which the sampler never places — and windows
+/// produce 1-, 2- and 3-bit VRT masks.
+fn stack_cells(population: &WeakCellPopulation, sites: &HashSet<Location>) -> WeakCellPopulation {
+    let mut next_index = population
+        .words()
+        .iter()
+        .flat_map(|w| &w.cells)
+        .map(|c| c.vrt_index + 1)
+        .max()
+        .unwrap_or(0);
+    let words = population
+        .words()
+        .iter()
+        .map(|word| {
+            let mut word = word.clone();
+            if sites.contains(&word.loc) {
+                let cell = word.cells[0];
+                for k in 1..=2 {
+                    let bit = (cell.bit + 7 * k) % 64;
+                    if word.cells.iter().all(|c| c.bit != bit) {
+                        word.cells.push(WeakCell {
+                            bit,
+                            vrt_index: next_index,
+                            ..cell
+                        });
+                        next_index += 1;
+                    }
+                }
+            }
+            word
+        })
+        .collect();
+    WeakCellPopulation::from_words(words)
+}
+
+/// Fills the whole target DIMM (MCU 2) with `word` and records the run.
+fn fill_target(server: &mut XGene2Server, word: u64) -> RecordedRun {
+    server.reset_memory();
+    let bytes = server.config().dimm.geometry.capacity_bytes();
+    let mut session = server.session(2);
+    let base = session.alloc(bytes).expect("alloc");
+    session
+        .fill(base, &vec![word; (bytes / 8) as usize])
+        .expect("fill");
+    session.finish()
+}
+
+/// A server on `config` whose target DIMM (MCU 2) is filled with `word` at
+/// `temp_c` on the relaxed domain. SDC-prone triples
+/// give static 3-bit masks; stacking cells on the first `stacked` words
+/// with a VRT-contingent cell gives multi-bit VRT masks, and so
+/// uncorrectable errors and silent corruption that change from window to
+/// window. The stacked DIMM replaces the sampled one before the server
+/// prepares any run, so no cached plan outlives it.
+fn batch_fixture(
+    config: ServerConfig,
+    stacked: usize,
+    temp_c: f64,
+    word: u64,
+) -> (XGene2Server, RecordedRun) {
+    let mut server = XGene2Server::new(config);
+    server.relax_second_domain();
+    server.set_dimm_temperature(2, temp_c).unwrap();
+    let run = fill_target(&mut server, word);
+    if stacked == 0 {
+        return (server, run);
+    }
+    let env = server.operating_env(2);
+    let dimm = server.dimm_mut(2);
+    let disturbance = dimm.disturbance_profile(&ActivationCounts::new());
+    let plan = dimm.prepare_run(&env, &disturbance).expect("prepare");
+    let sites: HashSet<Location> = plan
+        .vrt_word_sites()
+        .map(|(loc, _)| loc)
+        .take(stacked)
+        .collect();
+    let population = stack_cells(dimm.population(), &sites);
+    *dimm = Dimm::with_population(config.dimm_config_for(2), config.dimm_seeds[2], population);
+    let run = fill_target(&mut server, word);
+    (server, run)
+}
+
+/// `ServerConfig::small` with a seeded population of the given size.
+fn small_config(
+    seed: u64,
+    singles: usize,
+    pairs: usize,
+    triples: usize,
+    windows_per_run: u32,
+) -> ServerConfig {
+    let mut config = ServerConfig::small();
+    config.dimm.weak.singles_per_rank = singles;
+    config.dimm.weak.pairs_per_rank = pairs;
+    config.dimm.weak.triples_per_rank = triples;
+    config.dimm_seeds = std::array::from_fn(|i| seed.wrapping_add(i as u64));
+    config.windows_per_run = windows_per_run;
+    config
+}
+
+/// Asserts the batched and sequential paths agree on every outcome field
+/// (row order included) and on the persistent EDAC counters.
+fn assert_batched_matches_sequential(
+    mut server: XGene2Server,
+    run: &RecordedRun,
+    runs: u32,
+    base_nonce: u64,
+) -> Vec<dstress_platform::RunOutcome> {
+    let mut oracle = server.clone();
+    let batched = server
+        .evaluate_runs(run, runs, base_nonce)
+        .expect("batched");
+    let sequential = oracle
+        .evaluate_runs_sequential(run, runs, base_nonce)
+        .expect("sequential");
+    assert_eq!(batched, sequential);
+    assert_eq!(server.counters(), oracle.counters());
+    batched
+}
+
+/// The fixture reaches every accounting case the property test relies on:
+/// VRT words with several contingent cells, multi-bit VRT masks, silent
+/// corruption and runs stopped on an uncorrectable error.
+#[test]
+fn batch_fixture_covers_multi_bit_vrt_words_sdc_and_ue_stops() {
+    let config = small_config(7, 600, 20, 8, 6);
+    let (mut server, run) = batch_fixture(config, 2, 60.0, 0x3333_3333_3333_3333);
+    let env = server.operating_env(2);
+    let dimm = server.dimm_mut(2);
+    let disturbance = dimm.disturbance_profile(&ActivationCounts::new());
+    let plan = dimm.prepare_run(&env, &disturbance).expect("prepare");
+    assert!(
+        plan.vrt_cells() > plan.vrt_words(),
+        "some VRT word must carry several contingent cells"
+    );
+    let outcomes = assert_batched_matches_sequential(server, &run, 20, 0);
+    assert!(outcomes.iter().any(|o| o.totals.silent() > 0), "no SDC");
+    // Uncorrectable errors come from the VRT draws alone, so runs stop at
+    // different windows.
+    let stops: HashSet<u32> = outcomes
+        .iter()
+        .filter(|o| o.stopped_on_ue)
+        .map(|o| o.windows_completed)
+        .collect();
+    assert!(stops.len() > 1, "UE stops at windows {stops:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `evaluate_runs` equals `evaluate_runs_sequential` — outcomes, row
+    /// order and persistent counters — across populations, the CE regime
+    /// (below about 62 C) and the stop-on-UE regime, lane counts past one
+    /// lane word and zero to six windows.
+    #[test]
+    fn batched_runs_match_sequential_oracle(
+        seed in any::<u64>(),
+        singles in 50usize..600,
+        pairs in 0usize..24,
+        triples in 0usize..8,
+        stacked in 0usize..=3,
+        windows_per_run in 0u32..=6,
+        runs in 1u32..=MAX_LANES as u32 + 3,
+        temp_c in prop_oneof![56.0f64..61.0, 66.0f64..72.0],
+        word in prop_oneof![
+            Just(0x3333_3333_3333_3333u64),
+            Just(0xCCCC_CCCC_CCCC_CCCCu64),
+            any::<u64>(),
+        ],
+        base_nonce in any::<u64>(),
+    ) {
+        let config = small_config(seed, singles, pairs, triples, windows_per_run);
+        let (server, run) = batch_fixture(config, stacked, temp_c, word);
+        assert_batched_matches_sequential(server, &run, runs, base_nonce);
     }
 }
