@@ -6,8 +6,9 @@
 //! measured difference is engine dispatch overhead — the cost the bytecode
 //! tier exists to remove. `session/…` runs the same virus through a real
 //! recording [`Session`] (address translation + trace append per access),
-//! the configuration `core::evaluate` uses. `compile/program` prices the
-//! one-time lowering.
+//! the configuration `core::evaluate` uses. `kernel/…` runs a loop nest
+//! the fused-loop peephole does not match, so it prices ordinary op
+//! dispatch. `compile/program` prices the one-time lowering.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dstress::templates::{process, WORD64};
@@ -16,7 +17,7 @@ use dstress_platform::session::{SessionError, VirtAddr};
 use dstress_platform::{MemoryBus, XGene2Server};
 use dstress_vpl::ast::Program;
 use dstress_vpl::parser::parse_program;
-use dstress_vpl::{compile, compile_opt, BoundValue, ExecLimits, Interpreter, PassConfig, Vm};
+use dstress_vpl::{compile, BoundValue, ExecLimits, Interpreter, Vm};
 
 /// A flat, allocation-free bus: loads and stores are a bounds check and a
 /// vector index. Keeps the bus out of the measurement so the two engines'
@@ -92,12 +93,10 @@ fn word64_virus(scale: &ExperimentScale) -> Program {
     template.instantiate(&bindings).expect("instantiates")
 }
 
-/// A pass-sensitive kernel: invariant arithmetic and an induction-variable
-/// multiply in the hot loop, a short constant-trip reduction, and a store
-/// that dies every outer iteration. None of it matches the fused-loop
-/// peephole, so each optimization pass's effect is measurable in
-/// isolation (`kernel/vm-<pass>` vs the unoptimized `kernel/vm`).
-fn pass_kernel() -> Program {
+/// A loop nest outside the fused-loop peephole: invariant arithmetic and
+/// an induction-variable multiply in the hot loop, a short constant-trip
+/// reduction, and a store that dies every outer iteration.
+fn unfused_kernel() -> Program {
     let init = vec!["0"; 64];
     let global = format!(
         "volatile unsigned long long v[] = {{ {} }};",
@@ -146,9 +145,9 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // The pass-sensitive kernel: the unoptimized VM, each pass alone, and
-    // the full pipeline, all against the interpreter reference.
-    let kernel = pass_kernel();
+    // The unfused kernel on both engines.
+    let kernel = unfused_kernel();
+    let kernel_compiled = compile(&kernel).expect("compiles");
     let mut kbus = FlatBus::new(1024);
     c.bench_function("kernel/interp", |b| {
         b.iter(|| {
@@ -159,53 +158,19 @@ fn bench(c: &mut Criterion) {
             std::hint::black_box(stats.steps)
         })
     });
-    let kernel_configs: [(&str, PassConfig); 6] = [
-        ("kernel/vm", PassConfig::none()),
-        (
-            "kernel/vm-licm",
-            PassConfig {
-                licm: true,
-                ..PassConfig::none()
-            },
-        ),
-        (
-            "kernel/vm-strength",
-            PassConfig {
-                strength: true,
-                ..PassConfig::none()
-            },
-        ),
-        (
-            "kernel/vm-unroll",
-            PassConfig {
-                unroll: true,
-                ..PassConfig::none()
-            },
-        ),
-        (
-            "kernel/vm-dse",
-            PassConfig {
-                dse: true,
-                ..PassConfig::none()
-            },
-        ),
-        ("kernel/vm-full", PassConfig::all()),
-    ];
-    for (name, config) in kernel_configs {
-        let opt = compile_opt(&kernel, &config).expect("compiles");
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                kbus.rewind();
-                let stats = Vm::new(limits).run(&opt, &mut kbus).expect("runs");
-                std::hint::black_box(stats.steps)
-            })
-        });
-    }
+    c.bench_function("kernel/vm", |b| {
+        b.iter(|| {
+            kbus.rewind();
+            let stats = Vm::new(limits)
+                .run(&kernel_compiled, &mut kbus)
+                .expect("runs");
+            std::hint::black_box(stats.steps)
+        })
+    });
 
     // Through the real recording session: translation + span-batched trace
     // recording per access on both sides, quick-scale DIMMs so the
-    // per-pass memory reset stays small. `session/vm-opt` adds the full
-    // pass pipeline on top of the recording path.
+    // per-iteration memory reset stays small.
     let mut server = XGene2Server::new(scale.server);
     c.bench_function("session/interp", |b| {
         b.iter(|| {
@@ -222,15 +187,6 @@ fn bench(c: &mut Criterion) {
             server.reset_memory();
             let mut session = server.session(2);
             let stats = Vm::new(limits).run(&compiled, &mut session).expect("runs");
-            std::hint::black_box((stats.steps, session.finish().len()))
-        })
-    });
-    let optimized = compile_opt(&program, &PassConfig::all()).expect("compiles");
-    c.bench_function("session/vm-opt", |b| {
-        b.iter(|| {
-            server.reset_memory();
-            let mut session = server.session(2);
-            let stats = Vm::new(limits).run(&optimized, &mut session).expect("runs");
             std::hint::black_box((stats.steps, session.finish().len()))
         })
     });

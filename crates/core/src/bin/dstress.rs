@@ -8,7 +8,7 @@
 //! dstress victims [--temp C]
 //! dstress margins [--temp C] [--ce-tolerated]
 //! dstress march
-//! dstress disasm [--pattern HEX] [--opt none|full]
+//! dstress disasm [--pattern HEX]
 //! dstress info
 //! dstress serve --dir DIR [--addr HOST:PORT] [--workers N] [--exit-when-idle]
 //! dstress submit --addr HOST:PORT [--temp C] [--ue] [--minimize] [--scale S] [--seed N] [--step-budget N]
@@ -27,7 +27,7 @@ use dstress::{
     Baseline, CampaignJournal, DStress, DiskStorage, EnvKind, ExperimentScale, Metric,
     SupervisionPolicy, WORST_WORD,
 };
-use dstress_vpl::{compile_staged, BoundValue, PassConfig};
+use dstress_vpl::{compile, disassemble, BoundValue};
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::TcpStream;
@@ -169,9 +169,8 @@ fn usage() -> &'static str {
        victims         Profile the error-prone rows [--temp C]\n\
        margins         Find the safe TREFP margin [--temp C] [--ce-tolerated]\n\
        march           Compare MARCH tests against the synthesized virus\n\
-       disasm          Dump the word64 virus bytecode before/after each\n\
-                       optimization pass  [--pattern HEX] [--opt none|full]\n\
-                       [--scale quick|paper]\n\
+       disasm          Dump the compiled word64 virus bytecode\n\
+                       [--pattern HEX] [--scale quick|paper]\n\
        info            Show the platform configuration\n\
        serve           Run the dstressd campaign daemon  --dir DIR\n\
                        [--addr HOST:PORT] [--workers N] [--event-capacity N]\n\
@@ -239,10 +238,6 @@ fn print_word64_campaign(campaign: &BitCampaign) {
         if stats.workers == 1 { "" } else { "s" },
         stats.eval_seconds(),
     );
-    println!(
-        "compiles: {} programs reused from the compile cache",
-        stats.compile_hits,
-    );
     print_pool_stats(stats);
 }
 
@@ -260,10 +255,6 @@ fn print_pool_stats(stats: &dstress::EvalStats) {
         if stats.steals == 1 { "" } else { "s" },
         stats.max_worker_idle_ns as f64 / 1e9,
         tasks.join(", "),
-    );
-    println!(
-        "replica caches: {} warm hits, {} cold misses",
-        stats.replica_warm_hits, stats.replica_cold_misses,
     );
 }
 
@@ -531,7 +522,7 @@ fn run(raw: Vec<String>) -> Result<(), String> {
         "baselines" | "victims" => &["temp", "scale", "seed"],
         "margins" => &["temp", "ce-tolerated", "scale", "seed"],
         "march" => &["scale", "seed"],
-        "disasm" => &["pattern", "opt", "scale"],
+        "disasm" => &["pattern", "scale"],
         "serve" => &["dir", "addr", "workers", "event-capacity", "exit-when-idle"],
         "submit" => &[
             "addr",
@@ -786,30 +777,15 @@ fn run(raw: Vec<String>) -> Result<(), String> {
         }
         "disasm" => {
             let pattern = args.u64("pattern", WORST_WORD)?;
-            let config = match args.str("opt") {
-                None | Some("full") => PassConfig::all(),
-                Some("none") => PassConfig::none(),
-                Some(other) => return Err(format!("unknown opt level `{other}` (none|full)")),
-            };
             let env = EnvKind::Word64;
             let template = dstress::templates::process(env.template_source(), &scale)
                 .map_err(|e| e.to_string())?;
             let mut bindings = env.bindings(&scale).map_err(|e| e.to_string())?;
             bindings.insert("PATTERN".into(), BoundValue::Scalar(pattern));
             let program = template.instantiate(&bindings).map_err(|e| e.to_string())?;
-            let (_, stages) = compile_staged(&program, &config).map_err(|e| e.to_string())?;
-            println!(
-                "word64 virus, pattern {pattern:#018x}, passes: {}",
-                if config.any() {
-                    config.enabled().join(", ")
-                } else {
-                    "(none)".to_string()
-                }
-            );
-            for (name, listing) in &stages {
-                println!("\n==== after {name} ====");
-                print!("{listing}");
-            }
+            let compiled = compile(&program).map_err(|e| e.to_string())?;
+            println!("word64 virus, pattern {pattern:#018x}\n");
+            print!("{}", disassemble(&compiled));
             Ok(())
         }
         "serve" => {
@@ -986,12 +962,12 @@ mod tests {
 
     #[test]
     fn disasm_rejects_bad_opt_levels_and_unknown_flags() {
-        let err = run(strings(&["disasm", "--opt", "aggressive"])).unwrap_err();
-        assert!(err.contains("unknown opt level"), "{err}");
+        // There is one compile path, so `--opt` is an unknown flag.
+        let err = run(strings(&["disasm", "--opt", "none"])).unwrap_err();
+        assert!(err.contains("unknown flag --opt"), "{err}");
         let err = run(strings(&["disasm", "--temp", "60"])).unwrap_err();
         assert!(err.contains("unknown flag --temp"), "{err}");
         // The happy path runs end to end on the quick scale.
-        run(strings(&["disasm", "--scale", "quick", "--opt", "none"])).unwrap();
         run(strings(&["disasm", "--scale", "quick"])).unwrap();
     }
 

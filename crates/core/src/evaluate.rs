@@ -7,13 +7,9 @@ use crate::search::GenomeCodec;
 use dstress_dram::geometry::RowKey;
 use dstress_ga::{EvalFault, Fitness, ParallelFitness};
 use dstress_platform::{RunOutcome, XGene2Server};
-use dstress_vpl::{
-    compile_opt, BoundValue, CompiledProgram, ExecLimits, Interpreter, OptLevel, ProcessedTemplate,
-    Vm,
-};
+use dstress_vpl::{compile, BoundValue, ExecLimits, Interpreter, ProcessedTemplate, Vm};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::HashMap;
 
 const NONCE_PRIME: u64 = 0x0000_0100_0000_01B3;
 const NONCE_SEED: u64 = 0xcbf2_9ce4_8422_2325;
@@ -111,53 +107,6 @@ fn merged_nonce(
     hash
 }
 
-/// Retention bound of the compiled-program cache — same cap as the GA
-/// engine's evaluation cache, so the two stay in step: any chromosome the
-/// engine can re-request cheaply is also cheap to re-bind here.
-const COMPILE_CACHE_CAP: usize = 1024;
-
-/// A bounded least-recently-used cache of compiled virus programs, keyed
-/// by the chromosome's canonical (key-sorted) bindings. The environment
-/// bindings are fixed for an evaluator's lifetime, so the chromosome alone
-/// determines the instantiated program — identical chromosomes across a
-/// generation (or across generations, once the engine's own fitness cache
-/// evicts) bind, instantiate and compile once. Eviction order is a pure
-/// function of the lookup/insert sequence, keeping evaluation
-/// deterministic for any worker count.
-#[derive(Debug, Default)]
-struct CompileCache {
-    map: HashMap<Vec<(String, BoundValue)>, Arc<CompiledProgram>>,
-    /// Keys in least-recently-used-first order.
-    queue: VecDeque<Vec<(String, BoundValue)>>,
-}
-
-impl CompileCache {
-    /// Looks a chromosome up, promoting it to most-recently-used.
-    fn lookup(&mut self, key: &[(String, BoundValue)]) -> Option<Arc<CompiledProgram>> {
-        let hit = self.map.get(key)?.clone();
-        let pos = self
-            .queue
-            .iter()
-            .position(|k| k.as_slice() == key)
-            .expect("every cached program is in the recency queue");
-        let promoted = self.queue.remove(pos).expect("position is in range");
-        self.queue.push_back(promoted);
-        Some(hit)
-    }
-
-    /// Inserts a freshly compiled program, evicting the least recently
-    /// used entry once over capacity.
-    fn insert(&mut self, key: Vec<(String, BoundValue)>, program: Arc<CompiledProgram>) {
-        debug_assert!(!self.map.contains_key(&key), "insert after a miss only");
-        self.queue.push_back(key.clone());
-        self.map.insert(key, program);
-        if self.map.len() > COMPILE_CACHE_CAP {
-            let evicted = self.queue.pop_front().expect("cache is over capacity");
-            self.map.remove(&evicted);
-        }
-    }
-}
-
 /// The quantity a search maximizes (§III-C: CEs or UEs).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Metric {
@@ -193,11 +142,11 @@ pub struct EvalOutcome {
 /// Owns the server for the duration of the campaign; each evaluation resets
 /// memory and counters, instantiates the template with the chromosome's
 /// bindings plus the campaign's environment bindings, compiles the program
-/// once through the optimizing VPL backend (at a configurable
-/// [`OptLevel`], through a bounded chromosome-keyed compile cache) and
-/// executes it through the [`Vm`] (monomorphized over the recording
-/// session), then replays the recorded trace for `runs`
-/// independent evaluation runs (the paper's 10-run averaging). The
+/// once ([`compile`]) and executes it through the [`Vm`] (monomorphized
+/// over the recording session), then replays the recorded trace for `runs`
+/// independent evaluation runs (the paper's 10-run averaging). The GA
+/// engine's evaluation cache serves repeated chromosomes, so the evaluator
+/// keeps no compile cache of its own. The
 /// tree-walking interpreter path survives as
 /// [`VirusEvaluator::evaluate_bindings_reference`], the oracle the
 /// differential suite holds the production path against.
@@ -213,20 +162,14 @@ pub struct VirusEvaluator {
     runs: u32,
     target_mcu: usize,
     limits: ExecLimits,
-    /// Optimization level the VPL backend compiles candidate programs at.
-    opt: OptLevel,
-    /// Compiled programs keyed by canonical chromosome bindings.
-    cache: CompileCache,
     /// Outcome of the most recent evaluation (for database recording).
     pub last: Option<EvalOutcome>,
     /// Evaluations that failed (template runtime errors); such candidates
     /// score 0.
     pub failed_evaluations: u64,
-    /// Evaluations whose program came out of the compile cache instead of
-    /// being re-bound, re-instantiated and re-compiled.
+    /// Always 0: the evaluator has no compile cache. Kept because
+    /// perfbench reads it; goes with the next change to the benchmark.
     pub compile_hits: u64,
-    /// Programs actually instantiated and compiled (cache misses).
-    pub compiles: u64,
 }
 
 impl VirusEvaluator {
@@ -251,12 +194,9 @@ impl VirusEvaluator {
             runs,
             target_mcu,
             limits: ExecLimits::default(),
-            opt: OptLevel::default(),
-            cache: CompileCache::default(),
             last: None,
             failed_evaluations: 0,
             compile_hits: 0,
-            compiles: 0,
         }
     }
 
@@ -265,8 +205,7 @@ impl VirusEvaluator {
     /// ECC counters), template and environment. Evaluation outcomes depend
     /// only on the chromosome (the VRT nonce is chromosome-derived), so a
     /// replica scores every candidate exactly as the original would.
-    /// Bookkeeping (`last`, `failed_evaluations`, the compile cache and its
-    /// counters) starts fresh.
+    /// Bookkeeping (`last`, `failed_evaluations`) starts fresh.
     pub fn replicate(&self) -> VirusEvaluator {
         VirusEvaluator {
             server: self.server.clone(),
@@ -277,12 +216,9 @@ impl VirusEvaluator {
             runs: self.runs,
             target_mcu: self.target_mcu,
             limits: self.limits,
-            opt: self.opt,
-            cache: CompileCache::default(),
             last: None,
             failed_evaluations: 0,
             compile_hits: 0,
-            compiles: 0,
         }
     }
 
@@ -319,45 +255,6 @@ impl VirusEvaluator {
         self.limits.max_steps
     }
 
-    /// Sets the optimization level candidate programs compile at. The
-    /// compile cache is keyed by bindings only, so changing the level
-    /// drops it; the outcome of every evaluation is the same at any level
-    /// (the pass pipeline preserves the observable contract bit for bit).
-    pub fn set_opt_level(&mut self, opt: OptLevel) {
-        if self.opt != opt {
-            self.cache = CompileCache::default();
-        }
-        self.opt = opt;
-    }
-
-    /// The optimization level candidate programs compile at.
-    pub fn opt_level(&self) -> OptLevel {
-        self.opt
-    }
-
-    /// Binds, instantiates and compiles a chromosome through the bounded
-    /// compile cache: a repeat of a cached chromosome skips all three
-    /// steps. Failures are not cached (they are deterministic and the
-    /// search treats failing candidates as already worthless).
-    fn compiled(
-        &mut self,
-        chromosome: HashMap<String, BoundValue>,
-    ) -> Result<Arc<CompiledProgram>, DStressError> {
-        let mut key: Vec<(String, BoundValue)> = chromosome.into_iter().collect();
-        key.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        if let Some(hit) = self.cache.lookup(&key) {
-            self.compile_hits += 1;
-            return Ok(hit);
-        }
-        let mut bindings = self.env.clone();
-        bindings.extend(key.iter().cloned());
-        let program = self.template.instantiate(&bindings)?;
-        let compiled = Arc::new(compile_opt(&program, &self.opt.config())?);
-        self.compiles += 1;
-        self.cache.insert(key, Arc::clone(&compiled));
-        Ok(compiled)
-    }
-
     /// Evaluates a fully-bound candidate virus.
     ///
     /// # Errors
@@ -368,7 +265,9 @@ impl VirusEvaluator {
         chromosome: HashMap<String, BoundValue>,
     ) -> Result<EvalOutcome, DStressError> {
         let base_nonce = merged_nonce(&self.sorted_env, &chromosome);
-        let compiled = self.compiled(chromosome)?;
+        let mut bindings = self.env.clone();
+        bindings.extend(chromosome);
+        let compiled = compile(&self.template.instantiate(&bindings)?)?;
         self.server.reset_memory();
         let mut session = self.server.session(self.target_mcu);
         Vm::new(self.limits).run(&compiled, &mut session)?;
@@ -517,12 +416,6 @@ impl<C: GenomeCodec> ParallelFitness<C::Genome> for CampaignFitness<C> {
 
     fn absorb(&mut self, replica: Self) {
         self.evaluator.failed_evaluations += replica.evaluator.failed_evaluations;
-        self.evaluator.compile_hits += replica.evaluator.compile_hits;
-        self.evaluator.compiles += replica.evaluator.compiles;
-    }
-
-    fn cache_counters(&self) -> (u64, u64) {
-        (self.evaluator.compile_hits, self.evaluator.compiles)
     }
 }
 
@@ -699,37 +592,6 @@ mod tests {
                 "nonce diverged for chromosome {chromosome:?}"
             );
         }
-    }
-
-    #[test]
-    fn compile_cache_hits_repeats_and_opt_levels_agree() {
-        let mut eval = evaluator(Metric::CeAverage);
-        let chromosome: HashMap<String, BoundValue> = [(
-            "PATTERN".to_string(),
-            BoundValue::Scalar(0x3333_3333_3333_3333),
-        )]
-        .into();
-        let a = eval.evaluate_bindings(chromosome.clone()).unwrap();
-        assert_eq!((eval.compiles, eval.compile_hits), (1, 0));
-        let b = eval.evaluate_bindings(chromosome.clone()).unwrap();
-        assert_eq!(a, b, "cached program must score identically");
-        assert_eq!((eval.compiles, eval.compile_hits), (1, 1));
-        // A different chromosome misses.
-        eval.evaluate_bindings([("PATTERN".to_string(), BoundValue::Scalar(1))].into())
-            .unwrap();
-        assert_eq!((eval.compiles, eval.compile_hits), (2, 1));
-        // A replica starts with a cold cache and fresh counters.
-        let mut replica = eval.replicate();
-        assert_eq!((replica.compiles, replica.compile_hits), (0, 0));
-        assert_eq!(replica.evaluate_bindings(chromosome.clone()).unwrap(), a);
-        assert_eq!((replica.compiles, replica.compile_hits), (1, 0));
-        // The unoptimized backend produces the same outcome bit for bit,
-        // and switching levels drops the (now mis-keyed) cache.
-        eval.set_opt_level(OptLevel::None);
-        assert_eq!(eval.opt_level(), OptLevel::None);
-        let plain = eval.evaluate_bindings(chromosome).unwrap();
-        assert_eq!(a, plain, "opt levels must agree on the outcome");
-        assert_eq!((eval.compiles, eval.compile_hits), (3, 1));
     }
 
     #[test]

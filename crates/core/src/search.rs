@@ -799,14 +799,12 @@ impl DStress {
             names.push(name);
         }
         let sessions = run_campaigns(&mut fitness, self.workers, runs, step_budget)?;
-        let compile_hits = fitness.evaluator.compile_hits;
         let failed = fitness.evaluator.failed_evaluations;
         let finished = sessions.into_iter().zip(names).map(|(session, name)| {
             if !session.done() {
                 return None;
             }
-            let mut result = session.finish();
-            result.eval_stats.compile_hits = compile_hits;
+            let result = session.finish();
             for (genome, value) in &result.leaderboard {
                 self.db.record(Campaign::<C>::record(&name, genome, *value));
             }

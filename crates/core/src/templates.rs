@@ -333,4 +333,35 @@ mod tests {
         let t = process(CYCLE_FILL, &scale()).unwrap();
         assert!(t.params().is_empty());
     }
+
+    /// perfbench times `compile_opt` at the default level as the compile
+    /// stage; it must produce the program the evaluator compiles and runs.
+    #[test]
+    fn default_opt_level_compiles_what_the_evaluator_runs() {
+        use crate::{EnvKind, WORST_WORD};
+        use dstress_dram::geometry::RowKey;
+        use dstress_vpl::{compile, compile_opt, BoundValue, OptLevel};
+        let s = scale();
+        for env in [
+            EnvKind::Word64,
+            EnvKind::StrideAccess {
+                victims: vec![RowKey::new(0, 3, 8)],
+                fill: WORST_WORD,
+            },
+        ] {
+            let template = process(env.template_source(), &s).unwrap();
+            let mut bindings = env.bindings(&s).unwrap();
+            for p in template.params() {
+                let value = match p.shape {
+                    ParamShape::Scalar { hi, .. } => BoundValue::Scalar(hi),
+                    ParamShape::Array { len, hi, .. } => BoundValue::Array(vec![hi; len as usize]),
+                };
+                bindings.insert(p.name.clone(), value);
+            }
+            let program = template.instantiate(&bindings).unwrap();
+            let plain = compile(&program).unwrap();
+            let shim = compile_opt(&program, &OptLevel.config()).unwrap();
+            assert_eq!(format!("{plain:?}"), format!("{shim:?}"), "{env:?}");
+        }
+    }
 }

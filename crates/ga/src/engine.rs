@@ -148,12 +148,10 @@ pub struct EvalStats {
     /// written before the cache was bounded, defaulting to zero.
     #[serde(default)]
     pub cache_size: usize,
-    /// Substrate evaluations whose virus program was served from the
-    /// evaluator's bounded compile cache instead of being re-instantiated
-    /// and re-compiled. The engine itself never compiles anything — the
-    /// campaign driver stitches this in from its evaluator after the
-    /// search — so checkpoints written mid-search carry zero. Absent in
-    /// checkpoints from before the compile cache existed.
+    /// Substrate evaluations served from a compile cache. No evaluator in
+    /// this workspace has one, so campaigns report 0. Kept because
+    /// perfbench's result digest reads it; goes with the next change to the
+    /// benchmark. Absent in older checkpoints.
     #[serde(default)]
     pub compile_hits: u64,
     /// Tasks executed by a worker other than the one they were dealt to —
@@ -172,13 +170,13 @@ pub struct EvalStats {
     /// Absent in pre-pool checkpoints.
     #[serde(default)]
     pub worker_tasks: Vec<u64>,
-    /// Evaluations served by a warm replica-internal cache (the compile
-    /// cache a persistent worker keeps across generations). Absent in
-    /// pre-pool checkpoints.
+    /// Evaluations served by a warm replica-internal cache, as reported by
+    /// [`crate::ParallelFitness::cache_counters`]. Absent in pre-pool
+    /// checkpoints.
     #[serde(default)]
     pub replica_warm_hits: u64,
-    /// Evaluations that went through a replica-internal cache cold (a
-    /// fresh compile). Absent in pre-pool checkpoints.
+    /// Evaluations that went through a replica-internal cache cold. Absent
+    /// in pre-pool checkpoints.
     #[serde(default)]
     pub replica_cold_misses: u64,
     /// Wall-clock seconds spent evaluating each scored round; index 0 is

@@ -559,7 +559,12 @@ impl XGene2Server {
     }
 
     /// Mutable access to one DIMM (workload setup outside a session).
+    ///
+    /// Drops the evaluation caches first: the caller may replace the DIMM,
+    /// and a new DIMM's contents generation restarts at 0, so a cached plan
+    /// of the old DIMM could match it again.
     pub fn dimm_mut(&mut self, mcu: usize) -> &mut Dimm {
+        self.clear_eval_caches();
         &mut self.mcus[mcu].dimm
     }
 
@@ -1641,6 +1646,26 @@ mod tests {
             Err(PlanError::Stale { .. }) => {}
             other => panic!("expected PlanError::Stale, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn replaced_dimm_is_not_served_the_old_dimms_plan() {
+        let mut sv = server();
+        sv.relax_second_domain();
+        sv.set_dimm_temperature(2, 60.0).unwrap();
+        let run = fill_run(&mut sv, 2, WORST);
+        let old = sv.evaluate_runs(&run, 3, 0).unwrap();
+        // Another weak-cell population; its contents generation restarts
+        // at 0, so the identical refill reaches the old DIMM's generation.
+        let config = sv.config().dimm_config_for(2);
+        let seed = sv.config().dimm_seeds[2] ^ 0x5EED;
+        *sv.dimm_mut(2) = Dimm::new(config, seed);
+        let refill = fill_run(&mut sv, 2, WORST);
+        assert_eq!(refill, run);
+        let uncached = sv.prepare_run_uncached(&refill).unwrap();
+        let expected = sv.evaluate_prepared_runs(&uncached, 3, 0).unwrap();
+        assert_ne!(expected, old, "the new DIMM manifests other errors");
+        assert_eq!(sv.evaluate_runs(&refill, 3, 0).unwrap(), expected);
     }
 
     #[test]

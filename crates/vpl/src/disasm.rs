@@ -1,9 +1,10 @@
-//! A human-readable bytecode listing, for diagnosing pass bugs.
+//! A human-readable bytecode listing, for diagnosing compiler bugs
+//! (`dstress disasm`).
 //!
-//! The format is stable enough to diff across pipeline stages (see
-//! [`super::compile_staged`]): one indexed line per op, slot indices
-//! annotated with their source-level names, and an explicit header for
-//! the program's shape (slot/register counts, global backing images).
+//! The format is stable enough to diff across compiler changes: one
+//! indexed line per op, slot indices annotated with their source-level
+//! names, and an explicit header for the program's shape (slot/register
+//! counts, global backing images).
 
 use crate::bytecode::{CompiledProgram, FusedBody, Op, Operand};
 use std::fmt::Write as _;

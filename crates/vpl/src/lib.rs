@@ -74,6 +74,7 @@
 
 pub mod ast;
 pub mod bytecode;
+pub mod disasm;
 pub mod error;
 pub mod interp;
 pub mod lexer;
@@ -87,8 +88,9 @@ pub mod token;
 pub mod vm;
 
 pub use bytecode::{compile, CompiledProgram};
+pub use disasm::disassemble;
 pub use error::VplError;
 pub use interp::{ExecLimits, ExecStats, Interpreter};
-pub use passes::{compile_opt, compile_staged, disassemble, optimize, OptLevel, PassConfig};
+pub use passes::{compile_opt, OptLevel, PassConfig};
 pub use template::{BoundValue, ParamDecl, ParamShape, ProcessedTemplate, Template};
 pub use vm::{BusOps, Vm};

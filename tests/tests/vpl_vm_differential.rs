@@ -9,7 +9,7 @@
 use dstress_platform::session::{SessionError, VirtAddr};
 use dstress_platform::{MemoryBus, ServerConfig, XGene2Server};
 use dstress_vpl::parser::parse_program;
-use dstress_vpl::{compile, compile_opt, ExecLimits, Interpreter, PassConfig, Vm};
+use dstress_vpl::{compile, ExecLimits, Interpreter, Vm};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -143,8 +143,8 @@ impl Gen {
     }
 
     /// A counted loop with a random (possibly nonzero) start: starts at or
-    /// past the bound produce zero-trip loops, small spans are unroll
-    /// candidates, larger ones exercise the back edge.
+    /// past the bound produce zero-trip loops, small spans run a trip or
+    /// two, larger ones exercise the back edge.
     fn for_loop(&mut self, depth: u32) -> String {
         let var = ["i", "j"][self.rng.gen_range(0usize..2)];
         let start = self.rng.gen_range(0u64..5);
@@ -186,8 +186,8 @@ impl Gen {
             }
             // Aliasing stores: two writes into the same array through
             // different index expressions (which may collide), with a read
-            // of a third index in between — a trap for any pass that
-            // assumes distinct syntactic indices are distinct cells.
+            // of a third index in between — a trap for any compiler rewrite
+            // that assumes distinct syntactic indices are distinct cells.
             10 if !self.arrays.is_empty() => {
                 let k = self.rng.gen_range(0..self.arrays.len());
                 let (base, words) = self.arrays[k].clone();
@@ -273,69 +273,32 @@ impl Gen {
     }
 }
 
-/// The pass configurations the differential suite sweeps. CI pins the two
-/// extremes explicitly: `DSTRESS_VPL_PASSES=off` runs the unoptimized
-/// backend only, `on` the full pipeline only; unset sweeps both plus every
-/// pass alone.
-fn pass_configs() -> Vec<PassConfig> {
-    match std::env::var("DSTRESS_VPL_PASSES").as_deref() {
-        Ok("off") => vec![PassConfig::none()],
-        Ok("on") => vec![PassConfig::all()],
-        _ => vec![
-            PassConfig::none(),
-            PassConfig {
-                licm: true,
-                ..PassConfig::none()
-            },
-            PassConfig {
-                strength: true,
-                ..PassConfig::none()
-            },
-            PassConfig {
-                dse: true,
-                ..PassConfig::none()
-            },
-            PassConfig {
-                unroll: true,
-                ..PassConfig::none()
-            },
-            PassConfig::all(),
-        ],
-    }
-}
-
-/// Runs one generated program through both tiers on mirrored buses — the
-/// VM once per swept pass configuration — and asserts the full observable
-/// state matches.
+/// Runs one generated program through both tiers on mirrored buses and
+/// asserts the full observable state matches.
 fn assert_mirror_parity(seed: u64, limits: ExecLimits) -> Result<(), TestCaseError> {
     let (global, local, body) = Gen::new(seed).program();
     let program = parse_program(&global, &local, &body)
         .unwrap_or_else(|e| panic!("generated program must parse ({e}):\n{body}"));
     let mut ibus = MirrorBus::default();
     let iresult = Interpreter::new(limits).run(&program, &mut ibus);
-    for config in pass_configs() {
-        let mut vbus = MirrorBus::default();
-        let vresult =
-            compile_opt(&program, &config).and_then(|c| Vm::new(limits).run(&c, &mut vbus));
-        prop_assert_eq!(
-            &iresult,
-            &vresult,
-            "result mismatch (seed {}, max_steps {}, {:?}):\n{}",
-            seed,
-            limits.max_steps,
-            config,
-            body
-        );
-        prop_assert_eq!(
-            &ibus,
-            &vbus,
-            "bus state mismatch (seed {}, max_steps {}, {:?}):\n{}",
-            seed,
-            limits.max_steps,
-            config,
-            body
-        );
-    }
+    let mut vbus = MirrorBus::default();
+    let vresult = compile(&program).and_then(|c| Vm::new(limits).run(&c, &mut vbus));
+    prop_assert_eq!(
+        &iresult,
+        &vresult,
+        "result mismatch (seed {}, max_steps {}):\n{}",
+        seed,
+        limits.max_steps,
+        body
+    );
+    prop_assert_eq!(
+        &ibus,
+        &vbus,
+        "bus state mismatch (seed {}, max_steps {}):\n{}",
+        seed,
+        limits.max_steps,
+        body
+    );
     Ok(())
 }
 
@@ -404,8 +367,7 @@ proptest! {
 
     /// End-to-end trace parity through the real platform: the same
     /// generated program run against identically configured servers —
-    /// one via the interpreter, one per swept pass configuration via the
-    /// compiled VM — must record the exact same DRAM trace and session
+    /// one via the interpreter, one via the compiled VM — must record the exact same DRAM trace and session
     /// stats (the trace feeds the replay model, so any divergence here
     /// changes manifested errors).
     #[test]
@@ -419,21 +381,18 @@ proptest! {
         let iresult = Interpreter::new(limits).run(&program, &mut isession);
         let itrace = isession.finish();
 
-        for config in pass_configs() {
-            let mut vserver = XGene2Server::new(ServerConfig::default());
-            let mut vsession = vserver.session(2);
-            let vresult =
-                compile_opt(&program, &config).and_then(|c| Vm::new(limits).run(&c, &mut vsession));
-            let vtrace = vsession.finish();
+        let mut vserver = XGene2Server::new(ServerConfig::default());
+        let mut vsession = vserver.session(2);
+        let vresult = compile(&program).and_then(|c| Vm::new(limits).run(&c, &mut vsession));
+        let vtrace = vsession.finish();
 
-            prop_assert_eq!(
-                &iresult, &vresult,
-                "session result mismatch (seed {}, {:?}):\n{}", seed, config, body
-            );
-            prop_assert_eq!(
-                &itrace, &vtrace,
-                "recorded trace mismatch (seed {}, {:?}):\n{}", seed, config, body
-            );
-        }
+        prop_assert_eq!(
+            &iresult, &vresult,
+            "session result mismatch (seed {}):\n{}", seed, body
+        );
+        prop_assert_eq!(
+            &itrace, &vtrace,
+            "recorded trace mismatch (seed {}):\n{}", seed, body
+        );
     }
 }
