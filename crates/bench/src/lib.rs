@@ -1,16 +1,24 @@
-//! Shared utilities for the figure-regeneration binaries and benches.
+//! The DStress figure runner and its claim checks.
 //!
-//! Every binary regenerates one table or figure of the paper (see
-//! DESIGN.md §5 for the index). The experiment scale is selected through
-//! the `DSTRESS_SCALE` environment variable (`paper` by default, `quick`
-//! for smoke runs); results print to stdout and, when `DSTRESS_JSON_DIR`
-//! is set, are also written as JSON for archival.
+//! One binary, `all_figures`, regenerates every table and figure of the
+//! paper's evaluation (see DESIGN.md §5 for the index) plus the extension
+//! experiments. [`figures`] names them, orders them by what they read from
+//! each other and archives their typed reports as JSON; [`claims`] checks
+//! the paper's claims against those reports; [`render`] turns the reports
+//! and the run's metadata into EXPERIMENTS.md.
+//!
+//! The experiment scale comes from the `DSTRESS_SCALE` environment variable
+//! (`paper` by default, `quick` for smoke runs). The crate's Criterion
+//! benches compare each fast path with its reference.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod claims;
+pub mod figures;
+pub mod render;
+
 use dstress::ExperimentScale;
-use serde::Serialize;
 use std::path::PathBuf;
 
 /// Resolves the experiment scale from the environment.
@@ -18,25 +26,12 @@ pub fn scale() -> ExperimentScale {
     ExperimentScale::from_env()
 }
 
-/// A fixed seed shared by the figure binaries so reruns reproduce exactly.
+/// A fixed campaign seed, so reruns reproduce exactly.
 pub const CAMPAIGN_SEED: u64 = 0x00D5_7E55;
 
-/// Prints a report and optionally archives it as JSON under
-/// `DSTRESS_JSON_DIR`.
-pub fn emit<R: Serialize>(figure: &str, rendered: &str, report: &R) {
-    println!("==== {figure} (scale: {}) ====", scale().name);
-    println!("{rendered}");
-    if let Ok(dir) = std::env::var("DSTRESS_JSON_DIR") {
-        let path = PathBuf::from(dir).join(format!("{figure}.json"));
-        match serde_json::to_string_pretty(report) {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(&path, json) {
-                    eprintln!("warning: could not write {}: {e}", path.display());
-                }
-            }
-            Err(e) => eprintln!("warning: could not serialize {figure}: {e}"),
-        }
-    }
+/// The workspace root: where `results/` and EXPERIMENTS.md live.
+pub fn workspace_root() -> PathBuf {
+    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
 }
 
 #[cfg(test)]
@@ -49,10 +44,5 @@ mod tests {
         if std::env::var("DSTRESS_SCALE").is_err() {
             assert_eq!(scale().name, "paper");
         }
-    }
-
-    #[test]
-    fn emit_prints_without_json_dir() {
-        emit("smoke", "hello", &42u32);
     }
 }

@@ -12,7 +12,6 @@ use crate::error::DStressError;
 use crate::evaluate::Metric;
 use crate::scale::ExperimentScale;
 use crate::search::{DStress, EnvKind, WORST_WORD};
-use dstress_dram::geometry::RowKey;
 use dstress_stats::{
     bootstrap_ci, dagostino_pearson, ConfidenceInterval, DagostinoPearson, Histogram, Moments,
     Normal,
@@ -96,8 +95,8 @@ fn summarize(values: &[f64], ga_best: f64) -> Result<RandomDistribution, DStress
 /// Runs the Fig. 13 experiment.
 ///
 /// `ga_data_best` / `ga_access_best` are the discovered worst-case fitness
-/// values (from the Fig. 8 / Fig. 11 campaigns); when absent, the canonical
-/// worst word / a dense row selection are measured instead.
+/// values the random samples are compared against: the Fig. 8 GA worst
+/// case at 60 °C and the Fig. 11 access-template-1 GA best.
 ///
 /// # Errors
 ///
@@ -105,8 +104,8 @@ fn summarize(values: &[f64], ga_best: f64) -> Result<RandomDistribution, DStress
 pub fn run(
     scale: ExperimentScale,
     seed: u64,
-    ga_data_best: Option<f64>,
-    ga_access_best: Option<f64>,
+    ga_data_best: f64,
+    ga_access_best: f64,
 ) -> Result<Fig13Report, DStressError> {
     let mut dstress = DStress::new(scale, seed);
     let temp = 60.0;
@@ -121,16 +120,6 @@ pub fn run(
             .evaluate_bindings([("PATTERN".to_string(), BoundValue::Scalar(word))].into())?;
         data_values.push(outcome.fitness);
     }
-    let ga_data_best = match ga_data_best {
-        Some(v) => v,
-        None => {
-            evaluator
-                .evaluate_bindings(
-                    [("PATTERN".to_string(), BoundValue::Scalar(WORST_WORD))].into(),
-                )?
-                .fitness
-        }
-    };
 
     // (b) random access patterns over the victim neighbourhood.
     let victims = dstress.profile_victims(temp, WORST_WORD)?;
@@ -147,27 +136,10 @@ pub fn run(
             evaluator.evaluate_bindings([("SEL".to_string(), BoundValue::Array(flags))].into())?;
         access_values.push(outcome.fitness);
     }
-    let ga_access_best = match ga_access_best {
-        Some(v) => v,
-        None => {
-            // The canonical strong access pattern: hammer every neighbour.
-            let all: Vec<u64> = vec![1; 64];
-            evaluator
-                .evaluate_bindings([("SEL".to_string(), BoundValue::Array(all))].into())?
-                .fitness
-        }
-    };
-
     Ok(Fig13Report {
         data_patterns: summarize(&data_values, ga_data_best)?,
         access_patterns: summarize(&access_values, ga_access_best)?,
     })
-}
-
-/// The victim rows used by part (b), re-derivable for inspection.
-pub fn victims_for(scale: &ExperimentScale, seed: u64) -> Result<Vec<RowKey>, DStressError> {
-    let mut dstress = DStress::new(*scale, seed);
-    dstress.profile_victims(60.0, WORST_WORD)
 }
 
 impl Fig13Report {

@@ -242,20 +242,6 @@ impl Fig08Report {
         ));
         out
     }
-
-    /// The leaderboard SMF values the paper reports per sub-figure.
-    pub fn headline(&self) -> String {
-        format!(
-            "worst55 SMF {:.2} ({}), worst60 SMF {:.2}, best SMF {:.2}, ue SMF {:.2} ({}), ratio {:.1}x",
-            self.worst_55c.similarity,
-            if self.worst_55c.converged { "converged" } else { "budget" },
-            self.worst_60c.similarity,
-            self.best_55c.similarity,
-            self.ue_62c.similarity,
-            if self.ue_62c.converged { "converged" } else { "not converged" },
-            self.worst_over_best,
-        )
-    }
 }
 
 /// Verifies the leaderboard-wide SMF the way the paper computes it (over

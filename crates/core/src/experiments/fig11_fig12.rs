@@ -11,12 +11,10 @@
 //!   data pattern; weighted-Jaccard similarity stays ≈ 0.45 (Fig. 12).
 
 use crate::error::DStressError;
-use crate::evaluate::Metric;
 use crate::report::{percent_delta, TextTable};
 use crate::scale::ExperimentScale;
-use crate::search::{DStress, EnvKind, WORST_WORD};
+use crate::search::{DStress, WORST_WORD};
 use dstress_dram::geometry::RowKey;
-use dstress_vpl::BoundValue;
 use serde::{Deserialize, Serialize};
 
 /// The Figs. 11–12 report.
@@ -47,9 +45,8 @@ pub struct Fig1112Report {
 
 /// Runs the Fig. 11 + Fig. 12 experiments.
 ///
-/// `data_pattern_ce` is the 24 KB-class reference fitness (from Fig. 9);
-/// when absent, the worst 64-bit pattern's victim-row count is used — the
-/// 24 KB winner is within ≈ 16 % of it, so the comparison shape survives.
+/// `data_pattern_ce` is the 24 KB-class reference fitness: the Fig. 9 GA
+/// best on the same victim rows.
 ///
 /// # Errors
 ///
@@ -57,25 +54,11 @@ pub struct Fig1112Report {
 pub fn run(
     scale: ExperimentScale,
     seed: u64,
-    data_pattern_ce: Option<f64>,
+    data_pattern_ce: f64,
 ) -> Result<Fig1112Report, DStressError> {
     let mut dstress = DStress::new(scale, seed);
     let temp = 60.0;
     let victims = dstress.profile_victims(temp, WORST_WORD)?;
-
-    let reference = match data_pattern_ce {
-        Some(ce) => ce,
-        None => {
-            dstress
-                .measure(
-                    &EnvKind::Word64,
-                    [("PATTERN".to_string(), BoundValue::Scalar(WORST_WORD))].into(),
-                    temp,
-                    Metric::CeInRows(victims.clone()),
-                )?
-                .fitness
-        }
-    };
 
     let row_access = dstress.search_row_access(temp, victims.clone(), WORST_WORD)?;
     let stride = dstress.search_stride_access(temp, victims.clone(), WORST_WORD)?;
@@ -97,7 +80,7 @@ pub fn run(
 
     Ok(Fig1112Report {
         victims,
-        data_pattern_ce: reference,
+        data_pattern_ce,
         row_access_ce: row_access.result.best_fitness,
         row_access_smf: row_access.result.similarity,
         row_access_converged: row_access.result.converged,

@@ -5,11 +5,13 @@
 pub mod ablation;
 pub mod efficiency;
 pub mod fig01b;
+pub mod fig02;
 pub mod fig08;
 pub mod fig09_fig10;
 pub mod fig11_fig12;
 pub mod fig14;
 pub mod ga_params;
 pub mod march_comparison;
+pub mod retention;
 pub mod rowhammer;
 pub mod sdc;
