@@ -10,9 +10,10 @@
 //! carries over.
 
 use crate::figures::{Figure, Reports};
+use dstress::experiments::efficiency::RandomDistribution;
 use dstress::experiments::fig09_fig10::Fig0910Report;
 use dstress::experiments::fig14::{Fig14Report, VirusFamily};
-use dstress::usecases::SafetyCriterion;
+use dstress::usecases::{SafetyCriterion, SavingsReport};
 use dstress::ExperimentScale;
 use std::cmp::Ordering;
 
@@ -175,6 +176,44 @@ fn converged(flag: bool) -> &'static str {
     }
 }
 
+/// A leaderboard-similarity measurement (`label` is `SMF` or `JW`), with
+/// the search's convergence and, where reported, its generation count.
+fn similarity(
+    label: &str,
+    value: f64,
+    converged: bool,
+    generations: Option<u32>,
+) -> Option<Measured> {
+    let generations = generations.map_or(String::new(), |g| format!(", {g} generations"));
+    measured(
+        value,
+        format!(
+            "{label} {value:.2}, {}{generations}",
+            self::converged(converged)
+        ),
+    )
+}
+
+fn normality(d: &RandomDistribution) -> Option<Measured> {
+    let n = d.normality;
+    measured(n.p_value, format!("K² = {:.1}, p = {:.3}", n.k2, n.p_value))
+}
+
+fn p_better(d: &RandomDistribution) -> Option<Measured> {
+    measured(d.p_better_exists, format!("{:.1e}", d.p_better_exists))
+}
+
+/// A savings fraction at 50 °C, in percent, with every temperature's shown.
+fn savings(r: &Reports, pick: fn(&SavingsReport) -> f64) -> Option<Measured> {
+    let savings = &r.fig14.as_ref()?.savings;
+    let at_50 = pick(&savings.iter().find(|(t, _)| *t == 50.0)?.1) * 100.0;
+    let all: Vec<String> = savings
+        .iter()
+        .map(|(t, s)| format!("{:.1} % at {t:.0} °C", pick(s) * 100.0))
+        .collect();
+    measured(at_50, all.join(", "))
+}
+
 fn gain(value: f64, reference: f64) -> f64 {
     100.0 * (value / reference - 1.0)
 }
@@ -315,21 +354,13 @@ pub static CLAIMS: &[Claim] = &[
         figure: Figure::Fig08,
         what: "(a) worst-case search at 55 °C converges",
         paper: "SMF 0.89, ~80 generations",
-        tolerance: Tolerance::AtLeast(0.85),
+        tolerance: Tolerance::Above(0.85),
         unit: "",
         source: "DESIGN.md §5 (vii): SMF > 0.85",
         kind: Kind::Shape,
         measure: |r, _| {
             let s = &r.fig08.as_ref()?.worst_55c;
-            measured(
-                s.similarity,
-                format!(
-                    "SMF {:.2}, {}, {} generations",
-                    s.similarity,
-                    converged(s.converged),
-                    s.generations
-                ),
-            )
+            similarity("SMF", s.similarity, s.converged, Some(s.generations))
         },
     },
     Claim {
@@ -354,7 +385,7 @@ pub static CLAIMS: &[Claim] = &[
         figure: Figure::Fig08,
         what: "(b) the 60 °C search finds the same patterns (cross-temperature SMF)",
         paper: "0.90",
-        tolerance: Tolerance::AtLeast(0.85),
+        tolerance: Tolerance::Above(0.85),
         unit: "",
         source: "DESIGN.md §5 (i) temperature-stable, at (vii)'s SMF bar",
         kind: Kind::Shape,
@@ -368,21 +399,13 @@ pub static CLAIMS: &[Claim] = &[
         figure: Figure::Fig08,
         what: "(c) best-case search converges",
         paper: "SMF 0.92",
-        tolerance: Tolerance::AtLeast(0.85),
+        tolerance: Tolerance::Above(0.85),
         unit: "",
         source: "DESIGN.md §5 (vii): SMF > 0.85",
         kind: Kind::Shape,
         measure: |r, _| {
             let s = &r.fig08.as_ref()?.best_55c;
-            measured(
-                s.similarity,
-                format!(
-                    "SMF {:.2}, {}, {} generations",
-                    s.similarity,
-                    converged(s.converged),
-                    s.generations
-                ),
-            )
+            similarity("SMF", s.similarity, s.converged, Some(s.generations))
         },
     },
     Claim {
@@ -453,16 +476,13 @@ pub static CLAIMS: &[Claim] = &[
         figure: Figure::Fig08,
         what: "(d) UE search does **not** converge",
         paper: "SMF 0.58",
-        tolerance: Tolerance::Below(0.85),
+        tolerance: Tolerance::AtMost(0.85),
         unit: "",
         source: "DESIGN.md §5 (vii): UE searches do not converge",
         kind: Kind::Shape,
         measure: |r, _| {
             let s = &r.fig08.as_ref()?.ue_62c;
-            measured(
-                s.similarity,
-                format!("SMF {:.2}, {}", s.similarity, converged(s.converged)),
-            )
+            similarity("SMF", s.similarity, s.converged, None)
         },
     },
     Claim {
@@ -506,20 +526,17 @@ pub static CLAIMS: &[Claim] = &[
         figure: Figure::Fig09Fig10,
         what: "24 KB-class search converges",
         paper: "SMF 0.89",
-        tolerance: Tolerance::AtLeast(0.85),
+        tolerance: Tolerance::Above(0.85),
         unit: "",
         source: "DESIGN.md §5 (vii): SMF > 0.85",
         kind: Kind::Shape,
         measure: |r, _| {
             let f = r.fig09_fig10.as_ref()?;
-            measured(
+            similarity(
+                "SMF",
                 f.triple_smf,
-                format!(
-                    "SMF {:.2}, {}, {} generations",
-                    f.triple_smf,
-                    converged(f.triple_converged),
-                    f.triple_generations
-                ),
+                f.triple_converged,
+                Some(f.triple_generations),
             )
         },
     },
@@ -610,20 +627,13 @@ pub static CLAIMS: &[Claim] = &[
         figure: Figure::Fig11Fig12,
         what: "template 1 does **not** converge",
         paper: "SMF 0.5",
-        tolerance: Tolerance::Below(0.85),
+        tolerance: Tolerance::AtMost(0.85),
         unit: "",
         source: "DESIGN.md §5 (vii): access searches do not converge",
         kind: Kind::Shape,
         measure: |r, _| {
             let f = r.fig11_fig12.as_ref()?;
-            measured(
-                f.row_access_smf,
-                format!(
-                    "SMF {:.2}, {}",
-                    f.row_access_smf,
-                    converged(f.row_access_converged)
-                ),
-            )
+            similarity("SMF", f.row_access_smf, f.row_access_converged, None)
         },
     },
     Claim {
@@ -655,16 +665,13 @@ pub static CLAIMS: &[Claim] = &[
         figure: Figure::Fig11Fig12,
         what: "template 2 similarity stays low",
         paper: "JW 0.45",
-        tolerance: Tolerance::Below(0.85),
+        tolerance: Tolerance::AtMost(0.85),
         unit: "",
         source: "DESIGN.md §5 (vii): access searches do not converge",
         kind: Kind::Shape,
         measure: |r, _| {
             let f = r.fig11_fig12.as_ref()?;
-            measured(
-                f.stride_jw,
-                format!("JW {:.2}, {}", f.stride_jw, converged(f.stride_converged)),
-            )
+            similarity("JW", f.stride_jw, f.stride_converged, None)
         },
     },
     // Fig. 13.
@@ -677,10 +684,7 @@ pub static CLAIMS: &[Claim] = &[
         unit: "",
         source: "DESIGN.md §5 (viii), α = 0.05",
         kind: Kind::Shape,
-        measure: |r, _| {
-            let n = r.fig13.as_ref()?.data_patterns.normality;
-            measured(n.p_value, format!("K² = {:.1}, p = {:.3}", n.k2, n.p_value))
-        },
+        measure: |r, _| normality(&r.fig13.as_ref()?.data_patterns),
     },
     Claim {
         id: "f13a_p_better",
@@ -691,10 +695,7 @@ pub static CLAIMS: &[Claim] = &[
         unit: "",
         source: "paper abstract: found with probability 1 − 4×10⁻⁷",
         kind: Kind::Magnitude,
-        measure: |r, _| {
-            let d = &r.fig13.as_ref()?.data_patterns;
-            measured(d.p_better_exists, format!("{:.1e}", d.p_better_exists))
-        },
+        measure: |r, _| p_better(&r.fig13.as_ref()?.data_patterns),
     },
     Claim {
         id: "f13b_normal",
@@ -705,10 +706,7 @@ pub static CLAIMS: &[Claim] = &[
         unit: "",
         source: "DESIGN.md §5 (viii), α = 0.05",
         kind: Kind::Shape,
-        measure: |r, _| {
-            let n = r.fig13.as_ref()?.access_patterns.normality;
-            measured(n.p_value, format!("K² = {:.1}, p = {:.3}", n.k2, n.p_value))
-        },
+        measure: |r, _| normality(&r.fig13.as_ref()?.access_patterns),
     },
     Claim {
         id: "f13b_p_better",
@@ -719,10 +717,7 @@ pub static CLAIMS: &[Claim] = &[
         unit: "",
         source: "paper abstract: found with probability 0.95",
         kind: Kind::Magnitude,
-        measure: |r, _| {
-            let d = &r.fig13.as_ref()?.access_patterns;
-            measured(d.p_better_exists, format!("{:.1e}", d.p_better_exists))
-        },
+        measure: |r, _| p_better(&r.fig13.as_ref()?.access_patterns),
     },
     Claim {
         id: "f13_order",
@@ -847,15 +842,7 @@ pub static CLAIMS: &[Claim] = &[
         unit: " %",
         source: "DESIGN.md §5 (ix): double-digit savings",
         kind: Kind::Magnitude,
-        measure: |r, _| {
-            let savings = &r.fig14.as_ref()?.savings;
-            let at_50 = savings.iter().find(|(t, _)| *t == 50.0)?.1.dram_savings * 100.0;
-            let all: Vec<String> = savings
-                .iter()
-                .map(|(t, s)| format!("{:.1} % at {t:.0} °C", s.dram_savings * 100.0))
-                .collect();
-            measured(at_50, all.join(", "))
-        },
+        measure: |r, _| savings(r, |s| s.dram_savings),
     },
     Claim {
         id: "f14_system_savings",
@@ -866,15 +853,7 @@ pub static CLAIMS: &[Claim] = &[
         unit: " %",
         source: "paper Fig. 14, within 2×",
         kind: Kind::Magnitude,
-        measure: |r, _| {
-            let savings = &r.fig14.as_ref()?.savings;
-            let at_50 = savings.iter().find(|(t, _)| *t == 50.0)?.1.system_savings * 100.0;
-            let all: Vec<String> = savings
-                .iter()
-                .map(|(t, s)| format!("{:.1} % at {t:.0} °C", s.system_savings * 100.0))
-                .collect();
-            measured(at_50, all.join(", "))
-        },
+        measure: |r, _| savings(r, |s| s.system_savings),
     },
 ];
 

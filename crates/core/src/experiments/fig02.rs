@@ -22,7 +22,7 @@ pub struct MappingReport {
     pub chunks: Vec<(u64, Location)>,
 }
 
-/// Maps the first [`CHUNKS`] row-sized chunks of a default DIMM.
+/// Maps the first 20 row-sized chunks of a default DIMM.
 ///
 /// # Errors
 ///
@@ -62,23 +62,5 @@ impl MappingReport {
             }
         }
         out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn chunks_0_8_16_are_adjacent_rows_of_one_bank() {
-        let report = run().unwrap();
-        assert_eq!(report.chunks.len(), CHUNKS as usize);
-        let rows: Vec<Location> = [0, 8, 16].iter().map(|&c| report.chunks[c].1).collect();
-        assert!(rows
-            .iter()
-            .all(|l| l.bank == rows[0].bank && l.rank == rows[0].rank));
-        assert_eq!(rows[1].row, rows[0].row + 1);
-        assert_eq!(rows[2].row, rows[0].row + 2);
-        assert!(report.render().contains("chunk 16 ->"));
     }
 }

@@ -1,4 +1,4 @@
-//! Plain-text report rendering for the figure-regeneration binaries.
+//! Plain-text report rendering for the figure runner.
 
 /// A simple aligned text table.
 ///

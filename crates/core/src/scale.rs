@@ -5,8 +5,8 @@
 //! exposures) and space (a scaled DIMM with proportionally dense weak
 //! cells). Two presets are provided:
 //!
-//! * [`ExperimentScale::paper`] — the scale the figure-regeneration
-//!   binaries use. Rows are 2 KB (¼ of the real 8 KB), so the paper's
+//! * [`ExperimentScale::paper`] — the figure runner's default scale.
+//!   Rows are 2 KB (¼ of the real 8 KB), so the paper's
 //!   "24 KB pattern" (one victim row + both same-bank neighbours) is a
 //!   6 KB chromosome here and the "512 KB pattern" (64 consecutive chunks)
 //!   is 128 KB. All structural relationships are preserved; EXPERIMENTS.md
@@ -39,7 +39,7 @@ pub struct ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// The figure-regeneration scale (see module docs).
+    /// The figure runner's default scale (see module docs).
     pub fn paper() -> Self {
         let mut server = ServerConfig::default();
         server.dimm.geometry = DimmGeometry {

@@ -175,7 +175,7 @@ impl Histogram {
     }
 
     /// Renders a compact ASCII bar chart (one line per bin), for the
-    /// figure-regeneration binaries.
+    /// figure runner.
     pub fn render_ascii(&self, max_width: usize) -> String {
         let peak = self.counts.iter().copied().max().unwrap_or(0).max(1);
         let mut out = String::new();
