@@ -1,18 +1,20 @@
-//! Prepared run-plan kernel vs the reference per-cell retention loop.
+//! Lane-batched run-plan kernel vs the reference per-cell retention loop.
 //!
 //! `window/…` compares one refresh window at the DIMM layer over the full
 //! default weak-cell population; `plan/refresh` times one plan build after
 //! a contents change (the cell-state refresh plus the per-cell flip
-//! decisions); `run/…` compares a complete multi-window evaluation at the
-//! server layer. The prepared path re-examines only the
+//! decisions); `run/reference` and `runs/…` compare complete multi-window
+//! evaluations at the server layer. The planned path re-examines only the
 //! VRT-contingent cells each window (everything else is pre-partitioned
 //! into static events at `prepare_run` time), so it must win by a wide
-//! margin. `run/prepared` times the per-run oracle; `runs/batched` times
-//! the lane-batched path the GA takes, ten runs of one virus per call.
+//! margin. `window/lanes` and `runs/batched` time the one kernel with a
+//! single lane / run, the like-for-like rows against the reference;
+//! `runs/batched10` times the ten runs of one virus the GA scores per
+//! candidate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dstress_dram::geometry::RowKey;
-use dstress_dram::{ActivationCounts, Dimm, DimmConfig, Location, OperatingEnv};
+use dstress_dram::{ActivationCounts, Dimm, DimmConfig, Location, OperatingEnv, VrtEvent};
 use dstress_platform::session::MemoryBus;
 use dstress_platform::{ServerConfig, XGene2Server};
 
@@ -41,13 +43,13 @@ fn bench(c: &mut Criterion) {
             )
         })
     });
-    let mut events = Vec::new();
-    c.bench_function("window/planned", |b| {
+    let mut lane: Vec<Vec<VrtEvent>> = vec![Vec::new()];
+    c.bench_function("window/lanes", |b| {
         b.iter(|| {
             nonce += 1;
-            dimm.advance_window_planned(&plan, nonce, &mut events)
+            dimm.advance_window_planned_lanes(&plan, &[nonce], 1, &mut lane)
                 .expect("plan is fresh");
-            std::hint::black_box(events.len())
+            std::hint::black_box(lane[0].len() + plan.static_events().len())
         })
     });
     // One plan build per evaluation: every candidate rewrites memory, so
@@ -93,18 +95,18 @@ fn bench(c: &mut Criterion) {
             std::hint::black_box(server.evaluate_run_reference(&run, nonce).totals)
         })
     });
-    c.bench_function("run/prepared", |b| {
+    c.bench_function("runs/batched", |b| {
         b.iter(|| {
             nonce += 1;
             std::hint::black_box(
                 server
-                    .evaluate_prepared(&prepared, nonce)
-                    .expect("fresh")
+                    .evaluate_prepared_runs(&prepared, 1, nonce)
+                    .expect("fresh")[0]
                     .totals,
             )
         })
     });
-    c.bench_function("runs/batched", |b| {
+    c.bench_function("runs/batched10", |b| {
         b.iter(|| {
             nonce += 10;
             std::hint::black_box(

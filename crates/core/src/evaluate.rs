@@ -282,9 +282,10 @@ impl VirusEvaluator {
     }
 
     /// Reference evaluation through the tree-walking [`Interpreter`], the
-    /// hash-the-merged-map nonce and the sequential one-run-at-a-time
-    /// evaluation path — none of the hot path's machinery (bytecode VM,
-    /// bulk fill, lane-batched window kernel). Semantically identical to
+    /// hash-the-merged-map nonce and the per-cell retention loop, one run
+    /// at a time ([`XGene2Server::evaluate_run_reference`]) — none of the
+    /// hot path's machinery (bytecode VM, bulk fill, run plans, lane-batched
+    /// window kernel). Semantically identical to
     /// [`Self::evaluate_bindings`] — the differential suites assert the two
     /// produce the same [`EvalOutcome`] bit for bit.
     ///
@@ -303,9 +304,12 @@ impl VirusEvaluator {
         Interpreter::new(self.limits).run(&program, &mut session)?;
         let run = session.finish();
         let base_nonce = bindings_nonce(&bindings);
-        let outcomes = self
-            .server
-            .evaluate_runs_sequential(&run, self.runs, base_nonce)?;
+        let outcomes: Vec<RunOutcome> = (0..u64::from(self.runs))
+            .map(|r| {
+                self.server
+                    .evaluate_run_reference(&run, base_nonce.wrapping_add(r))
+            })
+            .collect();
         let outcome = self.summarize(&outcomes, run.len());
         self.last = Some(outcome.clone());
         Ok(outcome)

@@ -7,19 +7,19 @@
 //! 2. **crossover operator** — single-point vs two-point vs uniform on the
 //!    same objective;
 //! 3. **fitness averaging depth** — the paper's 10-run averaging vs single
-//!    noisy evaluations, measured as the run-to-run spread of one fixed
-//!    virus on the real evaluator (VRT is the noise source);
+//!    noisy evaluations, measured as the spread of the mean CE of one
+//!    recorded virus over repeat evaluations at distinct nonces on the
+//!    real server (VRT is the noise source);
 //! 4. **convergence threshold** — how the 0.85 similarity bar trades
 //!    search length against result quality.
 
 use crate::error::DStressError;
-use crate::evaluate::Metric;
 use crate::report::TextTable;
 use crate::scale::ExperimentScale;
 use crate::search::{DStress, EnvKind, WORST_WORD};
 use dstress_ga::{BitGenome, CrossoverOp, FnFitness, GaConfig, GaEngine, Genome, SelectionScheme};
 use dstress_stats::Moments;
-use dstress_vpl::BoundValue;
+use dstress_vpl::{compile, BoundValue, ExecLimits, Vm};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -204,28 +204,29 @@ pub fn run(scale: ExperimentScale, seeds: u64) -> Result<AblationReport, DStress
         });
     }
 
-    // 3. Averaging depth on the real evaluator.
-    let mut averaging = Vec::new();
+    // 3. Averaging depth on the real evaluator: the worst-word virus is
+    //    recorded once, and each sample is the mean CE of `runs` runs at
+    //    nonces of its own, so VRT noise differs from sample to sample.
     let dstress = DStress::new(scale, 5);
+    let mut server = dstress.server_at(60.0)?;
+    let template = crate::templates::process(crate::templates::WORD64, &scale)?;
+    let mut bindings = EnvKind::Word64.bindings(&scale)?;
+    bindings.insert("PATTERN".into(), BoundValue::Scalar(WORST_WORD));
+    let compiled = compile(&template.instantiate(&bindings)?)?;
+    let mut session = server.session(2);
+    Vm::new(ExecLimits::default()).run(&compiled, &mut session)?;
+    let run = session.finish();
+    let mut averaging = Vec::new();
     for runs in [1u32, 3, 10] {
-        // An evaluator with the requested averaging depth.
-        let server = dstress
-            .evaluator(&EnvKind::Word64, 60.0, Metric::CeAverage)?
-            .into_server();
-        let template = crate::templates::process(crate::templates::WORD64, &scale)?;
-        let env = EnvKind::Word64.bindings(&scale)?;
-        let mut scaled =
-            crate::evaluate::VirusEvaluator::new(server, template, env, Metric::CeAverage, runs, 2);
-        let samples: Moments = (0..12)
-            .map(|_| {
-                scaled
-                    .evaluate_bindings(
-                        [("PATTERN".to_string(), BoundValue::Scalar(WORST_WORD))].into(),
-                    )
-                    .map(|o| o.fitness)
-                    .unwrap_or(0.0)
-            })
-            .collect();
+        let mut samples = Moments::new();
+        for i in 0..12u64 {
+            let ce: u64 = server
+                .evaluate_runs(&run, runs, i * 1000)?
+                .iter()
+                .map(|o| o.totals.ce)
+                .sum();
+            samples.push(ce as f64 / f64::from(runs));
+        }
         let rel = if samples.mean() > 0.0 {
             samples.sample_std_dev() / samples.mean()
         } else {
@@ -300,12 +301,14 @@ mod tests {
         assert_eq!(report.crossover.len(), 3);
         assert_eq!(report.threshold.len(), 3);
         assert_eq!(report.averaging.len(), 3);
-        // Deeper averaging must not increase the relative spread.
+        // Single runs vary with VRT, and averaging ten of them narrows the
+        // spread.
         let one = report.averaging[0].relative_std_dev;
         let ten = report.averaging[2].relative_std_dev;
+        assert!(one > 0.0, "single runs show no VRT noise");
         assert!(
-            ten <= one + 0.02,
-            "10-run averaging ({ten}) should not be noisier than single runs ({one})"
+            ten < one,
+            "10-run averaging ({ten}) should be less noisy than single runs ({one})"
         );
         assert!(!report.render().is_empty());
     }

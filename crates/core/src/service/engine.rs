@@ -272,6 +272,23 @@ fn report_from_session(
     }
 }
 
+/// A progress report for a campaign without a live session to snapshot:
+/// its identity, state and error, with no progress.
+fn blank_report(id: u64, name: &str, state: CampaignState, error: Option<String>) -> StatusReport {
+    StatusReport {
+        campaign: id,
+        name: name.to_string(),
+        state: state.as_str().to_string(),
+        generation: 0,
+        best: None,
+        evaluations: 0,
+        cache_hits: 0,
+        incidents: 0,
+        converged: false,
+        error,
+    }
+}
+
 /// Campaigns sharing one evaluation substrate, fair-share scheduled over
 /// one persistent pool.
 struct Group {
@@ -544,18 +561,7 @@ impl<S: Storage + Clone> ServiceEngine<S> {
                 .error
                 .clone()
                 .unwrap_or_else(|| "storage failure".to_string());
-            let report = StatusReport {
-                campaign: id,
-                name: stored.name.clone(),
-                state: CampaignState::Failed.as_str().to_string(),
-                generation: 0,
-                best: None,
-                evaluations: 0,
-                cache_hits: 0,
-                incidents: 0,
-                converged: false,
-                error: Some(error.clone()),
-            };
+            let report = blank_report(id, &stored.name, CampaignState::Failed, Some(error.clone()));
             self.campaigns.push(Runtime {
                 id,
                 name: stored.name,
@@ -671,18 +677,12 @@ impl<S: Storage + Clone> ServiceEngine<S> {
             report.error = Some(error.clone());
             report
         } else {
-            StatusReport {
-                campaign: runtime.id,
-                name: runtime.name.clone(),
-                state: CampaignState::Failed.as_str().to_string(),
-                generation: 0,
-                best: None,
-                evaluations: 0,
-                cache_hits: 0,
-                incidents: 0,
-                converged: false,
-                error: Some(error.clone()),
-            }
+            blank_report(
+                runtime.id,
+                &runtime.name,
+                CampaignState::Failed,
+                Some(error.clone()),
+            )
         };
         let at_seq = runtime.event_seq;
         runtime.state = CampaignState::Failed;
@@ -929,18 +929,7 @@ impl<S: Storage + Clone> ServiceEngine<S> {
         let Some(live) = runtime.live.as_ref() else {
             // A terminal campaign whose result file never landed (e.g. a
             // crash between journal completion and the result write).
-            return Ok(StatusReport {
-                campaign: runtime.id,
-                name: runtime.name.clone(),
-                state: runtime.state.as_str().to_string(),
-                generation: 0,
-                best: None,
-                evaluations: 0,
-                cache_hits: 0,
-                incidents: 0,
-                converged: false,
-                error: None,
-            });
+            return Ok(blank_report(runtime.id, &runtime.name, runtime.state, None));
         };
         let session = self.groups[live.group].scheduler.session(live.sched);
         Ok(report_from_session(

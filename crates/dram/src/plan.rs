@@ -9,8 +9,8 @@
 //!
 //! * **statically failing** — cells that flip in every window. Whole words
 //!   of them become pre-built [`WordEvent`]s (`written` captured at plan
-//!   time; contents do not change during a run), emitted verbatim each
-//!   window;
+//!   time; contents do not change during a run), the same every window of
+//!   every run;
 //! * **statically safe** — cells that can never flip this run. They are
 //!   dropped from the plan entirely and cost nothing per window;
 //! * **VRT-contingent** — variable-retention-time cells whose flip decision
@@ -18,14 +18,18 @@
 //!   per-window work: one deterministic Bernoulli draw
 //!   ([`crate::weak::vrt_degraded`]) and a mask-OR.
 //!
-//! The per-window cost therefore collapses from "retention physics for
-//! every weak cell" to "copy the static events + a hash per VRT cell" —
-//! and the VRT-contingent subset is tiny (most VRT cells are statically
-//! safe or statically failing in *both* states at any given operating
-//! point). Results are bit-identical to the naive loop
-//! ([`crate::Dimm::advance_window_profiled`], kept as the reference oracle)
-//! because the plan evaluates the exact same floating-point expressions at
-//! build time.
+//! The one per-window kernel, [`RunPlan::advance_window_vrt_lanes`],
+//! evaluates the VRT-contingent cells for up to [`MAX_LANES`] runs at once;
+//! callers account for the static events once per plan. The per-window
+//! cost therefore collapses from "retention physics for every weak cell"
+//! to "a hash per VRT cell per run", and the VRT-contingent subset is tiny
+//! (most VRT cells are statically safe or statically failing in *both*
+//! states at any given operating point). Per lane, the kernel's events
+//! merged with [`RunPlan::static_events`] in location order are
+//! bit-identical to the per-cell loop
+//! ([`crate::Dimm::advance_window_profiled`], the reference oracle) at the
+//! same window nonce, because the plan evaluates the exact same
+//! floating-point expressions at build time.
 //!
 //! The VRT-contingent cells are stored structure-of-arrays style
 //! (`RunPlan::bit_masks` / `RunPlan::bit_indices` et al.) with per-word
@@ -57,8 +61,7 @@ pub enum PlanError {
     /// A flat-array index in the plan under construction does not fit the
     /// plan's `u32` index width (a weak-cell population beyond 2^32 cells).
     IndexOverflow {
-        /// Which counter overflowed (`"bits_start"`, `"bits_end"`,
-        /// `"statics_before"`).
+        /// Which counter overflowed (`"bits_start"` or `"bits_end"`).
         what: &'static str,
         /// The value that did not fit.
         value: usize,
@@ -104,9 +107,6 @@ pub struct VrtEvent {
 /// flip mask plus the range of contingent bits in the plan's flat arrays.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct VrtWord {
-    /// Pre-built static events to emit before this word (events and VRT
-    /// words interleave in population order; prefix counts preserve it).
-    pub(crate) statics_before: u32,
     /// The word these cells live in.
     pub(crate) loc: Location,
     /// Contents of the word, captured at plan-build time.
@@ -123,9 +123,9 @@ pub(crate) struct VrtWord {
 /// (contents × operating point × disturbance profile).
 ///
 /// Build with [`crate::Dimm::prepare_run`], evaluate windows with
-/// [`crate::Dimm::advance_window_planned`]. The plan is tied to the
+/// [`crate::Dimm::advance_window_planned_lanes`]. The plan is tied to the
 /// contents generation it was built against; writing to the DIMM
-/// invalidates it (enforced by an assertion at evaluation time).
+/// invalidates it, and evaluating it then returns [`PlanError::Stale`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunPlan {
     /// Contents generation the plan was built against.
@@ -170,36 +170,6 @@ impl RunPlan {
         self.generation
     }
 
-    /// Evaluates one refresh window into `out` (cleared first; callers
-    /// reuse the buffer across windows). `seed` is the owning DIMM's device
-    /// seed and `nonce` identifies the (run, window) pair, exactly as in
-    /// [`crate::Dimm::advance_window`].
-    pub(crate) fn advance_window(&self, seed: u64, nonce: u64, out: &mut Vec<WordEvent>) {
-        out.clear();
-        let mut emitted = 0usize;
-        for word in &self.vrt_words {
-            let upto = emitted + word.statics_before as usize;
-            out.extend_from_slice(&self.static_events[emitted..upto]);
-            emitted = upto;
-            let mut mask = word.base_mask;
-            for i in word.bits_start as usize..word.bits_end as usize {
-                let degraded =
-                    vrt_degraded(seed, nonce, self.bit_indices[i], self.vrt_degraded_prob);
-                if degraded == self.bit_flip_when_degraded[i] {
-                    mask |= self.bit_masks[i];
-                }
-            }
-            if mask != 0 {
-                out.push(WordEvent {
-                    loc: word.loc,
-                    written: word.written,
-                    flip_mask: mask,
-                });
-            }
-        }
-        out.extend_from_slice(&self.static_events[emitted..]);
-    }
-
     /// The pre-built (window-invariant) word events, in population order.
     ///
     /// Batched callers classify these once per plan instead of once per
@@ -232,9 +202,11 @@ impl RunPlan {
     /// serves the whole batch.
     ///
     /// Per lane, the emitted events, resolved through
-    /// [`RunPlan::vrt_word_sites`], are bit-identical to the VRT-word
-    /// subsequence of `RunPlan::advance_window` with the same nonce: the
-    /// same `vrt_degraded` draws in the same per-word order.
+    /// [`RunPlan::vrt_word_sites`] and merged with
+    /// [`RunPlan::static_events`] in location order, are bit-identical to
+    /// [`crate::Dimm::advance_window_profiled`] at the same nonce: the
+    /// same `vrt_degraded` draws, and the same flip verdicts the plan
+    /// build took from the reference expressions.
     ///
     /// # Panics
     ///

@@ -64,10 +64,10 @@ impl EnvKey {
 ///
 /// Static events are byte-identical every window of every run, so they are
 /// classified once here and applied scaled by a run's completed windows —
-/// integer sums, bit-identical to the event-at-a-time accounting of
-/// [`record_events`]. Every row an event of the plan can touch gets a slot
-/// in a sorted row table, so a run tallies rows into a flat array instead
-/// of a map.
+/// integer sums, bit-identical to the event-at-a-time accounting
+/// ([`record_events`]) of [`XGene2Server::evaluate_run_reference`]. Every
+/// row an event of the plan can touch gets a slot in a sorted row table,
+/// so a run tallies rows into a flat array instead of a map.
 #[derive(Debug, PartialEq)]
 struct McuPlan {
     plan: RunPlan,
@@ -409,10 +409,6 @@ pub struct XGene2Server {
     mcbs: [Mcb; MCBS],
     thermal: ThermalTestbed,
     counters: Vec<Vec<EccCounters>>,
-    /// Scratch row-error tally reused across runs (cleared before use).
-    row_errors_scratch: HashMap<(usize, RowKey), (u64, u64)>,
-    /// Scratch event buffer reused across windows (cleared before use).
-    events_scratch: Vec<WordEvent>,
     /// FIFO cache of replay profiles keyed by (trace, refresh periods).
     profile_cache: VecDeque<CachedProfile>,
     /// Trace buffer for the next session.
@@ -443,8 +439,6 @@ impl XGene2Server {
             }; MCBS],
             thermal: ThermalTestbed::new(MCUS, config.ambient_c),
             counters,
-            row_errors_scratch: HashMap::new(),
-            events_scratch: Vec::new(),
             profile_cache: VecDeque::new(),
             spare_trace: SpareTrace::default(),
         }
@@ -669,24 +663,23 @@ impl XGene2Server {
     /// The run stops at the end of the first window in which ECC reported
     /// an uncorrectable error, mirroring the OS killing the virus (§V-A.1).
     ///
-    /// Internally this builds a [`PreparedRun`] and evaluates it; results
-    /// are bit-identical to [`Self::evaluate_run_reference`].
+    /// This is one run of [`Self::evaluate_runs`]; results are
+    /// bit-identical to [`Self::evaluate_run_reference`].
     ///
     /// # Errors
     ///
-    /// [`PlanError`] on a plan-layer programming error (see
-    /// [`Self::evaluate_prepared`]).
+    /// [`PlanError`] on a plan-layer programming error.
     pub fn evaluate_run(&mut self, run: &RecordedRun, nonce: u64) -> Result<RunOutcome, PlanError> {
-        let prepared = self.prepare_run(run)?;
-        self.evaluate_prepared(&prepared, nonce)
+        let mut outcomes = self.evaluate_runs(run, 1, nonce)?;
+        Ok(outcomes.pop().expect("one run yields one outcome"))
     }
 
     /// Evaluates `runs` repeat runs of the same virus, building the replay
     /// profile and run plans once (the paper's 10-run averaging workflow,
     /// §V-A.1). The runs are evaluated through the batched lane kernel —
     /// all of them advance window by window together — which is
-    /// bit-identical to evaluating them one at a time
-    /// ([`Self::evaluate_runs_sequential`], the retained oracle).
+    /// bit-identical to evaluating them one at a time through
+    /// [`Self::evaluate_run_reference`], the oracle.
     ///
     /// # Errors
     ///
@@ -719,25 +712,6 @@ impl XGene2Server {
         self.evaluate_prepared_runs(&prepared, runs, base_nonce)
     }
 
-    /// Per-run oracle for [`Self::evaluate_runs`]: the same prepared plans
-    /// evaluated one run at a time through [`Self::evaluate_prepared`].
-    /// The differential suite pins the batched path against this.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanError`] on a plan-layer programming error.
-    pub fn evaluate_runs_sequential(
-        &mut self,
-        run: &RecordedRun,
-        runs: u32,
-        base_nonce: u64,
-    ) -> Result<Vec<RunOutcome>, PlanError> {
-        let prepared = self.prepare_run(run)?;
-        (0..runs as u64)
-            .map(|r| self.evaluate_prepared(&prepared, base_nonce.wrapping_add(r)))
-            .collect()
-    }
-
     /// Builds the per-MCU [`RunPlan`]s for a recorded run under the current
     /// contents and operating points, serving repeats from the per-MCU plan
     /// cache: prepares sharing a (contents, operating point, activation
@@ -753,8 +727,8 @@ impl XGene2Server {
     /// interchangeable bit for bit and outcomes never depend on cache
     /// state.
     ///
-    /// Evaluate with [`Self::evaluate_prepared`]; rebuild after any write
-    /// or knob change.
+    /// Evaluate with [`Self::evaluate_prepared_runs`]; rebuild after any
+    /// write or knob change.
     ///
     /// # Errors
     ///
@@ -865,79 +839,23 @@ impl XGene2Server {
         entry
     }
 
-    /// Evaluates one run through prepared plans — the hot path behind
-    /// [`Self::evaluate_run`]/[`Self::evaluate_runs`] and the GA fitness
-    /// loop. Per window, each DIMM emits its pre-built static events plus
-    /// one Bernoulli draw per VRT-contingent cell; nothing else is
-    /// recomputed.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanError::Stale`] if DIMM contents changed since
-    /// [`Self::prepare_run`] — a programming error in the calling layer,
-    /// surfaced as a typed error (not a panic) so an evaluation supervisor
-    /// classifies it as permanent instead of retrying the candidate.
-    pub fn evaluate_prepared(
-        &mut self,
-        prepared: &PreparedRun,
-        nonce: u64,
-    ) -> Result<RunOutcome, PlanError> {
-        self.ensure_prepared_fresh(prepared)?;
-        let mut deltas = [[CounterSnapshot::default(); RANKS]; MCUS];
-        let mut row_errors = std::mem::take(&mut self.row_errors_scratch);
-        row_errors.clear();
-        let mut events = std::mem::take(&mut self.events_scratch);
-        let mut stopped_on_ue = false;
-        let mut windows_completed = 0;
-        'windows: for window in 0..self.config.windows_per_run {
-            // The MCU index addresses several parallel arrays, so an index
-            // loop is clearer than nested zips over disjoint borrows of self.
-            #[allow(clippy::needless_range_loop)]
-            for mcu in 0..MCUS {
-                self.mcus[mcu]
-                    .dimm
-                    .advance_window_planned(
-                        &prepared.plans[mcu].plan,
-                        window_nonce(nonce, window, mcu),
-                        &mut events,
-                    )
-                    .expect("plan freshness checked above; no writes happen mid-evaluation");
-                if record_events(
-                    &self.counters[mcu],
-                    &mut deltas[mcu],
-                    &mut row_errors,
-                    mcu,
-                    &events,
-                ) {
-                    stopped_on_ue = true;
-                }
-            }
-            windows_completed = window + 1;
-            if stopped_on_ue {
-                break 'windows;
-            }
-        }
-        self.events_scratch = events;
-        let outcome = finalize_outcome(&deltas, &mut row_errors, windows_completed, stopped_on_ue);
-        self.row_errors_scratch = row_errors;
-        Ok(outcome)
-    }
-
     /// Evaluates `runs` repeat runs of a prepared virus in one batched
-    /// sweep: per (window, MCU) the lane kernel
-    /// ([`RunPlan::advance_window_vrt_lanes`]) computes every live run's
-    /// VRT events in a single cell-outer pass over the plan's flat SoA.
+    /// sweep — the hot path behind [`Self::evaluate_run`],
+    /// [`Self::evaluate_runs`] and the GA fitness loop. Per (window, MCU)
+    /// the lane kernel ([`RunPlan::advance_window_vrt_lanes`]) computes
+    /// every live run's VRT events in a single cell-outer pass over the
+    /// plan's flat SoA.
     /// Everything that is the same in every window is accounted once per
     /// run: the static events through the plan's one-window summary scaled
     /// by the run's completed windows, the row tallies through the plans'
     /// row slots, and the persistent EDAC counters through one fold per
     /// (MCU, rank). All accounting is integer sums, so the outcomes (and
     /// the persistent EDAC counters) are bit-identical to evaluating the
-    /// runs one at a time.
+    /// runs one at a time through [`Self::evaluate_run_reference`].
     ///
     /// A run stops after the first full window in which any MCU raised an
-    /// uncorrectable error, exactly as in [`Self::evaluate_prepared`]; its
-    /// lane then goes dead while the other runs continue.
+    /// uncorrectable error, exactly as in the reference path; its lane then
+    /// goes dead while the other runs continue.
     ///
     /// # Errors
     ///
@@ -1031,7 +949,7 @@ impl XGene2Server {
                 windows_completed[lane] = window + 1;
             }
             // A UE ends a run after its full window, exactly like the
-            // per-run path's end-of-window break.
+            // reference path's end-of-window break.
             let stopping = live & ue_this_window;
             let mut scan = stopping;
             while scan != 0 {
@@ -1071,9 +989,10 @@ impl XGene2Server {
     }
 
     /// Reference evaluation path: re-runs the full per-cell retention loop
-    /// every window instead of going through a [`PreparedRun`]. Kept as the
-    /// oracle the differential tests (and the `window_kernel` bench) compare
-    /// the prepared path against.
+    /// ([`Dimm::advance_window_profiled`]) every window, one run at a time,
+    /// instead of going through a [`PreparedRun`]. Kept as the oracle the
+    /// differential tests (and the `window_kernel` bench) compare the
+    /// lane-batched path against.
     pub fn evaluate_run_reference(&mut self, run: &RecordedRun, nonce: u64) -> RunOutcome {
         let profile = self.build_profile(run);
         let disturbances = self.disturbance_profiles(&profile);
@@ -1132,7 +1051,7 @@ impl XGene2Server {
                 break 'windows;
             }
         }
-        finalize_outcome(&deltas, &mut row_errors, windows_completed, stopped_on_ue)
+        finalize_outcome(&deltas, row_errors, windows_completed, stopped_on_ue)
     }
 
     /// Measures server power at the current operating points, given the
@@ -1153,7 +1072,7 @@ impl XGene2Server {
 }
 
 /// Derives the per-(window, MCU) VRT nonce from a run nonce — the one
-/// formula every evaluation path (reference, prepared, batched) shares.
+/// formula the reference and the lane-batched paths share.
 fn window_nonce(run_nonce: u64, window: u32, mcu: usize) -> u64 {
     run_nonce
         .wrapping_mul(0x0100_0000_01B3)
@@ -1161,10 +1080,9 @@ fn window_nonce(run_nonce: u64, window: u32, mcu: usize) -> u64 {
         .wrapping_add((mcu as u64) << 32)
 }
 
-/// Tallies one window's events for one MCU into the persistent EDAC
-/// counters, the run-local deltas and the per-row tally. Returns whether an
-/// uncorrectable error was seen. Shared by the prepared and reference
-/// evaluation paths so their outcomes are constructed identically.
+/// Tallies one window's events for one MCU of the reference path into the
+/// persistent EDAC counters, the run-local deltas and the per-row tally,
+/// one event at a time. Returns whether an uncorrectable error was seen.
 fn record_events(
     counters: &[EccCounters],
     deltas: &mut [CounterSnapshot; RANKS],
@@ -1195,16 +1113,16 @@ fn record_events(
     saw_ue
 }
 
-/// Assembles a [`RunOutcome`] from run-local deltas and the per-row tally
-/// (drained, so the caller's map can be reused).
+/// Assembles a [`RunOutcome`] of the reference path from run-local deltas
+/// and the per-row tally.
 fn finalize_outcome(
     deltas: &[[CounterSnapshot; RANKS]; MCUS],
-    row_errors: &mut HashMap<(usize, RowKey), (u64, u64)>,
+    row_errors: HashMap<(usize, RowKey), (u64, u64)>,
     windows_completed: u32,
     stopped_on_ue: bool,
 ) -> RunOutcome {
     let mut rows: Vec<RowErrors> = row_errors
-        .drain()
+        .into_iter()
         .map(|((mcu, row), (ce, ue))| RowErrors { mcu, row, ce, ue })
         .collect();
     rows.sort_by(outcome_order);
@@ -1415,6 +1333,19 @@ mod tests {
         );
     }
 
+    /// The oracle for `runs` repeat runs: [`XGene2Server::evaluate_run_reference`]
+    /// one run at a time, with the nonces the batched path gives its lanes.
+    fn reference_runs(
+        server: &mut XGene2Server,
+        run: &RecordedRun,
+        runs: u32,
+        base_nonce: u64,
+    ) -> Vec<RunOutcome> {
+        (0..runs as u64)
+            .map(|r| server.evaluate_run_reference(run, base_nonce.wrapping_add(r)))
+            .collect()
+    }
+
     #[test]
     fn prepared_run_matches_reference_path() {
         let mut sv = server();
@@ -1423,11 +1354,13 @@ mod tests {
         let run = fill_run(&mut sv, 2, WORST);
         let mut reference_sv = sv.clone();
         let prepared = sv.prepare_run(&run).unwrap();
+        // One prepared run serves every nonce, one run per call.
         for nonce in 0..12 {
-            let fast = sv.evaluate_prepared(&prepared, nonce).unwrap();
+            let fast = sv.evaluate_prepared_runs(&prepared, 1, nonce).unwrap();
             let slow = reference_sv.evaluate_run_reference(&run, nonce);
-            assert_eq!(fast, slow, "prepared path diverged at nonce {nonce}");
+            assert_eq!(fast, [slow], "prepared path diverged at nonce {nonce}");
         }
+        assert_eq!(sv.counters(), reference_sv.counters());
     }
 
     #[test]
@@ -1446,7 +1379,7 @@ mod tests {
                 let run = fill_run(&mut sv, 2, WORST);
                 let mut oracle_sv = sv.clone();
                 let batched = sv.evaluate_runs(&run, 10, 3).unwrap();
-                let sequential = oracle_sv.evaluate_runs_sequential(&run, 10, 3).unwrap();
+                let sequential = reference_runs(&mut oracle_sv, &run, 10, 3);
                 assert_eq!(
                     batched, sequential,
                     "batched path diverged at {temp}C, {windows} windows"
@@ -1470,9 +1403,10 @@ mod tests {
         let mut oracle_sv = sv.clone();
         let runs = MAX_LANES as u32 + 3;
         let batched = sv.evaluate_runs(&run, runs, 11).unwrap();
-        let sequential = oracle_sv.evaluate_runs_sequential(&run, runs, 11).unwrap();
+        let sequential = reference_runs(&mut oracle_sv, &run, runs, 11);
         assert_eq!(batched.len(), runs as usize);
         assert_eq!(batched, sequential);
+        assert_eq!(sv.counters(), oracle_sv.counters());
     }
 
     #[test]
@@ -1638,13 +1572,11 @@ mod tests {
         let prepared = sv.prepare_run(&run).unwrap();
         // Any write to the target DIMM invalidates its plan.
         let _ = fill_run(&mut sv, 2, 0);
-        match sv.evaluate_prepared_runs(&prepared, 2, 0) {
-            Err(PlanError::Stale { built, current }) => assert!(current > built),
-            other => panic!("expected PlanError::Stale, got {other:?}"),
-        }
-        match sv.evaluate_prepared(&prepared, 0) {
-            Err(PlanError::Stale { .. }) => {}
-            other => panic!("expected PlanError::Stale, got {other:?}"),
+        for runs in [1, 2] {
+            match sv.evaluate_prepared_runs(&prepared, runs, 0) {
+                Err(PlanError::Stale { built, current }) => assert!(current > built),
+                other => panic!("expected PlanError::Stale, got {other:?}"),
+            }
         }
     }
 

@@ -1,11 +1,13 @@
 //! Differential tests for the batched evaluation path: the engine's
-//! per-round chromosome dedup, the evaluator's shared plan/profile and
-//! compile caches, the lane-packed VRT window kernel and the VM's
-//! bulk-fill fast path are pure optimizations, so every score must be
-//! bit-identical to the uncached per-candidate reference oracle — for any
-//! worker count, any cache state, and under hazard schedules. Also pins the regression behaviour of the
-//! three bugfixes that rode along: typed stale-plan errors, exact index
-//! narrowing, and the bounded evaluation cache.
+//! per-round chromosome dedup, the server's shared plan and replay-profile
+//! caches, the lane-packed VRT window kernel and the VM's bulk-fill fast
+//! path are pure optimizations, so every score must be bit-identical to the
+//! uncached per-candidate reference oracle
+//! (`VirusEvaluator::evaluate_bindings_reference`: the tree-walking
+//! interpreter plus the per-cell retention loop, one run at a time) — for
+//! any worker count, any cache state, and under hazard schedules. Also pins
+//! typed stale-plan errors, exact index narrowing, and the bounded
+//! evaluation cache.
 
 use std::collections::HashMap;
 
@@ -197,7 +199,7 @@ fn stale_plan_misuse_stays_a_typed_error_through_the_stack() {
     session.write_u64(other, 0xFFFF_FFFF_FFFF_FFFF).unwrap();
     drop(session.finish());
     let err = server
-        .evaluate_prepared(&prepared, 1)
+        .evaluate_prepared_runs(&prepared, 1, 1)
         .expect_err("superseded contents must be rejected");
     assert!(matches!(err, dstress_dram::PlanError::Stale { .. }));
     let wrapped: DStressError = err.into();

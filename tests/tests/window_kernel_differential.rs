@@ -3,26 +3,29 @@
 //! The `RunPlan` fast path (DESIGN.md "Run-plan window kernel") is an
 //! algebraic factoring of the reference per-cell retention loop, not an
 //! approximation: for any contents, operating environment, activation
-//! profile, and VRT nonce it must emit a *bit-identical* `WordEvent`
-//! stream. These tests pin that equivalence from two directions:
+//! profile, and VRT nonce, each lane of the lane-batched kernel, merged
+//! with the plan's static events, must emit a *bit-identical* `WordEvent`
+//! stream. These tests pin the one production kernel directly against the
+//! one oracle, from two layers:
 //!
-//! * a property test at the DIMM layer, randomising everything the plan
+//! * property tests at the DIMM layer, randomising everything the plan
 //!   partitions over (contents, temperature, voltage, refresh period,
-//!   hammering profile, nonce);
+//!   hammering profile, nonce) plus the lane count and a dead lane, against
+//!   `Dimm::advance_window_profiled`;
 //! * determinism tests at the server layer, checking that
-//!   `evaluate_prepared` over a shared [`PreparedRun`] equals both
-//!   `evaluate_run` and the retained reference path for every nonce;
+//!   `evaluate_prepared_runs` over a shared [`PreparedRun`] equals both
+//!   `evaluate_run` and the reference path for every nonce;
 //! * a property test pinning the lane-batched `evaluate_runs` (per-run
-//!   accounting of static events, row slots and EDAC counters) against the
-//!   one-run-at-a-time oracle `evaluate_runs_sequential`.
+//!   accounting of static events, row slots and EDAC counters) against
+//!   `evaluate_run_reference` run by run.
 
 use dstress_dram::geometry::RowKey;
 use dstress_dram::{
-    ActivationCounts, Dimm, DimmConfig, Location, OperatingEnv, WeakCell, WeakCellPopulation,
-    MAX_LANES,
+    ActivationCounts, Dimm, DimmConfig, Location, OperatingEnv, RunPlan, VrtEvent, WeakCell,
+    WeakCellPopulation, WordEvent, MAX_LANES,
 };
 use dstress_platform::session::MemoryBus;
-use dstress_platform::{RecordedRun, ServerConfig, XGene2Server};
+use dstress_platform::{RecordedRun, RunOutcome, ServerConfig, XGene2Server};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -35,11 +38,44 @@ fn small_dimm_config() -> DimmConfig {
     config
 }
 
+/// One lane's full event stream: its VRT events resolved through the
+/// plan's word sites, merged with the static events in location order (the
+/// order the reference loop emits in).
+fn lane_stream(plan: &RunPlan, lane: &[VrtEvent]) -> Vec<WordEvent> {
+    let sites: Vec<(Location, u64)> = plan.vrt_word_sites().collect();
+    let mut events: Vec<WordEvent> = lane
+        .iter()
+        .map(|e| {
+            let (loc, written) = sites[e.word as usize];
+            WordEvent {
+                loc,
+                written,
+                flip_mask: e.flip_mask,
+            }
+        })
+        .chain(plan.static_events().iter().copied())
+        .collect();
+    events.sort_by_key(|e| e.loc);
+    events
+}
+
+/// Evaluates one window of `plan` in a single lane and returns its full
+/// event stream.
+fn one_lane_window(dimm: &Dimm, plan: &RunPlan, nonce: u64) -> Vec<WordEvent> {
+    let mut lane = vec![Vec::new()];
+    dimm.advance_window_planned_lanes(plan, &[nonce], 1, &mut lane)
+        .expect("fresh plan");
+    lane_stream(plan, &lane[0])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The planned kernel's event stream matches the reference loop for
-    /// random contents, operating envs, activation profiles, and nonces.
+    /// Every live lane of the planned kernel, merged with the static
+    /// events, matches the reference loop at that lane's window nonce, for
+    /// random contents, operating envs, activation profiles, nonces and
+    /// lane counts (one lane, a full lane word, and in between); a dead
+    /// lane stays empty.
     #[test]
     fn planned_events_match_reference_loop(
         seed in any::<u64>(),
@@ -55,6 +91,9 @@ proptest! {
             0..12,
         ),
         nonce in any::<u64>(),
+        lanes in prop_oneof![Just(1usize), Just(MAX_LANES), 2usize..MAX_LANES],
+        // A lane index at or past `lanes` leaves every lane live.
+        dead in 0usize..=MAX_LANES,
     ) {
         let mut dimm = Dimm::new(small_dimm_config(), seed);
         for &(rank, bank, row, col, value) in &writes {
@@ -67,14 +106,22 @@ proptest! {
         let env = OperatingEnv { temp_c, vdd_v, trefp_s };
         let disturbance = dimm.disturbance_profile(&acts);
         let plan = dimm.prepare_run(&env, &disturbance).expect("prepare");
-        let mut planned = Vec::new();
+        let live = (0..lanes).filter(|&l| l != dead).fold(0u64, |m, l| m | 1 << l);
+        let mut out: Vec<Vec<VrtEvent>> = vec![Vec::new(); lanes];
         for window in 0..4u64 {
-            let window_nonce = nonce.wrapping_add(window);
-            let reference =
-                dimm.advance_window_profiled(&env, &disturbance, window_nonce);
-            dimm.advance_window_planned(&plan, window_nonce, &mut planned)
+            let nonces: Vec<u64> = (0..lanes as u64)
+                .map(|l| nonce.wrapping_add(l.wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_add(window))
+                .collect();
+            dimm.advance_window_planned_lanes(&plan, &nonces, live, &mut out)
                 .expect("fresh plan");
-            prop_assert_eq!(&planned, &reference);
+            for (l, &lane_nonce) in nonces.iter().enumerate() {
+                if live & 1 << l == 0 {
+                    prop_assert!(out[l].is_empty(), "dead lane {} emitted events", l);
+                    continue;
+                }
+                let reference = dimm.advance_window_profiled(&env, &disturbance, lane_nonce);
+                prop_assert_eq!(&lane_stream(&plan, &out[l]), &reference);
+            }
         }
     }
 
@@ -94,20 +141,15 @@ proptest! {
         let no_acts = dimm.disturbance_profile(&ActivationCounts::new());
         dimm.write_word(Location::new(0, 0, 0, col), first);
         let plan = dimm.prepare_run(&env, &no_acts).expect("prepare");
-        let mut planned = Vec::new();
-        dimm.advance_window_planned(&plan, nonce, &mut planned)
-            .expect("fresh plan");
         prop_assert_eq!(
-            &planned,
+            &one_lane_window(&dimm, &plan, nonce),
             &dimm.advance_window_profiled(&env, &no_acts, nonce)
         );
         // Mutate contents, rebuild, and the equivalence must hold again.
         dimm.write_word(Location::new(0, 0, 0, col), second);
         let replan = dimm.prepare_run(&env, &no_acts).expect("prepare");
-        dimm.advance_window_planned(&replan, nonce, &mut planned)
-            .expect("fresh plan");
         prop_assert_eq!(
-            &planned,
+            &one_lane_window(&dimm, &replan, nonce),
             &dimm.advance_window_profiled(&env, &no_acts, nonce)
         );
     }
@@ -142,18 +184,23 @@ fn stressed_server_and_run() -> (XGene2Server, RecordedRun) {
     (server, run)
 }
 
-/// `evaluate_prepared` over one shared `PreparedRun` equals `evaluate_run`
-/// (which re-prepares per call) *and* the retained reference evaluator for
-/// every nonce — the plan carries no per-nonce state.
+/// `evaluate_prepared_runs` over one shared `PreparedRun` equals
+/// `evaluate_run` (which re-prepares per call) *and* the reference
+/// evaluator for every nonce, one run per call and all runs in one batch —
+/// the plan carries no per-nonce state.
 #[test]
-fn evaluate_prepared_equals_evaluate_run_for_all_nonces() {
+fn evaluate_prepared_runs_equals_evaluate_run_for_all_nonces() {
     let (mut fast, run) = stressed_server_and_run();
     let mut per_call = fast.clone();
     let mut reference = fast.clone();
+    let mut batch = fast.clone();
     let prepared = fast.prepare_run(&run).expect("prepare");
-    let mut total_ce = 0u64;
+    let mut expected = Vec::new();
     for nonce in 0..32u64 {
-        let outcome = fast.evaluate_prepared(&prepared, nonce).expect("evaluate");
+        let outcome = fast
+            .evaluate_prepared_runs(&prepared, 1, nonce)
+            .expect("evaluate")
+            .remove(0);
         assert_eq!(
             outcome,
             per_call.evaluate_run(&run, nonce).expect("evaluate"),
@@ -164,9 +211,21 @@ fn evaluate_prepared_equals_evaluate_run_for_all_nonces() {
             reference.evaluate_run_reference(&run, nonce),
             "nonce {nonce}"
         );
-        total_ce += outcome.totals.ce;
+        expected.push(outcome);
     }
-    assert!(total_ce > 0, "stress setup must manifest errors");
+    assert!(
+        expected.iter().map(|o| o.totals.ce).sum::<u64>() > 0,
+        "stress setup must manifest errors"
+    );
+    let prepared = batch.prepare_run(&run).expect("prepare");
+    assert_eq!(
+        batch
+            .evaluate_prepared_runs(&prepared, 32, 0)
+            .expect("evaluate"),
+        expected
+    );
+    assert_eq!(fast.counters(), reference.counters());
+    assert_eq!(batch.counters(), reference.counters());
 }
 
 /// `evaluate_runs` (plan built once, nonce incremented per repeat) equals a
@@ -303,22 +362,23 @@ fn small_config(
     config
 }
 
-/// Asserts the batched and sequential paths agree on every outcome field
-/// (row order included) and on the persistent EDAC counters.
-fn assert_batched_matches_sequential(
+/// Asserts the batched path agrees with `evaluate_run_reference`, run by
+/// run, on every outcome field (row order included) and on the persistent
+/// EDAC counters.
+fn assert_batched_matches_reference(
     mut server: XGene2Server,
     run: &RecordedRun,
     runs: u32,
     base_nonce: u64,
-) -> Vec<dstress_platform::RunOutcome> {
+) -> Vec<RunOutcome> {
     let mut oracle = server.clone();
     let batched = server
         .evaluate_runs(run, runs, base_nonce)
         .expect("batched");
-    let sequential = oracle
-        .evaluate_runs_sequential(run, runs, base_nonce)
-        .expect("sequential");
-    assert_eq!(batched, sequential);
+    let reference: Vec<RunOutcome> = (0..runs as u64)
+        .map(|r| oracle.evaluate_run_reference(run, base_nonce.wrapping_add(r)))
+        .collect();
+    assert_eq!(batched, reference);
     assert_eq!(server.counters(), oracle.counters());
     batched
 }
@@ -338,7 +398,7 @@ fn batch_fixture_covers_multi_bit_vrt_words_sdc_and_ue_stops() {
         plan.vrt_cells() > plan.vrt_words(),
         "some VRT word must carry several contingent cells"
     );
-    let outcomes = assert_batched_matches_sequential(server, &run, 20, 0);
+    let outcomes = assert_batched_matches_reference(server, &run, 20, 0);
     assert!(outcomes.iter().any(|o| o.totals.silent() > 0), "no SDC");
     // Uncorrectable errors come from the VRT draws alone, so runs stop at
     // different windows.
@@ -353,10 +413,11 @@ fn batch_fixture_covers_multi_bit_vrt_words_sdc_and_ue_stops() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `evaluate_runs` equals `evaluate_runs_sequential` — outcomes, row
-    /// order and persistent counters — across populations, the CE regime
-    /// (below about 62 C) and the stop-on-UE regime, lane counts past one
-    /// lane word and zero to six windows.
+    /// `evaluate_runs` equals `evaluate_run_reference` run by run (the
+    /// sequential oracle) — outcomes, row order and persistent counters —
+    /// across populations, the CE regime (below about 62 C) and the
+    /// stop-on-UE regime, lane counts past one lane word and zero to six
+    /// windows.
     #[test]
     fn batched_runs_match_sequential_oracle(
         seed in any::<u64>(),
@@ -376,6 +437,6 @@ proptest! {
     ) {
         let config = small_config(seed, singles, pairs, triples, windows_per_run);
         let (server, run) = batch_fixture(config, stacked, temp_c, word);
-        assert_batched_matches_sequential(server, &run, runs, base_nonce);
+        assert_batched_matches_reference(server, &run, runs, base_nonce);
     }
 }
