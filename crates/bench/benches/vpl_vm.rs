@@ -6,13 +6,18 @@
 //! measured difference is engine dispatch overhead — the cost the bytecode
 //! tier exists to remove. `session/…` runs the same virus through a real
 //! recording [`Session`] (address translation + trace append per access),
-//! the configuration `core::evaluate` uses. `kernel/…` runs a loop nest
-//! the fused-loop peephole does not match, so it prices ordinary op
-//! dispatch. `compile/program` prices the one-time lowering.
+//! the configuration `core::evaluate` uses. `chunks/session-vm` runs the
+//! quick-scale CHUNKS virus (fill, 64-chunk span copy, offset reduce — all
+//! three fused) through the recording session, pricing the copy path;
+//! `chunks/session-vm-strict` runs it with the bulk paths off
+//! ([`Vm::without_bulk_fill`]), one fused iteration at a time. `kernel/…`
+//! runs a loop nest the fused-loop peephole does not match, so it prices
+//! ordinary op dispatch. `compile/program` prices the one-time lowering.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dstress::templates::{process, WORD64};
-use dstress::{EnvKind, ExperimentScale};
+use dstress::templates::{instantiate_uniform, process, WORD64};
+use dstress::{EnvKind, ExperimentScale, WORST_WORD};
+use dstress_dram::geometry::RowKey;
 use dstress_platform::session::{SessionError, VirtAddr};
 use dstress_platform::{MemoryBus, XGene2Server};
 use dstress_vpl::ast::Program;
@@ -190,6 +195,33 @@ fn bench(c: &mut Criterion) {
             std::hint::black_box((stats.steps, session.finish().len()))
         })
     });
+
+    // The chunk-span virus around one mid-DIMM victim row, every pattern
+    // word the worst-case word.
+    let geo = scale.server.dimm.geometry;
+    let chunks = EnvKind::Chunks {
+        victims: vec![RowKey::new(0, 1, geo.rows_per_bank / 2)],
+    };
+    let chunks_compiled = compile(
+        &instantiate_uniform(&chunks, &scale, WORST_WORD).expect("chunks virus instantiates"),
+    )
+    .expect("compiles");
+    for (name, vm) in [
+        ("chunks/session-vm", Vm::new(limits)),
+        (
+            "chunks/session-vm-strict",
+            Vm::new(limits).without_bulk_fill(),
+        ),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                server.reset_memory();
+                let mut session = server.session(2);
+                let stats = vm.run(&chunks_compiled, &mut session).expect("runs");
+                std::hint::black_box((stats.steps, session.finish().len()))
+            })
+        });
+    }
 }
 
 criterion_group!(benches, bench);

@@ -8,7 +8,7 @@
 //! dstress victims [--temp C]
 //! dstress margins [--temp C] [--ce-tolerated]
 //! dstress march
-//! dstress disasm [--pattern HEX]
+//! dstress disasm [--env word64|row_triple|chunks|row_access|stride_access] [--pattern HEX] [--scale quick|paper]
 //! dstress info
 //! dstress serve --dir DIR [--addr HOST:PORT] [--workers N] [--exit-when-idle]
 //! dstress submit --addr HOST:PORT [--temp C] [--ue] [--minimize] [--scale S] [--seed N] [--step-budget N]
@@ -113,6 +113,52 @@ fn scale_from(args: &Args) -> Result<ExperimentScale, String> {
     }
 }
 
+/// The `dstress disasm` output: the bytecode listing of the `name`
+/// template's virus, every searched element set to `pattern` (clamped to
+/// its domain) and victim rows profiled at `scale` like a search's.
+fn disasm_listing(
+    name: &str,
+    pattern: u64,
+    scale: ExperimentScale,
+    seed: u64,
+    temp: f64,
+) -> Result<String, String> {
+    let victims = || {
+        DStress::new(scale, seed)
+            .profile_victims(temp, WORST_WORD)
+            .map_err(|e| e.to_string())
+    };
+    let env = match name {
+        "word64" => EnvKind::Word64,
+        "row_triple" => EnvKind::RowTriple {
+            victims: victims()?,
+        },
+        "chunks" => EnvKind::Chunks {
+            victims: victims()?,
+        },
+        "row_access" => EnvKind::RowAccess {
+            victims: victims()?,
+            fill: WORST_WORD,
+        },
+        "stride_access" => EnvKind::StrideAccess {
+            victims: victims()?,
+            fill: WORST_WORD,
+        },
+        other => {
+            return Err(format!(
+                "unknown env `{other}` (word64|row_triple|chunks|row_access|stride_access)"
+            ))
+        }
+    };
+    let program = dstress::templates::instantiate_uniform(&env, &scale, pattern)
+        .map_err(|e| e.to_string())?;
+    let compiled = compile(&program).map_err(|e| e.to_string())?;
+    Ok(format!(
+        "{name} virus, pattern {pattern:#018x}\n\n{}",
+        disassemble(&compiled)
+    ))
+}
+
 /// Builds the evaluation-supervision policy from `--max-retries` and
 /// `--quarantine-after`. Malformed values are rejected here so they reach
 /// the usage-and-exit-1 path instead of panicking deep in the engine.
@@ -169,8 +215,10 @@ fn usage() -> &'static str {
        victims         Profile the error-prone rows [--temp C]\n\
        margins         Find the safe TREFP margin [--temp C] [--ce-tolerated]\n\
        march           Compare MARCH tests against the synthesized virus\n\
-       disasm          Dump the compiled word64 virus bytecode\n\
-                       [--pattern HEX] [--scale quick|paper]\n\
+       disasm          Dump a compiled virus's bytecode\n\
+                       [--env word64|row_triple|chunks|row_access|stride_access]\n\
+                       [--pattern HEX] [--scale quick|paper]  (default\n\
+                       word64; the others use victims profiled at --scale)\n\
        info            Show the platform configuration\n\
        serve           Run the dstressd campaign daemon  --dir DIR\n\
                        [--addr HOST:PORT] [--workers N] [--event-capacity N]\n\
@@ -522,7 +570,7 @@ fn run(raw: Vec<String>) -> Result<(), String> {
         "baselines" | "victims" => &["temp", "scale", "seed"],
         "margins" => &["temp", "ce-tolerated", "scale", "seed"],
         "march" => &["scale", "seed"],
-        "disasm" => &["pattern", "scale"],
+        "disasm" => &["pattern", "scale", "env"],
         "serve" => &["dir", "addr", "workers", "event-capacity", "exit-when-idle"],
         "submit" => &[
             "addr",
@@ -777,15 +825,8 @@ fn run(raw: Vec<String>) -> Result<(), String> {
         }
         "disasm" => {
             let pattern = args.u64("pattern", WORST_WORD)?;
-            let env = EnvKind::Word64;
-            let template = dstress::templates::process(env.template_source(), &scale)
-                .map_err(|e| e.to_string())?;
-            let mut bindings = env.bindings(&scale).map_err(|e| e.to_string())?;
-            bindings.insert("PATTERN".into(), BoundValue::Scalar(pattern));
-            let program = template.instantiate(&bindings).map_err(|e| e.to_string())?;
-            let compiled = compile(&program).map_err(|e| e.to_string())?;
-            println!("word64 virus, pattern {pattern:#018x}\n");
-            print!("{}", disassemble(&compiled));
+            let name = args.str("env").unwrap_or("word64");
+            print!("{}", disasm_listing(name, pattern, scale, seed, temp)?);
             Ok(())
         }
         "serve" => {
@@ -969,6 +1010,25 @@ mod tests {
         assert!(err.contains("unknown flag --temp"), "{err}");
         // The happy path runs end to end on the quick scale.
         run(strings(&["disasm", "--scale", "quick"])).unwrap();
+        let err = run(strings(&["disasm", "--env", "bogus", "--scale", "quick"])).unwrap_err();
+        assert!(err.contains("unknown env `bogus`"), "{err}");
+    }
+
+    /// `disasm --env chunks` lists the chunk-span virus with its fill, span
+    /// copy and offset reduce each fused into one superinstruction.
+    #[test]
+    fn disasm_lists_the_chunks_virus_with_three_fused_loops() {
+        run(strings(&["disasm", "--env", "chunks", "--scale", "quick"])).unwrap();
+        let listing =
+            disasm_listing("chunks", WORST_WORD, ExperimentScale::quick(), 42, 60.0).unwrap();
+        assert!(listing.starts_with("chunks virus"), "{listing}");
+        let fused: Vec<&str> = listing.lines().filter(|l| l.contains("fused")).collect();
+        assert_eq!(fused.len(), 3, "{listing}");
+        assert!(
+            fused[1].contains("<buf>[$") && fused[1].contains("= $"),
+            "{}",
+            fused[1]
+        );
     }
 
     #[test]

@@ -24,7 +24,9 @@
 
 use crate::error::DStressError;
 use crate::scale::ExperimentScale;
-use dstress_vpl::{ProcessedTemplate, Template};
+use crate::search::EnvKind;
+use dstress_vpl::ast::Program;
+use dstress_vpl::{BoundValue, ParamShape, ProcessedTemplate, Template};
 use std::collections::HashMap;
 
 /// Template 1 — the 64-bit data-pattern virus (paper Fig. 3 is this shape).
@@ -245,10 +247,36 @@ pub fn process(source: &str, scale: &ExperimentScale) -> Result<ProcessedTemplat
     Ok(Template::parse(source)?.process(&constants)?)
 }
 
+/// Instantiates `env`'s template at `scale` with every searched parameter
+/// element set to `word`, clamped to the parameter's domain — one
+/// representative virus per template, for inspecting what the compiler
+/// makes of it (`dstress disasm --env`).
+///
+/// # Errors
+///
+/// Propagates template processing, binding and instantiation failures.
+pub fn instantiate_uniform(
+    env: &EnvKind,
+    scale: &ExperimentScale,
+    word: u64,
+) -> Result<Program, DStressError> {
+    let template = process(env.template_source(), scale)?;
+    let mut bindings = env.bindings(scale)?;
+    for p in template.params() {
+        let value = match p.shape {
+            ParamShape::Scalar { lo, hi } => BoundValue::Scalar(word.clamp(lo, hi)),
+            ParamShape::Array { len, lo, hi } => {
+                BoundValue::Array(vec![word.clamp(lo, hi); len as usize])
+            }
+        };
+        bindings.insert(p.name.clone(), value);
+    }
+    Ok(template.instantiate(&bindings)?)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dstress_vpl::ParamShape;
 
     fn scale() -> ExperimentScale {
         ExperimentScale::quick()
@@ -338,9 +366,9 @@ mod tests {
     /// stage; it must produce the program the evaluator compiles and runs.
     #[test]
     fn default_opt_level_compiles_what_the_evaluator_runs() {
-        use crate::{EnvKind, WORST_WORD};
+        use crate::WORST_WORD;
         use dstress_dram::geometry::RowKey;
-        use dstress_vpl::{compile, compile_opt, BoundValue, OptLevel};
+        use dstress_vpl::{compile, compile_opt, OptLevel};
         let s = scale();
         for env in [
             EnvKind::Word64,
@@ -349,19 +377,61 @@ mod tests {
                 fill: WORST_WORD,
             },
         ] {
-            let template = process(env.template_source(), &s).unwrap();
-            let mut bindings = env.bindings(&s).unwrap();
-            for p in template.params() {
-                let value = match p.shape {
-                    ParamShape::Scalar { hi, .. } => BoundValue::Scalar(hi),
-                    ParamShape::Array { len, hi, .. } => BoundValue::Array(vec![hi; len as usize]),
-                };
-                bindings.insert(p.name.clone(), value);
-            }
-            let program = template.instantiate(&bindings).unwrap();
+            // Every searched element at the top of its domain.
+            let program = instantiate_uniform(&env, &s, u64::MAX).unwrap();
             let plain = compile(&program).unwrap();
             let shim = compile_opt(&program, &OptLevel.config()).unwrap();
             assert_eq!(format!("{plain:?}"), format!("{shim:?}"), "{env:?}");
+        }
+    }
+
+    /// Pins which loops of each paper template run as one fused dispatch,
+    /// at both scales, so a refactor cannot unfuse one silently: the fill
+    /// everywhere, word64's reduce, and chunks' span copy and offset reduce.
+    /// Row-triple's three-statement bodies and the access templates' gathers
+    /// stay unfused.
+    #[test]
+    fn paper_templates_fuse_their_span_loops() {
+        use crate::WORST_WORD;
+        use dstress_dram::geometry::RowKey;
+        use dstress_vpl::{compile, FusedShape::*};
+        for s in [ExperimentScale::quick(), ExperimentScale::paper()] {
+            // A row mid-DIMM leaves every template its neighbourhood.
+            let geo = s.server.dimm.geometry;
+            let victims = vec![RowKey::new(0, 1, geo.rows_per_bank / 2)];
+            for (env, shapes) in [
+                (EnvKind::Word64, vec![Fill, Reduce]),
+                (
+                    EnvKind::RowTriple {
+                        victims: victims.clone(),
+                    },
+                    vec![Fill],
+                ),
+                (
+                    EnvKind::Chunks {
+                        victims: victims.clone(),
+                    },
+                    vec![Fill, Copy, OffsetReduce],
+                ),
+                (
+                    EnvKind::RowAccess {
+                        victims: victims.clone(),
+                        fill: WORST_WORD,
+                    },
+                    vec![Fill],
+                ),
+                (
+                    EnvKind::StrideAccess {
+                        victims: victims.clone(),
+                        fill: WORST_WORD,
+                    },
+                    vec![Fill],
+                ),
+            ] {
+                let program = instantiate_uniform(&env, &s, WORST_WORD).unwrap();
+                let compiled = compile(&program).unwrap();
+                assert_eq!(compiled.fused_shapes(), shapes, "{} {env:?}", s.name);
+            }
         }
     }
 }

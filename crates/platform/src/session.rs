@@ -100,6 +100,25 @@ pub trait MemoryBus {
         }
         Ok(())
     }
+
+    /// Copies `count` consecutive 64-bit words from `src` to `dst` — the
+    /// bulk path behind copy loops (the VPL VM lowers a fused
+    /// `dst[off + i] = src[i]` loop to one call). Semantically identical to
+    /// one [`Self::read_u64`] of `src + 8k` then one [`Self::write_u64`] of
+    /// `dst + 8k` per word, in order, including the interleaved per-word
+    /// trace recording — and so also when the spans overlap.
+    ///
+    /// # Errors
+    ///
+    /// Fails on unmapped or unaligned addresses; every access before the
+    /// failing one has happened, exactly as with the per-word loop.
+    fn copy_span(&mut self, dst: VirtAddr, src: VirtAddr, count: u64) -> Result<(), SessionError> {
+        for k in 0..count {
+            let word = self.read_u64(src + k * 8)?;
+            self.write_u64(dst + k * 8, word)?;
+        }
+        Ok(())
+    }
 }
 
 /// Error raised by session memory operations.
@@ -454,6 +473,42 @@ impl<'a> Session<'a> {
             .push_span(mcu as u8, local_addr, keep as u64, is_write);
     }
 
+    /// Records `n` interleaved copy accesses — read `src_local + 8k`, then
+    /// write `dst_local + 8k` — cap-checked once. Bit-identical trace to
+    /// `2n` alternating `record` calls, including a cap that lands between
+    /// a read and its write.
+    fn record_copy(
+        &mut self,
+        (src_mcu, src_local): (usize, u64),
+        (dst_mcu, dst_local): (usize, u64),
+        n: u64,
+    ) {
+        let room = self.max_trace.saturating_sub(self.trace.len()) as u64;
+        let pairs = n.min(room / 2);
+        for k in 0..pairs {
+            self.trace.push(TraceOp {
+                mcu: src_mcu as u8,
+                local_addr: src_local + k * 8,
+                is_write: false,
+            });
+            self.trace.push(TraceOp {
+                mcu: dst_mcu as u8,
+                local_addr: dst_local + k * 8,
+                is_write: true,
+            });
+        }
+        if pairs < n {
+            if room > 2 * pairs {
+                self.trace.push(TraceOp {
+                    mcu: src_mcu as u8,
+                    local_addr: src_local + pairs * 8,
+                    is_write: false,
+                });
+            }
+            self.trace.truncated = true;
+        }
+    }
+
     /// Consumes the session, returning the recorded run.
     pub fn finish(self) -> RecordedRun {
         self.trace
@@ -589,6 +644,50 @@ impl MemoryBus for Session<'_> {
             self.record_span(mcu, local, n, false);
             self.server
                 .read_local_span(mcu, local, &mut out[done as usize..(done + n) as usize]);
+            done += n;
+        }
+        Ok(())
+    }
+
+    /// Row-granular copy: translates each span once per chunk that stays
+    /// inside one row of both, moves the chunk with one row read and one
+    /// row write, and records the same interleaved per-word trace as the
+    /// word loop, a recording cap between a read and its write included.
+    /// Overlapping spans keep the word-at-a-time default (a chunked copy
+    /// would read source words the word loop has already overwritten), and
+    /// so does interleaved mode, as in [`Self::fill`].
+    fn copy_span(&mut self, dst: VirtAddr, src: VirtAddr, count: u64) -> Result<(), SessionError> {
+        let bytes = count.saturating_mul(8);
+        let overlap = src < dst.saturating_add(bytes) && dst < src.saturating_add(bytes);
+        if self.server.interleaving() || overlap {
+            for k in 0..count {
+                let word = self.read_u64(src + k * 8)?;
+                self.write_u64(dst + k * 8, word)?;
+            }
+            return Ok(());
+        }
+        let row_bytes = self.server.row_bytes();
+        let mut row_buf = vec![0u64; count.min(row_bytes / 8) as usize];
+        let mut done = 0u64;
+        while done < count {
+            let from = self.translate(src + done * 8)?;
+            let to = match self.translate(dst + done * 8) {
+                Ok(to) => to,
+                Err(e) => {
+                    // The word loop reads the source word before its
+                    // destination write fails.
+                    self.record(from.0, from.1, false);
+                    return Err(e);
+                }
+            };
+            let row_remaining = |local: u64| (row_bytes - local % row_bytes) / 8;
+            let n = row_remaining(from.1)
+                .min(row_remaining(to.1))
+                .min(count - done);
+            self.record_copy(from, to, n);
+            let words = &mut row_buf[..n as usize];
+            self.server.read_local_span(from.0, from.1, words);
+            self.server.write_local_span(to.0, to.1, words);
             done += n;
         }
         Ok(())
@@ -928,6 +1027,101 @@ mod tests {
             SessionError::Unmapped(_)
         ));
         assert_eq!(s.read_u64(base).unwrap(), 7);
+    }
+
+    /// The per-word loop [`MemoryBus::copy_span`] stands for.
+    fn copy_words(
+        s: &mut Session<'_>,
+        dst: VirtAddr,
+        src: VirtAddr,
+        count: u64,
+    ) -> Result<(), SessionError> {
+        for k in 0..count {
+            let word = s.read_u64(src + k * 8)?;
+            s.write_u64(dst + k * 8, word)?;
+        }
+        Ok(())
+    }
+
+    /// On a fresh server with a `max_trace`-access cap: fills a two-row
+    /// source with distinct words, runs `copy(session, src, dst)` with a
+    /// one-row destination after it, reads the destination area back, and
+    /// returns the copy's result, the values read and the trace.
+    fn copy_scenario(
+        max_trace: usize,
+        copy: impl Fn(&mut Session<'_>, VirtAddr, VirtAddr) -> Result<(), SessionError>,
+    ) -> (Result<(), SessionError>, Vec<u64>, RecordedRun) {
+        let mut config = ServerConfig::small();
+        config.access.max_trace_len = max_trace;
+        let mut server = XGene2Server::new(config);
+        let row_words = server.row_bytes() / 8;
+        let mut s = server.session(2);
+        let src = s.alloc(2 * row_words * 8).unwrap();
+        let dst = s.alloc(2 * row_words * 8).unwrap();
+        let values: Vec<u64> = (0..2 * row_words).map(|k| k * 0x0101 + 1).collect();
+        s.fill(src, &values).unwrap();
+        let result = copy(&mut s, src, dst);
+        let mut back = Vec::new();
+        s.read_span(src, 4 * row_words, &mut back).unwrap();
+        (result, back, s.finish())
+    }
+
+    #[test]
+    fn copy_span_matches_word_at_a_time_copies() {
+        let row_words = server().row_bytes() / 8;
+        // Misaligned by different amounts on each side, so chunks end at
+        // the source's and at the destination's row boundaries.
+        let count = row_words + row_words / 2 + 7;
+        let (src_skip, dst_skip) = (3 * 8, 5 * 8);
+        let filled = 2 * row_words as usize;
+        let pairs = 2 * count as usize;
+        // Caps before, inside (between a read and its write, and between
+        // pairs) and after the copy's accesses.
+        for max_trace in [
+            filled,
+            filled + 1,
+            filled + 2,
+            filled + 7,
+            filled + pairs - 1,
+            filled + pairs,
+            filled + pairs + 1,
+            1 << 30,
+        ] {
+            let bulk = copy_scenario(max_trace, |s, src, dst| {
+                s.copy_span(dst + dst_skip, src + src_skip, count)
+            });
+            let words = copy_scenario(max_trace, |s, src, dst| {
+                copy_words(s, dst + dst_skip, src + src_skip, count)
+            });
+            assert!(bulk.0.is_ok(), "cap {max_trace}");
+            assert_eq!(bulk, words, "cap {max_trace}");
+            assert_eq!(
+                bulk.2.truncated,
+                max_trace < filled + pairs + 4 * row_words as usize
+            );
+        }
+        // Overlapping spans (forward and backward) smear like the word
+        // loop, which re-reads words it has already overwritten.
+        for (from, to) in [(0, 8), (8 * 9, 0)] {
+            let bulk = copy_scenario(1 << 30, |s, src, _| {
+                s.copy_span(src + to, src + from, count)
+            });
+            let words = copy_scenario(1 << 30, |s, src, _| {
+                copy_words(s, src + to, src + from, count)
+            });
+            assert_eq!(bulk, words, "overlap {from} -> {to}");
+        }
+        // A destination that runs out mid-copy fails at the same word,
+        // after the same source read; an unmapped one before any write.
+        let past_end = 2 * row_words * 8 - 16;
+        let unmapped = 0xdead_beef_0000u64;
+        for dst in [Some(past_end), None] {
+            let target = |base: VirtAddr| dst.map_or(unmapped, |d| base + d);
+            let bulk = copy_scenario(1 << 30, |s, src, to| s.copy_span(target(to), src, count));
+            let words = copy_scenario(1 << 30, |s, src, to| copy_words(s, target(to), src, count));
+            assert!(matches!(bulk.0, Err(SessionError::Unmapped(_))));
+            assert_eq!(bulk, words, "failing destination {dst:?}");
+        }
     }
 
     /// A fixed mix of accesses: a row fill, then single-word reads in

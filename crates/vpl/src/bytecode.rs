@@ -44,18 +44,32 @@
 //! `LoadIndex` + `FoldSlot` (read-modify-write of a variable slot in one
 //! dispatch) instead of five tree nodes.
 //!
-//! On top of that, a peephole pass recognizes the two loop shapes that
-//! dominate every virus template — the background fill
-//! `for (i = 0; i < N; i += 1) { buf[i] = C; }` and the read-pressure
-//! reduction `acc += buf[i]` — and plants a `Op::FusedLoop`
-//! superinstruction in front of the ordinary loop code. The fused handler
-//! runs the whole loop without per-op dispatch, charging steps at exactly
-//! the three check points the unfused sequence has (condition jump, bus
-//! access, back edge) with charges read back from the emitted ops, so the
-//! accounting is identical by construction. Slot-kind guards are checked
-//! when control first reaches the loop; if they fail (e.g. the counter was
-//! re-declared over a DRAM scalar), the handler falls through to the
+//! On top of that, a peephole pass recognizes four counted-loop shapes
+//! that dominate the virus templates and plants an `Op::FusedLoop`
+//! superinstruction in front of the ordinary loop code:
+//!
+//! * the background fill `for (i = 0; i < N; i += 1) { buf[i] = C; }`;
+//! * the read-pressure reduction `acc ∘= buf[i]`;
+//! * the offset reduction `acc ∘= buf[off + i]` (or `buf[i + off]`);
+//! * the span copy `dst[off + i] = src[i]`.
+//!
+//! An offset is a loop-invariant variable slot plus or minus an immediate,
+//! added with the unfused code's wrapping arithmetic; it may not be the
+//! counter, the accumulator or an array the loop indexes. The fused
+//! handler runs the whole loop without per-op dispatch, charging steps at
+//! exactly the check points the unfused sequence has (condition jump, bus
+//! access — a copy's read and its write separately — and back edge) with
+//! charges read back from the emitted ops, so the accounting is identical
+//! by construction. Slot-kind guards are checked when control first
+//! reaches the loop; if they fail (the counter re-declared over a DRAM
+//! scalar, an offset held in one), the handler falls through to the
 //! unfused ops that still follow it.
+//!
+//! A fused loop's description lives in the [`CompiledProgram`]'s side
+//! table (`fused`); `Op::FusedLoop` carries only its index. Every op the
+//! dispatch loop copies out of the stream therefore stays 48 bytes — a
+//! compile-time assertion — however rich a fused body grows, so programs
+//! that run mostly unfused ops pay nothing for new shapes.
 
 use crate::ast::{AssignOp, BinOp, Program, UnOp};
 use crate::error::VplError;
@@ -211,32 +225,49 @@ pub(crate) enum Op {
     },
     /// Placeholder in front of a loop the peephole pass did not fuse.
     Nop,
-    /// A whole counted loop in one dispatch (see module docs, "Fusion").
-    /// Falls through to the equivalent unfused ops when its slot-kind
-    /// guards fail at run time.
-    FusedLoop(FusedLoop),
+    /// A whole counted loop in one dispatch (see module docs, "Fusion"):
+    /// the index of its [`FusedLoop`] in [`CompiledProgram::fused`]. Falls
+    /// through to the equivalent unfused ops when its slot-kind guards
+    /// fail at run time.
+    FusedLoop(u32),
     /// End of program: flush the residual charge and return the stats.
     Halt { charge: u32 },
 }
 
+// Every op the dispatch loop copies out of the stream is this size; fused
+// loops live in a side table so a richer loop body cannot grow it.
+const _: () = assert!(std::mem::size_of::<Op>() == 48);
+
 /// A fused `for (var = …; var < bound; var += 1)` loop over one bus access
-/// per iteration.
+/// (one read and one write for a copy) per iteration.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FusedLoop {
     /// Counter slot; must hold a register at loop entry (guarded).
     pub var: u32,
     /// Loop bound (`var < bound`), folded to an immediate.
     pub bound: u64,
-    /// The single bus access performed each iteration.
+    /// The bus access(es) performed each iteration.
     pub body: FusedBody,
     /// Steps charged at the condition check (final failing check included).
     pub c_cond: u32,
-    /// Steps charged at the bus-access check.
+    /// Steps charged at the bus-access check (a copy's read).
     pub c_access: u32,
     /// Steps charged at the back edge.
     pub c_back: u32,
     /// First op after the loop.
     pub exit: u32,
+}
+
+/// A loop-invariant index offset `slot + imm` (wrapping; `slot - k` is
+/// stored as `imm = k.wrapping_neg()`). `slot` must hold a register at
+/// loop entry (guarded) and is never the counter, the accumulator or an
+/// array the loop indexes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Offset {
+    /// The offset's variable slot.
+    pub slot: u32,
+    /// The immediate added to it.
+    pub imm: u64,
 }
 
 /// The per-iteration body of a [`FusedLoop`].
@@ -249,8 +280,9 @@ pub(crate) enum FusedBody {
         /// The immediate pattern.
         value: u64,
     },
-    /// `acc ∘= base[var]` — the read-pressure reduction shape. `acc` must
-    /// hold a register at loop entry (guarded).
+    /// `acc ∘= base[off + var]` — the read-pressure reduction shape, with
+    /// or without an offset. `acc` must hold a register at loop entry
+    /// (guarded).
     Accumulate {
         /// The fold operator.
         op: AluOp,
@@ -258,7 +290,55 @@ pub(crate) enum FusedBody {
         base: u32,
         /// Accumulator slot.
         acc: u32,
+        /// Index offset (`None`: `base[var]`).
+        off: Option<Offset>,
     },
+    /// `dst[off + var] = src[var]` — the span-copy shape: a read charged
+    /// at [`FusedLoop::c_access`], then a write charged at `c_write`.
+    Copy {
+        /// Array/pointer slot being written.
+        dst: u32,
+        /// Destination index offset.
+        off: Offset,
+        /// Array/pointer slot being read.
+        src: u32,
+        /// Steps charged at the write check.
+        c_write: u32,
+    },
+}
+
+impl FusedBody {
+    /// The loop-invariant index offset, if the body has one.
+    pub(crate) fn offset(&self) -> Option<Offset> {
+        match *self {
+            FusedBody::StoreImm { .. } => None,
+            FusedBody::Accumulate { off, .. } => off,
+            FusedBody::Copy { off, .. } => Some(off),
+        }
+    }
+
+    fn shape(&self) -> FusedShape {
+        match self {
+            FusedBody::StoreImm { .. } => FusedShape::Fill,
+            FusedBody::Accumulate { off: None, .. } => FusedShape::Reduce,
+            FusedBody::Accumulate { off: Some(_), .. } => FusedShape::OffsetReduce,
+            FusedBody::Copy { .. } => FusedShape::Copy,
+        }
+    }
+}
+
+/// Which loop shape a fused loop has — the public view of the fusion
+/// coverage, so template tests can pin which loops run as one dispatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FusedShape {
+    /// `base[var] = imm`.
+    Fill,
+    /// `acc ∘= base[var]`.
+    Reduce,
+    /// `acc ∘= base[off + var]`.
+    OffsetReduce,
+    /// `dst[off + var] = src[var]`.
+    Copy,
 }
 
 /// A virus program lowered to flat bytecode, ready for repeated execution
@@ -272,6 +352,8 @@ pub struct CompiledProgram {
     pub(crate) names: Vec<String>,
     pub(crate) globals: Vec<(u32, Vec<u64>)>,
     pub(crate) ops: Vec<Op>,
+    /// The fused loops `Op::FusedLoop` indexes, in program order.
+    pub(crate) fused: Vec<FusedLoop>,
     pub(crate) num_slots: u32,
     pub(crate) num_regs: u16,
 }
@@ -285,6 +367,11 @@ impl CompiledProgram {
     /// True when the program lowered to nothing but a `Halt`.
     pub fn is_empty(&self) -> bool {
         self.ops.len() <= 1
+    }
+
+    /// The shape of every fused loop, in program order.
+    pub fn fused_shapes(&self) -> Vec<FusedShape> {
+        self.fused.iter().map(|f| f.body.shape()).collect()
     }
 }
 
@@ -312,6 +399,7 @@ pub fn compile(program: &Program) -> Result<CompiledProgram, VplError> {
         names: resolved.names,
         globals: resolved.globals,
         ops: e.ops,
+        fused: e.fused,
         num_regs: e.max_regs,
     })
 }
@@ -321,6 +409,7 @@ pub fn compile(program: &Program) -> Result<CompiledProgram, VplError> {
 #[derive(Default)]
 struct Emitter {
     ops: Vec<Op>,
+    fused: Vec<FusedLoop>,
     pending: u32,
     next_reg: u16,
     max_regs: u16,
@@ -749,12 +838,13 @@ impl Emitter {
     }
 
     /// Peephole pass over a just-emitted loop: when the window between the
-    /// loop head and exit is one of the two canonical template shapes, the
-    /// reserved `Nop` becomes a [`Op::FusedLoop`] carrying the window's own
-    /// charges. The unfused ops stay in place as the guard-failure path.
+    /// loop head and exit is one of the canonical template shapes, the
+    /// reserved `Nop` becomes an [`Op::FusedLoop`] whose side-table entry
+    /// carries the window's own charges. The unfused ops stay in place as
+    /// the guard-failure path.
     fn try_fuse(&mut self, fuse_at: usize, top: u32) {
         let exit = self.here();
-        // Condition prologue shared by both shapes:
+        // Condition prologue shared by every shape:
         //   LoadSlot var → Alu Lt (reg, imm bound) → JumpIfZero exit
         let window = &self.ops[top as usize..];
         let Some((
@@ -780,86 +870,173 @@ impl Emitter {
         if l != r_var || c != r_cond || t_exit != exit {
             return;
         }
-        let fused = match *rest {
-            // Fill: buf[var] = imm; var += 1.
-            [Op::LoadSlot {
-                dst: r_idx,
-                slot: idx_slot,
-                charge: c2,
-            }, Op::StoreIndex {
-                base,
-                index: Operand::Reg(i),
-                src: Operand::Imm(value),
-                charge: c3,
-            }, Op::FoldSlot {
-                op: AluOp::Add,
-                slot: step_slot,
-                src: Operand::Imm(1),
-                charge: c4,
-            }, Op::Jump {
-                target: t_top,
-                charge: c5,
-            }] if idx_slot == var
-                && i == r_idx
-                && step_slot == var
-                && t_top == top
-                && base != var =>
-            {
-                FusedLoop {
-                    var,
-                    bound,
-                    body: FusedBody::StoreImm { base, value },
-                    c_cond: c0 + c1,
-                    c_access: c2 + c3,
-                    c_back: c4 + c5,
-                    exit,
-                }
+        let Some((body, c_access, c_back)) = fused_body(rest, var, top) else {
+            return;
+        };
+        let index = self.fused.len() as u32;
+        self.fused.push(FusedLoop {
+            var,
+            bound,
+            body,
+            c_cond: c0 + c1,
+            c_access,
+            c_back,
+            exit,
+        });
+        self.ops[fuse_at] = Op::FusedLoop(index);
+    }
+}
+
+/// Matches an index computation at the head of `ops`: `var`, or
+/// `off + var` / `var + off` with `off` a slot, optionally plus or minus an
+/// immediate. Returns the ops consumed, the register holding the index,
+/// the offset, and the summed charges of the slot loads. All the matched
+/// ops are pure register ops once the slots hold registers (guarded), so
+/// their charges settle at the next checked op.
+fn index_at(ops: &[Op], var: u32) -> Option<(usize, u16, Option<Offset>, u32)> {
+    // One term: a slot load, optionally followed by `± imm` on it.
+    let term = |k: usize| -> Option<(usize, u16, u32, u64, u32)> {
+        let Some(&Op::LoadSlot { dst, slot, charge }) = ops.get(k) else {
+            return None;
+        };
+        match ops.get(k + 1) {
+            Some(&Op::Alu {
+                op: op @ (AluOp::Add | AluOp::Sub),
+                dst: d,
+                lhs: Operand::Reg(r),
+                rhs: Operand::Imm(imm),
+            }) if r == dst => {
+                let imm = if op == AluOp::Sub {
+                    imm.wrapping_neg()
+                } else {
+                    imm
+                };
+                Some((k + 2, d, slot, imm, charge))
             }
-            // Reduce: acc ∘= buf[var]; var += 1.
-            [Op::LoadSlot {
-                dst: r_idx,
-                slot: idx_slot,
-                charge: c2,
-            }, Op::LoadIndex {
-                dst: r_elem,
-                base,
-                index: Operand::Reg(i),
-                charge: c3,
-            }, Op::FoldSlot {
-                op,
-                slot: acc,
-                src: Operand::Reg(s),
-                charge: c4,
-            }, Op::FoldSlot {
-                op: AluOp::Add,
-                slot: step_slot,
-                src: Operand::Imm(1),
-                charge: c5,
-            }, Op::Jump {
-                target: t_top,
-                charge: c6,
-            }] if idx_slot == var
-                && i == r_idx
+            _ => Some((k + 1, dst, slot, 0, charge)),
+        }
+    };
+    let (k1, r1, s1, imm1, c1) = term(0)?;
+    if let Some((k2, r2, s2, imm2, c2)) = term(k1) {
+        if let Some(&Op::Alu {
+            op: AluOp::Add,
+            dst,
+            lhs: Operand::Reg(l),
+            rhs: Operand::Reg(r),
+        }) = ops.get(k2)
+        {
+            match ((s1, imm1), (s2, imm2)) {
+                ((s, 0), (slot, imm)) | ((slot, imm), (s, 0))
+                    if s == var && slot != var && l == r1 && r == r2 =>
+                {
+                    return Some((k2 + 1, dst, Some(Offset { slot, imm }), c1 + c2));
+                }
+                _ => {}
+            }
+        }
+    }
+    (s1 == var && imm1 == 0).then_some((k1, r1, None, c1))
+}
+
+/// Matches a loop body plus its step tail (`var += 1; jump top`) against
+/// the fused shapes. Returns the body, its access charge, and its back-edge
+/// charge (a reduce's fold, the step and the jump).
+fn fused_body(ops: &[Op], var: u32, top: u32) -> Option<(FusedBody, u32, u32)> {
+    // An offset may not be a slot the loop writes or indexes (`index_at`
+    // already keeps it off the counter).
+    let off_ok = |off: Option<Offset>, slots: &[u32]| off.is_none_or(|o| !slots.contains(&o.slot));
+    let (n, r_idx, off, c_idx) = index_at(ops, var)?;
+    let (body, c_access, c_fold, tail) = match ops[n..] {
+        // Fill: base[var] = imm.
+        [Op::StoreIndex {
+            base,
+            index: Operand::Reg(i),
+            src: Operand::Imm(value),
+            charge,
+        }, ref tail @ ..]
+            if i == r_idx && off.is_none() && base != var =>
+        {
+            (FusedBody::StoreImm { base, value }, c_idx + charge, 0, tail)
+        }
+        // Reduce: acc ∘= base[off + var].
+        [Op::LoadIndex {
+            dst: r_elem,
+            base,
+            index: Operand::Reg(i),
+            charge,
+        }, Op::FoldSlot {
+            op,
+            slot: acc,
+            src: Operand::Reg(s),
+            charge: c_fold,
+        }, ref tail @ ..]
+            if i == r_idx
                 && s == r_elem
-                && step_slot == var
-                && t_top == top
                 && base != var
                 && acc != var
-                && acc != base =>
-            {
-                FusedLoop {
-                    var,
-                    bound,
-                    body: FusedBody::Accumulate { op, base, acc },
-                    c_cond: c0 + c1,
-                    c_access: c2 + c3,
-                    c_back: c4 + c5 + c6,
-                    exit,
+                && acc != base
+                && off_ok(off, &[acc, base]) =>
+        {
+            (
+                FusedBody::Accumulate { op, base, acc, off },
+                c_idx + charge,
+                c_fold,
+                tail,
+            )
+        }
+        // Copy: dst[off + var] = src[var] (the value is evaluated first).
+        [Op::LoadIndex {
+            dst: r_elem,
+            base: src,
+            index: Operand::Reg(i),
+            charge,
+        }, ref after_read @ ..]
+            if i == r_idx && off.is_none() && src != var =>
+        {
+            let (m, r_dst, Some(off), c_dst) = index_at(after_read, var)? else {
+                return None;
+            };
+            match after_read[m..] {
+                [Op::StoreIndex {
+                    base: dst,
+                    index: Operand::Reg(j),
+                    src: Operand::Reg(e),
+                    charge: c_store,
+                }, ref tail @ ..]
+                    if j == r_dst
+                        && e == r_elem
+                        && dst != var
+                        && off_ok(Some(off), &[src, dst]) =>
+                {
+                    let c_write = c_dst + c_store;
+                    (
+                        FusedBody::Copy {
+                            dst,
+                            off,
+                            src,
+                            c_write,
+                        },
+                        c_idx + charge,
+                        0,
+                        tail,
+                    )
                 }
+                _ => return None,
             }
-            _ => return,
-        };
-        self.ops[fuse_at] = Op::FusedLoop(fused);
+        }
+        _ => return None,
+    };
+    match *tail {
+        [Op::FoldSlot {
+            op: AluOp::Add,
+            slot,
+            src: Operand::Imm(1),
+            charge: c_step,
+        }, Op::Jump {
+            target,
+            charge: c_jump,
+        }] if slot == var && target == top => Some((body, c_access, c_fold + c_step + c_jump)),
+        _ => None,
     }
 }
 
@@ -880,14 +1057,7 @@ mod tests {
             "for (i = 0; i < 4; i += 1) { v[i] = 51; } \
              for (i = 0; i < 4; i += 1) { acc += v[i]; }",
         );
-        let fused: Vec<&FusedLoop> = p
-            .ops
-            .iter()
-            .filter_map(|op| match op {
-                Op::FusedLoop(f) => Some(f),
-                _ => None,
-            })
-            .collect();
+        let fused = &p.fused;
         assert_eq!(fused.len(), 2, "both template shapes must fuse");
         assert!(matches!(
             fused[0].body,
@@ -895,9 +1065,93 @@ mod tests {
         ));
         assert!(matches!(
             fused[1].body,
-            FusedBody::Accumulate { op: AluOp::Add, .. }
+            FusedBody::Accumulate {
+                op: AluOp::Add,
+                off: None,
+                ..
+            }
         ));
         assert_eq!(fused[0].bound, 4);
+        // Each `Op::FusedLoop` indexes its own side-table entry.
+        let indices: Vec<u32> = p
+            .ops
+            .iter()
+            .filter_map(|op| match op {
+                Op::FusedLoop(k) => Some(*k),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(indices, [0, 1]);
+    }
+
+    #[test]
+    fn offset_copy_and_offset_reduce_fuse() {
+        // Both operand orders, and an offset slot plus or minus an
+        // immediate, match the offset shapes.
+        let p = compiled(
+            "volatile unsigned long long src[] = { 1, 2, 3, 4 };",
+            "int i = 0; unsigned long long s = 2; unsigned long long acc = 0;",
+            "unsigned long long buf = malloc(128); \
+             for (i = 0; i < 4; i += 1) { buf[s + i] = src[i]; } \
+             for (i = 0; i < 4; i += 1) { buf[i + (s - 1)] = src[i]; } \
+             for (i = 0; i < 4; i += 1) { acc += buf[i]; } \
+             for (i = 0; i < 4; i += 1) { acc += buf[s + i]; } \
+             for (i = 0; i < 4; i += 1) { acc *= buf[i + (s + 3)]; } \
+             for (i = 0; i < 4; i += 1) { acc -= buf[s - 2 + i]; }",
+        );
+        assert_eq!(
+            p.fused_shapes(),
+            [
+                FusedShape::Copy,
+                FusedShape::Copy,
+                FusedShape::Reduce,
+                FusedShape::OffsetReduce,
+                FusedShape::OffsetReduce,
+                FusedShape::OffsetReduce,
+            ]
+        );
+        let offsets: Vec<Option<Offset>> = p.fused.iter().map(|f| f.body.offset()).collect();
+        let s = p.names.iter().position(|n| n == "s").unwrap() as u32;
+        assert_eq!(offsets[0], Some(Offset { slot: s, imm: 0 }));
+        assert_eq!(
+            offsets[1],
+            Some(Offset {
+                slot: s,
+                imm: 1u64.wrapping_neg()
+            })
+        );
+        assert_eq!(offsets[2], None);
+        assert_eq!(offsets[4], Some(Offset { slot: s, imm: 3 }));
+        assert_eq!(
+            offsets[5],
+            Some(Offset {
+                slot: s,
+                imm: 2u64.wrapping_neg()
+            })
+        );
+        let FusedBody::Copy { c_write, .. } = p.fused[0].body else {
+            unreachable!()
+        };
+        assert!(c_write > 0 && p.fused[0].c_access > 0);
+    }
+
+    #[test]
+    fn aliasing_offsets_do_not_fuse() {
+        // An offset that is the counter, the accumulator or an indexed
+        // array changes inside the loop or aliases it: keep the ops.
+        let p = compiled(
+            "volatile unsigned long long v[] = { 1, 2, 3, 4 };",
+            "int i = 0; unsigned long long acc = 0;",
+            "unsigned long long p = malloc(64); \
+             for (i = 0; i < 4; i += 1) { p[i + i] = v[i]; } \
+             for (i = 0; i < 4; i += 1) { acc += p[acc + i]; } \
+             for (i = 0; i < 4; i += 1) { acc += p[p + i]; } \
+             for (i = 0; i < 4; i += 1) { p[p + i] = v[i]; } \
+             for (i = 0; i < 4; i += 1) { p[v + i] = v[i]; } \
+             for (i = 0; i < 4; i += 1) { p[i] = v[i + 1]; } \
+             for (i = 0; i < 4; i += 1) { v[acc + i] = 7; }",
+        );
+        assert!(p.fused.is_empty(), "{:?}", p.fused_shapes());
     }
 
     #[test]
@@ -911,10 +1165,8 @@ mod tests {
              for (i = 0; i < 2; i += 1) { v[i + 1] = 9; } \
              for (i = 0; i < 4; i += 2) { v[i] = 1; }",
         );
-        assert!(
-            !p.ops.iter().any(|op| matches!(op, Op::FusedLoop(_))),
-            "no non-canonical loop may fuse"
-        );
+        assert!(p.fused.is_empty(), "no non-canonical loop may fuse");
+        assert!(!p.ops.iter().any(|op| matches!(op, Op::FusedLoop(_))));
         assert!(p.ops.iter().any(|op| matches!(op, Op::Nop)));
     }
 }

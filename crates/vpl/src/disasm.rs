@@ -6,7 +6,7 @@
 //! names, and an explicit header for the program's shape (slot/register
 //! counts, global backing images).
 
-use crate::bytecode::{CompiledProgram, FusedBody, Op, Operand};
+use crate::bytecode::{CompiledProgram, FusedBody, Offset, Op, Operand};
 use std::fmt::Write as _;
 
 /// Renders `program` as an indexed assembly-style listing.
@@ -136,33 +136,92 @@ fn render(program: &CompiledProgram, op: &Op) -> String {
             charge,
         } => format!("jnz       {} -> @{target}  !{charge}", operand(cond)),
         Op::Nop => "nop".to_string(),
-        Op::FusedLoop(f) => {
-            let body = match &f.body {
-                FusedBody::StoreImm { base, value } => {
-                    format!(
-                        "{}[{}] = #{value}",
-                        slot_name(program, *base),
-                        slot_name(program, f.var)
-                    )
+        Op::FusedLoop(k) => {
+            let f = &program.fused[*k as usize];
+            let var = slot_name(program, f.var);
+            let index = match f.body.offset() {
+                None => var.clone(),
+                Some(Offset { slot, imm: 0 }) => format!("{} + {var}", slot_name(program, slot)),
+                Some(Offset { slot, imm }) if (imm as i64) < 0 => format!(
+                    "{} - #{} + {var}",
+                    slot_name(program, slot),
+                    imm.wrapping_neg()
+                ),
+                Some(Offset { slot, imm }) => {
+                    format!("{} + #{imm} + {var}", slot_name(program, slot))
                 }
-                FusedBody::Accumulate { op, base, acc } => format!(
-                    "{} {:?}= {}[{}]",
-                    slot_name(program, *acc),
-                    op,
-                    slot_name(program, *base),
-                    slot_name(program, f.var)
+            };
+            let (body, c_write) = match f.body {
+                FusedBody::StoreImm { base, value } => (
+                    format!("{}[{index}] = #{value}", slot_name(program, base)),
+                    None,
+                ),
+                FusedBody::Accumulate { op, base, acc, .. } => (
+                    format!(
+                        "{} {op:?}= {}[{index}]",
+                        slot_name(program, acc),
+                        slot_name(program, base),
+                    ),
+                    None,
+                ),
+                FusedBody::Copy {
+                    dst, src, c_write, ..
+                } => (
+                    format!(
+                        "{}[{index}] = {}[{var}]",
+                        slot_name(program, dst),
+                        slot_name(program, src),
+                    ),
+                    Some(c_write),
                 ),
             };
+            let write = c_write.map(|c| format!(",w={c}")).unwrap_or_default();
             format!(
-                "fused     for {} < #{}: {body}  !c={},a={},b={} exit @{}",
-                slot_name(program, f.var),
-                f.bound,
-                f.c_cond,
-                f.c_access,
-                f.c_back,
-                f.exit
+                "fused     for {var} < #{}: {body}  !c={},a={}{write},b={} exit @{}",
+                f.bound, f.c_cond, f.c_access, f.c_back, f.exit
             )
         }
         Op::Halt { charge } => format!("halt      !{charge}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bytecode::compile;
+    use crate::parser::parse_program;
+
+    #[test]
+    fn listing_renders_every_fused_body() {
+        let program = parse_program(
+            "volatile unsigned long long cpat[] = { 1, 2, 3, 4 };",
+            "int i = 0; unsigned long long s = 2; unsigned long long acc = 0;",
+            "unsigned long long buf = malloc(128); \
+             for (i = 0; i < 8; i += 1) { buf[i] = 0; } \
+             for (i = 0; i < 4; i += 1) { buf[s + i] = cpat[i]; } \
+             for (i = 0; i < 4; i += 1) { buf[i + (s - 1)] = cpat[i]; } \
+             for (i = 0; i < 8; i += 1) { acc += buf[i]; } \
+             for (i = 0; i < 4; i += 1) { acc += buf[s + 3 + i]; }",
+        )
+        .expect("parses");
+        let listing = disassemble(&compile(&program).expect("compiles"));
+        let fused: Vec<&str> = listing
+            .lines()
+            .filter_map(|l| l.split_once("fused     ").map(|(_, rest)| rest))
+            .collect();
+        let (i, s, cpat, acc, buf) = ("$1<i>", "$2<s>", "$0<cpat>", "$3<acc>", "$4<buf>");
+        assert_eq!(fused.len(), 5, "{listing}");
+        assert!(fused[0].starts_with(&format!("for {i} < #8: {buf}[{i}] = #0  !")));
+        assert!(fused[1].starts_with(&format!(
+            "for {i} < #4: {buf}[{s} + {i}] = {cpat}[{i}]  !c="
+        )));
+        assert!(
+            fused[1].ends_with("!c=4,a=3,w=3,b=2 exit @27"),
+            "{}",
+            fused[1]
+        );
+        assert!(fused[2].contains(&format!("{buf}[{s} - #1 + {i}] = {cpat}[{i}]")));
+        assert!(fused[3].contains(&format!("{acc} Add= {buf}[{i}]")));
+        assert!(fused[4].contains(&format!("{acc} Add= {buf}[{s} + #3 + {i}]")));
     }
 }

@@ -87,7 +87,7 @@ pub mod template;
 pub mod token;
 pub mod vm;
 
-pub use bytecode::{compile, CompiledProgram};
+pub use bytecode::{compile, CompiledProgram, FusedShape};
 pub use disasm::disassemble;
 pub use error::VplError;
 pub use interp::{ExecLimits, ExecStats, Interpreter};

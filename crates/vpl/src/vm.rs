@@ -13,7 +13,7 @@
 //! checked back edge, so an over-budget program raises exactly the
 //! interpreter's `ExecutionLimit`.
 
-use crate::bytecode::{alu, CompiledProgram, FusedBody, Op, Operand};
+use crate::bytecode::{alu, AluOp, CompiledProgram, FusedBody, FusedLoop, Op, Operand};
 use crate::error::VplError;
 use crate::interp::{ExecLimits, ExecStats};
 use crate::resolve::Slot;
@@ -51,8 +51,8 @@ impl Vm {
         }
     }
 
-    /// Disables the fused-loop bulk fast paths (constant fill and
-    /// accumulate), forcing word-at-a-time bus accesses with per-iteration
+    /// Disables the fused-loop bulk fast paths (constant fill, accumulate
+    /// and copy), forcing word-at-a-time bus accesses with per-iteration
     /// step accounting. Results are identical either way — the fast paths
     /// only engage when they can prove the whole loop completes within
     /// budget with the same stats and bus trace — so this toggle exists for
@@ -279,123 +279,19 @@ impl Vm {
                     }
                 }
                 Op::Nop => {}
-                Op::FusedLoop(f) => {
-                    // Guards: the counter (and accumulator) must be plain
-                    // registers, or the charge schedule below would differ
-                    // from the unfused ops. On failure, fall through to the
-                    // unfused loop that still follows this op.
-                    let Slot::Register(mut v) = slots[f.var as usize] else {
-                        continue;
-                    };
-                    // Bulk fast paths for both fused shapes: when the
-                    // remaining iterations provably fit the step budget
-                    // and every address the loop would touch is in range,
-                    // the per-word stores collapse into one
-                    // `MemoryBus::fill_const` call and the per-word loads
-                    // into one `MemoryBus::read_span` call (folded here in
-                    // iteration order). The bus records the same per-word
-                    // trace, the stats advance by the same totals, and any
-                    // bus failure surfaces at the same first failing word —
-                    // otherwise these paths decline and the per-iteration
-                    // loop below runs instead.
-                    if self.bulk_fill && v < f.bound {
-                        let base = match f.body {
-                            FusedBody::StoreImm { base, .. } => base,
-                            FusedBody::Accumulate { base, .. } => base,
-                        };
-                        let n = f.bound - v;
-                        let per_iter = f.c_cond as u128 + f.c_access as u128 + f.c_back as u128;
-                        let total = n as u128 * per_iter + f.c_cond as u128;
-                        let fits_budget = stats.steps as u128 + total <= max_steps as u128;
-                        // Start address of the span, or `None` when the
-                        // loop itself would fault or wrap (bounds error
-                        // on a named array, pointer wraparound) — those
-                        // must take the per-iteration path so the error
-                        // or wrapped accesses happen exactly as unfused.
-                        let start = match slots[base as usize] {
-                            Slot::Memory { base: addr, words } if f.bound <= words => {
-                                Some(addr + v * 8)
-                            }
-                            Slot::Memory { .. } => None,
-                            Slot::Register(pointer) => (f.bound - 1)
-                                .checked_mul(8)
-                                .and_then(|off| pointer.checked_add(off))
-                                .map(|_| pointer + v * 8),
-                        };
-                        // An accumulator still holding an array handle
-                        // declines fusion entirely below; decline the bulk
-                        // path the same way.
-                        let acc_start = match f.body {
-                            FusedBody::StoreImm { .. } => Some(0),
-                            FusedBody::Accumulate { acc, .. } => match slots[acc as usize] {
-                                Slot::Register(a) => Some(a),
-                                Slot::Memory { .. } => None,
-                            },
-                        };
-                        if fits_budget {
-                            if let (Some(start), Some(acc_start)) = (start, acc_start) {
-                                match f.body {
-                                    FusedBody::StoreImm { value, .. } => {
-                                        bus.fill_const(start, value, n)?;
-                                        stats.writes += n;
-                                    }
-                                    FusedBody::Accumulate { op, acc, .. } => {
-                                        bus.read_span(start, n, &mut span_buf)?;
-                                        let mut folded = acc_start;
-                                        for &word in span_buf.iter() {
-                                            folded = alu(op, folded, word);
-                                        }
-                                        stats.reads += n;
-                                        slots[acc as usize] = Slot::Register(folded);
-                                    }
-                                }
-                                stats.steps += total as u64;
-                                slots[f.var as usize] = Slot::Register(f.bound);
-                                pc = f.exit as usize;
-                                continue;
-                            }
-                        }
+                Op::FusedLoop(k) => {
+                    let f = &program.fused[k as usize];
+                    let ran = self.run_fused(
+                        f,
+                        &program.names,
+                        &mut slots,
+                        &mut stats,
+                        bus,
+                        &mut span_buf,
+                    )?;
+                    if ran {
+                        pc = f.exit as usize;
                     }
-                    let mut acc_val = match f.body {
-                        FusedBody::Accumulate { acc, .. } => match slots[acc as usize] {
-                            Slot::Register(a) => a,
-                            Slot::Memory { .. } => continue,
-                        },
-                        FusedBody::StoreImm { .. } => 0,
-                    };
-                    loop {
-                        // Check point 1: the condition jump (the final
-                        // failing iteration pays it too).
-                        stats.steps += f.c_cond as u64;
-                        check!();
-                        if v >= f.bound {
-                            break;
-                        }
-                        // Check point 2: the bus access.
-                        stats.steps += f.c_access as u64;
-                        check!();
-                        match f.body {
-                            FusedBody::StoreImm { base, value } => {
-                                let addr = element_addr(&slots, &program.names, base, v)?;
-                                stats.writes += 1;
-                                bus.write_u64(addr, value)?;
-                            }
-                            FusedBody::Accumulate { op, base, .. } => {
-                                let addr = element_addr(&slots, &program.names, base, v)?;
-                                stats.reads += 1;
-                                acc_val = alu(op, acc_val, bus.read_u64(addr)?);
-                            }
-                        }
-                        // Check point 3: the back edge (step statement).
-                        stats.steps += f.c_back as u64;
-                        check!();
-                        v = v.wrapping_add(1);
-                    }
-                    slots[f.var as usize] = Slot::Register(v);
-                    if let FusedBody::Accumulate { acc, .. } = f.body {
-                        slots[acc as usize] = Slot::Register(acc_val);
-                    }
-                    pc = f.exit as usize;
                 }
                 Op::Halt { charge } => {
                     stats.steps += charge as u64;
@@ -403,6 +299,199 @@ impl Vm {
                     return Ok(stats);
                 }
             }
+        }
+    }
+
+    /// Runs one fused loop to completion and returns `true`, or returns
+    /// `false` without any effect when a slot-kind guard fails: the
+    /// counter, the offset slot or the accumulator must hold a register at
+    /// loop entry, or the charge schedule would differ from the unfused ops
+    /// (a DRAM-scalar offset, for one, reads the bus in its `LoadSlot`).
+    /// The caller then falls through to the unfused loop that still follows
+    /// the op.
+    ///
+    /// Out of line so the per-op dispatch loop in [`Vm::run`] carries none
+    /// of this code.
+    #[inline(never)]
+    fn run_fused<B: BusOps>(
+        &self,
+        f: &FusedLoop,
+        names: &[String],
+        slots: &mut [Slot],
+        stats: &mut ExecStats,
+        bus: &mut B,
+        span_buf: &mut Vec<u64>,
+    ) -> Result<bool, VplError> {
+        let max_steps = self.limits.max_steps;
+        macro_rules! charge {
+            ($c:expr) => {
+                stats.steps += $c as u64;
+                if stats.steps > max_steps {
+                    return Err(VplError::ExecutionLimit { steps: max_steps });
+                }
+            };
+        }
+        let Slot::Register(mut v) = slots[f.var as usize] else {
+            return Ok(false);
+        };
+        let off = match f.body.offset() {
+            None => 0,
+            Some(o) => match slots[o.slot as usize] {
+                Slot::Register(x) => x.wrapping_add(o.imm),
+                Slot::Memory { .. } => return Ok(false),
+            },
+        };
+        let mut acc_val = match f.body {
+            FusedBody::Accumulate { acc, .. } => match slots[acc as usize] {
+                Slot::Register(a) => a,
+                Slot::Memory { .. } => return Ok(false),
+            },
+            FusedBody::StoreImm { .. } | FusedBody::Copy { .. } => 0,
+        };
+        if self.bulk_fill
+            && v < f.bound
+            && self.run_bulk(f, v, off, acc_val, slots, stats, bus, span_buf)?
+        {
+            return Ok(true);
+        }
+        loop {
+            // Check point 1: the condition jump (the final failing
+            // iteration pays it too).
+            charge!(f.c_cond);
+            if v >= f.bound {
+                break;
+            }
+            // Check point 2: the bus access (a copy's read).
+            charge!(f.c_access);
+            match f.body {
+                FusedBody::StoreImm { base, value } => {
+                    let addr = element_addr(slots, names, base, v)?;
+                    stats.writes += 1;
+                    bus.write_u64(addr, value)?;
+                }
+                FusedBody::Accumulate { op, base, .. } => {
+                    let addr = element_addr(slots, names, base, off.wrapping_add(v))?;
+                    stats.reads += 1;
+                    acc_val = alu(op, acc_val, bus.read_u64(addr)?);
+                }
+                FusedBody::Copy {
+                    dst, src, c_write, ..
+                } => {
+                    let addr = element_addr(slots, names, src, v)?;
+                    stats.reads += 1;
+                    let word = bus.read_u64(addr)?;
+                    // Check point 2b: the copy's write.
+                    charge!(c_write);
+                    let addr = element_addr(slots, names, dst, off.wrapping_add(v))?;
+                    stats.writes += 1;
+                    bus.write_u64(addr, word)?;
+                }
+            }
+            // Check point 3: the back edge (step statement).
+            charge!(f.c_back);
+            v = v.wrapping_add(1);
+        }
+        slots[f.var as usize] = Slot::Register(v);
+        if let FusedBody::Accumulate { acc, .. } = f.body {
+            slots[acc as usize] = Slot::Register(acc_val);
+        }
+        Ok(true)
+    }
+
+    /// The bulk path of a fused loop entered with counter `v < bound`:
+    /// when the whole loop provably fits the step budget and every span it
+    /// touches is in range without wrapping, the per-word stores collapse
+    /// into one [`MemoryBus::fill_const`], the per-word loads into one
+    /// [`MemoryBus::read_span`] (folded here in iteration order), and a
+    /// copy into one [`MemoryBus::copy_span`] — the last only when source
+    /// and destination do not overlap, so reading the source once before
+    /// writing the destination changes nothing. The bus records the same
+    /// per-word trace, the stats advance by the same totals, and a bus
+    /// failure surfaces at the same first failing word. Returns `false`
+    /// without any effect when it declines; the per-iteration loop then
+    /// runs instead, so a fault or wrap happens exactly as unfused.
+    #[allow(clippy::too_many_arguments)]
+    fn run_bulk<B: BusOps>(
+        &self,
+        f: &FusedLoop,
+        v: u64,
+        off: u64,
+        acc_start: u64,
+        slots: &mut [Slot],
+        stats: &mut ExecStats,
+        bus: &mut B,
+        span_buf: &mut Vec<u64>,
+    ) -> Result<bool, VplError> {
+        let n = f.bound - v;
+        let c_write = match f.body {
+            FusedBody::Copy { c_write, .. } => c_write,
+            _ => 0,
+        };
+        let per_iter = f.c_cond as u128 + f.c_access as u128 + c_write as u128 + f.c_back as u128;
+        let total = n as u128 * per_iter + f.c_cond as u128;
+        if stats.steps as u128 + total > self.limits.max_steps as u128 {
+            return Ok(false);
+        }
+        match f.body {
+            FusedBody::StoreImm { base, value } => {
+                let Some(start) = span_start(slots, base, v, n) else {
+                    return Ok(false);
+                };
+                bus.fill_const(start, value, n)?;
+                stats.writes += n;
+            }
+            FusedBody::Accumulate { op, base, acc, .. } => {
+                let Some(start) = span_start(slots, base, off.wrapping_add(v), n) else {
+                    return Ok(false);
+                };
+                bus.read_span(start, n, span_buf)?;
+                stats.reads += n;
+                slots[acc as usize] = Slot::Register(fold_span(op, acc_start, span_buf));
+            }
+            FusedBody::Copy { dst, src, .. } => {
+                let (Some(from), Some(to)) = (
+                    span_start(slots, src, v, n),
+                    span_start(slots, dst, off.wrapping_add(v), n),
+                ) else {
+                    return Ok(false);
+                };
+                let last = (n - 1) * 8;
+                if from <= to + last && to <= from + last {
+                    return Ok(false);
+                }
+                bus.copy_span(to, from, n)?;
+                stats.reads += n;
+                stats.writes += n;
+            }
+        }
+        stats.steps += total as u64;
+        slots[f.var as usize] = Slot::Register(f.bound);
+        Ok(true)
+    }
+}
+
+/// Folds `words` into `init` in order with `op`, matched once outside the
+/// loop so each arm compiles to a tight loop over the span.
+fn fold_span(op: AluOp, init: u64, words: &[u64]) -> u64 {
+    let fold = |f: fn(u64, u64) -> u64| words.iter().fold(init, |a, &w| f(a, w));
+    match op {
+        AluOp::Add => fold(u64::wrapping_add),
+        AluOp::Sub => fold(u64::wrapping_sub),
+        AluOp::Mul => fold(u64::wrapping_mul),
+        other => words.iter().fold(init, |a, &w| alu(other, a, w)),
+    }
+}
+
+/// Address of `base[first]` when the `n ≥ 1` indices `first..first + n`
+/// are all in range and neither the indices nor the addresses wrap — the
+/// condition under which a fused loop's accesses form one ascending span.
+fn span_start(slots: &[Slot], base: u32, first: u64, n: u64) -> Option<u64> {
+    let last = first.checked_add(n - 1)?;
+    match slots[base as usize] {
+        Slot::Memory { base: addr, words } => (last < words).then(|| addr + first * 8),
+        Slot::Register(pointer) => {
+            pointer.checked_add(last.checked_mul(8)?)?;
+            Some(pointer + first * 8)
         }
     }
 }
@@ -429,7 +518,7 @@ fn element_addr(slots: &[Slot], names: &[String], base: u32, idx: u64) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::compile;
+    use crate::bytecode::{compile, FusedShape};
     use crate::interp::Interpreter;
     use crate::parser::parse_program;
     use dstress_platform::session::{SessionError, VirtAddr};
@@ -649,18 +738,7 @@ mod tests {
              unsigned long long x = p[63]; p[0] = x;",
         )
         .expect("parses");
-        let compiled = compile(&program).expect("compiles");
-        for max_steps in (0..400).chain([u64::MAX]) {
-            let limits = ExecLimits { max_steps };
-            let mut fast_bus = MockBus::default();
-            let fast = Vm::new(limits).run(&compiled, &mut fast_bus);
-            let mut strict_bus = MockBus::default();
-            let strict = Vm::new(limits)
-                .without_bulk_fill()
-                .run(&compiled, &mut strict_bus);
-            assert_eq!(fast, strict, "result mismatch at budget {max_steps}");
-            assert_eq!(fast_bus, strict_bus, "bus mismatch at budget {max_steps}");
-        }
+        assert_bulk_matches_strict(&program, &[FusedShape::Fill], 0..400);
     }
 
     /// Same sweep for the bulk accumulate path: a read-pressure loop over
@@ -678,8 +756,19 @@ mod tests {
              p[0] = acc;",
         )
         .expect("parses");
-        let compiled = compile(&program).expect("compiles");
-        for max_steps in (0..700).chain([u64::MAX]) {
+        assert_bulk_matches_strict(&program, &[FusedShape::Fill, FusedShape::Reduce], 0..700);
+    }
+
+    /// Sweeps `budgets` on both the bulk and the strict VM and asserts the
+    /// same `Result` and bus state at every one.
+    fn assert_bulk_matches_strict(
+        program: &crate::ast::Program,
+        shapes: &[FusedShape],
+        budgets: std::ops::Range<u64>,
+    ) {
+        let compiled = compile(program).expect("compiles");
+        assert_eq!(compiled.fused_shapes(), shapes);
+        for max_steps in budgets.chain([u64::MAX]) {
             let limits = ExecLimits { max_steps };
             let mut fast_bus = MockBus::default();
             let fast = Vm::new(limits).run(&compiled, &mut fast_bus);
@@ -690,6 +779,90 @@ mod tests {
             assert_eq!(fast, strict, "result mismatch at budget {max_steps}");
             assert_eq!(fast_bus, strict_bus, "bus mismatch at budget {max_steps}");
         }
+    }
+
+    /// The bulk copy path against the strict VM at every budget crossing,
+    /// including budgets that land between one iteration's read and its
+    /// write; the overlapping copy must decline the bulk path.
+    #[test]
+    fn bulk_copy_matches_strict_accounting() {
+        let program = parse_program(
+            "volatile unsigned long long pat[] = { 1, 2, 3, 4, 5, 6, 7, 8 };",
+            "int i = 0; unsigned long long s = 3;",
+            "unsigned long long p = malloc(256);\
+             for (i = 0; i < 8; i += 1) { p[s + i] = pat[i]; }\
+             for (i = 0; i < 8; i += 1) { p[s + i] = p[i]; }\
+             for (i = 0; i < 8; i += 1) { p[i + (s - 2)] = p[i]; }\
+             unsigned long long x = p[10]; pat[0] = x;",
+        )
+        .expect("parses");
+        let copy = FusedShape::Copy;
+        assert_bulk_matches_strict(&program, &[copy, copy, copy], 0..400);
+    }
+
+    /// Same sweep for the offset accumulate path.
+    #[test]
+    fn bulk_offset_accumulate_matches_strict_accounting() {
+        let program = parse_program(
+            "",
+            "int i = 0; unsigned long long acc = 7; unsigned long long s = 5;",
+            "unsigned long long p = malloc(512);\
+             for (i = 0; i < 64; i += 1) { p[i] = 0xCCCC; }\
+             for (i = 0; i < 32; i += 1) { acc += p[s + i]; }\
+             for (i = 0; i < 32; i += 1) { acc *= p[i + (s + 9)]; }\
+             p[0] = acc;",
+        )
+        .expect("parses");
+        let reduce = FusedShape::OffsetReduce;
+        assert_bulk_matches_strict(&program, &[FusedShape::Fill, reduce, reduce], 0..700);
+    }
+
+    #[test]
+    fn offset_copy_and_reduce_budget_sweep_parity() {
+        let global = "volatile unsigned long long v[] = { 1, 2, 3, 4, 5, 6, 7, 8 };";
+        let local = "int i = 0; unsigned long long s = 2; unsigned long long acc = 0;";
+        for body in [
+            // Disjoint spans inside one array.
+            "for (i = 0; i < 3; i += 1) { v[s + 3 + i] = v[i]; } \
+             for (i = 0; i < 4; i += 1) { acc += v[i + s]; } v[0] = acc;",
+            // Overlapping spans: the copy smears forward word by word.
+            "for (i = 0; i < 6; i += 1) { v[s + i] = v[i]; } v[0] = v[7];",
+            // The offset runs the destination out of bounds mid-span.
+            "for (i = 0; i < 8; i += 1) { v[s + i] = v[i]; }",
+            "for (i = 0; i < 8; i += 1) { acc += v[i + (s - 1)]; }",
+            // A wrapping offset: index `s - 3 + 0` is u64::MAX.
+            "for (i = 0; i < 4; i += 1) { acc += v[s - 3 + i]; }",
+        ] {
+            for max_steps in 0..150 {
+                assert_parity(global, local, body, ExecLimits { max_steps });
+            }
+        }
+    }
+
+    #[test]
+    fn offset_loops_over_wrapping_malloc_pointer_parity() {
+        // The offset makes a pointer index wrap: unchecked addressing wraps
+        // through zero, which the bulk path must leave to the word loop.
+        parity(
+            "",
+            "int i = 0; unsigned long long s = 0; unsigned long long acc = 0;",
+            "unsigned long long p = malloc(64); s = 0 - (p / 8) - 2; \
+             for (i = 0; i < 4; i += 1) { p[s + i] = 5; } \
+             for (i = 0; i < 4; i += 1) { p[s + i] = p[i]; } \
+             for (i = 0; i < 4; i += 1) { acc += p[s + i]; } p[0] = acc;",
+        );
+    }
+
+    #[test]
+    fn fused_loop_guard_declines_memory_offset() {
+        // A DRAM-scalar offset reads the bus in its `LoadSlot` every
+        // iteration: the guard must decline and the unfused ops run.
+        parity(
+            "volatile unsigned long long g = 1; volatile unsigned long long v[] = { 1, 2, 3, 4 };",
+            "int i = 0; unsigned long long acc = 0;",
+            "for (i = 0; i < 3; i += 1) { v[g + i] = v[i]; } \
+             for (i = 0; i < 3; i += 1) { acc += v[g + i]; } v[0] = acc;",
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Differential property tests: the tree-walking [`Interpreter`] is the
 //! reference oracle for the bytecode [`Vm`]. Randomly generated VPL
 //! programs — covering `for` loops, `if`/`else`, compound assignment,
-//! array indexing, and malloc'd pointers — must produce bit-identical
+//! array indexing, malloc'd pointers, and the offset copy and reduce loops
+//! the VM fuses — must produce bit-identical
 //! observable behaviour on both tiers: the same `Result` (stats or
 //! error, including `ExecutionLimit` and out-of-bounds), the same bus
 //! memory image, and the same recorded DRAM trace.
@@ -9,7 +10,7 @@
 use dstress_platform::session::{SessionError, VirtAddr};
 use dstress_platform::{MemoryBus, ServerConfig, XGene2Server};
 use dstress_vpl::parser::parse_program;
-use dstress_vpl::{compile, ExecLimits, Interpreter, Vm};
+use dstress_vpl::{compile, ExecLimits, FusedShape, Interpreter, Vm};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -153,8 +154,49 @@ impl Gen {
         format!("for ({var} = {start}; {var} < {bound}; {var} += 1) {{ {body} }}")
     }
 
+    /// A loop in the offset copy or offset reduce shape the VM fuses:
+    /// `dst[off + v] = src[v]` or `acc ∘= base[off + v]`, with the offset a
+    /// local or the DRAM scalar `gs` (whose guard must decline), set just
+    /// before the loop, plus or minus an immediate. Source and destination
+    /// may be one array with overlapping spans, the offset may run a named
+    /// array out of bounds or wrap a `malloc` pointer mid-span, and a start
+    /// at or past the bound gives a zero-trip loop.
+    fn offset_loop(&mut self) -> String {
+        let var = ["i", "j"][self.rng.gen_range(0usize..2)];
+        let start = self.rng.gen_range(0u64..3);
+        let bound = self.rng.gen_range(0u64..8);
+        let mut offsets = vec!["a", "b"];
+        if self.scalars.iter().any(|s| s == "gs") {
+            offsets.push("gs");
+        }
+        let off_slot = offsets[self.rng.gen_range(0..offsets.len())];
+        let set = format!("{off_slot} = {};", self.rng.gen_range(0u64..5));
+        let k = self.rng.gen_range(1u64..4);
+        let off = match self.rng.gen_range(0u32..3) {
+            0 => off_slot.to_string(),
+            1 => format!("{off_slot} + {k}"),
+            _ => format!("{off_slot} - {k}"),
+        };
+        let index = if self.rng.gen_range(0u32..2) == 0 {
+            format!("{off} + {var}")
+        } else {
+            format!("{var} + ({off})")
+        };
+        let pick = |g: &mut Self| g.arrays[g.rng.gen_range(0..g.arrays.len())].0.clone();
+        let body = if self.rng.gen_range(0u32..2) == 0 {
+            let (dst, src) = (pick(self), pick(self));
+            format!("{dst}[{index}] = {src}[{var}];")
+        } else {
+            let acc = if off_slot == "a" { "b" } else { "a" };
+            let op = ["+=", "-=", "*="][self.rng.gen_range(0usize..3)];
+            let base = pick(self);
+            format!("{acc} {op} {base}[{index}];")
+        };
+        format!("{set} for ({var} = {start}; {var} < {bound}; {var} += 1) {{ {body} }}")
+    }
+
     fn stmt(&mut self, depth: u32) -> String {
-        match self.rng.gen_range(0u32..14) {
+        match self.rng.gen_range(0u32..16) {
             0..=3 => {
                 let lv = self.lvalue(1);
                 let op = ["=", "+=", "-=", "*=", "/="][self.rng.gen_range(0usize..5)];
@@ -214,6 +256,7 @@ impl Gen {
                      {{ {acc} += {var} * {k} + {extra}; }}"
                 )
             }
+            14 | 15 if depth > 0 && !self.arrays.is_empty() => self.offset_loop(),
             _ => {
                 let lv = self.lvalue(1);
                 format!("{lv} = {};", self.expr(1))
@@ -325,6 +368,21 @@ proptest! {
         max_steps in 0u64..300,
     ) {
         assert_mirror_parity(seed, ExecLimits { max_steps })?;
+    }
+}
+
+/// The generator must actually reach the fused offset shapes, or the
+/// proptests above would not cover them.
+#[test]
+fn generator_reaches_the_offset_shapes() {
+    let mut shapes = Vec::new();
+    for seed in 0..200 {
+        let (global, local, body) = Gen::new(seed).program();
+        let program = parse_program(&global, &local, &body).expect("generated program parses");
+        shapes.extend(compile(&program).expect("compiles").fused_shapes());
+    }
+    for shape in [FusedShape::Copy, FusedShape::OffsetReduce] {
+        assert!(shapes.contains(&shape), "no {shape:?} loop in 200 seeds");
     }
 }
 
