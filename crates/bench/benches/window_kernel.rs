@@ -1,4 +1,4 @@
-//! Lane-batched run-plan kernel vs the reference per-cell retention loop.
+//! Lane-mask run-plan kernel vs the reference per-cell retention loop.
 //!
 //! `window/…` compares one refresh window at the DIMM layer over the full
 //! default weak-cell population; `plan/refresh` times one plan build after
@@ -7,14 +7,18 @@
 //! evaluations at the server layer. The planned path re-examines only the
 //! VRT-contingent cells each window (everything else is pre-partitioned
 //! into static events at `prepare_run` time), so it must win by a wide
-//! margin. `window/lanes` and `runs/batched` time the one kernel with a
-//! single lane / run, the like-for-like rows against the reference;
-//! `runs/batched10` times the ten runs of one virus the GA scores per
-//! candidate.
+//! margin. `window/lanes` times the one kernel writing one lane's masks,
+//! and `runs/batched` one run of the one fold, the like-for-like rows
+//! against the reference. `runs/batched10` times the ten runs of one virus
+//! as ten per-run outcomes; `runs/total10` times them as the one summed
+//! total the GA scores per candidate.
+//!
+//! The binary takes a substring filter: `cargo bench -p dstress-bench
+//! --bench window_kernel -- runs/` runs the `runs/…` rows only.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dstress_dram::geometry::RowKey;
-use dstress_dram::{ActivationCounts, Dimm, DimmConfig, Location, OperatingEnv, VrtEvent};
+use dstress_dram::{ActivationCounts, Dimm, DimmConfig, Location, OperatingEnv};
 use dstress_platform::session::MemoryBus;
 use dstress_platform::{ServerConfig, XGene2Server};
 
@@ -43,13 +47,13 @@ fn bench(c: &mut Criterion) {
             )
         })
     });
-    let mut lane: Vec<Vec<VrtEvent>> = vec![Vec::new()];
+    let mut masks = vec![0u64; plan.vrt_cells()];
     c.bench_function("window/lanes", |b| {
         b.iter(|| {
             nonce += 1;
-            dimm.advance_window_planned_lanes(&plan, &[nonce], 1, &mut lane)
+            dimm.advance_window_planned_lanes(&plan, &[nonce], 1, &mut masks)
                 .expect("plan is fresh");
-            std::hint::black_box(lane[0].len() + plan.static_events().len())
+            std::hint::black_box(masks.iter().map(|m| m.count_ones()).sum::<u32>())
         })
     });
     // One plan build per evaluation: every candidate rewrites memory, so
@@ -114,6 +118,17 @@ fn bench(c: &mut Criterion) {
                     .evaluate_prepared_runs(&prepared, 10, nonce)
                     .expect("fresh")
                     .len(),
+            )
+        })
+    });
+    c.bench_function("runs/total10", |b| {
+        b.iter(|| {
+            nonce += 10;
+            std::hint::black_box(
+                server
+                    .evaluate_prepared_total(&prepared, 10, nonce)
+                    .expect("fresh")
+                    .totals,
             )
         })
     });

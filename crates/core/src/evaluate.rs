@@ -6,7 +6,7 @@ use crate::patterns::{BitCodec, IntCodec};
 use crate::search::GenomeCodec;
 use dstress_dram::geometry::RowKey;
 use dstress_ga::{EvalFault, Fitness, ParallelFitness};
-use dstress_platform::{RunOutcome, XGene2Server};
+use dstress_platform::{RunOutcome, RunsTotal, XGene2Server};
 use dstress_vpl::{compile, BoundValue, ExecLimits, Interpreter, ProcessedTemplate, Vm};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -273,10 +273,10 @@ impl VirusEvaluator {
         Vm::new(self.limits).run(&compiled, &mut session)?;
         let run = session.finish();
         let trace_len = run.len();
-        let outcomes = self
+        let total = self
             .server
-            .evaluate_runs_owned(run, self.runs, base_nonce)?;
-        let outcome = self.summarize(&outcomes, trace_len);
+            .evaluate_runs_total(run, self.runs, base_nonce)?;
+        let outcome = self.summarize(&total, trace_len);
         self.last = Some(outcome.clone());
         Ok(outcome)
     }
@@ -310,33 +310,31 @@ impl VirusEvaluator {
                     .evaluate_run_reference(&run, base_nonce.wrapping_add(r))
             })
             .collect();
-        let outcome = self.summarize(&outcomes, run.len());
+        let outcome = self.summarize(&RunsTotal::sum(&outcomes), run.len());
         self.last = Some(outcome.clone());
         Ok(outcome)
     }
 
-    fn summarize(&self, outcomes: &[RunOutcome], trace_len: usize) -> EvalOutcome {
-        let total_ce: u64 = outcomes.iter().map(|o| o.totals.ce).sum();
-        let total_ue: u64 = outcomes.iter().map(|o| o.totals.ue).sum();
-        let ue_runs = outcomes.iter().filter(|o| o.stopped_on_ue).count() as u32;
+    fn summarize(&self, total: &RunsTotal, trace_len: usize) -> EvalOutcome {
+        let runs = total.runs.max(1) as f64;
         let fitness = match &self.metric {
-            Metric::CeAverage => total_ce as f64 / outcomes.len().max(1) as f64,
+            Metric::CeAverage => total.totals.ce as f64 / runs,
             Metric::CeInRows(rows) => {
-                let in_rows: u64 = outcomes
+                let in_rows: u64 = total
+                    .row_errors
                     .iter()
-                    .flat_map(|o| &o.row_errors)
                     .filter(|r| r.mcu == self.target_mcu && rows.contains(&r.row))
                     .map(|r| r.ce)
                     .sum();
-                in_rows as f64 / outcomes.len().max(1) as f64
+                in_rows as f64 / runs
             }
-            Metric::UeRuns => ue_runs as f64,
+            Metric::UeRuns => total.ue_runs as f64,
         };
         EvalOutcome {
             fitness,
-            total_ce,
-            total_ue,
-            ue_runs,
+            total_ce: total.totals.ce,
+            total_ue: total.totals.ue,
+            ue_runs: total.ue_runs,
             trace_len,
         }
     }

@@ -897,28 +897,17 @@ impl DStress {
             .run(&compiled, &mut session)
             .map_err(DStressError::from)?;
         let run = session.finish();
-        let mut tallies: HashMap<RowKey, u64> = HashMap::new();
-        for outcome in server.evaluate_runs(&run, self.scale.runs_per_virus, 0xF00D)? {
-            for e in &outcome.row_errors {
-                if e.mcu == 2 {
-                    *tallies.entry(e.row).or_insert(0) += e.ce;
-                }
-            }
-        }
-        if tallies.is_empty() {
+        let total = server.evaluate_runs_total(run, self.scale.runs_per_virus, 0xF00D)?;
+        let mut rows: Vec<RowErrors> = total
+            .row_errors
+            .into_iter()
+            .filter(|e| e.mcu == 2)
+            .collect();
+        if rows.is_empty() {
             return Err(DStressError::Experiment(
                 "no error-prone rows manifested during profiling".into(),
             ));
         }
-        let mut rows: Vec<RowErrors> = tallies
-            .into_iter()
-            .map(|(row, ce)| RowErrors {
-                mcu: 2,
-                row,
-                ce,
-                ue: 0,
-            })
-            .collect();
         rows.sort_by(|a, b| b.ce.cmp(&a.ce).then(a.row.cmp(&b.row)));
         let victims = pick_victims(&rows, &self.scale, 2, self.scale.victims);
         if victims.is_empty() {

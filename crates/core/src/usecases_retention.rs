@@ -15,7 +15,6 @@ use crate::usecases::trefp_grid;
 use dstress_dram::geometry::RowKey;
 use dstress_vpl::BoundValue;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// The retention profile of one DIMM under a given fill pattern.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -70,9 +69,9 @@ pub fn profile_retention(
     let grid = trefp_grid(grid_points);
     let geo = dstress.scale.server.dimm.geometry;
     let total_rows = geo.ranks as u64 * geo.banks as u64 * geo.rows_per_bank as u64;
-    // For each row, the smallest probed TREFP at which it erred; its safe
-    // margin is one grid step below.
-    let mut first_failing: HashMap<RowKey, f64> = HashMap::new();
+    // Every (row, grid index) at which a row erred; a row's safe margin is
+    // one grid step below the first.
+    let mut failing: Vec<(RowKey, usize)> = Vec::new();
     for (i, &trefp) in grid.iter().enumerate() {
         if i == 0 {
             // The nominal period is the reference "always safe" floor.
@@ -85,39 +84,34 @@ pub fn profile_retention(
         evaluator.evaluate_bindings([("PATTERN".to_string(), BoundValue::Scalar(fill))].into())?;
         // Re-run once more to capture rows (VRT may blink rows in/out; the
         // union over runs is what a profiler would record).
-        let counters_rows: Vec<RowKey> = {
-            let template = crate::templates::process(crate::templates::WORD64, &dstress.scale)?;
-            let mut bindings = EnvKind::Word64.bindings(&dstress.scale)?;
-            bindings.insert("PATTERN".into(), BoundValue::Scalar(fill));
-            let program = template.instantiate(&bindings)?;
-            let server = evaluator.server_mut();
-            server.reset_memory();
-            let mut session = server.session(2);
-            let compiled = dstress_vpl::compile(&program).map_err(DStressError::from)?;
-            dstress_vpl::Vm::new(dstress_vpl::ExecLimits::default())
-                .run(&compiled, &mut session)
-                .map_err(DStressError::from)?;
-            let run = session.finish();
-            server
-                .evaluate_runs(&run, dstress.scale.runs_per_virus, 0x6E7E)?
+        let template = crate::templates::process(crate::templates::WORD64, &dstress.scale)?;
+        let mut bindings = EnvKind::Word64.bindings(&dstress.scale)?;
+        bindings.insert("PATTERN".into(), BoundValue::Scalar(fill));
+        let program = template.instantiate(&bindings)?;
+        let server = evaluator.server_mut();
+        server.reset_memory();
+        let mut session = server.session(2);
+        let compiled = dstress_vpl::compile(&program).map_err(DStressError::from)?;
+        dstress_vpl::Vm::new(dstress_vpl::ExecLimits::default())
+            .run(&compiled, &mut session)
+            .map_err(DStressError::from)?;
+        let run = session.finish();
+        let total = server.evaluate_runs_total(run, dstress.scale.runs_per_virus, 0x6E7E)?;
+        failing.extend(
+            total
+                .row_errors
                 .iter()
-                .flat_map(|o| o.row_errors.iter())
                 .filter(|e| e.mcu == 2)
-                .map(|e| e.row)
-                .collect()
-        };
-        for row in counters_rows {
-            first_failing.entry(row).or_insert(trefp);
-        }
+                .map(|e| (e.row, i)),
+        );
     }
+    // Keep each row's first failing grid point.
+    failing.sort_unstable();
+    failing.dedup_by_key(|&mut (row, _)| row);
     let weak_rows: Vec<(RowKey, f64)> = {
-        let mut rows: Vec<(RowKey, f64)> = first_failing
+        let mut rows: Vec<(RowKey, f64)> = failing
             .into_iter()
-            .map(|(row, failing)| {
-                // Safe margin = the grid point below the first failing one.
-                let idx = grid.iter().position(|&g| g == failing).unwrap_or(1);
-                (row, grid[idx.saturating_sub(1)])
-            })
+            .map(|(row, i)| (row, grid[i - 1]))
             .collect();
         rows.sort_by(|a, b| {
             a.1.partial_cmp(&b.1)

@@ -8,7 +8,7 @@ use crate::env::OperatingEnv;
 use crate::events::WordEvent;
 use crate::faults::FaultSet;
 use crate::geometry::{DimmGeometry, Location, RowKey};
-use crate::plan::{PlanError, RunPlan, VrtEvent, VrtWord};
+use crate::plan::{PlanError, RunPlan, VrtWord};
 use crate::retention::PhysicsParams;
 use crate::topology::{CellKind, Topology, TopologyConfig};
 use crate::weak::{vrt_degraded, WeakCellConfig, WeakCellPopulation};
@@ -639,8 +639,8 @@ impl Dimm {
     }
 
     /// Evaluates one refresh window of a prepared plan for up to
-    /// [`crate::plan::MAX_LANES`] evaluation lanes at once, emitting only
-    /// each lane's VRT-word events (see
+    /// [`crate::plan::MAX_LANES`] evaluation lanes at once, writing one lane
+    /// mask per VRT-contingent cell into `out` (see
     /// [`RunPlan::advance_window_vrt_lanes`]). Lane `l` runs with window
     /// nonce `nonces[l]` and only while bit `l` of `live` is set.
     ///
@@ -653,7 +653,7 @@ impl Dimm {
         plan: &RunPlan,
         nonces: &[u64],
         live: u64,
-        out: &mut [Vec<VrtEvent>],
+        out: &mut [u64],
     ) -> Result<(), PlanError> {
         self.ensure_plan_fresh(plan)?;
         plan.advance_window_vrt_lanes(self.seed, nonces, live, out);
@@ -1019,21 +1019,19 @@ mod tests {
         }
     }
 
-    /// One lane's full event stream: its VRT events resolved through the
-    /// plan's word sites, merged with the static events in location order
-    /// (the order the reference loop emits in).
-    fn lane_stream(plan: &RunPlan, lane: &[VrtEvent]) -> Vec<WordEvent> {
-        let sites: Vec<(Location, u64)> = plan.vrt_word_sites().collect();
-        let mut events: Vec<WordEvent> = lane
+    /// One lane's full event stream: its VRT-word flip masks rebuilt from
+    /// the kernel's lane masks, merged with the static events in location
+    /// order (the order the reference loop emits in).
+    fn lane_stream(plan: &RunPlan, masks: &[u64], lane: usize) -> Vec<WordEvent> {
+        let mut events: Vec<WordEvent> = plan
+            .vrt_word_sites()
             .iter()
-            .map(|e| {
-                let (loc, written) = sites[e.word as usize];
-                WordEvent {
-                    loc,
-                    written,
-                    flip_mask: e.flip_mask,
-                }
+            .map(|word| WordEvent {
+                loc: word.loc,
+                written: word.written,
+                flip_mask: plan.lane_flip_mask(word, masks, lane),
             })
+            .filter(|e| e.flip_mask != 0)
             .chain(plan.static_events().iter().copied())
             .collect();
         events.sort_by_key(|e| e.loc);
@@ -1052,12 +1050,12 @@ mod tests {
         let profile = d.disturbance_profile(&acts);
         let plan = d.prepare_run(&env, &profile).unwrap();
         assert!(plan.static_words() + plan.vrt_words() > 0);
-        let mut lane = vec![Vec::new()];
+        let mut masks = vec![0; plan.vrt_cells()];
         for nonce in 0..50u64 {
-            d.advance_window_planned_lanes(&plan, &[nonce], 1, &mut lane)
+            d.advance_window_planned_lanes(&plan, &[nonce], 1, &mut masks)
                 .unwrap();
             let reference = d.advance_window_profiled(&env, &profile, nonce);
-            assert_eq!(lane_stream(&plan, &lane[0]), reference, "nonce {nonce}");
+            assert_eq!(lane_stream(&plan, &masks, 0), reference, "nonce {nonce}");
         }
     }
 
@@ -1075,16 +1073,16 @@ mod tests {
         // 7 lanes with irregular nonces and a hole in the live mask.
         let nonces: Vec<u64> = (0..7u64).map(|l| l.wrapping_mul(0x9E37_79B9) ^ 5).collect();
         let live = 0b110_1011u64;
-        let mut lanes: Vec<Vec<VrtEvent>> = vec![Vec::new(); nonces.len()];
-        d.advance_window_planned_lanes(&plan, &nonces, live, &mut lanes)
+        let mut masks = vec![0; plan.vrt_cells()];
+        d.advance_window_planned_lanes(&plan, &nonces, live, &mut masks)
             .unwrap();
         for (l, &nonce) in nonces.iter().enumerate() {
             if live & (1 << l) == 0 {
-                assert!(lanes[l].is_empty(), "dead lane {l} must stay empty");
+                assert!(masks.iter().all(|m| m >> l & 1 == 0), "dead lane {l}");
                 continue;
             }
             let reference = d.advance_window_profiled(&env, &profile, nonce);
-            assert_eq!(lane_stream(&plan, &lanes[l]), reference, "lane {l}");
+            assert_eq!(lane_stream(&plan, &masks, l), reference, "lane {l}");
         }
     }
 
@@ -1120,14 +1118,23 @@ mod tests {
         let plan = d.prepare_run(&env, &profile).unwrap();
         assert!(plan.vrt_words() > 0, "need VRT-contingent words");
         let nonces: Vec<u64> = (0..crate::plan::MAX_LANES as u64).collect();
-        let mut lanes: Vec<Vec<VrtEvent>> = vec![Vec::new(); nonces.len()];
-        d.advance_window_planned_lanes(&plan, &nonces, u64::MAX, &mut lanes)
+        let mut masks = vec![0; plan.vrt_cells()];
+        d.advance_window_planned_lanes(&plan, &nonces, u64::MAX, &mut masks)
             .unwrap();
-        let base_only = lanes.iter().flatten().filter(|e| e.flip_mask == 1).count();
+        let base_only = (0..nonces.len())
+            .flat_map(|l| {
+                let plan = &plan;
+                let masks = &masks;
+                plan.vrt_word_sites()
+                    .iter()
+                    .map(move |word| plan.lane_flip_mask(word, masks, l))
+            })
+            .filter(|&mask| mask == 1)
+            .count();
         assert!(base_only > 0, "no lane emitted a base-mask-only event");
         for (l, &nonce) in nonces.iter().enumerate() {
             let reference = d.advance_window_profiled(&env, &profile, nonce);
-            assert_eq!(lane_stream(&plan, &lanes[l]), reference, "lane {l}");
+            assert_eq!(lane_stream(&plan, &masks, l), reference, "lane {l}");
         }
     }
 
@@ -1159,9 +1166,9 @@ mod tests {
         d.write_word(Location::new(0, 0, 0, 0), BEST);
         let current = d.contents_generation();
         assert_ne!(built, current);
-        let mut lanes = vec![Vec::new()];
+        let mut masks = vec![0; plan.vrt_cells()];
         let err = d
-            .advance_window_planned_lanes(&plan, &[0], 1, &mut lanes)
+            .advance_window_planned_lanes(&plan, &[0], 1, &mut masks)
             .unwrap_err();
         assert_eq!(err, PlanError::Stale { built, current });
         assert!(err.to_string().contains("stale RunPlan"), "{err}");

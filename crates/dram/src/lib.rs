@@ -66,7 +66,7 @@ pub use env::OperatingEnv;
 pub use events::WordEvent;
 pub use faults::{FaultSet, LogicalFault};
 pub use geometry::{DimmGeometry, Location};
-pub use plan::{PlanError, RunPlan, VrtEvent, MAX_LANES};
+pub use plan::{PlanError, RunPlan, VrtWord, MAX_LANES};
 pub use retention::PhysicsParams;
 pub use topology::{CellKind, Topology};
 pub use weak::{WeakCell, WeakCellPopulation};

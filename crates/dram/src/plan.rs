@@ -19,14 +19,16 @@
 //!   ([`crate::weak::vrt_degraded`]) and a mask-OR.
 //!
 //! The one per-window kernel, [`RunPlan::advance_window_vrt_lanes`],
-//! evaluates the VRT-contingent cells for up to [`MAX_LANES`] runs at once;
-//! callers account for the static events once per plan. The per-window
-//! cost therefore collapses from "retention physics for every weak cell"
-//! to "a hash per VRT cell per run", and the VRT-contingent subset is tiny
-//! (most VRT cells are statically safe or statically failing in *both*
-//! states at any given operating point). Per lane, the kernel's events
-//! merged with [`RunPlan::static_events`] in location order are
-//! bit-identical to the per-cell loop
+//! evaluates the VRT-contingent cells for up to [`MAX_LANES`] runs at once
+//! and writes one `u64` lane mask per cell (bit `l`: lane `l`'s draw flips
+//! it); callers account for the static events and base masks once per
+//! plan. The per-window cost therefore collapses from "retention physics
+//! for every weak cell" to "a hash per VRT cell per run", and the
+//! VRT-contingent subset is tiny (most VRT cells are statically safe or
+//! statically failing in *both* states at any given operating point). Per
+//! lane, the flip masks rebuilt from the lane masks
+//! ([`RunPlan::lane_flip_mask`]) merged with [`RunPlan::static_events`] in
+//! location order are bit-identical to the per-cell loop
 //! ([`crate::Dimm::advance_window_profiled`], the reference oracle) at the
 //! same window nonce, because the plan evaluates the exact same
 //! floating-point expressions at build time.
@@ -91,32 +93,29 @@ impl std::error::Error for PlanError {}
 /// call can serve: one bit of a `u64` lane mask per candidate-run.
 pub const MAX_LANES: usize = 64;
 
-/// One lane's flips in one VRT word during one window: the word's index in
-/// [`RunPlan::vrt_word_sites`] and the mask of its data bits that flipped.
-/// The lane kernel emits these instead of full [`WordEvent`]s; a caller
-/// resolves the word's location and contents once per plan, not per event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VrtEvent {
-    /// Index of the word in [`RunPlan::vrt_word_sites`].
-    pub word: u32,
-    /// Mask of data bits that flipped this window (never zero).
-    pub flip_mask: u64,
+/// One weak word with at least one VRT-contingent cell: its static base
+/// flip mask plus the range of contingent cells in the plan's flat arrays
+/// (the range [`RunPlan::advance_window_vrt_lanes`] writes its lane masks
+/// to).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VrtWord {
+    /// The word these cells live in.
+    pub loc: Location,
+    /// Contents of the word, captured at plan-build time.
+    pub written: u64,
+    /// Flip mask of the word's statically-failing cells.
+    pub base_mask: u64,
+    /// Start of this word's contingent cells in the flat arrays.
+    pub bits_start: u32,
+    /// One past the end of this word's contingent cells.
+    pub bits_end: u32,
 }
 
-/// One weak word with at least one VRT-contingent cell: its static base
-/// flip mask plus the range of contingent bits in the plan's flat arrays.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct VrtWord {
-    /// The word these cells live in.
-    pub(crate) loc: Location,
-    /// Contents of the word, captured at plan-build time.
-    pub(crate) written: u64,
-    /// Flip mask of the word's statically-failing cells.
-    pub(crate) base_mask: u64,
-    /// Start of this word's contingent bits in the flat arrays.
-    pub(crate) bits_start: u32,
-    /// One past the end of this word's contingent bits.
-    pub(crate) bits_end: u32,
+impl VrtWord {
+    /// The word's contingent cells as a range of flat-array indices.
+    pub fn cells(&self) -> std::ops::Range<usize> {
+        self.bits_start as usize..self.bits_end as usize
+    }
 }
 
 /// A prepared evaluation plan for one DIMM and one run
@@ -179,108 +178,77 @@ impl RunPlan {
         &self.static_events
     }
 
-    /// The location and plan-time contents of each word with VRT-contingent
-    /// cells, in population order; [`VrtEvent::word`] indexes this.
-    pub fn vrt_word_sites(&self) -> impl ExactSizeIterator<Item = (Location, u64)> + '_ {
-        self.vrt_words.iter().map(|word| (word.loc, word.written))
+    /// The words with VRT-contingent cells, in population (location)
+    /// order.
+    pub fn vrt_word_sites(&self) -> &[VrtWord] {
+        &self.vrt_words
+    }
+
+    /// The flat per-contingent-cell bit masks (`1 << bit`), indexed by
+    /// [`VrtWord::cells`].
+    pub fn vrt_cell_masks(&self) -> &[u64] {
+        &self.bit_masks
+    }
+
+    /// Lane `lane`'s flip mask of `word` from one window's lane masks (as
+    /// [`RunPlan::advance_window_vrt_lanes`] writes them): the word's base
+    /// mask plus every contingent cell whose lane-mask bit `lane` is set.
+    /// Zero means the lane saw no event in the word.
+    pub fn lane_flip_mask(&self, word: &VrtWord, lane_masks: &[u64], lane: usize) -> u64 {
+        let cells = word.cells();
+        self.bit_masks[cells.clone()]
+            .iter()
+            .zip(&lane_masks[cells])
+            .filter(|&(_, lanes)| lanes >> lane & 1 == 1)
+            .fold(word.base_mask, |mask, (bit, _)| mask | bit)
     }
 
     /// Evaluates one refresh window for up to [`MAX_LANES`] evaluation
-    /// lanes at once, emitting **only the VRT-word events** of lane `l`
-    /// into `out[l]` (cleared first), as compact [`VrtEvent`]s. Static
-    /// events are invariant across lanes and windows; batched callers
-    /// account for them through a precomputed summary of
-    /// [`RunPlan::static_events`] instead of re-materializing them per
-    /// lane.
+    /// lanes at once: `out[i]` (one entry per VRT-contingent cell, in the
+    /// order of [`VrtWord::cells`]) becomes the lane mask of cell `i`, bit
+    /// `l` set when lane `l`'s draw flips the cell. Static events and base
+    /// masks are invariant across lanes and windows, so callers account for
+    /// them from the plan, and a word whose one contingent cell flips in
+    /// `k` lanes costs a popcount instead of `k` events.
     ///
-    /// `nonces[l]` is lane `l`'s window nonce; a lane is evaluated only
+    /// `nonces[l]` is lane `l`'s window nonce; lane `l`'s bits are set only
     /// when bit `l` of `live` is set (dead lanes — runs already stopped on
-    /// an uncorrectable error — keep an empty buffer). The cell loop is
-    /// outer and the lane loop inner: each VRT-contingent cell's Bernoulli
-    /// draws for all live lanes are packed into one `u64` lane mask, then
-    /// scattered into per-lane flip masks, so one pass over the flat SoA
-    /// serves the whole batch.
-    ///
-    /// Per lane, the emitted events, resolved through
-    /// [`RunPlan::vrt_word_sites`] and merged with
+    /// an uncorrectable error — never set a bit). Per lane, the flip masks
+    /// [`RunPlan::lane_flip_mask`] rebuilds from `out`, merged with
     /// [`RunPlan::static_events`] in location order, are bit-identical to
-    /// [`crate::Dimm::advance_window_profiled`] at the same nonce: the
-    /// same `vrt_degraded` draws, and the same flip verdicts the plan
-    /// build took from the reference expressions.
+    /// [`crate::Dimm::advance_window_profiled`] at the same nonce: the same
+    /// `vrt_degraded` draws, and the same flip verdicts the plan build took
+    /// from the reference expressions.
     ///
     /// # Panics
     ///
-    /// Panics if more than [`MAX_LANES`] lanes are requested or the buffer
-    /// count does not match the nonce count.
-    pub fn advance_window_vrt_lanes(
-        &self,
-        seed: u64,
-        nonces: &[u64],
-        live: u64,
-        out: &mut [Vec<VrtEvent>],
-    ) {
+    /// Panics if more than [`MAX_LANES`] lanes are requested or `out` does
+    /// not hold one mask per VRT-contingent cell.
+    pub fn advance_window_vrt_lanes(&self, seed: u64, nonces: &[u64], live: u64, out: &mut [u64]) {
         assert!(nonces.len() <= MAX_LANES, "at most {MAX_LANES} lanes");
-        assert_eq!(nonces.len(), out.len(), "one event buffer per lane");
-        for buf in out.iter_mut() {
-            buf.clear();
-        }
-        let live = if nonces.len() == MAX_LANES {
-            live
-        } else {
-            live & ((1u64 << nonces.len()) - 1)
+        assert_eq!(out.len(), self.bit_masks.len(), "one lane mask per cell");
+        let live = match nonces.len() {
+            MAX_LANES => live,
+            lanes => live & ((1u64 << lanes) - 1),
         };
-        if live == 0 {
-            return;
-        }
-        let mut lane_masks = [0u64; MAX_LANES];
-        for (word_index, word) in (0u32..).zip(&self.vrt_words) {
-            // Lanes where at least one contingent cell flipped; only their
-            // masks differ from the word's base mask.
-            let mut flipped = 0u64;
-            for i in word.bits_start as usize..word.bits_end as usize {
-                let index = self.bit_indices[i];
-                let flip_when_degraded = self.bit_flip_when_degraded[i];
-                // One u64 of Bernoulli outcomes across the batch: bit `l`
-                // set iff lane `l`'s draw flips this cell.
-                let mut flipping = 0u64;
-                let mut lanes = live;
-                while lanes != 0 {
-                    let lane = lanes.trailing_zeros() as usize;
-                    lanes &= lanes - 1;
-                    if vrt_degraded(seed, nonces[lane], index, self.vrt_degraded_prob)
-                        == flip_when_degraded
-                    {
-                        flipping |= 1u64 << lane;
-                    }
-                }
-                let mask = self.bit_masks[i];
-                let mut lanes = flipping;
-                while lanes != 0 {
-                    let lane = lanes.trailing_zeros() as usize;
-                    lanes &= lanes - 1;
-                    let before = if flipped & (1u64 << lane) != 0 {
-                        lane_masks[lane]
-                    } else {
-                        word.base_mask
-                    };
-                    lane_masks[lane] = before | mask;
-                }
-                flipped |= flipping;
+        let prob = self.vrt_degraded_prob;
+        for ((mask, &index), &flip_when_degraded) in out
+            .iter_mut()
+            .zip(&self.bit_indices)
+            .zip(&self.bit_flip_when_degraded)
+        {
+            // Every lane draws, dead ones included: a dense, branch-free
+            // lane loop costs less than skipping the few dead lanes.
+            let mut degraded = 0u64;
+            for (lane, &nonce) in nonces.iter().enumerate() {
+                degraded |= u64::from(vrt_degraded(seed, nonce, index, prob)) << lane;
             }
-            let mut lanes = if word.base_mask != 0 { live } else { flipped };
-            while lanes != 0 {
-                let lane = lanes.trailing_zeros() as usize;
-                lanes &= lanes - 1;
-                let flip_mask = if flipped & (1u64 << lane) != 0 {
-                    lane_masks[lane]
-                } else {
-                    word.base_mask
-                };
-                out[lane].push(VrtEvent {
-                    word: word_index,
-                    flip_mask,
-                });
-            }
+            let flipping = if flip_when_degraded {
+                degraded
+            } else {
+                !degraded
+            };
+            *mask = live & flipping;
         }
     }
 }

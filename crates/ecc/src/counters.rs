@@ -42,12 +42,17 @@ impl CounterSnapshot {
     /// events a run produced can count them here instead of diffing two
     /// full [`EccCounters`] snapshots around the run.
     pub fn count(&mut self, kind: EventKind) {
+        self.count_many(kind, 1);
+    }
+
+    /// Tallies `count` decode outcomes of the same kind at once.
+    pub fn count_many(&mut self, kind: EventKind, count: u64) {
         match kind {
-            EventKind::None => self.clean += 1,
-            EventKind::Ce => self.ce += 1,
-            EventKind::Ue => self.ue += 1,
-            EventKind::SdcMiscorrected => self.sdc_miscorrected += 1,
-            EventKind::SdcUndetected => self.sdc_undetected += 1,
+            EventKind::None => self.clean += count,
+            EventKind::Ce => self.ce += count,
+            EventKind::Ue => self.ue += count,
+            EventKind::SdcMiscorrected => self.sdc_miscorrected += count,
+            EventKind::SdcUndetected => self.sdc_undetected += count,
         }
     }
 
@@ -118,26 +123,12 @@ impl EccCounters {
 
     /// Records one decode outcome.
     pub fn record(&self, kind: EventKind) {
-        let mut c = self.inner.lock();
-        match kind {
-            EventKind::None => c.clean += 1,
-            EventKind::Ce => c.ce += 1,
-            EventKind::Ue => c.ue += 1,
-            EventKind::SdcMiscorrected => c.sdc_miscorrected += 1,
-            EventKind::SdcUndetected => c.sdc_undetected += 1,
-        }
+        self.inner.lock().count(kind);
     }
 
     /// Records many outcomes of the same kind at once (bulk scrub results).
     pub fn record_many(&self, kind: EventKind, count: u64) {
-        let mut c = self.inner.lock();
-        match kind {
-            EventKind::None => c.clean += count,
-            EventKind::Ce => c.ce += count,
-            EventKind::Ue => c.ue += count,
-            EventKind::SdcMiscorrected => c.sdc_miscorrected += count,
-            EventKind::SdcUndetected => c.sdc_undetected += count,
-        }
+        self.inner.lock().count_many(kind, count);
     }
 
     /// Adds a whole counter delta under one lock: the bulk equivalent of

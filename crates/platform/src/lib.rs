@@ -53,6 +53,8 @@ pub mod thermal;
 pub use config::{AccessModelConfig, ServerConfig};
 pub use power::{PowerModel, PowerReport};
 pub use replay::ReplayProfile;
-pub use server::{DomainCounts, PreparedRun, RowErrors, RunOutcome, XGene2Server, MCUS, RANKS};
+pub use server::{
+    DomainCounts, PreparedRun, RowErrors, RunOutcome, RunsTotal, XGene2Server, MCUS, RANKS,
+};
 pub use session::{MemoryBus, RecordedRun, Session, VirtAddr};
 pub use thermal::{PidController, SettleReport, ThermalError, ThermalPlant, ThermalTestbed};

@@ -1,5 +1,12 @@
 //! The experimental server: MCUs, MCBs, ECC counters, parameter knobs and
 //! virus-run evaluation (paper §IV, Fig. 5).
+//!
+//! Evaluation has one fold, [`XGene2Server::evaluate_prepared_total`]: the
+//! repeat runs of a virus advance through the lane kernel up to 64 at a
+//! time, each window's VRT-word events are counted by popcount of the
+//! kernel's lane masks with ECC kinds fixed at plan time, and the result is
+//! one summed [`RunsTotal`] — what the GA's fitness reads. A per-run
+//! [`RunOutcome`] is that fold over one run.
 
 use crate::config::ServerConfig;
 use crate::power::{PowerModel, PowerReport};
@@ -8,12 +15,13 @@ use crate::session::{RecordedRun, Session};
 use crate::thermal::{SettleReport, ThermalError, ThermalTestbed};
 use dstress_dram::geometry::RowKey;
 use dstress_dram::{
-    ActivationCounts, AddressMap, Dimm, OperatingEnv, PlanError, RunPlan, VrtEvent, WordEvent,
+    ActivationCounts, AddressMap, Dimm, OperatingEnv, PlanError, RunPlan, VrtWord, WordEvent,
     MAX_LANES,
 };
 use dstress_ecc::{classify_flips, CounterSnapshot, EccCounters, EventKind};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 
@@ -58,16 +66,19 @@ impl EnvKey {
     }
 }
 
-/// A [`RunPlan`] bundled with what the batched path needs to account for
-/// its events per run instead of per event, shared (via `Arc`) between the
-/// plan cache and every [`PreparedRun`] that hit it.
+/// A [`RunPlan`] bundled with what the fold needs to account for its
+/// events by popcount instead of one at a time, shared (via `Arc`) between
+/// the plan cache and every [`PreparedRun`] that hit it.
 ///
 /// Static events are byte-identical every window of every run, so they are
-/// classified once here and applied scaled by a run's completed windows —
+/// classified once here and applied scaled by the windows the runs
+/// completed. A VRT word with one contingent cell — every word the sampler
+/// makes — has only two possible events, so both are classified here too,
+/// and a window adds `popcount(mask)` events of one kind. All accounting is
 /// integer sums, bit-identical to the event-at-a-time accounting
 /// ([`record_events`]) of [`XGene2Server::evaluate_run_reference`]. Every
-/// row an event of the plan can touch gets a slot in a sorted row table,
-/// so a run tallies rows into a flat array instead of a map.
+/// row an event of the plan can touch gets a slot in a row table, so the
+/// fold tallies rows into a flat array instead of a map.
 #[derive(Debug, PartialEq)]
 struct McuPlan {
     plan: RunPlan,
@@ -76,7 +87,7 @@ struct McuPlan {
     /// Whether the static events include an uncorrectable error (which
     /// then fires in every window).
     static_ue: bool,
-    /// The row table, sorted: the rows of the visible static events and of
+    /// The row table, in row order: the rows of the static events and of
     /// every VRT word. A row's index here is its slot.
     rows: Vec<RowKey>,
     /// Per slot, the (CE, UE) tally of one window's static events.
@@ -85,46 +96,67 @@ struct McuPlan {
     vrt_sites: Vec<VrtSite>,
 }
 
-/// Where a VRT word's events are accounted: its row slot, its rank and the
-/// contents the decoder checks a multi-bit flip against.
+/// Where a VRT word's events are accounted and, when fixed at plan time,
+/// what kind they are.
 #[derive(Debug, PartialEq)]
 struct VrtSite {
-    slot: u32,
-    rank: u8,
-    written: u64,
+    slot: usize,
+    rank: usize,
+    /// The event of a lane where no contingent cell flips: the base mask's
+    /// kind, or `None` for a word without a base mask.
+    without: Option<EventKind>,
+    /// The event of a lane where the word's one contingent cell flips, or
+    /// `None` for a word with several, which the fold classifies per lane.
+    with: Option<EventKind>,
 }
 
 impl McuPlan {
     fn new(plan: RunPlan) -> McuPlan {
+        // Static events and VRT words both come in population order, which
+        // is location and therefore row order: the row table is their
+        // merge, and each list finds its slots with a forward-only cursor.
+        let static_keys = || plan.static_events().iter().map(|e| e.loc.row_key());
+        let vrt_keys = || plan.vrt_word_sites().iter().map(|w| w.loc.row_key());
+        let (mut a, mut b) = (static_keys().peekable(), vrt_keys().peekable());
+        let mut rows: Vec<RowKey> = Vec::new();
+        while let Some(row) = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) if y < x => b.next(),
+            _ => a.next().or_else(|| b.next()),
+        } {
+            if rows.last() != Some(&row) {
+                rows.push(row);
+            }
+        }
         let mut static_per_rank = [CounterSnapshot::default(); RANKS];
         let mut static_ue = false;
-        let mut visible = Vec::new();
-        for event in plan.static_events() {
+        let mut static_rows = vec![[0u64; 2]; rows.len()];
+        for (event, slot) in plan
+            .static_events()
+            .iter()
+            .zip(row_slots(&rows, static_keys()))
+        {
             let kind = classify_flips(event.written, event.flip_mask, 0);
             static_per_rank[event.loc.rank as usize].count(kind);
             static_ue |= kind == EventKind::Ue;
             if kind.is_visible() {
-                visible.push((event.loc.row_key(), kind));
+                static_rows[slot][tally_index(kind)] += 1;
             }
         }
-        let mut rows: Vec<RowKey> = visible
-            .iter()
-            .map(|&(row, _)| row)
-            .chain(plan.vrt_word_sites().map(|(loc, _)| loc.row_key()))
-            .collect();
-        rows.sort_unstable();
-        rows.dedup();
-        let slot = |row: RowKey| rows.binary_search(&row).expect("every row has a slot");
-        let mut static_rows = vec![[0u64; 2]; rows.len()];
-        for (row, kind) in visible {
-            static_rows[slot(row)][tally_index(kind)] += 1;
-        }
+        let classify = |word: &VrtWord, mask: u64| classify_flips(word.written, mask, 0);
         let vrt_sites = plan
             .vrt_word_sites()
-            .map(|(loc, written)| VrtSite {
-                slot: u32::try_from(slot(loc.row_key())).expect("row slots fit u32"),
-                rank: loc.rank,
-                written,
+            .iter()
+            .zip(row_slots(&rows, vrt_keys()))
+            .map(|(word, slot)| VrtSite {
+                slot,
+                rank: word.loc.rank as usize,
+                without: (word.base_mask != 0).then(|| classify(word, word.base_mask)),
+                with: (word.cells().len() == 1).then(|| {
+                    classify(
+                        word,
+                        word.base_mask | plan.vrt_cell_masks()[word.cells().start],
+                    )
+                }),
             })
             .collect();
         McuPlan {
@@ -136,6 +168,72 @@ impl McuPlan {
             vrt_sites,
         }
     }
+
+    /// Adds one window's VRT-word events of the `live` lanes, read from the
+    /// kernel's lane `masks`, to the per-rank `deltas` and the row `tally`.
+    /// Returns the lanes that saw an uncorrectable error, static ones
+    /// included.
+    fn account_window(
+        &self,
+        live: u64,
+        masks: &[u64],
+        deltas: &mut [CounterSnapshot; RANKS],
+        tally: &mut [[u64; 2]],
+    ) -> u64 {
+        let mut ue = if self.static_ue { live } else { 0 };
+        let mut add = |site: &VrtSite, kind: EventKind, lanes: u64| {
+            if lanes == 0 {
+                return;
+            }
+            let n = u64::from(lanes.count_ones());
+            deltas[site.rank].count_many(kind, n);
+            if kind.is_visible() {
+                tally[site.slot][tally_index(kind)] += n;
+            }
+            if kind == EventKind::Ue {
+                ue |= lanes;
+            }
+        };
+        for (site, word) in self.vrt_sites.iter().zip(self.plan.vrt_word_sites()) {
+            let flipped = match site.with {
+                Some(kind) => {
+                    let flipped = masks[word.cells().start];
+                    add(site, kind, flipped);
+                    flipped
+                }
+                None => {
+                    let flipped = masks[word.cells()].iter().fold(0, |acc, m| acc | m);
+                    let mut lanes = flipped;
+                    while lanes != 0 {
+                        let lane = lanes.trailing_zeros() as usize;
+                        lanes &= lanes - 1;
+                        let mask = self.plan.lane_flip_mask(word, masks, lane);
+                        add(site, classify_flips(word.written, mask, 0), 1 << lane);
+                    }
+                    flipped
+                }
+            };
+            if let Some(kind) = site.without {
+                add(site, kind, live & !flipped);
+            }
+        }
+        ue
+    }
+}
+
+/// The slot of each row of `keys` (in row order, each one in the table),
+/// found with a forward-only cursor over the row table `rows`.
+fn row_slots<'a>(
+    rows: &'a [RowKey],
+    keys: impl Iterator<Item = RowKey> + 'a,
+) -> impl Iterator<Item = usize> + 'a {
+    let mut slot = 0;
+    keys.map(move |row| {
+        while rows[slot] != row {
+            slot += 1;
+        }
+        slot
+    })
 }
 
 /// The (CE, UE) tally column a visible event kind counts in.
@@ -208,111 +306,6 @@ fn scale_snapshot(s: &CounterSnapshot, windows: u64) -> CounterSnapshot {
         sdc_miscorrected: s.sdc_miscorrected * windows,
         sdc_undetected: s.sdc_undetected * windows,
         clean: s.clean * windows,
-    }
-}
-
-/// The row tables of a prepared run's plans laid end to end — MCU `m`'s
-/// slot `s` is global slot `offsets[m] + s` — and their one-window static
-/// rows, sorted into outcome order. Built once per evaluation: scaling
-/// every static count by the same window count w ≥ 1 keeps that order, so
-/// each run only sorts the rows its VRT events touched and merges them in.
-struct RunRows {
-    offsets: [usize; MCUS + 1],
-    /// (global slot, one-window row tally), in outcome order.
-    statics: Vec<(usize, RowErrors)>,
-}
-
-impl RunRows {
-    fn new(prepared: &PreparedRun) -> RunRows {
-        let mut offsets = [0; MCUS + 1];
-        let mut statics = Vec::new();
-        for (mcu, plan) in prepared.plans.iter().enumerate() {
-            offsets[mcu + 1] = offsets[mcu] + plan.rows.len();
-            for (slot, (&row, &[ce, ue])) in plan.rows.iter().zip(&plan.static_rows).enumerate() {
-                if ce + ue > 0 {
-                    statics.push((offsets[mcu] + slot, RowErrors { mcu, row, ce, ue }));
-                }
-            }
-        }
-        statics.sort_unstable_by(|a, b| outcome_order(&a.1, &b.1));
-        RunRows { offsets, statics }
-    }
-
-    /// Number of global slots.
-    fn len(&self) -> usize {
-        self.offsets[MCUS]
-    }
-
-    /// One run's row errors in outcome order: its static rows scaled by
-    /// its completed windows, merged with the rows its VRT events touched.
-    fn row_errors(&self, prepared: &PreparedRun, tally: &RowTally, windows: u64) -> Vec<RowErrors> {
-        if windows == 0 {
-            // Nothing fired: a run stopped before its first window has no rows.
-            return Vec::new();
-        }
-        let mut touched: Vec<RowErrors> = tally
-            .touched
-            .iter()
-            .map(|&global| {
-                let mcu = self.offsets.partition_point(|&o| o <= global) - 1;
-                let slot = global - self.offsets[mcu];
-                let plan = &prepared.plans[mcu];
-                let [static_ce, static_ue] = plan.static_rows[slot];
-                let [ce, ue] = tally.counts[global];
-                RowErrors {
-                    mcu,
-                    row: plan.rows[slot],
-                    ce: static_ce * windows + ce,
-                    ue: static_ue * windows + ue,
-                }
-            })
-            .collect();
-        touched.sort_unstable_by(outcome_order);
-        let mut touched = touched.into_iter().peekable();
-        let mut rows = Vec::with_capacity(self.statics.len() + touched.len());
-        for &(global, row) in &self.statics {
-            if tally.counts[global] != [0, 0] {
-                continue; // merged into its touched entry
-            }
-            let scaled = RowErrors {
-                ce: row.ce * windows,
-                ue: row.ue * windows,
-                ..row
-            };
-            while let Some(fresh) =
-                touched.next_if(|t| outcome_order(t, &scaled) == std::cmp::Ordering::Less)
-            {
-                rows.push(fresh);
-            }
-            rows.push(scaled);
-        }
-        rows.extend(touched);
-        rows
-    }
-}
-
-/// One run's VRT-event row tallies over a [`RunRows`] slot space.
-struct RowTally {
-    /// (CE, UE) per global slot.
-    counts: Vec<[u64; 2]>,
-    /// The slots with a non-zero tally, in first-touch order.
-    touched: Vec<usize>,
-}
-
-impl RowTally {
-    fn new(slots: usize) -> RowTally {
-        RowTally {
-            counts: vec![[0; 2]; slots],
-            touched: Vec::new(),
-        }
-    }
-
-    fn add(&mut self, slot: usize, kind: EventKind) {
-        let count = &mut self.counts[slot];
-        if *count == [0, 0] {
-            self.touched.push(slot);
-        }
-        count[tally_index(kind)] += 1;
     }
 }
 
@@ -392,6 +385,66 @@ pub struct RunOutcome {
     pub stopped_on_ue: bool,
     /// Per-row error tallies for this run, sorted by descending CE count.
     pub row_errors: Vec<RowErrors>,
+}
+
+/// The summed outcome of repeat runs of one virus — all the GA's fitness
+/// reads of them (the paper scores a candidate by its mean over 10 runs,
+/// §V-A.1).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct RunsTotal {
+    /// Number of runs summed.
+    pub runs: u32,
+    /// Error totals across all domains and runs.
+    pub totals: CounterSnapshot,
+    /// Per-(MCU, rank) breakdown, summed over the runs.
+    pub per_domain: Vec<DomainCounts>,
+    /// Runs stopped early because ECC raised an uncorrectable error.
+    pub ue_runs: u32,
+    /// Refresh windows completed, summed over the runs.
+    pub windows: u64,
+    /// Per-row error tallies summed over the runs, in the order of
+    /// [`RunOutcome::row_errors`] (by descending CE count).
+    pub row_errors: Vec<RowErrors>,
+}
+
+impl RunsTotal {
+    /// Sums per-run outcomes: what [`XGene2Server::evaluate_runs_total`]
+    /// returns for the runs they came from.
+    pub fn sum(outcomes: &[RunOutcome]) -> RunsTotal {
+        let mut deltas = [[CounterSnapshot::default(); RANKS]; MCUS];
+        let mut rows: HashMap<(usize, RowKey), (u64, u64)> = HashMap::new();
+        for outcome in outcomes {
+            for d in &outcome.per_domain {
+                deltas[d.mcu][d.rank] = deltas[d.mcu][d.rank] + d.counts;
+            }
+            for r in &outcome.row_errors {
+                let entry = rows.entry((r.mcu, r.row)).or_default();
+                *entry = (entry.0 + r.ce, entry.1 + r.ue);
+            }
+        }
+        runs_total(
+            &deltas,
+            rows,
+            outcomes.len() as u32,
+            outcomes.iter().filter(|o| o.stopped_on_ue).count() as u32,
+            outcomes
+                .iter()
+                .map(|o| u64::from(o.windows_completed))
+                .sum(),
+        )
+    }
+}
+
+/// The outcome of a one-run total.
+fn run_outcome(total: RunsTotal) -> RunOutcome {
+    debug_assert_eq!(total.runs, 1, "a run outcome is a one-run total");
+    RunOutcome {
+        totals: total.totals,
+        per_domain: total.per_domain,
+        windows_completed: total.windows as u32,
+        stopped_on_ue: total.ue_runs == 1,
+        row_errors: total.row_errors,
+    }
 }
 
 /// The simulated X-Gene 2 server.
@@ -676,10 +729,8 @@ impl XGene2Server {
 
     /// Evaluates `runs` repeat runs of the same virus, building the replay
     /// profile and run plans once (the paper's 10-run averaging workflow,
-    /// §V-A.1). The runs are evaluated through the batched lane kernel —
-    /// all of them advance window by window together — which is
-    /// bit-identical to evaluating them one at a time through
-    /// [`Self::evaluate_run_reference`], the oracle.
+    /// §V-A.1), one outcome per run. Bit-identical to evaluating them one
+    /// at a time through [`Self::evaluate_run_reference`], the oracle.
     ///
     /// # Errors
     ///
@@ -694,22 +745,25 @@ impl XGene2Server {
         self.evaluate_prepared_runs(&prepared, runs, base_nonce)
     }
 
-    /// [`Self::evaluate_runs`] for a run the caller is done with: a new
-    /// profile-cache entry keeps it without a copy, and the entry it evicts
-    /// backs the next session's recording. Outcomes are the same as
-    /// [`Self::evaluate_runs`] gives.
+    /// The summed outcome of `runs` repeat runs of a virus, for a run the
+    /// caller is done with: a new profile-cache entry keeps it without a
+    /// copy, and the entry it evicts backs the next session's recording.
+    /// This is the GA's fitness path: all runs advance together through
+    /// the lane kernel, and nothing per run is materialized. The total
+    /// equals [`RunsTotal::sum`] of [`Self::evaluate_runs`] over the same
+    /// nonces.
     ///
     /// # Errors
     ///
     /// [`PlanError`] on a plan-layer programming error.
-    pub fn evaluate_runs_owned(
+    pub fn evaluate_runs_total(
         &mut self,
         run: RecordedRun,
         runs: u32,
         base_nonce: u64,
-    ) -> Result<Vec<RunOutcome>, PlanError> {
+    ) -> Result<RunsTotal, PlanError> {
         let prepared = self.prepare(Cow::Owned(run))?;
-        self.evaluate_prepared_runs(&prepared, runs, base_nonce)
+        self.evaluate_prepared_total(&prepared, runs, base_nonce)
     }
 
     /// Builds the per-MCU [`RunPlan`]s for a recorded run under the current
@@ -839,23 +893,8 @@ impl XGene2Server {
         entry
     }
 
-    /// Evaluates `runs` repeat runs of a prepared virus in one batched
-    /// sweep — the hot path behind [`Self::evaluate_run`],
-    /// [`Self::evaluate_runs`] and the GA fitness loop. Per (window, MCU)
-    /// the lane kernel ([`RunPlan::advance_window_vrt_lanes`]) computes
-    /// every live run's VRT events in a single cell-outer pass over the
-    /// plan's flat SoA.
-    /// Everything that is the same in every window is accounted once per
-    /// run: the static events through the plan's one-window summary scaled
-    /// by the run's completed windows, the row tallies through the plans'
-    /// row slots, and the persistent EDAC counters through one fold per
-    /// (MCU, rank). All accounting is integer sums, so the outcomes (and
-    /// the persistent EDAC counters) are bit-identical to evaluating the
-    /// runs one at a time through [`Self::evaluate_run_reference`].
-    ///
-    /// A run stops after the first full window in which any MCU raised an
-    /// uncorrectable error, exactly as in the reference path; its lane then
-    /// goes dead while the other runs continue.
+    /// Evaluates `runs` repeat runs of a prepared virus, one outcome per
+    /// run: each run is a one-run [`Self::evaluate_prepared_total`].
     ///
     /// # Errors
     ///
@@ -868,117 +907,101 @@ impl XGene2Server {
         base_nonce: u64,
     ) -> Result<Vec<RunOutcome>, PlanError> {
         self.ensure_prepared_fresh(prepared)?;
-        let rows = RunRows::new(prepared);
-        let mut outcomes = Vec::with_capacity(runs as usize);
-        let mut batch_start = 0u64;
-        while batch_start < runs as u64 {
-            let lanes = (runs as u64 - batch_start).min(MAX_LANES as u64) as usize;
-            let nonces: Vec<u64> = (0..lanes as u64)
-                .map(|l| base_nonce.wrapping_add(batch_start + l))
-                .collect();
-            outcomes.extend(self.evaluate_lane_batch(prepared, &rows, &nonces));
-            batch_start += lanes as u64;
-        }
-        Ok(outcomes)
-    }
-
-    /// One ≤[`MAX_LANES`]-lane batch of [`Self::evaluate_prepared_runs`]:
-    /// `nonces[l]` is lane `l`'s run nonce. Freshness must already be
-    /// checked.
-    fn evaluate_lane_batch(
-        &mut self,
-        prepared: &PreparedRun,
-        rows: &RunRows,
-        nonces: &[u64],
-    ) -> Vec<RunOutcome> {
-        let lanes = nonces.len();
-        let mut deltas = vec![[[CounterSnapshot::default(); RANKS]; MCUS]; lanes];
-        let mut tallies: Vec<RowTally> = (0..lanes).map(|_| RowTally::new(rows.len())).collect();
-        let mut lane_events: Vec<Vec<VrtEvent>> = vec![Vec::new(); lanes];
-        let mut window_nonces = vec![0u64; lanes];
-        let mut windows_completed = vec![0u32; lanes];
-        let mut stopped_on_ue = vec![false; lanes];
-        let mut live = if lanes == MAX_LANES {
-            u64::MAX
-        } else {
-            (1u64 << lanes) - 1
-        };
-        for window in 0..self.config.windows_per_run {
-            if live == 0 {
-                break;
-            }
-            let mut ue_this_window = 0u64;
-            for (mcu, plan) in prepared.plans.iter().enumerate() {
-                for (l, &nonce) in nonces.iter().enumerate() {
-                    window_nonces[l] = window_nonce(nonce, window, mcu);
-                }
-                self.mcus[mcu]
-                    .dimm
-                    .advance_window_planned_lanes(
-                        &plan.plan,
-                        &window_nonces,
-                        live,
-                        &mut lane_events,
-                    )
-                    .expect("plan freshness checked by caller; no writes happen mid-evaluation");
-                if plan.static_ue {
-                    ue_this_window |= live;
-                }
-                let offset = rows.offsets[mcu];
-                let mut scan = live;
-                while scan != 0 {
-                    let lane = scan.trailing_zeros() as usize;
-                    scan &= scan - 1;
-                    for event in &lane_events[lane] {
-                        let site = &plan.vrt_sites[event.word as usize];
-                        let kind = classify_flips(site.written, event.flip_mask, 0);
-                        deltas[lane][mcu][site.rank as usize].count(kind);
-                        if kind.is_visible() {
-                            tallies[lane].add(offset + site.slot as usize, kind);
-                        }
-                        if kind == EventKind::Ue {
-                            ue_this_window |= 1u64 << lane;
-                        }
-                    }
-                }
-            }
-            let mut scan = live;
-            while scan != 0 {
-                let lane = scan.trailing_zeros() as usize;
-                scan &= scan - 1;
-                windows_completed[lane] = window + 1;
-            }
-            // A UE ends a run after its full window, exactly like the
-            // reference path's end-of-window break.
-            let stopping = live & ue_this_window;
-            let mut scan = stopping;
-            while scan != 0 {
-                let lane = scan.trailing_zeros() as usize;
-                scan &= scan - 1;
-                stopped_on_ue[lane] = true;
-            }
-            live &= !stopping;
-        }
-        // Fold each run into the persistent EDAC counters once, its static
-        // events scaled by the windows they fired in.
-        (0..lanes)
-            .map(|lane| {
-                let windows = windows_completed[lane];
-                for (mcu, lane_deltas) in deltas[lane].iter_mut().enumerate() {
-                    let statics = &prepared.plans[mcu].static_per_rank;
-                    for (rank, delta) in lane_deltas.iter_mut().enumerate() {
-                        *delta = *delta + scale_snapshot(&statics[rank], windows as u64);
-                        self.counters[mcu][rank].record_snapshot(delta);
-                    }
-                }
-                run_outcome(
-                    &deltas[lane],
-                    rows.row_errors(prepared, &tallies[lane], windows as u64),
-                    windows,
-                    stopped_on_ue[lane],
-                )
+        (0..u64::from(runs))
+            .map(|r| {
+                let total = self.evaluate_prepared_total(prepared, 1, base_nonce.wrapping_add(r));
+                total.map(run_outcome)
             })
             .collect()
+    }
+
+    /// The one fold: evaluates `runs` repeat runs of a prepared virus
+    /// (run `r` with nonce `base_nonce + r`) and sums them. Runs advance
+    /// through the lane kernel ([`RunPlan::advance_window_vrt_lanes`]) up
+    /// to [`MAX_LANES`] at a time, window by window; each (window, MCU)
+    /// adds its VRT words' events by popcount of their lane masks, with
+    /// their ECC kinds fixed when the plan was built, and the static events
+    /// are added once at the end, scaled by the windows the runs completed.
+    /// So are the persistent EDAC counters, once per (MCU, rank). All
+    /// accounting is integer sums, so the total (and the counters) equal
+    /// those of evaluating the runs one at a time through
+    /// [`Self::evaluate_run_reference`].
+    ///
+    /// A run stops after the first full window in which any MCU raised an
+    /// uncorrectable error, exactly as in the reference path; its lane then
+    /// goes dead while the other runs continue.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError::Stale`] if DIMM contents changed since
+    /// [`Self::prepare_run`].
+    pub fn evaluate_prepared_total(
+        &mut self,
+        prepared: &PreparedRun,
+        runs: u32,
+        base_nonce: u64,
+    ) -> Result<RunsTotal, PlanError> {
+        self.ensure_prepared_fresh(prepared)?;
+        let mut deltas = [[CounterSnapshot::default(); RANKS]; MCUS];
+        let mut tallies: Vec<Vec<[u64; 2]>> = prepared
+            .plans
+            .iter()
+            .map(|p| vec![[0; 2]; p.rows.len()])
+            .collect();
+        let mut masks: Vec<Vec<u64>> = prepared
+            .plans
+            .iter()
+            .map(|p| vec![0; p.plan.vrt_cells()])
+            .collect();
+        let mut nonces = [0u64; MAX_LANES];
+        let (mut windows, mut ue_runs) = (0u64, 0u32);
+        for batch in (0..runs).step_by(MAX_LANES) {
+            let lanes = (runs - batch).min(MAX_LANES as u32) as usize;
+            let mut live = u64::MAX >> (MAX_LANES - lanes);
+            for window in 0..self.config.windows_per_run {
+                if live == 0 {
+                    break;
+                }
+                let mut ue = 0u64;
+                for (mcu, plan) in prepared.plans.iter().enumerate() {
+                    for (lane, nonce) in (0u64..).zip(&mut nonces[..lanes]) {
+                        let run_nonce = base_nonce.wrapping_add(u64::from(batch) + lane);
+                        *nonce = window_nonce(run_nonce, window, mcu);
+                    }
+                    self.mcus[mcu]
+                        .dimm
+                        .advance_window_planned_lanes(
+                            &plan.plan,
+                            &nonces[..lanes],
+                            live,
+                            &mut masks[mcu],
+                        )
+                        .expect("plan freshness checked above; no writes happen mid-evaluation");
+                    ue |=
+                        plan.account_window(live, &masks[mcu], &mut deltas[mcu], &mut tallies[mcu]);
+                }
+                windows += u64::from(live.count_ones());
+                // A UE ends a run after its full window, exactly like the
+                // reference path's end-of-window break.
+                ue_runs += ue.count_ones();
+                live &= !ue;
+            }
+        }
+        let mut rows = Vec::new();
+        for (mcu, plan) in prepared.plans.iter().enumerate() {
+            for (rank, delta) in deltas[mcu].iter_mut().enumerate() {
+                *delta = *delta + scale_snapshot(&plan.static_per_rank[rank], windows);
+                self.counters[mcu][rank].record_snapshot(delta);
+            }
+            let slots = plan.rows.iter().zip(&plan.static_rows).zip(&tallies[mcu]);
+            for ((&row, &[static_ce, static_ue]), &[ce, ue]) in slots {
+                rows.push((
+                    (mcu, row),
+                    (static_ce * windows + ce, static_ue * windows + ue),
+                ));
+            }
+        }
+        Ok(runs_total(&deltas, rows, runs, ue_runs, windows))
     }
 
     fn ensure_prepared_fresh(&self, prepared: &PreparedRun) -> Result<(), PlanError> {
@@ -1051,7 +1074,14 @@ impl XGene2Server {
                 break 'windows;
             }
         }
-        finalize_outcome(&deltas, row_errors, windows_completed, stopped_on_ue)
+        let windows = u64::from(windows_completed);
+        run_outcome(runs_total(
+            &deltas,
+            row_errors,
+            1,
+            u32::from(stopped_on_ue),
+            windows,
+        ))
     }
 
     /// Measures server power at the current operating points, given the
@@ -1113,40 +1143,29 @@ fn record_events(
     saw_ue
 }
 
-/// Assembles a [`RunOutcome`] of the reference path from run-local deltas
-/// and the per-row tally.
-fn finalize_outcome(
-    deltas: &[[CounterSnapshot; RANKS]; MCUS],
-    row_errors: HashMap<(usize, RowKey), (u64, u64)>,
-    windows_completed: u32,
-    stopped_on_ue: bool,
-) -> RunOutcome {
-    let mut rows: Vec<RowErrors> = row_errors
-        .into_iter()
-        .map(|((mcu, row), (ce, ue))| RowErrors { mcu, row, ce, ue })
-        .collect();
-    rows.sort_by(outcome_order);
-    run_outcome(deltas, rows, windows_completed, stopped_on_ue)
-}
-
 /// The order of [`RunOutcome::row_errors`]. The key is total — descending
 /// CE, then UE, then row, then MCU — so the order never depends on
 /// hash-map iteration or on the order rows were tallied in.
-fn outcome_order(a: &RowErrors, b: &RowErrors) -> std::cmp::Ordering {
-    b.ce.cmp(&a.ce)
-        .then(b.ue.cmp(&a.ue))
-        .then(a.row.cmp(&b.row))
-        .then(a.mcu.cmp(&b.mcu))
+fn outcome_key(r: &RowErrors) -> (Reverse<u64>, Reverse<u64>, RowKey, usize) {
+    (Reverse(r.ce), Reverse(r.ue), r.row, r.mcu)
 }
 
-/// Assembles a [`RunOutcome`] from run-local deltas and row errors already
-/// in outcome order.
-fn run_outcome(
+/// Assembles a [`RunsTotal`] from summed per-(MCU, rank) deltas and
+/// summed per-row `(CE, UE)` tallies, dropping rows without a visible
+/// error and ordering the rest in outcome order.
+fn runs_total(
     deltas: &[[CounterSnapshot; RANKS]; MCUS],
-    row_errors: Vec<RowErrors>,
-    windows_completed: u32,
-    stopped_on_ue: bool,
-) -> RunOutcome {
+    rows: impl IntoIterator<Item = ((usize, RowKey), (u64, u64))>,
+    runs: u32,
+    ue_runs: u32,
+    windows: u64,
+) -> RunsTotal {
+    let mut row_errors: Vec<RowErrors> = rows
+        .into_iter()
+        .filter(|&(_, (ce, ue))| ce + ue > 0)
+        .map(|((mcu, row), (ce, ue))| RowErrors { mcu, row, ce, ue })
+        .collect();
+    row_errors.sort_unstable_by_key(outcome_key);
     let mut per_domain = Vec::with_capacity(MCUS * RANKS);
     for (mcu, ranks) in deltas.iter().enumerate() {
         for (rank, counts) in ranks.iter().enumerate() {
@@ -1160,11 +1179,12 @@ fn run_outcome(
     let totals = per_domain
         .iter()
         .fold(CounterSnapshot::default(), |acc, d| acc + d.counts);
-    RunOutcome {
+    RunsTotal {
+        runs,
         totals,
         per_domain,
-        windows_completed,
-        stopped_on_ue,
+        ue_runs,
+        windows,
         row_errors,
     }
 }
@@ -1537,7 +1557,7 @@ mod tests {
         // over by value: the entry the last one evicts becomes the spare.
         for rows in 0..=PROFILE_CACHE_CAP as u64 {
             let run = hammer_run(&mut sv, 2, 8 + rows, WORST);
-            sv.evaluate_runs_owned(run, 2, rows).unwrap();
+            sv.evaluate_runs_total(run, 2, rows).unwrap();
         }
         assert!(sv.spare_trace.0.is_some(), "the evicted trace is kept");
         assert!(
@@ -1555,12 +1575,13 @@ mod tests {
         // that spare as it was; outcomes match the borrowed path.
         let spare = sv.spare_trace.0.clone();
         assert!(spare.is_some());
-        let owned = sv.evaluate_runs_owned(run.clone(), 2, 5).unwrap();
+        let owned = sv.evaluate_runs_total(run.clone(), 2, 5).unwrap();
         assert_eq!(sv.spare_trace.0, spare, "a hit leaves the spare alone");
         let again = hammer_run(&mut sv, 2, 20, WORST);
         assert_eq!(again, run);
         assert_prepare_matches_uncached(&mut sv, &again);
-        assert_eq!(owned, sv.evaluate_runs(&again, 2, 5).unwrap());
+        let borrowed = sv.evaluate_runs(&again, 2, 5).unwrap();
+        assert_eq!(owned, RunsTotal::sum(&borrowed));
     }
 
     #[test]

@@ -1150,7 +1150,7 @@ mod tests {
             workload(&mut s, words);
             let capped = s.finish();
             assert!(capped.truncated, "the accesses exceed the 48-access cap");
-            server.evaluate_runs_owned(capped, 1, 0).unwrap();
+            server.evaluate_runs_total(capped, 1, 0).unwrap();
         }
 
         server.reset_memory();
