@@ -5,7 +5,7 @@
 //! interleaving — none of it may kill the daemon, and every malformed
 //! frame earns a typed `Error` reply on a connection that stays usable.
 
-use dstress::service::{DaemonConfig, Dstressd, Request, Response, MAX_FRAME_BYTES};
+use dstress::service::{CampaignSpec, DaemonConfig, Dstressd, Request, Response, MAX_FRAME_BYTES};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -181,6 +181,7 @@ fn pausing_cancelling_and_watching_unknown_campaigns_is_typed() {
     let daemon = start_daemon("unknown-ids");
     let (mut stream, mut reader) = connect(daemon.addr());
     for request in [
+        Request::Status { campaign: 9 },
         Request::Pause { campaign: 9 },
         Request::Resume { campaign: 9 },
         Request::Cancel { campaign: 9 },
@@ -190,9 +191,31 @@ fn pausing_cancelling_and_watching_unknown_campaigns_is_typed() {
         },
     ] {
         match roundtrip(&mut stream, &mut reader, &request) {
-            Response::Error { message } => assert!(message.contains("no campaign"), "{message}"),
+            Response::Error { message } => assert_eq!(message, "no campaign 9", "{request:?}"),
             other => panic!("expected an error for {request:?}, got {other:?}"),
         }
+    }
+    // A terminal campaign refuses a pause with its state. The one-step
+    // budget keeps it live (budget-paused) until the cancel lands.
+    let submit = Request::Submit {
+        spec: CampaignSpec {
+            scale: "quick".into(),
+            step_budget: 1,
+            ..CampaignSpec::default()
+        },
+    };
+    let Response::Submitted { campaign, .. } = roundtrip(&mut stream, &mut reader, &submit) else {
+        panic!("expected a submit acknowledgement");
+    };
+    assert_eq!(
+        roundtrip(&mut stream, &mut reader, &Request::Cancel { campaign }),
+        Response::Ok
+    );
+    match roundtrip(&mut stream, &mut reader, &Request::Pause { campaign }) {
+        Response::Error { message } => {
+            assert_eq!(message, format!("campaign {campaign} is cancelled"))
+        }
+        other => panic!("expected an error for pausing a cancelled campaign, got {other:?}"),
     }
     daemon.shutdown().expect("clean shutdown");
 }
