@@ -4,12 +4,14 @@
 //! thread hands each connection to its own client thread; every client
 //! speaks line-delimited JSON ([`Request`] in, [`Response`] /
 //! [`SeqEvent`] out). All campaign state lives on a single engine thread
-//! that alternates between draining client commands and ticking the
-//! scheduler, so the engine itself needs no locking. A `watch` request
-//! flips the connection into streaming mode: the client thread writes
-//! the retained backlog (for `from_seq` reconnects), then pumps its
-//! [`Subscriber`] queue onto the socket until the campaign's bus closes,
-//! then returns to request/response mode.
+//! that alternates between answering queued requests through
+//! [`ServiceEngine::handle`] and ticking the scheduler, so the engine
+//! itself needs no locking; client threads answer only `Ping` themselves.
+//! A [`Reply::Watch`] flips the connection into streaming mode: the
+//! client thread writes the retained backlog (for `from_seq`
+//! reconnects), then pumps its [`Subscriber`] queue onto the socket
+//! until the campaign's bus closes, then returns to request/response
+//! mode.
 //!
 //! The connection edge is its own fault domain: every client read runs
 //! under a short poll timeout, so the client thread — never the engine —
@@ -28,10 +30,9 @@
 //! the next boot resumes each campaign from its journal bit-identically.
 
 use crate::service::broadcast::{Recv, Subscriber};
-use crate::service::engine::ServiceEngine;
+use crate::service::engine::{Reply, ServiceEngine};
 use crate::service::protocol::{
-    parse_request, CampaignSpec, Event, FrameError, FrameReader, Request, Response, SeqEvent,
-    StatusReport,
+    parse_request, Event, FrameError, FrameReader, Request, Response, SeqEvent,
 };
 use dstress_ga::journal::{DiskStorage, Storage};
 use std::io::{self, BufReader, Write};
@@ -81,38 +82,8 @@ impl Default for DaemonConfig {
     }
 }
 
-/// What a `Watch` command answers with: the retained backlog from the
-/// requested cut, plus the live subscription.
-type WatchReply = Result<(Vec<SeqEvent>, Subscriber<SeqEvent>), String>;
-
 /// A client request routed to the engine thread, with its reply channel.
-enum Command {
-    Submit {
-        spec: CampaignSpec,
-        reply: Sender<Result<(u64, String), String>>,
-    },
-    Status {
-        campaign: u64,
-        reply: Sender<Result<StatusReport, String>>,
-    },
-    List {
-        reply: Sender<Vec<StatusReport>>,
-    },
-    SetPaused {
-        campaign: u64,
-        paused: bool,
-        reply: Sender<Result<(), String>>,
-    },
-    Cancel {
-        campaign: u64,
-        reply: Sender<Result<(), String>>,
-    },
-    Watch {
-        campaign: u64,
-        from_seq: u64,
-        reply: Sender<WatchReply>,
-    },
-}
+type Command = (Request, Sender<Reply>);
 
 type ClientRegistry = Arc<Mutex<Vec<(TcpStream, JoinHandle<()>)>>>;
 
@@ -241,7 +212,7 @@ impl Drop for Dstressd {
     }
 }
 
-/// The engine thread: drain queued commands, tick the scheduler, sleep
+/// The engine thread: answer queued requests, tick the scheduler, sleep
 /// briefly when idle. Returns once the shutdown flag is raised and the
 /// in-flight generation has been settled. Infallible: storage faults
 /// quarantine individual campaigns inside [`ServiceEngine::tick`].
@@ -251,8 +222,8 @@ fn engine_loop<S: Storage + Clone>(
     shutdown: Arc<AtomicBool>,
 ) {
     loop {
-        while let Ok(command) = inbox.try_recv() {
-            dispatch(&mut engine, command);
+        while let Ok((request, reply)) = inbox.try_recv() {
+            let _ = reply.send(engine.handle(request));
         }
         if shutdown.load(Ordering::SeqCst) {
             return;
@@ -260,45 +231,12 @@ fn engine_loop<S: Storage + Clone>(
         if !engine.tick() {
             // Idle: block on the inbox instead of spinning.
             match inbox.recv_timeout(Duration::from_millis(20)) {
-                Ok(command) => dispatch(&mut engine, command),
+                Ok((request, reply)) => {
+                    let _ = reply.send(engine.handle(request));
+                }
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                 Err(mpsc::RecvTimeoutError::Disconnected) => return,
             }
-        }
-    }
-}
-
-fn dispatch<S: Storage + Clone>(engine: &mut ServiceEngine<S>, command: Command) {
-    match command {
-        Command::Submit { spec, reply } => {
-            let _ = reply.send(engine.submit(spec).map_err(|e| e.to_string()));
-        }
-        Command::Status { campaign, reply } => {
-            let _ = reply.send(engine.status(campaign).map_err(|e| e.to_string()));
-        }
-        Command::List { reply } => {
-            let _ = reply.send(engine.list());
-        }
-        Command::SetPaused {
-            campaign,
-            paused,
-            reply,
-        } => {
-            let _ = reply.send(
-                engine
-                    .set_paused(campaign, paused)
-                    .map_err(|e| e.to_string()),
-            );
-        }
-        Command::Cancel { campaign, reply } => {
-            let _ = reply.send(engine.cancel(campaign).map_err(|e| e.to_string()));
-        }
-        Command::Watch {
-            campaign,
-            from_seq,
-            reply,
-        } => {
-            let _ = reply.send(engine.watch(campaign, from_seq).map_err(|e| e.to_string()));
         }
     }
 }
@@ -331,26 +269,26 @@ fn accept_loop(
                         .push((teardown, handle));
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // Nothing pending (or a transient accept error): poll again.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
 }
 
-/// Sends a command to the engine thread and waits for its reply.
-fn ask<T>(
-    commands: &Sender<Command>,
-    build: impl FnOnce(Sender<T>) -> Command,
-) -> Result<T, String> {
+/// Sends a request to the engine thread and waits for its reply.
+fn ask(commands: &Sender<Command>, request: Request) -> Reply {
+    let refused = |message: &str| {
+        Reply::Response(Response::Error {
+            message: message.into(),
+        })
+    };
     let (reply, answer) = mpsc::channel();
-    commands
-        .send(build(reply))
-        .map_err(|_| "the daemon is shutting down".to_string())?;
+    if commands.send((request, reply)).is_err() {
+        return refused("the daemon is shutting down");
+    }
     answer
         .recv_timeout(Duration::from_secs(60))
-        .map_err(|_| "the daemon did not answer".to_string())
+        .unwrap_or_else(|_| refused("the daemon did not answer"))
 }
 
 fn write_line<W: Write, T: serde::Serialize>(out: &mut W, value: &T) -> io::Result<()> {
@@ -388,13 +326,12 @@ fn client_session(
     shutdown: Arc<AtomicBool>,
     (frame_deadline, idle_timeout): (Duration, Duration),
 ) {
-    let Ok(write_half) = stream.try_clone() else {
+    let Ok(mut writer) = stream.try_clone() else {
         return;
     };
     if stream.set_read_timeout(Some(READ_POLL)).is_err() {
         return;
     }
-    let mut writer = write_half;
     let mut reader = BufReader::new(stream);
     let mut frames = FrameReader::new();
     let mut last_activity = Instant::now();
@@ -449,108 +386,62 @@ fn client_session(
                 continue;
             }
         };
-        let response = match request {
-            Request::Ping => Response::Pong,
-            Request::Submit { spec } => {
-                match ask(&commands, |reply| Command::Submit { spec, reply }) {
-                    Ok(Ok((campaign, name))) => Response::Submitted { campaign, name },
-                    Ok(Err(message)) | Err(message) => Response::Error { message },
-                }
-            }
-            Request::Status { campaign } => {
-                match ask(&commands, |reply| Command::Status { campaign, reply }) {
-                    Ok(Ok(report)) => Response::Status { report },
-                    Ok(Err(message)) | Err(message) => Response::Error { message },
-                }
-            }
-            Request::List => match ask(&commands, |reply| Command::List { reply }) {
-                Ok(campaigns) => Response::List { campaigns },
-                Err(message) => Response::Error { message },
-            },
-            Request::Pause { campaign } => pause_response(&commands, campaign, true),
-            Request::Resume { campaign } => pause_response(&commands, campaign, false),
-            Request::Cancel { campaign } => {
-                match ask(&commands, |reply| Command::Cancel { campaign, reply }) {
-                    Ok(Ok(())) => Response::Ok,
-                    Ok(Err(message)) | Err(message) => Response::Error { message },
-                }
-            }
-            Request::Watch { campaign, from_seq } => {
-                match ask(&commands, |reply| Command::Watch {
+        // A liveness probe must not wait for the engine's current tick.
+        let (reply, from_seq) = match request {
+            Request::Ping => (Reply::Response(Response::Pong), 0),
+            Request::Watch { from_seq, .. } => (ask(&commands, request), from_seq),
+            request => (ask(&commands, request), 0),
+        };
+        let served = match reply {
+            Reply::Response(response) => write_line(&mut writer, &response).is_ok(),
+            Reply::Watch {
+                campaign,
+                backlog,
+                subscriber,
+            } => {
+                let settled = stream_watch(
+                    &mut writer,
                     campaign,
+                    &backlog,
                     from_seq,
-                    reply,
-                }) {
-                    Ok(Ok((backlog, subscriber))) => {
-                        let opened = Response::Watching { campaign };
-                        if write_line(&mut writer, &opened).is_err() {
-                            return;
-                        }
-                        for event in &backlog {
-                            if write_line(&mut writer, event).is_err() {
-                                return;
-                            }
-                        }
-                        match stream_events(&mut writer, &subscriber, &shutdown, from_seq) {
-                            // End-of-stream marker: the campaign's bus
-                            // closed, so the connection returns to
-                            // request/response mode. Only a settled
-                            // campaign earns the marker — a daemon
-                            // shutdown drops the connection instead, so
-                            // a reconnecting watcher keeps retrying
-                            // against the restarted daemon.
-                            Ok(StreamEnd::Settled) => {
-                                if write_line(&mut writer, &Response::Ok).is_err() {
-                                    return;
-                                }
-                            }
-                            Ok(StreamEnd::Shutdown) | Err(_) => return,
-                        }
-                        // A long watch is activity, not idleness.
-                        last_activity = Instant::now();
-                        continue;
-                    }
-                    Ok(Err(message)) | Err(message) => Response::Error { message },
-                }
+                    &subscriber,
+                    &shutdown,
+                );
+                // A long watch is activity, not idleness.
+                last_activity = Instant::now();
+                settled.unwrap_or(false)
             }
         };
-        if write_line(&mut writer, &response).is_err() {
+        if !served {
             return;
         }
     }
 }
 
-fn pause_response(commands: &Sender<Command>, campaign: u64, paused: bool) -> Response {
-    match ask(commands, |reply| Command::SetPaused {
-        campaign,
-        paused,
-        reply,
-    }) {
-        Ok(Ok(())) => Response::Ok,
-        Ok(Err(message)) | Err(message) => Response::Error { message },
-    }
-}
-
-/// Why a watch stream stopped pumping: the campaign settled (bus closed)
-/// or the daemon is going down mid-campaign. Clients treat the two very
-/// differently — settled is final, shutdown is a reconnect cue — so the
-/// distinction must survive to the wire.
-enum StreamEnd {
-    Settled,
-    Shutdown,
-}
-
-/// Pumps a subscription onto the socket until the campaign's bus closes
-/// (or the daemon shuts down). Lag surfaces as an explicit seq-0
-/// [`Event::Lagged`] line. Events below `from_seq` (possible when a
-/// reconnecting client raced the backlog cut) are suppressed so the
-/// client never sees a duplicate.
-fn stream_events<W: Write>(
+/// Writes a watch stream: the `Watching` acknowledgement, the backlog,
+/// then the subscription. Lag surfaces as an explicit seq-0
+/// [`Event::Lagged`] line. Events below `from_seq` (a replayed step a
+/// reconnecting client already saw before a restart) are suppressed so
+/// the client never sees a duplicate.
+///
+/// Returns `true` when the campaign's bus closed: the stream then ends
+/// with the `Ok` marker that returns the connection to request/response
+/// mode. A daemon shutdown returns `false` without the marker — settled
+/// is final, shutdown is a reconnect cue — so the caller drops the
+/// connection and a reconnecting watcher keeps retrying against the
+/// restarted daemon.
+fn stream_watch<W: Write>(
     out: &mut W,
+    campaign: u64,
+    backlog: &[SeqEvent],
+    from_seq: u64,
     subscriber: &Subscriber<SeqEvent>,
     shutdown: &Arc<AtomicBool>,
-    from_seq: u64,
-) -> io::Result<StreamEnd> {
+) -> io::Result<bool> {
+    write_line(out, &Response::Watching { campaign })?;
+    for event in backlog {
+        write_line(out, event)?;
+    }
     loop {
         match subscriber.recv_timeout(Duration::from_millis(100)) {
             Recv::Event(event) => {
@@ -567,10 +458,13 @@ fn stream_events<W: Write>(
             )?,
             Recv::Empty => {
                 if shutdown.load(Ordering::SeqCst) {
-                    return Ok(StreamEnd::Shutdown);
+                    return Ok(false);
                 }
             }
-            Recv::Closed => return Ok(StreamEnd::Settled),
+            Recv::Closed => {
+                write_line(out, &Response::Ok)?;
+                return Ok(true);
+            }
         }
     }
 }

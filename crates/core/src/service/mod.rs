@@ -40,7 +40,7 @@ pub mod registry;
 
 pub use broadcast::{EventBus, Recv, Subscriber};
 pub use daemon::{DaemonConfig, Dstressd};
-pub use engine::{campaign_db_paths, ServiceEngine, ServiceError};
+pub use engine::{campaign_db_paths, Reply, ServiceEngine, ServiceError};
 pub use protocol::{
     parse_request, read_frame, CampaignSpec, Event, FrameError, FrameReader, LeaderboardEntry,
     Request, Response, SeqEvent, StatusReport, MAX_FRAME_BYTES,

@@ -295,7 +295,8 @@ pub enum FrameError {
     Io(io::Error),
 }
 
-/// Reads one newline-delimited frame, enforcing [`MAX_FRAME_BYTES`].
+/// Reads one newline-delimited frame, enforcing [`MAX_FRAME_BYTES`]: one
+/// [`FrameReader::read`] by a reader that keeps nothing between frames.
 ///
 /// On [`FrameError::TooLong`] the oversized line is consumed to its
 /// terminating newline (or EOF), so the caller can reply with a typed
@@ -304,73 +305,21 @@ pub enum FrameError {
 /// # Errors
 ///
 /// [`FrameError::Eof`] at end of stream, [`FrameError::TooLong`] for an
-/// oversized line, [`FrameError::Io`] on transport failures.
+/// oversized line, [`FrameError::Io`] on transport failures — a read
+/// timeout included, which loses the partial frame.
 pub fn read_frame<R: BufRead>(reader: &mut R) -> Result<String, FrameError> {
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        let available = match reader.fill_buf() {
-            Ok(buf) => buf,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        };
-        if available.is_empty() {
-            return if line.is_empty() {
-                Err(FrameError::Eof)
-            } else {
-                // A torn final frame (no newline): surface what arrived;
-                // the parse layer will answer it with a typed error.
-                Ok(String::from_utf8_lossy(&line).into_owned())
-            };
-        }
-        let newline = available.iter().position(|&b| b == b'\n');
-        let take = newline.map_or(available.len(), |n| n + 1);
-        if line.len() + take > MAX_FRAME_BYTES + 1 {
-            // Too long: consume to the end of the line, then report.
-            let mut consumed = take;
-            let done = newline.is_some();
-            reader.consume(consumed);
-            if !done {
-                loop {
-                    let buf = match reader.fill_buf() {
-                        Ok(buf) => buf,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) => return Err(FrameError::Io(e)),
-                    };
-                    if buf.is_empty() {
-                        break;
-                    }
-                    consumed = match buf.iter().position(|&b| b == b'\n') {
-                        Some(n) => n + 1,
-                        None => buf.len(),
-                    };
-                    let terminated = buf[..consumed].contains(&b'\n');
-                    reader.consume(consumed);
-                    if terminated {
-                        break;
-                    }
-                }
-            }
-            return Err(FrameError::TooLong);
-        }
-        line.extend_from_slice(&available[..take]);
-        reader.consume(take);
-        if newline.is_some() {
-            while line.last() == Some(&b'\n') || line.last() == Some(&b'\r') {
-                line.pop();
-            }
-            return Ok(String::from_utf8_lossy(&line).into_owned());
-        }
-    }
+    FrameReader::new()
+        .read(reader)?
+        .ok_or_else(|| FrameError::Io(io::ErrorKind::TimedOut.into()))
 }
 
 /// A stateful frame reader for sockets with a read timeout.
 ///
-/// [`read_frame`] assumes a blocking reader: a timeout mid-line would
-/// lose the bytes already buffered. `FrameReader` instead keeps the
-/// partial line across timeouts — [`read`](FrameReader::read) returns
-/// `Ok(None)` when the underlying read times out ([`io::ErrorKind::WouldBlock`]
-/// or [`io::ErrorKind::TimedOut`]) and resumes the same frame on the
-/// next call. This is what lets the daemon poll a per-client deadline
+/// [`read_frame`] drops a partial line on a timeout. `FrameReader`
+/// instead keeps it — [`read`](FrameReader::read) returns `Ok(None)`
+/// when the underlying read times out ([`io::ErrorKind::WouldBlock`] or
+/// [`io::ErrorKind::TimedOut`]) and resumes the same frame on the next
+/// call. This is what lets the daemon poll a per-client deadline
 /// (reaping idle and slow-loris connections) without ever tearing a
 /// legitimate slow frame.
 #[derive(Debug, Default)]

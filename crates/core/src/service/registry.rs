@@ -44,6 +44,13 @@ pub struct StoredSpec {
     /// `failed` (absent otherwise).
     #[serde(default)]
     pub error: Option<String>,
+    /// How far the campaign's event numbering leads its journaled steps
+    /// (quarantine notices, steps a recovery re-ran): a revived campaign
+    /// numbers on from its checkpoint's steps plus this, so no event
+    /// sequence number repeats across a restart. Absent in older spec
+    /// files, where it reads 0.
+    #[serde(default)]
+    pub seq_offset: u64,
 }
 
 /// The result file contents: the terminal report and full leaderboard.
@@ -239,6 +246,7 @@ mod tests {
             name: "word64-ce-max-60C".into(),
             state: state.into(),
             error: None,
+            seq_offset: 0,
         }
     }
 
@@ -285,6 +293,19 @@ mod tests {
         };
         registry.write_result(0, &result).unwrap();
         assert_eq!(registry.read_result(0).unwrap().unwrap(), result);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn spec_files_without_a_seq_offset_still_load() {
+        let dir = temp_dir("old-spec");
+        std::fs::create_dir_all(&dir).unwrap();
+        let old = r#"{"spec":{"scale":"quick"},"name":"word64-ce-max-60C","state":"paused"}"#;
+        std::fs::write(dir.join("c0.spec.json"), old).unwrap();
+        let (_, recovered) = CampaignRegistry::open(&dir).unwrap();
+        assert_eq!(recovered[0].stored.state, "paused");
+        assert_eq!(recovered[0].stored.seq_offset, 0);
+        assert_eq!(recovered[0].stored.error, None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -995,18 +995,18 @@ where
         scheduler.add(run.session, step_budget);
         commits.push(run.commit);
     }
-    let mut steps = vec![0; commits.len()];
     let mut drive = || -> io::Result<()> {
-        while scheduler.tick() {
-            for (id, commit) in commits.iter_mut().enumerate() {
-                let taken = scheduler.steps_taken(id);
-                if let Some(commit) = commit.as_mut().filter(|_| taken > steps[id]) {
+        loop {
+            let stepped = scheduler.tick();
+            if stepped.is_empty() {
+                return Ok(());
+            }
+            for id in stepped {
+                if let Some(commit) = commits[id].as_mut() {
                     commit(scheduler.session_mut(id))?;
                 }
-                steps[id] = taken;
             }
         }
-        Ok(())
     };
     let outcome = drive();
     let (sessions, replicas) = scheduler.finish();

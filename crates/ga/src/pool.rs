@@ -691,10 +691,24 @@ where
         !self.campaigns.iter().flatten().any(Scheduled::runnable)
     }
 
+    /// Whether a campaign has taken every step of its budget (always
+    /// `false` without one).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range or removed.
+    pub fn budget_spent(&self, id: usize) -> bool {
+        let campaign = self.scheduled(id);
+        campaign
+            .step_budget
+            .is_some_and(|budget| campaign.steps_taken >= budget)
+    }
+
     /// Advances every runnable campaign by one generation round, their
-    /// candidates interleaved fair-share into one pool batch. Returns
-    /// `false` (and does nothing) once no campaign is runnable.
-    pub fn tick(&mut self) -> bool {
+    /// candidates interleaved fair-share into one pool batch. Returns the
+    /// ids that stepped, in id order; all-cached rounds count as steps.
+    /// Empty (and nothing done) once no campaign is runnable.
+    pub fn tick(&mut self) -> Vec<usize> {
         let workers = self.pool.workers();
         let mut opened = Vec::new();
         for (id, slot) in self.campaigns.iter_mut().enumerate() {
@@ -709,7 +723,7 @@ where
             }
         }
         if opened.is_empty() {
-            return false;
+            return Vec::new();
         }
         // Rounds with pending candidates go to the pool; all-cached rounds
         // finish immediately (their sessions still advance a generation).
@@ -733,6 +747,7 @@ where
         };
         let mut executions = executions.into_iter();
         let mut submitted = submitted.into_iter().peekable();
+        let stepped = opened.iter().map(|(id, _)| *id).collect();
         for (position, (id, round)) in opened.into_iter().enumerate() {
             let execution = if submitted.peek() == Some(&position) {
                 submitted.next();
@@ -742,12 +757,12 @@ where
             };
             self.session_mut(id).finish_round(round, execution);
         }
-        true
+        stepped
     }
 
     /// Ticks until every campaign is finished or budget-paused.
     pub fn run(&mut self) {
-        while self.tick() {}
+        while !self.tick().is_empty() {}
     }
 
     /// The deterministic cross-campaign merge of every session's
@@ -1135,6 +1150,57 @@ mod tests {
     }
 
     #[test]
+    fn tick_reports_exactly_the_campaigns_that_stepped() {
+        let mut scheduler = CampaignScheduler::new(EvalPool::new(&MemoPopcount::default(), 2));
+        let running = scheduler.add(session_with(11, None), None);
+        let paused = scheduler.add(session_with(12, None), None);
+        let budgeted = scheduler.add(session_with(13, None), Some(1));
+        let removed = scheduler.add(session_with(14, None), None);
+        // A one-bit genome has two chromosomes: once the seed pass has
+        // scored both, every later round is served from the cache. Its
+        // shorter run finishes while `running` still steps.
+        let mut short = small_config();
+        short.max_generations = 3;
+        let cached = scheduler.add(
+            SearchSession::start(short, 15, |rng: &mut StdRng| BitGenome::random(rng, 1)),
+            None,
+        );
+        scheduler.set_paused(paused, true);
+        let _ = scheduler.remove(removed);
+        assert_eq!(scheduler.tick(), vec![running, budgeted, cached]);
+        assert!(scheduler.budget_spent(budgeted));
+        assert!(!scheduler.budget_spent(running));
+        let evaluations = scheduler.session(cached).eval_stats().evaluations;
+        let generation = scheduler.session(cached).generation();
+        assert_eq!(scheduler.tick(), vec![running, cached]);
+        let session = scheduler.session(cached);
+        assert_eq!(
+            session.eval_stats().evaluations,
+            evaluations,
+            "the second round was all cached"
+        );
+        assert_eq!(session.generation(), generation + 1);
+        // A finished campaign never steps again; once nothing is runnable
+        // a tick reports no steps.
+        loop {
+            let live: Vec<usize> = [running, cached]
+                .into_iter()
+                .filter(|&id| !scheduler.session(id).done())
+                .collect();
+            let stepped = scheduler.tick();
+            if stepped.is_empty() {
+                break;
+            }
+            assert_eq!(stepped, live);
+        }
+        assert!(scheduler.session(running).done());
+        assert!(scheduler.session(cached).done());
+        assert!(scheduler.tick().is_empty());
+        scheduler.set_paused(paused, false);
+        assert_eq!(scheduler.tick(), vec![paused]);
+    }
+
+    #[test]
     fn pausing_a_campaign_preserves_its_trajectory() {
         let reference = run_pooled(909, 2, None);
         let mut scheduler = CampaignScheduler::new(EvalPool::new(&MemoPopcount::default(), 2));
@@ -1143,7 +1209,7 @@ mod tests {
         scheduler.set_paused(id, true);
         assert!(scheduler.is_paused(id));
         assert!(scheduler.idle(), "a paused campaign contributes no work");
-        assert!(!scheduler.tick(), "nothing runnable while paused");
+        assert!(scheduler.tick().is_empty(), "nothing runnable while paused");
         scheduler.set_paused(id, false);
         scheduler.run();
         let result = scheduler.remove(id).finish();

@@ -233,7 +233,7 @@ fn run_scheduled_journaled(
         journals.push(journal);
         logs.push(Some(log));
     }
-    while scheduler.tick() {
+    while !scheduler.tick().is_empty() {
         for (id, name) in names.iter().enumerate() {
             let Some(log) = logs[id].as_mut() else {
                 continue;
