@@ -1,5 +1,5 @@
-//! VPL execution tiers: the tree-walking interpreter vs the compiled
-//! bytecode VM on the same instantiated virus.
+//! VPL execution: the tree-walking interpreter vs the compiled bytecode VM
+//! on the same instantiated virus.
 //!
 //! `virus/…` runs the WORD64 data-pattern virus (two full-memory loops at
 //! quick scale, ~65k DRAM operations) against a minimal flat bus, so the
@@ -8,11 +8,11 @@
 //! recording [`Session`] (address translation + trace append per access),
 //! the configuration `core::evaluate` uses. `chunks/session-vm` runs the
 //! quick-scale CHUNKS virus (fill, 64-chunk span copy, offset reduce — all
-//! three fused) through the recording session, pricing the copy path;
-//! `chunks/session-vm-strict` runs it with the bulk paths off
-//! ([`Vm::without_bulk_fill`]), one fused iteration at a time. `kernel/…`
-//! runs a loop nest the fused-loop peephole does not match, so it prices
-//! ordinary op dispatch. `compile/program` prices the one-time lowering.
+//! three fused, each run as one bus span call) through the recording
+//! session, pricing the copy path. `kernel/…` runs a loop nest the
+//! fused-loop peephole does not match, so it prices ordinary op dispatch,
+//! which is also what a fused loop costs when it falls back to its unfused
+//! ops. `compile/program` prices the one-time lowering.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dstress::templates::{instantiate_uniform, process, WORD64};
@@ -206,22 +206,16 @@ fn bench(c: &mut Criterion) {
         &instantiate_uniform(&chunks, &scale, WORST_WORD).expect("chunks virus instantiates"),
     )
     .expect("compiles");
-    for (name, vm) in [
-        ("chunks/session-vm", Vm::new(limits)),
-        (
-            "chunks/session-vm-strict",
-            Vm::new(limits).without_bulk_fill(),
-        ),
-    ] {
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                server.reset_memory();
-                let mut session = server.session(2);
-                let stats = vm.run(&chunks_compiled, &mut session).expect("runs");
-                std::hint::black_box((stats.steps, session.finish().len()))
-            })
-        });
-    }
+    c.bench_function("chunks/session-vm", |b| {
+        b.iter(|| {
+            server.reset_memory();
+            let mut session = server.session(2);
+            let stats = Vm::new(limits)
+                .run(&chunks_compiled, &mut session)
+                .expect("runs");
+            std::hint::black_box((stats.steps, session.finish().len()))
+        })
+    });
 }
 
 criterion_group!(benches, bench);

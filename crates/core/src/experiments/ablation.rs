@@ -14,12 +14,13 @@
 //!    search length against result quality.
 
 use crate::error::DStressError;
+use crate::evaluate::Metric;
 use crate::report::TextTable;
 use crate::scale::ExperimentScale;
 use crate::search::{DStress, EnvKind, WORST_WORD};
 use dstress_ga::{BitGenome, CrossoverOp, FnFitness, GaConfig, GaEngine, Genome, SelectionScheme};
 use dstress_stats::Moments;
-use dstress_vpl::{compile, BoundValue, ExecLimits, Vm};
+use dstress_vpl::BoundValue;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -208,24 +209,16 @@ pub fn run(scale: ExperimentScale, seeds: u64) -> Result<AblationReport, DStress
     //    recorded once, and each sample is the mean CE of `runs` runs at
     //    nonces of its own, so VRT noise differs from sample to sample.
     let dstress = DStress::new(scale, 5);
-    let mut server = dstress.server_at(60.0)?;
-    let template = crate::templates::process(crate::templates::WORD64, &scale)?;
-    let mut bindings = EnvKind::Word64.bindings(&scale)?;
-    bindings.insert("PATTERN".into(), BoundValue::Scalar(WORST_WORD));
-    let compiled = compile(&template.instantiate(&bindings)?)?;
-    let mut session = server.session(2);
-    Vm::new(ExecLimits::default()).run(&compiled, &mut session)?;
-    let run = session.finish();
+    let mut evaluator = dstress.evaluator(&EnvKind::Word64, 60.0, Metric::CeAverage)?;
+    let run = evaluator.record([("PATTERN".into(), BoundValue::Scalar(WORST_WORD))].into())?;
+    let server = evaluator.server_mut();
+    let prepared = server.prepare_run(&run)?;
     let mut averaging = Vec::new();
     for runs in [1u32, 3, 10] {
         let mut samples = Moments::new();
         for i in 0..12u64 {
-            let ce: u64 = server
-                .evaluate_runs(&run, runs, i * 1000)?
-                .iter()
-                .map(|o| o.totals.ce)
-                .sum();
-            samples.push(ce as f64 / f64::from(runs));
+            let total = server.evaluate_prepared_total(&prepared, runs, i * 1000)?;
+            samples.push(total.totals.ce as f64 / f64::from(runs));
         }
         let rel = if samples.mean() > 0.0 {
             samples.sample_std_dev() / samples.mean()

@@ -57,10 +57,11 @@ pub fn run(scale: ExperimentScale, seed: u64) -> Result<Fig01bReport, DStressErr
             .deploy(&mut server, seed)
             .map_err(|e| DStressError::Experiment(format!("workload deployment failed: {e}")))?;
         let mut counts = vec![[0u64; RANKS]; MCUS];
-        for outcome in server.evaluate_runs(&run, scale.runs_per_virus, seed)? {
-            for d in &outcome.per_domain {
-                counts[d.mcu][d.rank] += d.counts.ce;
-            }
+        for d in server
+            .evaluate_runs_total(run, scale.runs_per_virus, seed)?
+            .per_domain
+        {
+            counts[d.mcu][d.rank] = d.counts.ce;
         }
         results.push(WorkloadErrors { workload, counts });
     }

@@ -246,16 +246,14 @@ pub fn measure_march(
         .execute(&mut session, base, words)
         .map_err(|e| DStressError::Experiment(format!("march execution failed: {e}")))?;
     let run = session.finish();
-    let outcomes = server.evaluate_runs(&run, scale.runs_per_virus, 0x3A6C)?;
-    let total_ce: u64 = outcomes.iter().map(|o| o.totals.ce).sum();
-    let total_ue: u64 = outcomes.iter().map(|o| o.totals.ue).sum();
-    let ue_runs = outcomes.iter().filter(|o| o.stopped_on_ue).count() as u32;
+    let trace_len = run.len();
+    let total = server.evaluate_runs_total(run, scale.runs_per_virus, 0x3A6C)?;
     let outcome = EvalOutcome {
-        fitness: total_ce as f64 / outcomes.len().max(1) as f64,
-        total_ce,
-        total_ue,
-        ue_runs,
-        trace_len: run.len(),
+        fitness: total.totals.ce as f64 / total.runs.max(1) as f64,
+        total_ce: total.totals.ce,
+        total_ue: total.totals.ue,
+        ue_runs: total.ue_runs,
+        trace_len,
     };
     Ok((outcome, report))
 }

@@ -886,18 +886,12 @@ impl DStress {
     ///
     /// Propagates template and platform failures; fails if no rows erred.
     pub fn profile_victims(&mut self, temp_c: f64, fill: u64) -> Result<Vec<RowKey>, DStressError> {
-        let template = templates::process(templates::WORD64, &self.scale)?;
-        let mut bindings = EnvKind::Word64.bindings(&self.scale)?;
-        bindings.insert("PATTERN".into(), BoundValue::Scalar(fill));
-        let program = template.instantiate(&bindings)?;
-        let compiled = dstress_vpl::compile(&program).map_err(DStressError::from)?;
-        let mut server = self.server_at(temp_c)?;
-        let mut session = server.session(2);
-        dstress_vpl::Vm::new(dstress_vpl::ExecLimits::default())
-            .run(&compiled, &mut session)
-            .map_err(DStressError::from)?;
-        let run = session.finish();
-        let total = server.evaluate_runs_total(run, self.scale.runs_per_virus, 0xF00D)?;
+        let mut evaluator = self.evaluator(&EnvKind::Word64, temp_c, Metric::CeAverage)?;
+        let run = evaluator.record([("PATTERN".into(), BoundValue::Scalar(fill))].into())?;
+        let total =
+            evaluator
+                .server_mut()
+                .evaluate_runs_total(run, self.scale.runs_per_virus, 0xF00D)?;
         let mut rows: Vec<RowErrors> = total
             .row_errors
             .into_iter()

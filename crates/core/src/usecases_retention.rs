@@ -81,22 +81,14 @@ pub fn profile_retention(
         let server = evaluator.server_mut();
         server.set_trefp(2, trefp);
         server.set_trefp(3, trefp);
-        evaluator.evaluate_bindings([("PATTERN".to_string(), BoundValue::Scalar(fill))].into())?;
-        // Re-run once more to capture rows (VRT may blink rows in/out; the
-        // union over runs is what a profiler would record).
-        let template = crate::templates::process(crate::templates::WORD64, &dstress.scale)?;
-        let mut bindings = EnvKind::Word64.bindings(&dstress.scale)?;
-        bindings.insert("PATTERN".into(), BoundValue::Scalar(fill));
-        let program = template.instantiate(&bindings)?;
-        let server = evaluator.server_mut();
-        server.reset_memory();
-        let mut session = server.session(2);
-        let compiled = dstress_vpl::compile(&program).map_err(DStressError::from)?;
-        dstress_vpl::Vm::new(dstress_vpl::ExecLimits::default())
-            .run(&compiled, &mut session)
-            .map_err(DStressError::from)?;
-        let run = session.finish();
-        let total = server.evaluate_runs_total(run, dstress.scale.runs_per_virus, 0x6E7E)?;
+        // Every row that erred in any run (VRT may blink rows in and out;
+        // the union over runs is what a profiler would record).
+        let run = evaluator.record([("PATTERN".into(), BoundValue::Scalar(fill))].into())?;
+        let total = evaluator.server_mut().evaluate_runs_total(
+            run,
+            dstress.scale.runs_per_virus,
+            0x6E7E,
+        )?;
         failing.extend(
             total
                 .row_errors

@@ -192,19 +192,13 @@ mod tests {
         sv.set_dimm_temperature(2, 60.0).unwrap();
         sv.set_dimm_temperature(3, 60.0).unwrap();
         let kmeans_run = Workload::Kmeans.deploy(&mut sv, 5).unwrap();
-        let kmeans: u64 = sv
-            .evaluate_runs(&kmeans_run, 3, 1)
-            .unwrap()
-            .iter()
-            .map(|o| o.totals.ce)
-            .sum();
+        let kmeans = sv.evaluate_runs_total(kmeans_run, 3, 1).unwrap().totals.ce;
         let memcached_run = Workload::Memcached.deploy(&mut sv, 5).unwrap();
-        let memcached: u64 = sv
-            .evaluate_runs(&memcached_run, 3, 2)
+        let memcached = sv
+            .evaluate_runs_total(memcached_run, 3, 2)
             .unwrap()
-            .iter()
-            .map(|o| o.totals.ce)
-            .sum();
+            .totals
+            .ce;
         assert_ne!(kmeans, memcached, "workloads must differ in error counts");
     }
 }

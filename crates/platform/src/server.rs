@@ -22,7 +22,7 @@ use dstress_ecc::{classify_flips, CounterSnapshot, EccCounters, EventKind};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 
 /// Number of memory controller units on the X-Gene 2 (paper Fig. 5).
@@ -402,8 +402,7 @@ pub struct RunsTotal {
     pub ue_runs: u32,
     /// Refresh windows completed, summed over the runs.
     pub windows: u64,
-    /// Per-row error tallies summed over the runs, in the order of
-    /// [`RunOutcome::row_errors`] (by descending CE count).
+    /// Per-row error tallies summed over the runs, in (MCU, row) order.
     pub row_errors: Vec<RowErrors>,
 }
 
@@ -412,7 +411,7 @@ impl RunsTotal {
     /// returns for the runs they came from.
     pub fn sum(outcomes: &[RunOutcome]) -> RunsTotal {
         let mut deltas = [[CounterSnapshot::default(); RANKS]; MCUS];
-        let mut rows: HashMap<(usize, RowKey), (u64, u64)> = HashMap::new();
+        let mut rows: BTreeMap<(usize, RowKey), (u64, u64)> = BTreeMap::new();
         for outcome in outcomes {
             for d in &outcome.per_domain {
                 deltas[d.mcu][d.rank] = deltas[d.mcu][d.rank] + d.counts;
@@ -435,15 +434,19 @@ impl RunsTotal {
     }
 }
 
-/// The outcome of a one-run total.
+/// The outcome of a one-run total, its rows sorted into outcome order.
+/// The key is total — descending CE, then UE, then row, then MCU — so the
+/// order never depends on the order rows were tallied in.
 fn run_outcome(total: RunsTotal) -> RunOutcome {
     debug_assert_eq!(total.runs, 1, "a run outcome is a one-run total");
+    let mut row_errors = total.row_errors;
+    row_errors.sort_unstable_by_key(|r| (Reverse(r.ce), Reverse(r.ue), r.row, r.mcu));
     RunOutcome {
         totals: total.totals,
         per_domain: total.per_domain,
         windows_completed: total.windows as u32,
         stopped_on_ue: total.ue_runs == 1,
-        row_errors: total.row_errors,
+        row_errors,
     }
 }
 
@@ -716,33 +719,16 @@ impl XGene2Server {
     /// The run stops at the end of the first window in which ECC reported
     /// an uncorrectable error, mirroring the OS killing the virus (§V-A.1).
     ///
-    /// This is one run of [`Self::evaluate_runs`]; results are
-    /// bit-identical to [`Self::evaluate_run_reference`].
+    /// This is the one-run fold of [`Self::evaluate_prepared_total`];
+    /// results are bit-identical to [`Self::evaluate_run_reference`].
     ///
     /// # Errors
     ///
     /// [`PlanError`] on a plan-layer programming error.
     pub fn evaluate_run(&mut self, run: &RecordedRun, nonce: u64) -> Result<RunOutcome, PlanError> {
-        let mut outcomes = self.evaluate_runs(run, 1, nonce)?;
-        Ok(outcomes.pop().expect("one run yields one outcome"))
-    }
-
-    /// Evaluates `runs` repeat runs of the same virus, building the replay
-    /// profile and run plans once (the paper's 10-run averaging workflow,
-    /// §V-A.1), one outcome per run. Bit-identical to evaluating them one
-    /// at a time through [`Self::evaluate_run_reference`], the oracle.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanError`] on a plan-layer programming error.
-    pub fn evaluate_runs(
-        &mut self,
-        run: &RecordedRun,
-        runs: u32,
-        base_nonce: u64,
-    ) -> Result<Vec<RunOutcome>, PlanError> {
         let prepared = self.prepare_run(run)?;
-        self.evaluate_prepared_runs(&prepared, runs, base_nonce)
+        self.evaluate_prepared_total(&prepared, 1, nonce)
+            .map(run_outcome)
     }
 
     /// The summed outcome of `runs` repeat runs of a virus, for a run the
@@ -750,8 +736,8 @@ impl XGene2Server {
     /// copy, and the entry it evicts backs the next session's recording.
     /// This is the GA's fitness path: all runs advance together through
     /// the lane kernel, and nothing per run is materialized. The total
-    /// equals [`RunsTotal::sum`] of [`Self::evaluate_runs`] over the same
-    /// nonces.
+    /// equals [`RunsTotal::sum`] of [`Self::evaluate_prepared_runs`] over
+    /// the same nonces.
     ///
     /// # Errors
     ///
@@ -825,8 +811,7 @@ impl XGene2Server {
     }
 
     /// [`Self::prepare_run`] without consulting or populating the caches —
-    /// the cold-path oracle the cache-coherence tests (and the `generation`
-    /// bench baseline) compare against.
+    /// the cold-path oracle the cache-coherence tests compare against.
     ///
     /// # Errors
     ///
@@ -1044,7 +1029,7 @@ impl XGene2Server {
 
     fn evaluate_with_profile(&mut self, disturbances: &[Vec<f64>], nonce: u64) -> RunOutcome {
         let mut deltas = [[CounterSnapshot::default(); RANKS]; MCUS];
-        let mut row_errors = HashMap::new();
+        let mut row_errors = BTreeMap::new();
         let mut stopped_on_ue = false;
         let mut windows_completed = 0;
         'windows: for window in 0..self.config.windows_per_run {
@@ -1116,7 +1101,7 @@ fn window_nonce(run_nonce: u64, window: u32, mcu: usize) -> u64 {
 fn record_events(
     counters: &[EccCounters],
     deltas: &mut [CounterSnapshot; RANKS],
-    row_errors: &mut HashMap<(usize, RowKey), (u64, u64)>,
+    row_errors: &mut BTreeMap<(usize, RowKey), (u64, u64)>,
     mcu: usize,
     events: &[WordEvent],
 ) -> bool {
@@ -1143,16 +1128,9 @@ fn record_events(
     saw_ue
 }
 
-/// The order of [`RunOutcome::row_errors`]. The key is total — descending
-/// CE, then UE, then row, then MCU — so the order never depends on
-/// hash-map iteration or on the order rows were tallied in.
-fn outcome_key(r: &RowErrors) -> (Reverse<u64>, Reverse<u64>, RowKey, usize) {
-    (Reverse(r.ce), Reverse(r.ue), r.row, r.mcu)
-}
-
 /// Assembles a [`RunsTotal`] from summed per-(MCU, rank) deltas and
-/// summed per-row `(CE, UE)` tallies, dropping rows without a visible
-/// error and ordering the rest in outcome order.
+/// summed per-row `(CE, UE)` tallies given in (MCU, row) order, dropping
+/// rows without a visible error.
 fn runs_total(
     deltas: &[[CounterSnapshot; RANKS]; MCUS],
     rows: impl IntoIterator<Item = ((usize, RowKey), (u64, u64))>,
@@ -1160,12 +1138,11 @@ fn runs_total(
     ue_runs: u32,
     windows: u64,
 ) -> RunsTotal {
-    let mut row_errors: Vec<RowErrors> = rows
+    let row_errors: Vec<RowErrors> = rows
         .into_iter()
         .filter(|&(_, (ce, ue))| ce + ue > 0)
         .map(|((mcu, row), (ce, ue))| RowErrors { mcu, row, ce, ue })
         .collect();
-    row_errors.sort_unstable_by_key(outcome_key);
     let mut per_domain = Vec::with_capacity(MCUS * RANKS);
     for (mcu, ranks) in deltas.iter().enumerate() {
         for (rank, counts) in ranks.iter().enumerate() {
@@ -1353,6 +1330,19 @@ mod tests {
         );
     }
 
+    /// `runs` repeat runs of `run`, one outcome each, from one prepare.
+    fn prepared_runs(
+        server: &mut XGene2Server,
+        run: &RecordedRun,
+        runs: u32,
+        base_nonce: u64,
+    ) -> Vec<RunOutcome> {
+        let prepared = server.prepare_run(run).unwrap();
+        server
+            .evaluate_prepared_runs(&prepared, runs, base_nonce)
+            .unwrap()
+    }
+
     /// The oracle for `runs` repeat runs: [`XGene2Server::evaluate_run_reference`]
     /// one run at a time, with the nonces the batched path gives its lanes.
     fn reference_runs(
@@ -1398,7 +1388,7 @@ mod tests {
                 sv.set_dimm_temperature(2, temp).unwrap();
                 let run = fill_run(&mut sv, 2, WORST);
                 let mut oracle_sv = sv.clone();
-                let batched = sv.evaluate_runs(&run, 10, 3).unwrap();
+                let batched = prepared_runs(&mut sv, &run, 10, 3);
                 let sequential = reference_runs(&mut oracle_sv, &run, 10, 3);
                 assert_eq!(
                     batched, sequential,
@@ -1422,7 +1412,7 @@ mod tests {
         let run = fill_run(&mut sv, 2, WORST);
         let mut oracle_sv = sv.clone();
         let runs = MAX_LANES as u32 + 3;
-        let batched = sv.evaluate_runs(&run, runs, 11).unwrap();
+        let batched = prepared_runs(&mut sv, &run, runs, 11);
         let sequential = reference_runs(&mut oracle_sv, &run, runs, 11);
         assert_eq!(batched.len(), runs as usize);
         assert_eq!(batched, sequential);
@@ -1437,10 +1427,10 @@ mod tests {
         let run = fill_run(&mut sv, 2, WORST);
         let mut cold = sv.clone();
         // Warm path: the second prepare_run hits caches the first built.
-        let _ = sv.evaluate_runs(&run, 2, 0).unwrap();
-        let warm = sv.evaluate_runs(&run, 2, 9).unwrap();
+        let _ = prepared_runs(&mut sv, &run, 2, 0);
+        let warm = prepared_runs(&mut sv, &run, 2, 9);
         // Cold path: same history, then caches dropped and a forced rebuild.
-        let _ = cold.evaluate_runs(&run, 2, 0).unwrap();
+        let _ = prepared_runs(&mut cold, &run, 2, 0);
         cold.clear_eval_caches();
         let prepared = cold.prepare_run_uncached(&run).unwrap();
         let uncached = cold.evaluate_prepared_runs(&prepared, 2, 9).unwrap();
@@ -1580,7 +1570,7 @@ mod tests {
         let again = hammer_run(&mut sv, 2, 20, WORST);
         assert_eq!(again, run);
         assert_prepare_matches_uncached(&mut sv, &again);
-        let borrowed = sv.evaluate_runs(&again, 2, 5).unwrap();
+        let borrowed = prepared_runs(&mut sv, &again, 2, 5);
         assert_eq!(owned, RunsTotal::sum(&borrowed));
     }
 
@@ -1607,7 +1597,7 @@ mod tests {
         sv.relax_second_domain();
         sv.set_dimm_temperature(2, 60.0).unwrap();
         let run = fill_run(&mut sv, 2, WORST);
-        let old = sv.evaluate_runs(&run, 3, 0).unwrap();
+        let old = prepared_runs(&mut sv, &run, 3, 0);
         // Another weak-cell population; its contents generation restarts
         // at 0, so the identical refill reaches the old DIMM's generation.
         let config = sv.config().dimm_config_for(2);
@@ -1618,7 +1608,7 @@ mod tests {
         let uncached = sv.prepare_run_uncached(&refill).unwrap();
         let expected = sv.evaluate_prepared_runs(&uncached, 3, 0).unwrap();
         assert_ne!(expected, old, "the new DIMM manifests other errors");
-        assert_eq!(sv.evaluate_runs(&refill, 3, 0).unwrap(), expected);
+        assert_eq!(prepared_runs(&mut sv, &refill, 3, 0), expected);
     }
 
     #[test]

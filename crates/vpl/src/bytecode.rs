@@ -55,15 +55,17 @@
 //!
 //! An offset is a loop-invariant variable slot plus or minus an immediate,
 //! added with the unfused code's wrapping arithmetic; it may not be the
-//! counter, the accumulator or an array the loop indexes. The fused
-//! handler runs the whole loop without per-op dispatch, charging steps at
-//! exactly the check points the unfused sequence has (condition jump, bus
-//! access — a copy's read and its write separately — and back edge) with
-//! charges read back from the emitted ops, so the accounting is identical
-//! by construction. Slot-kind guards are checked when control first
-//! reaches the loop; if they fail (the counter re-declared over a DRAM
-//! scalar, an offset held in one), the handler falls through to the
-//! unfused ops that still follow it.
+//! counter, the accumulator or an array the loop indexes. A fused loop
+//! runs in one of two ways. When control reaches it, the VM checks its
+//! slot-kind guards (the counter re-declared over a DRAM scalar, or an
+//! offset held in one, fail them), that the whole loop fits the step
+//! budget, and that its spans are in range without wrapping; if all hold,
+//! it runs the loop in bulk, as one bus span call, and adds the loop's
+//! total charge — the per-iteration charges read back from the emitted ops
+//! (condition jump, bus access — a copy's read and its write separately —
+//! and back edge) times the iterations, plus the final failing condition.
+//! Otherwise it falls through to the unfused ops that still follow it,
+//! which run the loop exactly, a mid-loop budget trip or fault included.
 //!
 //! A fused loop's description lives in the [`CompiledProgram`]'s side
 //! table (`fused`); `Op::FusedLoop` carries only its index. Every op the
@@ -227,8 +229,7 @@ pub(crate) enum Op {
     Nop,
     /// A whole counted loop in one dispatch (see module docs, "Fusion"):
     /// the index of its [`FusedLoop`] in [`CompiledProgram::fused`]. Falls
-    /// through to the equivalent unfused ops when its slot-kind guards
-    /// fail at run time.
+    /// through to the equivalent unfused ops when it cannot run in bulk.
     FusedLoop(u32),
     /// End of program: flush the residual charge and return the stats.
     Halt { charge: u32 },

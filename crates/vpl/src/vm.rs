@@ -39,27 +39,12 @@ impl<B: MemoryBus + ?Sized> BusOps for B {}
 #[derive(Debug, Clone, Copy)]
 pub struct Vm {
     limits: ExecLimits,
-    bulk_fill: bool,
 }
 
 impl Vm {
     /// Creates a VM with the given execution limits.
     pub fn new(limits: ExecLimits) -> Self {
-        Vm {
-            limits,
-            bulk_fill: true,
-        }
-    }
-
-    /// Disables the fused-loop bulk fast paths (constant fill, accumulate
-    /// and copy), forcing word-at-a-time bus accesses with per-iteration
-    /// step accounting. Results are identical either way — the fast paths
-    /// only engage when they can prove the whole loop completes within
-    /// budget with the same stats and bus trace — so this toggle exists for
-    /// differential tests and as the per-candidate baseline in benchmarks.
-    pub fn without_bulk_fill(mut self) -> Self {
-        self.bulk_fill = false;
-        self
+        Vm { limits }
     }
 
     /// A VM with only a step budget configured — the supervised evaluation
@@ -281,15 +266,7 @@ impl Vm {
                 Op::Nop => {}
                 Op::FusedLoop(k) => {
                     let f = &program.fused[k as usize];
-                    let ran = self.run_fused(
-                        f,
-                        &program.names,
-                        &mut slots,
-                        &mut stats,
-                        bus,
-                        &mut span_buf,
-                    )?;
-                    if ran {
+                    if self.run_fused(f, &mut slots, &mut stats, bus, &mut span_buf)? {
                         pc = f.exit as usize;
                     }
                 }
@@ -302,13 +279,24 @@ impl Vm {
         }
     }
 
-    /// Runs one fused loop to completion and returns `true`, or returns
-    /// `false` without any effect when a slot-kind guard fails: the
-    /// counter, the offset slot or the accumulator must hold a register at
-    /// loop entry, or the charge schedule would differ from the unfused ops
-    /// (a DRAM-scalar offset, for one, reads the bus in its `LoadSlot`).
-    /// The caller then falls through to the unfused loop that still follows
-    /// the op.
+    /// Runs one fused loop in bulk and returns `true`, or returns `false`
+    /// without any effect; the caller then falls through to the unfused
+    /// loop that still follows the op, which runs it exactly, so a budget
+    /// trip, fault or wrap happens as unfused. It declines when a slot-kind
+    /// guard fails (the counter, the offset slot or the accumulator must
+    /// hold a register at loop entry, or the charge schedule would differ
+    /// from the unfused ops: a DRAM-scalar offset, for one, reads the bus
+    /// in its `LoadSlot`), when the loop runs no iteration, when the whole
+    /// loop might not fit the step budget, or when a span it touches is out
+    /// of range or wraps.
+    ///
+    /// Otherwise the per-word stores collapse into one
+    /// [`MemoryBus::fill_const`], the per-word loads into one
+    /// [`MemoryBus::read_span`] (folded here in iteration order), and a
+    /// copy into one [`MemoryBus::copy_span`], which the bus specifies for
+    /// overlapping spans too. The bus records the same per-word trace, the
+    /// stats advance by the same totals, and a bus failure surfaces at the
+    /// same first failing word.
     ///
     /// Out of line so the per-op dispatch loop in [`Vm::run`] carries none
     /// of this code.
@@ -316,22 +304,12 @@ impl Vm {
     fn run_fused<B: BusOps>(
         &self,
         f: &FusedLoop,
-        names: &[String],
         slots: &mut [Slot],
         stats: &mut ExecStats,
         bus: &mut B,
         span_buf: &mut Vec<u64>,
     ) -> Result<bool, VplError> {
-        let max_steps = self.limits.max_steps;
-        macro_rules! charge {
-            ($c:expr) => {
-                stats.steps += $c as u64;
-                if stats.steps > max_steps {
-                    return Err(VplError::ExecutionLimit { steps: max_steps });
-                }
-            };
-        }
-        let Slot::Register(mut v) = slots[f.var as usize] else {
+        let Slot::Register(v) = slots[f.var as usize] else {
             return Ok(false);
         };
         let off = match f.body.offset() {
@@ -341,87 +319,9 @@ impl Vm {
                 Slot::Memory { .. } => return Ok(false),
             },
         };
-        let mut acc_val = match f.body {
-            FusedBody::Accumulate { acc, .. } => match slots[acc as usize] {
-                Slot::Register(a) => a,
-                Slot::Memory { .. } => return Ok(false),
-            },
-            FusedBody::StoreImm { .. } | FusedBody::Copy { .. } => 0,
-        };
-        if self.bulk_fill
-            && v < f.bound
-            && self.run_bulk(f, v, off, acc_val, slots, stats, bus, span_buf)?
-        {
-            return Ok(true);
+        if v >= f.bound {
+            return Ok(false);
         }
-        loop {
-            // Check point 1: the condition jump (the final failing
-            // iteration pays it too).
-            charge!(f.c_cond);
-            if v >= f.bound {
-                break;
-            }
-            // Check point 2: the bus access (a copy's read).
-            charge!(f.c_access);
-            match f.body {
-                FusedBody::StoreImm { base, value } => {
-                    let addr = element_addr(slots, names, base, v)?;
-                    stats.writes += 1;
-                    bus.write_u64(addr, value)?;
-                }
-                FusedBody::Accumulate { op, base, .. } => {
-                    let addr = element_addr(slots, names, base, off.wrapping_add(v))?;
-                    stats.reads += 1;
-                    acc_val = alu(op, acc_val, bus.read_u64(addr)?);
-                }
-                FusedBody::Copy {
-                    dst, src, c_write, ..
-                } => {
-                    let addr = element_addr(slots, names, src, v)?;
-                    stats.reads += 1;
-                    let word = bus.read_u64(addr)?;
-                    // Check point 2b: the copy's write.
-                    charge!(c_write);
-                    let addr = element_addr(slots, names, dst, off.wrapping_add(v))?;
-                    stats.writes += 1;
-                    bus.write_u64(addr, word)?;
-                }
-            }
-            // Check point 3: the back edge (step statement).
-            charge!(f.c_back);
-            v = v.wrapping_add(1);
-        }
-        slots[f.var as usize] = Slot::Register(v);
-        if let FusedBody::Accumulate { acc, .. } = f.body {
-            slots[acc as usize] = Slot::Register(acc_val);
-        }
-        Ok(true)
-    }
-
-    /// The bulk path of a fused loop entered with counter `v < bound`:
-    /// when the whole loop provably fits the step budget and every span it
-    /// touches is in range without wrapping, the per-word stores collapse
-    /// into one [`MemoryBus::fill_const`], the per-word loads into one
-    /// [`MemoryBus::read_span`] (folded here in iteration order), and a
-    /// copy into one [`MemoryBus::copy_span`] — the last only when source
-    /// and destination do not overlap, so reading the source once before
-    /// writing the destination changes nothing. The bus records the same
-    /// per-word trace, the stats advance by the same totals, and a bus
-    /// failure surfaces at the same first failing word. Returns `false`
-    /// without any effect when it declines; the per-iteration loop then
-    /// runs instead, so a fault or wrap happens exactly as unfused.
-    #[allow(clippy::too_many_arguments)]
-    fn run_bulk<B: BusOps>(
-        &self,
-        f: &FusedLoop,
-        v: u64,
-        off: u64,
-        acc_start: u64,
-        slots: &mut [Slot],
-        stats: &mut ExecStats,
-        bus: &mut B,
-        span_buf: &mut Vec<u64>,
-    ) -> Result<bool, VplError> {
         let n = f.bound - v;
         let c_write = match f.body {
             FusedBody::Copy { c_write, .. } => c_write,
@@ -441,6 +341,9 @@ impl Vm {
                 stats.writes += n;
             }
             FusedBody::Accumulate { op, base, acc, .. } => {
+                let Slot::Register(acc_start) = slots[acc as usize] else {
+                    return Ok(false);
+                };
                 let Some(start) = span_start(slots, base, off.wrapping_add(v), n) else {
                     return Ok(false);
                 };
@@ -455,10 +358,6 @@ impl Vm {
                 ) else {
                     return Ok(false);
                 };
-                let last = (n - 1) * 8;
-                if from <= to + last && to <= from + last {
-                    return Ok(false);
-                }
                 bus.copy_span(to, from, n)?;
                 stats.reads += n;
                 stats.writes += n;
@@ -723,11 +622,10 @@ mod tests {
         }
     }
 
-    /// Pins the bulk-fill fast path against the strict word-at-a-time VM
-    /// (and, transitively through the parity suite, the interpreter): same
-    /// `Result`, same stats, same bus image, at every budget crossing —
-    /// including budgets where the bulk path must decline and the
-    /// per-iteration loop trips `ExecutionLimit` mid-fill.
+    /// Pins the bulk-fill path against the interpreter: same `Result`, same
+    /// stats, same bus image, at every budget crossing — including budgets
+    /// where the bulk path must decline and the unfused ops trip
+    /// `ExecutionLimit` mid-fill.
     #[test]
     fn bulk_fill_matches_strict_accounting() {
         let program = parse_program(
@@ -738,7 +636,7 @@ mod tests {
              unsigned long long x = p[63]; p[0] = x;",
         )
         .expect("parses");
-        assert_bulk_matches_strict(&program, &[FusedShape::Fill], 0..400);
+        assert_bulk_matches_interpreter(&program, &[FusedShape::Fill], 0..400);
     }
 
     /// Same sweep for the bulk accumulate path: a read-pressure loop over
@@ -756,12 +654,13 @@ mod tests {
              p[0] = acc;",
         )
         .expect("parses");
-        assert_bulk_matches_strict(&program, &[FusedShape::Fill, FusedShape::Reduce], 0..700);
+        assert_bulk_matches_interpreter(&program, &[FusedShape::Fill, FusedShape::Reduce], 0..700);
     }
 
-    /// Sweeps `budgets` on both the bulk and the strict VM and asserts the
-    /// same `Result` and bus state at every one.
-    fn assert_bulk_matches_strict(
+    /// Checks that `program` compiles to exactly the fused `shapes`, then
+    /// sweeps `budgets` on the VM and the interpreter and asserts the same
+    /// `Result` and bus state at every one.
+    fn assert_bulk_matches_interpreter(
         program: &crate::ast::Program,
         shapes: &[FusedShape],
         budgets: std::ops::Range<u64>,
@@ -770,20 +669,18 @@ mod tests {
         assert_eq!(compiled.fused_shapes(), shapes);
         for max_steps in budgets.chain([u64::MAX]) {
             let limits = ExecLimits { max_steps };
-            let mut fast_bus = MockBus::default();
-            let fast = Vm::new(limits).run(&compiled, &mut fast_bus);
-            let mut strict_bus = MockBus::default();
-            let strict = Vm::new(limits)
-                .without_bulk_fill()
-                .run(&compiled, &mut strict_bus);
-            assert_eq!(fast, strict, "result mismatch at budget {max_steps}");
-            assert_eq!(fast_bus, strict_bus, "bus mismatch at budget {max_steps}");
+            let mut vbus = MockBus::default();
+            let vresult = Vm::new(limits).run(&compiled, &mut vbus);
+            let mut ibus = MockBus::default();
+            let iresult = Interpreter::new(limits).run(program, &mut ibus);
+            assert_eq!(vresult, iresult, "result mismatch at budget {max_steps}");
+            assert_eq!(vbus, ibus, "bus mismatch at budget {max_steps}");
         }
     }
 
-    /// The bulk copy path against the strict VM at every budget crossing,
+    /// The bulk copy path against the interpreter at every budget crossing,
     /// including budgets that land between one iteration's read and its
-    /// write; the overlapping copy must decline the bulk path.
+    /// write; the overlapping copies smear forward word by word.
     #[test]
     fn bulk_copy_matches_strict_accounting() {
         let program = parse_program(
@@ -797,7 +694,7 @@ mod tests {
         )
         .expect("parses");
         let copy = FusedShape::Copy;
-        assert_bulk_matches_strict(&program, &[copy, copy, copy], 0..400);
+        assert_bulk_matches_interpreter(&program, &[copy, copy, copy], 0..400);
     }
 
     /// Same sweep for the offset accumulate path.
@@ -814,7 +711,7 @@ mod tests {
         )
         .expect("parses");
         let reduce = FusedShape::OffsetReduce;
-        assert_bulk_matches_strict(&program, &[FusedShape::Fill, reduce, reduce], 0..700);
+        assert_bulk_matches_interpreter(&program, &[FusedShape::Fill, reduce, reduce], 0..700);
     }
 
     #[test]
