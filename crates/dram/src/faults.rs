@@ -55,14 +55,6 @@ pub enum LogicalFault {
 }
 
 impl LogicalFault {
-    /// The word whose *reads* this fault corrupts.
-    pub fn read_target(&self) -> Option<Location> {
-        match self {
-            LogicalFault::StuckAt { loc, .. } => Some(*loc),
-            _ => None,
-        }
-    }
-
     /// Applies the fault to a value being read from `loc`.
     pub fn apply_on_read(&self, loc: Location, value: u64) -> u64 {
         match self {

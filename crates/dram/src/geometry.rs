@@ -59,11 +59,6 @@ impl DimmGeometry {
         self.ranks as u64 * self.banks as u64 * self.rows_per_bank as u64 * self.row_bytes as u64
     }
 
-    /// Total number of 64-bit words on the DIMM.
-    pub fn capacity_words(&self) -> u64 {
-        self.capacity_bytes() / 8
-    }
-
     /// Validates that every dimension is non-zero and the row size is a
     /// multiple of 8 bytes.
     pub fn validate(&self) -> Result<(), GeometryError> {

@@ -180,12 +180,6 @@ impl Topology {
         }
     }
 
-    /// Convenience: the polarity of the cell storing a *logical* bit of a
-    /// row.
-    pub fn kind_at_logical(&self, row: RowKey, logical_bit: u32) -> CellKind {
-        self.kind_at_physical(self.physical_bit(row, logical_bit))
-    }
-
     /// The physical bitline neighbours of a physical position (left, right),
     /// clipped at the row boundary.
     pub fn physical_neighbours(&self, physical_bit: u32) -> (Option<u32>, Option<u32>) {
