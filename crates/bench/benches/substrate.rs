@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 
 fn bench(c: &mut Criterion) {
     // DRAM refresh-window fault evaluation.
-    let mut dimm = Dimm::new(DimmConfig::default(), 1);
+    let dimm = Dimm::new(DimmConfig::default(), 1);
     let env = OperatingEnv::relaxed(60.0);
     let acts = ActivationCounts::new();
     let mut nonce = 0u64;

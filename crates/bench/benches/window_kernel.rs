@@ -1,20 +1,23 @@
 //! Lane-mask run-plan kernel vs the reference per-cell retention loop.
 //!
 //! `window/…` compares one refresh window at the DIMM layer over the full
-//! default weak-cell population; `plan/refresh` times one plan build after
-//! a contents change (the cell-state refresh plus the per-cell flip
-//! decisions); `run/reference` and `runs/…` compare complete multi-window
-//! evaluations at the server layer. The planned path re-examines only the
-//! VRT-contingent cells each window (everything else is pre-partitioned
-//! into static events at `prepare_run` time), so it must win by a wide
-//! margin. `window/lanes` times the one kernel writing one lane's masks,
+//! default weak-cell population. `plan/refresh` times a row rewrite plus
+//! one plan build at a fixed operating point: the one plan pass over the
+//! cells the memoized live-cell screen kept. `plan/rescreen` alternates two
+//! refresh periods, so every build screens the population again, as a
+//! margin sweep (Fig. 14) does. `run/reference` and `runs/…` compare
+//! complete multi-window evaluations at the server layer. The planned path
+//! re-examines only the VRT-contingent cells each window (everything else
+//! is pre-partitioned into static events at `prepare_run` time), so it
+//! must win by a wide margin. `window/lanes` times the one kernel writing one lane's masks,
 //! and `runs/batched` one run of the one fold, the like-for-like rows
 //! against the reference. `runs/batched10` times the ten runs of one virus
 //! as ten per-run outcomes; `runs/total10` times them as the one summed
 //! total the GA scores per candidate.
 //!
 //! The binary takes a substring filter: `cargo bench -p dstress-bench
-//! --bench window_kernel -- runs/` runs the `runs/…` rows only.
+//! --bench window_kernel -- runs/` runs the `runs/…` rows only, `-- plan/`
+//! the two plan-build rows.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dstress_dram::geometry::RowKey;
@@ -57,7 +60,8 @@ fn bench(c: &mut Criterion) {
         })
     });
     // One plan build per evaluation: every candidate rewrites memory, so
-    // each build starts with a stale cell-state cache.
+    // no plan carries over, while the operating point and its live-cell
+    // screen do.
     let rows = [
         vec![0x3333_3333_3333_3333u64; words],
         vec![0xCCCC_CCCC_CCCC_CCCCu64; words],
@@ -69,6 +73,19 @@ fn bench(c: &mut Criterion) {
             dimm.write_row(RowKey::new(0, 0, 0), &rows[flip]);
             std::hint::black_box(
                 dimm.prepare_run(&env, &disturbance)
+                    .expect("plan builds")
+                    .static_events()
+                    .len(),
+            )
+        })
+    });
+    let trefps = [env, env.with_trefp(2.0)];
+    c.bench_function("plan/rescreen", |b| {
+        b.iter(|| {
+            flip ^= 1;
+            dimm.write_row(RowKey::new(0, 0, 0), &rows[flip]);
+            std::hint::black_box(
+                dimm.prepare_run(&trefps[flip], &disturbance)
                     .expect("plan builds")
                     .static_events()
                     .len(),

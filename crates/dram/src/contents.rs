@@ -241,15 +241,9 @@ impl RowStore {
         }
     }
 
-    /// The word value unwritten memory reads as.
-    pub(crate) fn default_word(&self) -> u64 {
-        self.default_word
-    }
-
     /// The stored words of a row, or `None` when the row was never written
-    /// or lies outside the geometry (every word then reads
-    /// [`Self::default_word`]). One lookup serves any number of bit tests
-    /// on the row.
+    /// or lies outside the geometry (every word then reads the default
+    /// word). One lookup serves any number of bit tests on the row.
     pub(crate) fn row_words(&self, row: RowKey) -> Option<&[u64]> {
         let words = self.rows[self.slot(row)?].as_slice();
         (!words.is_empty()).then_some(words)

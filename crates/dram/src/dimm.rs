@@ -32,32 +32,13 @@ pub struct DimmConfig {
     pub default_fill: u64,
 }
 
-/// Cached per-weak-cell state that depends only on stored data (not on the
-/// operating point or on activations): whether the cell is charged and the
-/// data-dependent interference multiplier.
-///
-/// Stored structure-of-arrays style: one flat array per attribute, with
-/// `offsets[w]..offsets[w + 1]` covering the cells of weak word `w`. The
-/// flat layout keeps the window-evaluation and plan-construction loops on
-/// two dense arrays instead of chasing one heap allocation per weak word.
-#[derive(Debug, Clone, Default)]
-struct CellCache {
-    /// Per-word start offsets into the flat arrays (`words + 1` entries).
-    offsets: Vec<u32>,
-    /// Whether each cell currently holds charge.
-    charged: Vec<bool>,
-    /// Data-dependent interference multiplier of each cell (1.0 when
-    /// discharged).
-    interference: Vec<f64>,
-}
-
 /// Marks a probe clipped at a row end (bitline neighbour) or at a bank edge
 /// (adjacent row).
 const NO_PROBE: u32 = u32::MAX;
 
-/// Where the cell-state refresh looks for one weak cell: logical bit
-/// positions (word column × 64 + bit) with remapping and per-row scrambling
-/// already applied, so a refresh only tests bits of stored words.
+/// Where the cell-state lookup reads one weak cell: logical bit positions
+/// (word column × 64 + bit) with remapping and per-row scrambling already
+/// applied, so a lookup only tests bits of stored words.
 #[derive(Debug, Clone, Copy)]
 struct CellProbe {
     /// The cell itself, in its own row.
@@ -76,7 +57,7 @@ struct CellProbe {
     adjacent: [u32; 2],
 }
 
-/// The data-independent half of the cell-state refresh: one [`CellProbe`]
+/// The data-independent half of the cell-state lookup: one [`CellProbe`]
 /// per weak cell, in population order.
 fn probe_table(topology: &Topology, population: &WeakCellPopulation) -> Vec<CellProbe> {
     let rows_per_bank = topology.geometry().rows_per_bank;
@@ -116,6 +97,159 @@ fn probe_table(topology: &Topology, population: &WeakCellPopulation) -> Vec<Cell
     cells
 }
 
+/// A weak cell's data-dependent state: whether it holds charge, and its
+/// interference multiplier (1.0 when discharged). `rows` holds the words
+/// of the cell's own row and of the rows above and below it; unwritten
+/// rows read as the default fill.
+#[inline]
+fn cell_state(probe: &CellProbe, rows: [&[u64]; 3], physics: &PhysicsParams) -> (bool, f64) {
+    let bit_at = |words: &[u64], bit: u32| (words[(bit / 64) as usize] >> (bit % 64)) & 1 == 1;
+    let [own, above, below] = rows;
+    if bit_at(own, probe.bit) == probe.anti {
+        return (false, 1.0);
+    }
+    let mut intra = 0u32;
+    for (&np, &anti) in probe.neighbours.iter().zip(&probe.neighbour_anti) {
+        if np != NO_PROBE && bit_at(own, np) != anti {
+            intra += 1;
+        }
+    }
+    // Inter-row interference: a charged victim node facing a *discharged*
+    // node in the adjacent row of the same bank sees the largest field and
+    // leaks fastest. (A uniform worst-word fill charges everything and gets
+    // none of this — which is exactly why the per-row 24 KB patterns can
+    // beat it, Fig. 9.) Probes into a clipped adjacent row are NO_PROBE, so
+    // the out-of-bank neighbour of an edge row is never read.
+    let mut inter = 0u32;
+    for (words, &bit) in [above, below].into_iter().zip(&probe.adjacent) {
+        if bit != NO_PROBE && bit_at(words, bit) == probe.anti {
+            inter += 1;
+        }
+    }
+    let interference =
+        1.0 + physics.intra_row_coupling * intra as f64 + physics.inter_row_coupling * inter as f64;
+    (true, interference)
+}
+
+/// One weak word the live-cell screen kept.
+#[derive(Debug, Clone, Copy)]
+struct LiveWord {
+    loc: Location,
+    /// The word's index in the population, and so in a disturbance slice.
+    index: usize,
+    /// Whether the word holds several weak cells (a clustered defect, whose
+    /// disturbance is scaled by `PhysicsParams::pair_disturbance_mult`).
+    pair: bool,
+    /// The word's live cells in [`LiveCells::cells`].
+    cells_start: usize,
+    cells_end: usize,
+}
+
+/// One weak cell the live-cell screen kept.
+#[derive(Debug, Clone, Copy)]
+struct LiveCell {
+    probe: CellProbe,
+    /// Bit index within the word.
+    bit: u8,
+    is_vrt: bool,
+    vrt_index: u32,
+    /// Base retention times the operating point's environment factor: the
+    /// healthy-state retention before the data-dependent terms.
+    retention_s: f64,
+}
+
+/// The weak cells that can flip at one operating point under some
+/// contents, VRT state and disturbance up to a bound, in population order;
+/// see [`Dimm::prepare_run`]. Every other cell is statically safe there.
+#[derive(Debug)]
+struct LiveCells {
+    words: Vec<LiveWord>,
+    cells: Vec<LiveCell>,
+}
+
+impl LiveCells {
+    /// Keeps each cell whose smallest reachable retention — charged with
+    /// both bitline neighbours charged, both adjacent cells discharged and
+    /// disturbance `bound`, or discharged; healthy or, for a VRT cell,
+    /// degraded — is not at least `trefp`. The expressions are the plan's,
+    /// operand for operand, with the worst-case counts and disturbance in
+    /// place of the actual ones.
+    fn screen(
+        population: &WeakCellPopulation,
+        probes: &[CellProbe],
+        physics: &PhysicsParams,
+        env: &OperatingEnv,
+        bound: f64,
+    ) -> LiveCells {
+        let env_factor = physics.env_factor(env);
+        let interference =
+            1.0 + physics.intra_row_coupling * 2.0 + physics.inter_row_coupling * 2.0;
+        let single_divisor = interference * (1.0 + bound);
+        let pair_divisor = interference * (1.0 + bound * physics.pair_disturbance_mult);
+        let mut words = Vec::new();
+        let mut cells = Vec::new();
+        let mut probes = probes.iter();
+        for (index, word) in population.words().iter().enumerate() {
+            let pair = word.cells.len() >= 2;
+            let charged_divisor = if pair { pair_divisor } else { single_divisor };
+            let safe = |retention: f64| {
+                retention >= 0.0
+                    && retention / charged_divisor >= env.trefp_s
+                    && retention * physics.discharged_retention_mult >= env.trefp_s
+            };
+            let cells_start = cells.len();
+            for cell in &word.cells {
+                let probe = probes.next().expect("one probe per weak cell");
+                let retention_s = cell.base_retention_s * env_factor;
+                if safe(retention_s)
+                    && (!cell.is_vrt || safe(retention_s * physics.vrt_degraded_mult))
+                {
+                    continue;
+                }
+                cells.push(LiveCell {
+                    probe: *probe,
+                    bit: cell.bit,
+                    is_vrt: cell.is_vrt,
+                    vrt_index: cell.vrt_index,
+                    retention_s,
+                });
+            }
+            if cells.len() > cells_start {
+                words.push(LiveWord {
+                    loc: word.loc,
+                    index,
+                    pair,
+                    cells_start,
+                    cells_end: cells.len(),
+                });
+            }
+        }
+        LiveCells { words, cells }
+    }
+}
+
+/// The disturbance bound the live-cell screen assumes for a slice: the
+/// largest of [`DisturbanceModel::max_factor`] and the slice's entries
+/// (`f64::max` skips NaN entries, which never flip a cell). NaN when the
+/// monotone case does not hold — a negative coupling coefficient, pair
+/// multiplier or slice entry — so that every comparison of the screen
+/// fails and every cell stays live.
+fn disturbance_bound(config: &DimmConfig, disturbance: &[f64]) -> f64 {
+    let physics = &config.physics;
+    if physics.intra_row_coupling < 0.0
+        || physics.inter_row_coupling < 0.0
+        || physics.pair_disturbance_mult < 0.0
+    {
+        return f64::NAN;
+    }
+    disturbance
+        .iter()
+        .try_fold(config.disturbance.max_factor, |bound, &d| {
+            (d >= 0.0 || d.is_nan()).then_some(bound.max(d))
+        })
+        .unwrap_or(f64::NAN)
+}
+
 /// A simulated DIMM.
 ///
 /// The public surface mirrors what a platform can do with real memory —
@@ -132,13 +266,17 @@ pub struct Dimm {
     population: WeakCellPopulation,
     contents: RowStore,
     map: AddressMap,
-    cache: CellCache,
-    cache_generation: Option<u64>,
     /// The topology and the population never change after [`Dimm::new`],
-    /// so the probe table is built once, on the first cell-state refresh
+    /// so the probe table is built once, on the first cell-state lookup
     /// (a DIMM that is never evaluated never pays for it), and shared by
     /// every clone.
     probes: Arc<OnceLock<Vec<CellProbe>>>,
+    /// The live-cell screen of the last operating point planned, keyed by
+    /// the bits of (temperature, supply voltage, refresh period,
+    /// disturbance bound); clones share it until one of them moves.
+    live: Option<([u64; 4], Arc<LiveCells>)>,
+    /// One row of the default fill: what an unwritten row reads as.
+    default_row: Arc<[u64]>,
     faults: FaultSet,
 }
 
@@ -183,9 +321,9 @@ impl Dimm {
             population,
             contents,
             map,
-            cache: CellCache::default(),
-            cache_generation: None,
             probes: Arc::default(),
+            live: None,
+            default_row: vec![config.default_fill; config.geometry.words_per_row()].into(),
             faults: FaultSet::new(),
         }
     }
@@ -402,7 +540,7 @@ impl Dimm {
     /// cells re-fail every window, which is how EDAC accumulates counts on
     /// the real server.
     pub fn advance_window(
-        &mut self,
+        &self,
         env: &OperatingEnv,
         acts: &ActivationCounts,
         nonce: u64,
@@ -471,9 +609,10 @@ impl Dimm {
     /// [`Self::advance_window`] with a precomputed disturbance profile
     /// (see [`Self::disturbance_profile`]).
     ///
-    /// This is the **reference** per-cell loop: it re-evaluates the full
-    /// retention expression for every weak cell each window, sampling each
-    /// VRT cell's two-state process per window. Multi-window runs build a
+    /// This is the **reference** per-cell loop: it looks up every weak
+    /// cell's state, with no live-cell screen, and re-evaluates the full
+    /// retention expression for every cell each window, sampling each VRT
+    /// cell's two-state process per window. Multi-window runs build a
     /// [`RunPlan`] with [`Self::prepare_run`] and evaluate it through
     /// [`Self::advance_window_planned_lanes`] instead, whose events, merged
     /// with the plan's static events, are bit-identical at a fraction of
@@ -484,7 +623,7 @@ impl Dimm {
     ///
     /// Panics if the profile length does not match the weak-word count.
     pub fn advance_window_profiled(
-        &mut self,
+        &self,
         env: &OperatingEnv,
         disturbance: &[f64],
         nonce: u64,
@@ -494,12 +633,12 @@ impl Dimm {
             self.population.words().len(),
             "disturbance profile length mismatch"
         );
-        self.refresh_cache_if_stale();
         let physics = &self.config.physics;
         let env_factor = physics.env_factor(env);
+        let states = self.cell_states();
+        let mut states = states.iter();
         let mut events = Vec::new();
-        for (w, (word, &row_disturb)) in self.population.words().iter().zip(disturbance).enumerate()
-        {
+        for (word, &row_disturb) in self.population.words().iter().zip(disturbance) {
             // Clustered defect pairs are comparatively hammer-resistant
             // (see PhysicsParams::pair_disturbance_mult).
             let word_disturb = if word.cells.len() >= 2 {
@@ -507,17 +646,17 @@ impl Dimm {
             } else {
                 row_disturb
             };
-            let base = self.cache.offsets[w] as usize;
             let mut flip_mask = 0u64;
-            for (i, cell) in word.cells.iter().enumerate() {
+            let word_states = states.by_ref().take(word.cells.len());
+            for (cell, &(charged, interference)) in word.cells.iter().zip(word_states) {
                 let mut retention = cell.base_retention_s * env_factor;
                 if cell.is_vrt
                     && vrt_degraded(self.seed, nonce, cell.vrt_index, physics.vrt_degraded_prob)
                 {
                     retention *= physics.vrt_degraded_mult;
                 }
-                if self.cache.charged[base + i] {
-                    retention /= self.cache.interference[base + i] * (1.0 + word_disturb);
+                if charged {
+                    retention /= interference * (1.0 + word_disturb);
                 } else {
                     retention *= physics.discharged_retention_mult;
                 }
@@ -549,6 +688,36 @@ impl Dimm {
     /// (or vanish entirely); only the cells whose decision differs between
     /// the two VRT states remain for per-window work.
     ///
+    /// The build runs in two steps:
+    ///
+    /// 1. **A live-cell screen**, which depends on the operating point and
+    ///    a disturbance bound `B` only — the largest of
+    ///    [`DisturbanceModel::max_factor`] and the profile's entries — and
+    ///    is memoized on the DIMM, keyed by the bits of (temperature,
+    ///    supply voltage, refresh period, `B`). It keeps each cell whose
+    ///    smallest reachable retention is not at least `trefp`, computed
+    ///    with the plan's own expressions, operand for operand: charged
+    ///    with both bitline neighbours charged, both adjacent cells
+    ///    discharged and disturbance `B` (or `B · pair_disturbance_mult` in
+    ///    a multi-cell word), and discharged, each healthy and, for a VRT
+    ///    cell, degraded.
+    /// 2. **One plan pass** over the live cells only, fetching each weak
+    ///    row and its two neighbours once and deciding flips from the
+    ///    actual cell state and disturbance.
+    ///
+    /// The screen is exact, not a heuristic. Round-to-nearest `+`, `×` and
+    /// `÷` are monotone for non-negative operands, so when the coupling
+    /// coefficients, `pair_disturbance_mult` and every profile entry are
+    /// non-negative, each real state's retention is at least the screen's
+    /// bound for its cell, and a cell the screen drops never flips. A NaN
+    /// entry never flips a cell, screened or not. Outside that monotone
+    /// case `B` is NaN, every screen comparison fails and every cell stays
+    /// live, so such configurations take the same path over the whole
+    /// population. A cell whose retention before the data-dependent terms
+    /// is negative (under a negative VRT multiplier, say) stays live too.
+    /// An ill-posed screen can only keep cells, never change a verdict: the
+    /// plan pass decides every kept cell from its actual state.
+    ///
     /// # Errors
     ///
     /// Returns [`PlanError::IndexOverflow`] if the weak-cell population is
@@ -570,27 +739,30 @@ impl Dimm {
             self.population.words().len(),
             "disturbance profile length mismatch"
         );
-        self.refresh_cache_if_stale();
+        let live = self.live_cells(env, disturbance);
         let physics = &self.config.physics;
-        let env_factor = physics.env_factor(env);
         let mut static_events = Vec::new();
         let mut vrt_words = Vec::new();
         let mut bit_masks = Vec::new();
         let mut bit_indices = Vec::new();
         let mut bit_flip_when_degraded = Vec::new();
-        for (w, (word, &row_disturb)) in self.population.words().iter().zip(disturbance).enumerate()
-        {
-            let word_disturb = if word.cells.len() >= 2 {
+        let mut fetched: Option<(RowKey, [&[u64]; 3])> = None;
+        for word in &live.words {
+            let row = word.loc.row_key();
+            let rows = match fetched {
+                Some((r, rows)) if r == row => rows,
+                _ => fetched.insert((row, self.probe_rows(row))).1,
+            };
+            let row_disturb = disturbance[word.index];
+            let word_disturb = if word.pair {
                 row_disturb * physics.pair_disturbance_mult
             } else {
                 row_disturb
             };
-            let base = self.cache.offsets[w] as usize;
             let bits_start = bit_masks.len();
             let mut base_mask = 0u64;
-            for (i, cell) in word.cells.iter().enumerate() {
-                let charged = self.cache.charged[base + i];
-                let interference = self.cache.interference[base + i];
+            for cell in &live.cells[word.cells_start..word.cells_end] {
+                let (charged, interference) = cell_state(&cell.probe, rows, physics);
                 let flips = |mut retention: f64| {
                     if charged {
                         retention /= interference * (1.0 + word_disturb);
@@ -599,10 +771,9 @@ impl Dimm {
                     }
                     retention < env.trefp_s
                 };
-                let flip_normal = flips(cell.base_retention_s * env_factor);
+                let flip_normal = flips(cell.retention_s);
                 if cell.is_vrt {
-                    let flip_degraded =
-                        flips(cell.base_retention_s * env_factor * physics.vrt_degraded_mult);
+                    let flip_degraded = flips(cell.retention_s * physics.vrt_degraded_mult);
                     if flip_degraded == flip_normal {
                         if flip_normal {
                             base_mask |= 1u64 << cell.bit;
@@ -617,10 +788,11 @@ impl Dimm {
                 }
             }
             let bits_end = bit_masks.len();
+            let written = rows[0][word.loc.col as usize];
             if bits_end > bits_start {
                 vrt_words.push(VrtWord {
                     loc: word.loc,
-                    written: self.contents.read_word(word.loc),
+                    written,
                     base_mask,
                     bits_start: plan_index("bits_start", bits_start)?,
                     bits_end: plan_index("bits_end", bits_end)?,
@@ -628,7 +800,7 @@ impl Dimm {
             } else if base_mask != 0 {
                 static_events.push(WordEvent {
                     loc: word.loc,
-                    written: self.contents.read_word(word.loc),
+                    written,
                     flip_mask: base_mask,
                 });
             }
@@ -642,6 +814,48 @@ impl Dimm {
             bit_indices,
             bit_flip_when_degraded,
         })
+    }
+
+    /// The live-cell screen for an operating point and disturbance profile,
+    /// from the memo when the key matches, screened afresh otherwise.
+    fn live_cells(&mut self, env: &OperatingEnv, disturbance: &[f64]) -> Arc<LiveCells> {
+        let bound = disturbance_bound(&self.config, disturbance);
+        let key = [env.temp_c, env.vdd_v, env.trefp_s, bound].map(f64::to_bits);
+        if let Some((memo, live)) = &self.live {
+            if *memo == key {
+                return Arc::clone(live);
+            }
+        }
+        let live = Arc::new(LiveCells::screen(
+            &self.population,
+            self.probes(),
+            &self.config.physics,
+            env,
+            bound,
+        ));
+        self.live = Some((key, Arc::clone(&live)));
+        live
+    }
+
+    /// The probe table, built on first use.
+    fn probes(&self) -> &[CellProbe] {
+        self.probes
+            .get_or_init(|| probe_table(&self.topology, &self.population))
+    }
+
+    /// The words of a row and of the rows above and below it in its bank —
+    /// the rows a [`CellProbe`] of that row reads — with unwritten rows and
+    /// rows past a bank edge reading as the default fill.
+    fn probe_rows(&self, row: RowKey) -> [&[u64]; 3] {
+        let words = |r: Option<u32>| {
+            r.and_then(|r| self.contents.row_words(RowKey::new(row.rank, row.bank, r)))
+                .unwrap_or(&self.default_row)
+        };
+        [
+            words(Some(row.row)),
+            words(row.row.checked_sub(1)),
+            words(row.row.checked_add(1)),
+        ]
     }
 
     /// Evaluates one refresh window of a prepared plan for up to
@@ -684,100 +898,33 @@ impl Dimm {
         Ok(())
     }
 
-    /// Recomputes the data-dependent per-cell state when contents changed.
-    ///
-    /// Per weak row it looks up the row and its two adjacent rows once;
-    /// per cell it only tests the bits its [`CellProbe`] names. The result
-    /// must be bit-identical to `cell_cache_reference`.
-    fn refresh_cache_if_stale(&mut self) {
-        let generation = self.contents.generation();
-        if self.cache_generation == Some(generation) {
-            return;
-        }
-        let probes = self
-            .probes
-            .get_or_init(|| probe_table(&self.topology, &self.population));
-        let physics = self.config.physics;
-        let contents = &self.contents;
-        let default = contents.default_word();
-        let bit_at = |words: Option<&[u64]>, bit: u32| {
-            let word = words.map_or(default, |w| w[(bit / 64) as usize]);
-            (word >> (bit % 64)) & 1 == 1
-        };
-        let cache = &mut self.cache;
-        cache.offsets.clear();
-        cache.charged.clear();
-        cache.interference.clear();
-        let mut probes = probes.iter();
-        let mut fetched: Option<RowKey> = None;
-        let mut rows: [Option<&[u64]>; 3] = [None; 3];
+    /// Every weak cell's (charged, interference) state under the current
+    /// contents, in population order, through the probe table and
+    /// [`cell_state`], the lookup the plan pass makes for its live cells.
+    fn cell_states(&self) -> Vec<(bool, f64)> {
+        let physics = &self.config.physics;
+        let mut probes = self.probes().iter();
+        let mut states = Vec::with_capacity(self.population.total_cells());
         for word in self.population.words() {
-            let row = word.loc.row_key();
-            if fetched != Some(row) {
-                // Probes into a clipped adjacent row are NO_PROBE, so the
-                // out-of-bank neighbour of an edge row is never read.
-                let adj = |r: Option<u32>| {
-                    r.and_then(|r| contents.row_words(RowKey::new(row.rank, row.bank, r)))
-                };
-                rows = [
-                    contents.row_words(row),
-                    adj(row.row.checked_sub(1)),
-                    adj(row.row.checked_add(1)),
-                ];
-                fetched = Some(row);
-            }
-            let [own, above, below] = rows;
-            cache.offsets.push(cache.charged.len() as u32);
+            let rows = self.probe_rows(word.loc.row_key());
             for probe in probes.by_ref().take(word.cells.len()) {
-                let charged = bit_at(own, probe.bit) != probe.anti;
-                let interference = if charged {
-                    let mut intra = 0u32;
-                    for (&np, &anti) in probe.neighbours.iter().zip(&probe.neighbour_anti) {
-                        if np != NO_PROBE && bit_at(own, np) != anti {
-                            intra += 1;
-                        }
-                    }
-                    // Inter-row interference: a charged victim node facing a
-                    // *discharged* node in the adjacent row of the same bank
-                    // sees the largest field and leaks fastest. (A uniform
-                    // worst-word fill charges everything and gets none of
-                    // this — which is exactly why the per-row 24 KB patterns
-                    // can beat it, Fig. 9.)
-                    let mut inter = 0u32;
-                    for (words, &bit) in [above, below].into_iter().zip(&probe.adjacent) {
-                        if bit != NO_PROBE && bit_at(words, bit) == probe.anti {
-                            inter += 1;
-                        }
-                    }
-                    1.0 + physics.intra_row_coupling * intra as f64
-                        + physics.inter_row_coupling * inter as f64
-                } else {
-                    1.0
-                };
-                cache.charged.push(charged);
-                cache.interference.push(interference);
+                states.push(cell_state(probe, rows, physics));
             }
         }
-        cache.offsets.push(cache.charged.len() as u32);
-        self.cache_generation = Some(generation);
+        states
     }
 
     /// The cell-state oracle: re-derives every physical position, polarity
-    /// and neighbour from the topology, cell by cell. The differential
-    /// tests pin [`Self::refresh_cache_if_stale`] against it.
+    /// and neighbour from the topology, cell by cell, in population order.
+    /// The differential tests pin [`cell_state`] over the probe table
+    /// against it.
     #[cfg(test)]
-    fn cell_cache_reference(&self) -> CellCache {
+    fn cell_state_reference(&self) -> Vec<(bool, f64)> {
         let physics = self.config.physics;
         let geometry = self.config.geometry;
-        let total = self.population.total_cells();
-        let mut cache = CellCache {
-            offsets: Vec::with_capacity(self.population.words().len() + 1),
-            charged: Vec::with_capacity(total),
-            interference: Vec::with_capacity(total),
-        };
+        let mut states = Vec::with_capacity(self.population.total_cells());
         for word in self.population.words() {
             let row = word.loc.row_key();
-            cache.offsets.push(cache.charged.len() as u32);
             for cell in &word.cells {
                 let logical = word.loc.col * 64 + cell.bit as u32;
                 let value = self.contents.read_bit(row, logical);
@@ -808,12 +955,10 @@ impl Dimm {
                 } else {
                     1.0
                 };
-                cache.charged.push(charged);
-                cache.interference.push(interference);
+                states.push((charged, interference));
             }
         }
-        cache.offsets.push(cache.charged.len() as u32);
-        cache
+        states
     }
 
     /// Whether the cell at a *physical* bitline position of a row is
@@ -1408,20 +1553,16 @@ mod tests {
         d
     }
 
-    /// Asserts the probe-table refresh reproduces the reference walk bit
-    /// for bit.
-    fn assert_cache_matches_reference(d: &mut Dimm) {
-        d.refresh_cache_if_stale();
-        let want = d.cell_cache_reference();
-        assert_eq!(d.cache.offsets, want.offsets);
-        assert_eq!(d.cache.charged, want.charged);
-        let bits = |c: &CellCache| {
-            c.interference
-                .iter()
-                .map(|f| f.to_bits())
+    /// Asserts the probe-table lookup reproduces the reference walk bit for
+    /// bit.
+    fn assert_cell_states_match_reference(d: &Dimm) {
+        let bits = |states: Vec<(bool, f64)>| {
+            states
+                .into_iter()
+                .map(|(charged, f)| (charged, f.to_bits()))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(bits(&d.cache), bits(&want));
+        assert_eq!(bits(d.cell_states()), bits(d.cell_state_reference()));
     }
 
     #[test]
@@ -1443,17 +1584,108 @@ mod tests {
 
     #[test]
     fn probe_table_is_built_lazily_and_shared_by_clones() {
-        let mut d = probe_fixture(3, 0);
+        let d = probe_fixture(3, 0);
         assert!(d.probes.get().is_none(), "Dimm::new must not build it");
         let mut replica = d.clone();
         replica.write_word(Location::new(0, 1, 2, 3), WORST);
-        replica.refresh_cache_if_stale();
+        let env = OperatingEnv::relaxed(60.0);
+        let quiet = replica.disturbance_profile(&ActivationCounts::new());
+        replica.prepare_run(&env, &quiet).unwrap();
         assert!(Arc::ptr_eq(&d.probes, &replica.probes));
         assert!(
             d.probes.get().is_some(),
             "a clone's build serves the original"
         );
-        assert_cache_matches_reference(&mut d);
+        assert_cell_states_match_reference(&d);
+    }
+
+    /// The live-cell table of the current memo slot.
+    fn memo(d: &Dimm) -> &Arc<LiveCells> {
+        &d.live.as_ref().expect("a screen is memoized").1
+    }
+
+    #[test]
+    fn live_cell_screen_is_memoized_per_operating_point_and_shared_by_clones() {
+        let mut d = dimm(11);
+        fill_all(&mut d, WORST);
+        let env = OperatingEnv::relaxed(60.0);
+        let quiet = d.disturbance_profile(&ActivationCounts::new());
+        d.prepare_run(&env, &quiet).unwrap();
+        let first = Arc::clone(memo(&d));
+        // Contents changes and slices below the model's maximum reuse it.
+        fill_all(&mut d, BEST);
+        let half = vec![d.config.disturbance.max_factor / 2.0; quiet.len()];
+        d.prepare_run(&env, &half).unwrap();
+        assert!(Arc::ptr_eq(memo(&d), &first));
+        assert!(Arc::ptr_eq(memo(&d.clone()), &first));
+        // Each key field alone re-screens; a clone's move leaves the
+        // original.
+        let peak = vec![2.0 * d.config.disturbance.max_factor; quiet.len()];
+        let moved = [
+            (env.with_temp(61.0), &quiet),
+            (OperatingEnv { vdd_v: 1.45, ..env }, &quiet),
+            (env.with_trefp(1.0), &quiet),
+            (env, &peak),
+        ];
+        for (other, disturbance) in moved {
+            let mut replica = d.clone();
+            replica.prepare_run(&other, disturbance).unwrap();
+            assert!(!Arc::ptr_eq(memo(&replica), &first), "{other:?}");
+            assert!(Arc::ptr_eq(memo(&d), &first));
+        }
+    }
+
+    #[test]
+    fn live_cell_screen_keeps_a_growing_share_of_cells_with_temperature() {
+        let d = dimm(11);
+        let probes = d.probes();
+        let physics = &d.config.physics;
+        let bound = d.config.disturbance.max_factor;
+        let total = d.population.total_cells();
+        let live = |temp_c: f64| {
+            let env = OperatingEnv::relaxed(temp_c);
+            LiveCells::screen(&d.population, probes, physics, &env, bound)
+                .cells
+                .len()
+        };
+        let (cool, warm, hot) = (live(45.0), live(60.0), live(65.0));
+        assert!(0 < cool && cool < warm && warm < hot && hot < total);
+        assert!(warm * 2 < total, "{warm} of {total} cells live at 60 C");
+        let all = LiveCells::screen(
+            &d.population,
+            probes,
+            physics,
+            &OperatingEnv::relaxed(60.0),
+            f64::NAN,
+        );
+        assert_eq!(all.cells.len(), total, "a NaN bound keeps every cell");
+    }
+
+    #[test]
+    fn disturbance_bound_is_nan_outside_the_monotone_case() {
+        let config = DimmConfig::default();
+        let max = config.disturbance.max_factor;
+        assert_eq!(disturbance_bound(&config, &[]), max);
+        assert_eq!(disturbance_bound(&config, &[0.1, f64::NAN, -0.0]), max);
+        assert_eq!(disturbance_bound(&config, &[0.1, 3.0 * max]), 3.0 * max);
+        assert!(disturbance_bound(&config, &[0.1, -0.1]).is_nan());
+        for physics in [
+            PhysicsParams {
+                intra_row_coupling: -0.1,
+                ..config.physics
+            },
+            PhysicsParams {
+                inter_row_coupling: -0.1,
+                ..config.physics
+            },
+            PhysicsParams {
+                pair_disturbance_mult: -0.1,
+                ..config.physics
+            },
+        ] {
+            let config = DimmConfig { physics, ..config };
+            assert!(disturbance_bound(&config, &[0.1]).is_nan(), "{physics:?}");
+        }
     }
 
     /// One contents mutation of the probe-table differential test.
@@ -1485,7 +1717,7 @@ mod tests {
     }
 
     proptest! {
-        /// The probe-table refresh must equal the per-cell reference walk
+        /// The probe-table lookup must equal the per-cell reference walk
         /// after any sequence of writes and clears — including rows next to
         /// never-written (default-fill) rows.
         #[test]
@@ -1495,7 +1727,7 @@ mod tests {
             ops in proptest::collection::vec(contents_op(), 1..24),
         ) {
             let mut d = probe_fixture(seed, default_fill);
-            assert_cache_matches_reference(&mut d);
+            assert_cell_states_match_reference(&d);
             for op in ops {
                 match op {
                     ContentsOp::Word(bank, row, col, value) => {
@@ -1504,7 +1736,7 @@ mod tests {
                     ContentsOp::Row(bank, row, words) => d.write_row(RowKey::new(0, bank, row), &words),
                     ContentsOp::Clear => d.clear_contents(),
                 }
-                assert_cache_matches_reference(&mut d);
+                assert_cell_states_match_reference(&d);
             }
         }
     }
@@ -1512,14 +1744,14 @@ mod tests {
     #[test]
     fn probe_refresh_matches_reference_walk_on_the_default_dimm() {
         let mut d = dimm(21);
-        assert_cache_matches_reference(&mut d);
+        assert_cell_states_match_reference(&d);
         fill_all(&mut d, WORST);
-        assert_cache_matches_reference(&mut d);
+        assert_cell_states_match_reference(&d);
         let geo = d.geometry();
         for row in (0..geo.rows_per_bank).step_by(3) {
             d.write_row(RowKey::new(1, 4, row), &vec![BEST; geo.words_per_row()]);
         }
-        assert_cache_matches_reference(&mut d);
+        assert_cell_states_match_reference(&d);
     }
 
     #[test]
@@ -1530,6 +1762,9 @@ mod tests {
         let with_worst = count_flips(&d.advance_window(&env, &ActivationCounts::new(), 0));
         fill_all(&mut d, BEST);
         let with_best = count_flips(&d.advance_window(&env, &ActivationCounts::new(), 0));
-        assert!(with_worst > with_best, "cache must follow contents changes");
+        assert!(
+            with_worst > with_best,
+            "events must follow contents changes"
+        );
     }
 }

@@ -35,7 +35,7 @@
 //!
 //! The VRT-contingent cells are stored structure-of-arrays style
 //! (`RunPlan::bit_masks` / `RunPlan::bit_indices` et al.) with per-word
-//! ranges, mirroring the flattened cell cache inside [`crate::Dimm`].
+//! ranges into the flat arrays.
 
 use crate::events::WordEvent;
 use crate::geometry::Location;

@@ -21,7 +21,7 @@ proptest! {
         config.geometry.rows_per_bank = 8;
         config.weak.singles_per_rank = 200;
         config.weak.pairs_per_rank = 10;
-        let mut dimm = Dimm::new(config, seed);
+        let dimm = Dimm::new(config, seed);
         let env = OperatingEnv::relaxed(temp);
         for event in dimm.advance_window(&env, &ActivationCounts::new(), seed) {
             let kind = classify_flips(event.written, event.flip_mask, 0);
