@@ -810,8 +810,10 @@ impl XGene2Server {
         Ok(PreparedRun { plans })
     }
 
-    /// [`Self::prepare_run`] without consulting or populating the caches —
-    /// the cold-path oracle the cache-coherence tests compare against.
+    /// [`Self::prepare_run`] without consulting or populating the plan and
+    /// profile caches — the cold-path oracle the cache-coherence tests
+    /// compare against. Each DIMM's live-cell screen memo still serves it;
+    /// the DIMM-layer tests pin that memo against fresh DIMMs.
     ///
     /// # Errors
     ///
