@@ -18,12 +18,22 @@ fn fnv(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Each pinned figure's `--only` key and the FNV-1a of its quick-scale
-/// report JSON.
+/// Each figure's `--only` key and the FNV-1a of its quick-scale report
+/// JSON, in [`Figure::ALL`]'s run order, so every figure runs after the
+/// figures it reads.
 const FIGURE_PINS: &[(Figure, u64)] = &[
+    (Figure::GaParams, 0x1c35_b610_b844_828a),
     (Figure::Fig01b, 0x732f_2299_7389_b729),
+    (Figure::Fig02Mapping, 0x6af4_2bb7_a253_312f),
+    (Figure::Fig08, 0x2cb6_25af_673d_5694),
+    (Figure::Fig09Fig10, 0xaaa7_1b30_0ea3_f02a),
+    (Figure::Fig11Fig12, 0xc81d_5c26_6a6f_ffdf),
+    (Figure::Fig13, 0x428f_39ae_1631_de09),
+    (Figure::Fig14, 0x3e39_4a32_791b_2a6c),
     (Figure::MarchComparison, 0x7df3_8d56_02f9_a153),
+    (Figure::Rowhammer, 0x4c08_53a3_e51d_e4a1),
     (Figure::RetentionProfile, 0xcb0d_1966_b5e3_3da2),
+    (Figure::SdcAccounting, 0xb509_dcdc_6a85_708b),
     (Figure::AblationStudy, 0xd4b6_e2ca_dc68_927e),
 ];
 
