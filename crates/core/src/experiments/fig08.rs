@@ -19,7 +19,6 @@ use crate::report::{pattern_prefix, percent_delta, TextTable};
 use crate::scale::ExperimentScale;
 use crate::search::{DStress, EnvKind};
 use dstress_ga::Genome;
-use dstress_stats::mean_pairwise;
 use dstress_vpl::BoundValue;
 use serde::{Deserialize, Serialize};
 
@@ -244,36 +243,8 @@ impl Fig08Report {
     }
 }
 
-/// Verifies the leaderboard-wide SMF the way the paper computes it (over
-/// the 40 worst patterns).
-pub fn leaderboard_smf(summary: &PatternSearchSummary) -> f64 {
-    let bits: Vec<Vec<bool>> = summary
-        .leaderboard
-        .iter()
-        .map(|(w, _)| (0..64).map(|i| (w >> i) & 1 == 1).collect())
-        .collect();
-    mean_pairwise(&bits, |a, b| dstress_stats::sokal_michener(a, b))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn leaderboard_smf_matches_search_similarity_shape() {
-        let summary = PatternSearchSummary {
-            name: "x".into(),
-            leaderboard: vec![(0x3333, 10.0), (0x3333, 9.0), (0x3332, 8.0)],
-            best_fitness: 10.0,
-            similarity: 0.9,
-            converged: true,
-            generations: 5,
-            best_1100_match: 1.0,
-        };
-        let smf = leaderboard_smf(&summary);
-        assert!(smf > 0.9);
-    }
-
     #[test]
     fn canonical_worst_word_scores_full_1100_match() {
         let campaign_best = 0x3333_3333_3333_3333u64;

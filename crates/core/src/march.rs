@@ -390,121 +390,3 @@ mod tests {
         );
     }
 }
-
-/// How well each MARCH test detects a set of injected classic faults
-/// (stuck-at, transition, coupling) — the fault classes the MARCH
-/// literature designs for. Pattern-sensitive *retention* weaknesses are a
-/// different population: no MARCH background reaches them (that is the
-/// paper's thesis, and the [`measure_march`] comparison shows it).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DetectionReport {
-    /// Faults injected per class: (stuck-at, transition, coupling).
-    pub injected: (usize, usize, usize),
-    /// `(test name, read-verify mismatches)` per MARCH algorithm.
-    pub detections: Vec<(String, u64)>,
-}
-
-/// Injects a deterministic set of classic faults into DIMM2 and runs every
-/// MARCH algorithm against them.
-///
-/// # Errors
-///
-/// Propagates session failures.
-pub fn fault_detection(
-    dstress: &DStress,
-    stuck: usize,
-    transition: usize,
-    coupling: usize,
-) -> Result<DetectionReport, DStressError> {
-    use dstress_dram::{Location, LogicalFault};
-    let scale = &dstress.scale;
-    let geo = scale.server.dimm.geometry;
-    let words = scale.dimm_words();
-    let mut detections = Vec::new();
-    for test in MarchTest::all() {
-        // A fresh server per test so earlier sweeps don't mask faults.
-        let mut server = dstress.server_at(scale.server.ambient_c)?;
-        let place = |i: usize, salt: u32| -> Location {
-            // Deterministic spread across the DIMM.
-            let idx = (i as u32).wrapping_mul(2654435761).wrapping_add(salt);
-            Location::new(
-                (idx % geo.ranks as u32) as u8,
-                ((idx >> 3) % geo.banks as u32) as u8,
-                (idx >> 7) % geo.rows_per_bank,
-                (idx >> 12) % geo.words_per_row() as u32,
-            )
-        };
-        for i in 0..stuck {
-            server.dimm_mut(2).inject_fault(LogicalFault::StuckAt {
-                loc: place(i, 1),
-                bit: (i % 64) as u8,
-                value: i % 2 == 0,
-            });
-        }
-        for i in 0..transition {
-            server.dimm_mut(2).inject_fault(LogicalFault::Transition {
-                loc: place(i, 2),
-                bit: (i % 64) as u8,
-                to: i % 2 == 0,
-            });
-        }
-        for i in 0..coupling {
-            server.dimm_mut(2).inject_fault(LogicalFault::Coupling {
-                aggressor: place(i, 3),
-                aggressor_bit: (i % 64) as u8,
-                trigger: true,
-                victim: place(i, 4),
-                victim_bit: ((i + 13) % 64) as u8,
-                victim_value: i % 2 == 1,
-            });
-        }
-        let mut session = server.session(2);
-        let base = session
-            .alloc(words * 8)
-            .map_err(|e| DStressError::Experiment(format!("march allocation failed: {e}")))?;
-        let report = test
-            .execute(&mut session, base, words)
-            .map_err(|e| DStressError::Experiment(format!("march execution failed: {e}")))?;
-        detections.push((test.name.clone(), report.mismatches));
-    }
-    Ok(DetectionReport {
-        injected: (stuck, transition, coupling),
-        detections,
-    })
-}
-
-#[cfg(test)]
-mod detection_tests {
-    use super::*;
-    use crate::scale::ExperimentScale;
-
-    #[test]
-    fn march_cminus_is_the_strongest_detector() {
-        let dstress = DStress::new(ExperimentScale::quick(), 61);
-        let report = fault_detection(&dstress, 6, 6, 6).unwrap();
-        let get = |name: &str| -> u64 {
-            report
-                .detections
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, d)| *d)
-                .expect("test present")
-        };
-        // Every algorithm sees the stuck-at faults.
-        for (name, d) in &report.detections {
-            assert!(*d > 0, "{name} detected nothing");
-        }
-        // MARCH C- (10N, both directions) dominates the simple scans.
-        assert!(get("MARCH C-") >= get("MSCAN"), "C- must dominate MSCAN");
-        assert!(get("MARCH C-") >= get("MATS+"), "C- must dominate MATS+");
-    }
-
-    #[test]
-    fn healthy_memory_yields_no_detections() {
-        let dstress = DStress::new(ExperimentScale::quick(), 62);
-        let report = fault_detection(&dstress, 0, 0, 0).unwrap();
-        for (name, d) in &report.detections {
-            assert_eq!(*d, 0, "{name} mismatched on a healthy DIMM");
-        }
-    }
-}

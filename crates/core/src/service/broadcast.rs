@@ -171,6 +171,7 @@ impl<T: Clone> EventBus<T> {
     }
 
     /// How many subscribers are currently alive.
+    #[cfg(test)]
     pub fn subscriber_count(&self) -> usize {
         let mut subscribers = lock(&self.subscribers);
         subscribers.retain(|weak| weak.upgrade().is_some());

@@ -127,28 +127,6 @@ impl AddressMap {
         let chunk = (loc.rank as u64 * rows + loc.row as u64) * banks + loc.bank as u64;
         Ok(chunk * row_bytes + loc.col as u64 * 8)
     }
-
-    /// The address of the first byte of the 8 KB chunk holding `addr`.
-    pub fn chunk_base(&self, addr: u64) -> u64 {
-        addr - addr % self.geometry.row_bytes as u64
-    }
-
-    /// Iterates the 64-bit-aligned addresses of a whole row, in column
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AddressError::BadLocation`] when the row lies outside the
-    /// geometry.
-    pub fn row_addrs(
-        &self,
-        rank: u8,
-        bank: u8,
-        row: u32,
-    ) -> Result<impl Iterator<Item = u64> + '_, AddressError> {
-        let base = self.unmap(Location::new(rank, bank, row, 0))?;
-        Ok((0..self.geometry.words_per_row() as u64).map(move |w| base + w * 8))
-    }
 }
 
 #[cfg(test)]
@@ -224,24 +202,6 @@ mod tests {
             map().unmap(Location::new(5, 0, 0, 0)).unwrap_err(),
             AddressError::BadLocation
         );
-    }
-
-    #[test]
-    fn chunk_base_truncates_to_row() {
-        let m = map();
-        assert_eq!(m.chunk_base(8192 + 24), 8192);
-        assert_eq!(m.chunk_base(8191), 0);
-    }
-
-    #[test]
-    fn row_addrs_covers_the_row_in_order() {
-        let m = map();
-        let addrs: Vec<u64> = m.row_addrs(0, 3, 2).unwrap().collect();
-        assert_eq!(addrs.len(), 1024);
-        for (i, a) in addrs.iter().enumerate() {
-            let loc = m.map(*a).unwrap();
-            assert_eq!(loc, Location::new(0, 3, 2, i as u32));
-        }
     }
 
     proptest! {

@@ -254,6 +254,7 @@ impl RowStore {
     /// # Panics
     ///
     /// Panics if the row or bit is outside the geometry.
+    #[cfg(test)]
     pub fn read_bit(&self, row: RowKey, bit_in_row: u32) -> bool {
         assert!(
             (bit_in_row as usize) < self.geometry.bits_per_row(),

@@ -6,7 +6,6 @@ use crate::contents::RowStore;
 use crate::disturb::{ActivationCounts, DisturbanceModel};
 use crate::env::OperatingEnv;
 use crate::events::WordEvent;
-use crate::faults::FaultSet;
 use crate::geometry::{DimmGeometry, Location, RowKey};
 use crate::plan::{PlanError, RunPlan, VrtWord};
 use crate::retention::PhysicsParams;
@@ -277,7 +276,6 @@ pub struct Dimm {
     live: Option<([u64; 4], Arc<LiveCells>)>,
     /// One row of the default fill: what an unwritten row reads as.
     default_row: Arc<[u64]>,
-    faults: FaultSet,
 }
 
 impl Dimm {
@@ -324,7 +322,6 @@ impl Dimm {
             probes: Arc::default(),
             live: None,
             default_row: vec![config.default_fill; config.geometry.words_per_row()].into(),
-            faults: FaultSet::new(),
         }
     }
 
@@ -361,105 +358,51 @@ impl Dimm {
         &self.topology
     }
 
-    /// Injects a logical (hard) fault into the array — see
-    /// [`crate::faults`] for the fault classes. Used by the MARCH-test
-    /// experiments; the GA campaigns run on fault-free devices, as the
-    /// paper's DIMMs passed their vendor tests.
-    pub fn inject_fault(&mut self, fault: crate::faults::LogicalFault) {
-        self.faults.inject(fault);
-    }
-
-    /// The injected logical faults.
-    pub fn faults(&self) -> &FaultSet {
-        &self.faults
-    }
-
-    /// Writes one 64-bit word (honouring injected transition and coupling
-    /// faults).
+    /// Writes one 64-bit word.
     ///
     /// # Panics
     ///
     /// Panics if the location is outside the geometry.
     pub fn write_word(&mut self, loc: Location, value: u64) {
-        if self.faults.is_empty() {
-            self.contents.write_word(loc, value);
-            return;
-        }
-        let old = self.contents.read_word(loc);
-        let stored = self.faults.apply_on_write(loc, old, value);
-        self.contents.write_word(loc, stored);
-        for (victim, bit, forced) in self.faults.coupling_side_effects(loc, old, stored) {
-            let current = self.contents.read_word(victim);
-            let new = if forced {
-                current | (1 << bit)
-            } else {
-                current & !(1 << bit)
-            };
-            self.contents.write_word(victim, new);
-        }
+        self.contents.write_word(loc, value);
     }
 
     /// Reads one 64-bit word (logical contents; transient retention errors
     /// are corrected by the platform's scrubbing, so reads return what was
-    /// written — except where an injected stuck-at fault corrupts the
-    /// read).
+    /// written).
     ///
     /// # Panics
     ///
     /// Panics if the location is outside the geometry.
     pub fn read_word(&self, loc: Location) -> u64 {
-        let value = self.contents.read_word(loc);
-        if self.faults.is_empty() {
-            value
-        } else {
-            self.faults.apply_on_read(loc, value)
-        }
+        self.contents.read_word(loc)
     }
 
     /// Reads the 64-bit word at a DIMM-local address (the low three bits
     /// are ignored): [`Self::read_word`] at the address's
-    /// [`AddressMap::map`] location, decoded with one divide. Falls back to
-    /// that decode when logical faults are injected (they are keyed by
-    /// location).
+    /// [`AddressMap::map`] location, decoded with one divide.
     ///
     /// # Panics
     ///
     /// Panics if the address is beyond the DIMM capacity.
     #[inline]
     pub fn read_addr(&self, addr: u64) -> u64 {
-        if self.faults.is_empty() {
-            self.contents.read_addr(addr)
-        } else {
-            self.read_word(self.locate(addr))
-        }
+        self.contents.read_addr(addr)
     }
 
     /// Writes the 64-bit word at a DIMM-local address (the low three bits
     /// are ignored): [`Self::write_word`] at the address's
-    /// [`AddressMap::map`] location, decoded with one divide. Falls back to
-    /// that decode when logical faults are injected.
+    /// [`AddressMap::map`] location, decoded with one divide.
     ///
     /// # Panics
     ///
     /// Panics if the address is beyond the DIMM capacity.
     #[inline]
     pub fn write_addr(&mut self, addr: u64, value: u64) {
-        if self.faults.is_empty() {
-            self.contents.write_addr(addr, value);
-        } else {
-            self.write_word(self.locate(addr), value);
-        }
+        self.contents.write_addr(addr, value);
     }
 
-    /// The location of a DIMM-local address (the low three bits ignored).
-    fn locate(&self, addr: u64) -> Location {
-        self.map
-            .map(addr & !7)
-            .expect("address within DIMM capacity")
-    }
-
-    /// Overwrites a whole row at once (fast path for fill phases),
-    /// honouring injected faults as [`Self::write_words`] does.
+    /// Overwrites a whole row at once (fast path for fill phases).
     ///
     /// # Panics
     ///
@@ -474,41 +417,25 @@ impl Dimm {
     }
 
     /// Writes a contiguous run of words within one row: one row lookup
-    /// instead of one per word. Falls back to per-word writes when logical
-    /// faults are injected (fault side-effects are word-granular).
+    /// instead of one per word.
     ///
     /// # Panics
     ///
     /// Panics if the span starts outside the geometry or runs past the end
     /// of the row.
     pub fn write_words(&mut self, start: Location, values: &[u64]) {
-        if self.faults.is_empty() {
-            self.contents.write_words(start, values);
-        } else {
-            for (i, &value) in values.iter().enumerate() {
-                let loc = Location::new(start.rank, start.bank, start.row, start.col + i as u32);
-                self.write_word(loc, value);
-            }
-        }
+        self.contents.write_words(start, values);
     }
 
     /// Reads a contiguous run of words within one row: one row lookup
-    /// instead of one per word. Falls back to per-word reads when logical
-    /// faults are injected (stuck-at corruption is word-granular).
+    /// instead of one per word.
     ///
     /// # Panics
     ///
     /// Panics if the span starts outside the geometry or runs past the end
     /// of the row.
     pub fn read_words(&self, start: Location, out: &mut [u64]) {
-        if self.faults.is_empty() {
-            self.contents.read_words(start, out);
-        } else {
-            for (i, slot) in out.iter_mut().enumerate() {
-                let loc = Location::new(start.rank, start.bank, start.row, start.col + i as u32);
-                *slot = self.read_word(loc);
-            }
-        }
+        self.contents.read_words(start, out);
     }
 
     /// The contents generation counter — bumped whenever stored bits
@@ -1166,7 +1093,6 @@ mod tests {
         for e in d.advance_window(&env, &ActivationCounts::new(), 0) {
             assert_eq!(e.written, WORST);
             assert_ne!(e.flip_mask, 0);
-            assert_ne!(e.corrupted(), e.written);
         }
     }
 
@@ -1348,7 +1274,8 @@ mod tests {
     /// Drives one DIMM through `write_addr`/`read_addr` and a twin through
     /// `AddressMap::map` + `write_word`/`read_word`, word by word, and
     /// checks that values, generation bumps and materialized rows agree.
-    fn assert_addr_path_matches_location_path(fault: Option<crate::LogicalFault>) {
+    #[test]
+    fn address_path_matches_location_path() {
         // Not a power of two in any dimension, so no bit slicing could
         // stand in for the divide.
         let geometry = DimmGeometry {
@@ -1364,10 +1291,6 @@ mod tests {
         };
         let mut by_addr = Dimm::new(config, 5);
         let mut by_loc = Dimm::new(config, 5);
-        if let Some(fault) = fault {
-            by_addr.inject_fault(fault);
-            by_loc.inject_fault(fault);
-        }
         let map = by_loc.address_map();
         let capacity = geometry.capacity_bytes();
         let check = |by_addr: &Dimm, by_loc: &Dimm| {
@@ -1399,22 +1322,6 @@ mod tests {
     }
 
     #[test]
-    fn address_path_matches_location_path() {
-        assert_addr_path_matches_location_path(None);
-    }
-
-    #[test]
-    fn address_path_matches_location_path_with_stuck_at_fault() {
-        assert_addr_path_matches_location_path(Some(crate::LogicalFault::StuckAt {
-            // Bit 3 is set in the default fill and in the value written
-            // there, so the fault shows on every read of the word.
-            loc: Location::new(1, 2, 4, 1),
-            bit: 3,
-            value: false,
-        }));
-    }
-
-    #[test]
     fn write_words_matches_per_word_writes() {
         let mut a = dimm(31);
         let mut b = dimm(31);
@@ -1430,50 +1337,6 @@ mod tests {
         for i in 0..values.len() as u32 + 1 {
             let loc = Location::new(start.rank, start.bank, start.row, start.col + i);
             assert_eq!(a.read_word(loc), b.read_word(loc));
-        }
-    }
-
-    #[test]
-    fn write_row_honours_injected_faults() {
-        use crate::LogicalFault;
-        let at = |col| Location::new(0, 1, 3, col);
-        let victim = Location::new(1, 0, 0, 7);
-        let faults = [
-            // The 0→1 write of bit 0 fails in column 2.
-            LogicalFault::Transition {
-                loc: at(2),
-                bit: 0,
-                to: true,
-            },
-            // A 0→1 write of bit 4 in column 5 sets bit 9 of a word in
-            // another row.
-            LogicalFault::Coupling {
-                aggressor: at(5),
-                aggressor_bit: 4,
-                trigger: true,
-                victim,
-                victim_bit: 9,
-                victim_value: true,
-            },
-        ];
-        let (mut by_row, mut by_word) = (dimm(7), dimm(7));
-        for d in [&mut by_row, &mut by_word] {
-            for fault in faults {
-                d.inject_fault(fault);
-            }
-            for loc in [at(2), at(5), victim] {
-                d.write_word(loc, 0);
-            }
-        }
-        let words = vec![u64::MAX; by_row.geometry().words_per_row()];
-        by_row.write_row(RowKey::new(0, 1, 3), &words);
-        for (col, &value) in (0..).zip(&words) {
-            by_word.write_word(at(col), value);
-        }
-        assert_eq!(by_row.read_word(at(2)), !1);
-        assert_eq!(by_row.read_word(victim), 1 << 9);
-        for loc in (0..words.len() as u32).map(at).chain([victim]) {
-            assert_eq!(by_row.read_word(loc), by_word.read_word(loc), "{loc}");
         }
     }
 
@@ -1622,7 +1485,13 @@ mod tests {
         // original.
         let peak = vec![2.0 * d.config.disturbance.max_factor; quiet.len()];
         let moved = [
-            (env.with_temp(61.0), &quiet),
+            (
+                OperatingEnv {
+                    temp_c: 61.0,
+                    ..env
+                },
+                &quiet,
+            ),
             (OperatingEnv { vdd_v: 1.45, ..env }, &quiet),
             (env.with_trefp(1.0), &quiet),
             (env, &peak),

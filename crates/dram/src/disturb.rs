@@ -54,11 +54,6 @@ impl ActivationCounts {
         self.counts.iter().map(|(k, v)| (*k, *v))
     }
 
-    /// Number of distinct rows activated.
-    pub fn distinct_rows(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Total activations across all rows.
     pub fn total(&self) -> u64 {
         self.counts.values().sum()
@@ -70,15 +65,6 @@ impl ActivationCounts {
         for v in self.counts.values_mut() {
             *v = v.saturating_mul(factor);
         }
-    }
-
-    /// Multiplies every count by a real factor, rounding to the nearest
-    /// integer (used when replaying a trace pass at a fractional rate).
-    pub fn scale_rounded(&mut self, factor: f64) {
-        for v in self.counts.values_mut() {
-            *v = (*v as f64 * factor).round().max(0.0) as u64;
-        }
-        self.counts.retain(|_, v| *v > 0);
     }
 
     /// Removes all counts (the auto-refresh recharges victims, so each
@@ -180,7 +166,7 @@ mod tests {
         acts.add(row, 5);
         acts.add(RowKey::new(0, 1, 3), 1);
         assert_eq!(acts.get(row), 15);
-        assert_eq!(acts.distinct_rows(), 2);
+        assert_eq!(acts.iter().count(), 2);
         assert_eq!(acts.total(), 16);
     }
 
@@ -188,7 +174,7 @@ mod tests {
     fn zero_adds_are_ignored() {
         let mut acts = ActivationCounts::new();
         acts.add(RowKey::new(0, 0, 0), 0);
-        assert_eq!(acts.distinct_rows(), 0);
+        assert_eq!(acts.iter().count(), 0);
     }
 
     #[test]

@@ -65,13 +65,6 @@ impl OperatingEnv {
         self
     }
 
-    /// Returns a copy with a different temperature.
-    #[must_use]
-    pub fn with_temp(mut self, temp_c: f64) -> Self {
-        self.temp_c = temp_c;
-        self
-    }
-
     /// Validates physical plausibility of the operating point.
     pub fn validate(&self) -> Result<(), EnvError> {
         if !(self.temp_c.is_finite() && (-50.0..=150.0).contains(&self.temp_c)) {
@@ -126,9 +119,9 @@ mod tests {
 
     #[test]
     fn with_helpers_replace_fields() {
-        let e = OperatingEnv::nominal(50.0).with_trefp(1.0).with_temp(62.0);
+        let e = OperatingEnv::nominal(50.0).with_trefp(1.0);
         assert_eq!(e.trefp_s, 1.0);
-        assert_eq!(e.temp_c, 62.0);
+        assert_eq!(e.temp_c, 50.0);
         assert_eq!(e.vdd_v, NOMINAL_VDD_V);
     }
 

@@ -23,11 +23,6 @@ impl WordEvent {
     pub fn flipped_bits(&self) -> u32 {
         self.flip_mask.count_ones()
     }
-
-    /// The corrupted value as stored in the array.
-    pub fn corrupted(&self) -> u64 {
-        self.written ^ self.flip_mask
-    }
 }
 
 impl std::fmt::Display for WordEvent {
@@ -54,7 +49,6 @@ mod tests {
             flip_mask: 0b0110,
         };
         assert_eq!(e.flipped_bits(), 2);
-        assert_eq!(e.corrupted(), 0b1010);
     }
 
     #[test]

@@ -52,7 +52,6 @@ pub mod dimm;
 pub mod disturb;
 pub mod env;
 pub mod events;
-pub mod faults;
 pub mod geometry;
 pub mod plan;
 pub mod retention;
@@ -64,7 +63,6 @@ pub use dimm::{Dimm, DimmConfig};
 pub use disturb::{ActivationCounts, DisturbanceModel};
 pub use env::OperatingEnv;
 pub use events::WordEvent;
-pub use faults::{FaultSet, LogicalFault};
 pub use geometry::{DimmGeometry, Location};
 pub use plan::{PlanError, RunPlan, VrtWord, MAX_LANES};
 pub use retention::PhysicsParams;

@@ -109,6 +109,10 @@ impl PhysicsParams {
     /// * `disturbance` — accumulated row-disturbance factor (≥ 0);
     /// * `vrt_degraded` — whether the cell currently sits in its degraded
     ///   VRT state.
+    ///
+    /// The window loops apply this formula cell by cell with the
+    /// interference factor precomputed; the tests state its physics here.
+    #[cfg(test)]
     #[allow(clippy::too_many_arguments)]
     pub fn effective_retention_s(
         &self,
@@ -136,12 +140,6 @@ impl PhysicsParams {
             retention *= self.discharged_retention_mult;
         }
         retention
-    }
-
-    /// Whether a cell with the given effective retention fails within one
-    /// refresh window.
-    pub fn fails(&self, effective_retention_s: f64, env: &OperatingEnv) -> bool {
-        effective_retention_s < env.trefp_s
     }
 }
 
@@ -212,14 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn failure_is_threshold_on_trefp() {
-        let p = params();
-        let env = OperatingEnv::relaxed(60.0);
-        assert!(p.fails(env.trefp_s * 0.99, &env));
-        assert!(!p.fails(env.trefp_s * 1.01, &env));
-    }
-
-    #[test]
     fn relaxed_point_is_much_more_stressful_than_nominal() {
         // The combination of 35x TREFP and lowered VDD must dominate: a cell
         // that barely survives nominal 64 ms fails hard at 2.283 s.
@@ -229,8 +219,8 @@ mod tests {
         let base = 1.0; // a weak cell: 1 s base retention
         let eff_nom = p.effective_retention_s(base, &nominal, true, 0, 0, 0.0, false);
         let eff_rel = p.effective_retention_s(base, &relaxed, true, 0, 0, 0.0, false);
-        assert!(!p.fails(eff_nom, &nominal));
-        assert!(p.fails(eff_rel, &relaxed));
+        assert!(eff_nom >= nominal.trefp_s);
+        assert!(eff_rel < relaxed.trefp_s);
     }
 
     proptest! {

@@ -38,14 +38,6 @@ impl CellKind {
             CellKind::Anti => !value,
         }
     }
-
-    /// The logic value this cell presents after losing its charge.
-    pub fn discharged_value(self) -> bool {
-        match self {
-            CellKind::True => false,
-            CellKind::Anti => true,
-        }
-    }
 }
 
 /// Configuration of the hidden topology.
@@ -218,8 +210,6 @@ mod tests {
         assert!(!CellKind::True.charged(false));
         assert!(CellKind::Anti.charged(false));
         assert!(!CellKind::Anti.charged(true));
-        assert!(!CellKind::True.discharged_value());
-        assert!(CellKind::Anti.discharged_value());
     }
 
     #[test]

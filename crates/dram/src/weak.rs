@@ -257,11 +257,6 @@ impl WeakCellPopulation {
     pub fn total_cells(&self) -> usize {
         self.total_cells
     }
-
-    /// Number of words carrying two or more weak bits (UE-prone words).
-    pub fn multi_bit_words(&self) -> usize {
-        self.words.iter().filter(|w| w.cells.len() >= 2).count()
-    }
 }
 
 /// Draws a standard-normal variate via Box–Muller.
@@ -309,7 +304,7 @@ mod tests {
     #[test]
     fn pairs_create_multi_bit_words() {
         let pop = population(4);
-        let pairs = pop.multi_bit_words();
+        let pairs = pop.words().iter().filter(|w| w.cells.len() >= 2).count();
         // 50 pairs per rank x 2 ranks, minus rare collisions with singles
         // that can merge words (making them multi-bit too).
         assert!(pairs >= 90, "only {pairs} multi-bit words");

@@ -126,11 +126,6 @@ impl EccCounters {
         self.inner.lock().count(kind);
     }
 
-    /// Records many outcomes of the same kind at once (bulk scrub results).
-    pub fn record_many(&self, kind: EventKind, count: u64) {
-        self.inner.lock().count_many(kind, count);
-    }
-
     /// Adds a whole counter delta under one lock: the bulk equivalent of
     /// one [`Self::record`] per outcome it counts.
     pub fn record_snapshot(&self, delta: &CounterSnapshot) {
@@ -141,12 +136,6 @@ impl EccCounters {
     /// Returns a copy of the current tallies.
     pub fn snapshot(&self) -> CounterSnapshot {
         *self.inner.lock()
-    }
-
-    /// Resets all tallies to zero (the paper clears EDAC counters between
-    /// virus runs).
-    pub fn reset(&self) {
-        *self.inner.lock() = CounterSnapshot::default();
     }
 }
 
@@ -175,13 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn record_many_bulk() {
-        let c = EccCounters::new();
-        c.record_many(EventKind::Ce, 1000);
-        assert_eq!(c.snapshot().ce, 1000);
-    }
-
-    #[test]
     fn record_snapshot_adds_every_field() {
         let c = EccCounters::new();
         c.record(EventKind::Ce);
@@ -194,14 +176,6 @@ mod tests {
         };
         c.record_snapshot(&delta);
         assert_eq!(c.snapshot(), CounterSnapshot { ce: 3, ..delta });
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let c = EccCounters::new();
-        c.record(EventKind::Ce);
-        c.reset();
-        assert_eq!(c.snapshot(), CounterSnapshot::default());
     }
 
     #[test]

@@ -118,8 +118,9 @@ impl Codeword {
         }
     }
 
-    /// Reconstructs a codeword from raw stored bits (e.g. read back from the
-    /// simulated DRAM array) without any checking.
+    /// Builds a codeword from raw stored bits without any checking, so
+    /// tests can state arbitrary check bytes.
+    #[cfg(test)]
     pub fn from_raw(data: u64, check: u8) -> Self {
         Codeword { data, check }
     }

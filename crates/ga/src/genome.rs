@@ -86,6 +86,7 @@ impl BitGenome {
     }
 
     /// Builds a chromosome by repeating a 64-bit word.
+    #[cfg(test)]
     pub fn repeat_word(word: u64, len: usize) -> Self {
         let mut words = vec![word; len.div_ceil(64)];
         mask_tail(&mut words, len);

@@ -5,7 +5,7 @@
 //! the ablation benches — two-point and uniform recombination — behind a
 //! common strategy enum.
 
-use crate::genome::{BitGenome, Genome, IntGenome};
+use crate::genome::{BitGenome, Genome};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -64,58 +64,6 @@ impl CrossoverOp {
                     }
                 }
                 (c, d)
-            }
-        }
-    }
-
-    /// Recombines two integer genomes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the genomes have different lengths or domains.
-    pub fn cross_ints(
-        &self,
-        a: &IntGenome,
-        b: &IntGenome,
-        rng: &mut StdRng,
-    ) -> (IntGenome, IntGenome) {
-        assert_eq!(a.len(), b.len(), "crossover needs equal lengths");
-        assert_eq!(a.bounds(), b.bounds(), "crossover needs matching domains");
-        match self {
-            CrossoverOp::SinglePoint => a.crossover(b, rng),
-            CrossoverOp::TwoPoint => {
-                if a.len() < 3 {
-                    return a.crossover(b, rng);
-                }
-                let mut p1 = rng.gen_range(1..a.len());
-                let mut p2 = rng.gen_range(1..a.len());
-                if p1 > p2 {
-                    std::mem::swap(&mut p1, &mut p2);
-                }
-                let (lo, hi) = a.bounds();
-                let mut va = a.values().to_vec();
-                let mut vb = b.values().to_vec();
-                for i in p1..p2 {
-                    std::mem::swap(&mut va[i], &mut vb[i]);
-                }
-                (
-                    IntGenome::new(va, lo, hi).expect("children stay in domain"),
-                    IntGenome::new(vb, lo, hi).expect("children stay in domain"),
-                )
-            }
-            CrossoverOp::Uniform => {
-                let (lo, hi) = a.bounds();
-                let mut va = a.values().to_vec();
-                let mut vb = b.values().to_vec();
-                for i in 0..va.len() {
-                    if rng.gen::<bool>() {
-                        std::mem::swap(&mut va[i], &mut vb[i]);
-                    }
-                }
-                (
-                    IntGenome::new(va, lo, hi).expect("children stay in domain"),
-                    IntGenome::new(vb, lo, hi).expect("children stay in domain"),
-                )
             }
         }
     }
@@ -181,28 +129,6 @@ mod tests {
             for i in 0..48 {
                 assert!(c.bit(i) == a.bit(i) || c.bit(i) == b.bit(i));
                 assert!((c.bit(i) == a.bit(i)) == (d.bit(i) == b.bit(i)));
-            }
-        }
-    }
-
-    #[test]
-    fn int_variants_respect_domains() {
-        let mut r = rng();
-        let a = IntGenome::random(&mut r, 16, 0, 20);
-        let b = IntGenome::random(&mut r, 16, 0, 20);
-        for op in [
-            CrossoverOp::SinglePoint,
-            CrossoverOp::TwoPoint,
-            CrossoverOp::Uniform,
-        ] {
-            let (c, d) = op.cross_ints(&a, &b, &mut r);
-            assert!(c.values().iter().all(|&v| v <= 20));
-            assert!(d.values().iter().all(|&v| v <= 20));
-            // Multiset of genes is conserved position-wise.
-            for i in 0..16 {
-                let pair = (c.values()[i], d.values()[i]);
-                let orig = (a.values()[i], b.values()[i]);
-                assert!(pair == orig || pair == (orig.1, orig.0));
             }
         }
     }

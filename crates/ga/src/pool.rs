@@ -44,7 +44,7 @@
 //!
 //! [`Hazard::KillWorker`]: crate::supervise::Hazard::KillWorker
 
-use crate::engine::{EvalStats, PoolRoundStats, RoundExecution, SearchSession};
+use crate::engine::{PoolRoundStats, RoundExecution, SearchSession};
 use crate::fitness::ParallelFitness;
 use crate::genome::Genome;
 use crate::supervise::{
@@ -765,17 +765,6 @@ where
         while !self.tick().is_empty() {}
     }
 
-    /// The deterministic cross-campaign merge of every session's
-    /// [`EvalStats`] (see [`EvalStats::merge`]) — the pool-wide view a
-    /// multi-tenant driver reports.
-    pub fn merged_eval_stats(&self) -> EvalStats {
-        let mut merged = EvalStats::default();
-        for campaign in self.campaigns.iter().flatten() {
-            merged.merge(campaign.session.eval_stats());
-        }
-        merged
-    }
-
     /// Consumes the scheduler: the live sessions (in add order; removed
     /// campaigns are skipped) and the pool's replicas, ready for
     /// [`absorb`](ParallelFitness::absorb).
@@ -793,7 +782,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{GaConfig, SearchResult};
+    use crate::engine::{EvalStats, GaConfig, SearchResult};
     use crate::fitness::Fitness;
     use crate::genome::BitGenome;
     use crate::supervise::Hazard;
@@ -975,17 +964,12 @@ mod tests {
         }
         scheduler.run();
         assert!(scheduler.idle());
-        let merged = scheduler.merged_eval_stats();
         let (sessions, replicas) = scheduler.finish();
         assert_eq!(replicas.len(), 3);
         for ((session, reference), &seed) in sessions.into_iter().zip(&solo).zip(&seeds) {
             let result = session.finish();
             assert_same_search(&result, reference, &format!("seed={seed}"));
         }
-        assert_eq!(
-            merged.evaluations,
-            solo.iter().map(|r| r.eval_stats.evaluations).sum::<u64>()
-        );
     }
 
     #[test]

@@ -155,6 +155,7 @@ impl HazardPlan {
     }
 
     /// Whether any hazard is still scheduled.
+    #[cfg(test)]
     pub fn is_exhausted(&self) -> bool {
         let inner = self.inner.lock().expect("hazard plan poisoned");
         inner.scheduled.is_empty() && inner.kills.is_empty()

@@ -9,7 +9,6 @@
 //! [`RunOutcome`] is that fold over one run.
 
 use crate::config::ServerConfig;
-use crate::power::{PowerModel, PowerReport};
 use crate::replay::ReplayProfile;
 use crate::session::{RecordedRun, Session};
 use crate::thermal::{SettleReport, ThermalError, ThermalTestbed};
@@ -685,16 +684,6 @@ impl XGene2Server {
         self.mcus[mcu].dimm.write_words(loc, values);
     }
 
-    /// Zeroes all EDAC counters (done between virus runs, as on the real
-    /// server).
-    pub fn reset_counters(&mut self) {
-        for per_mcu in &self.counters {
-            for c in per_mcu {
-                c.reset();
-            }
-        }
-    }
-
     /// Snapshot of every (MCU, rank) error domain.
     pub fn counters(&self) -> Vec<DomainCounts> {
         let mut out = Vec::with_capacity(MCUS * RANKS);
@@ -1070,22 +1059,6 @@ impl XGene2Server {
             windows,
         ))
     }
-
-    /// Measures server power at the current operating points, given the
-    /// DRAM access rate each DIMM sustains.
-    pub fn measure_power(
-        &self,
-        model: &PowerModel,
-        dram_accesses_per_s: &[f64; MCUS],
-    ) -> PowerReport {
-        model.report((0..MCUS).map(|i| {
-            (
-                self.mcus[i].trefp_s,
-                self.vdd_for_mcu(i),
-                dram_accesses_per_s[i],
-            )
-        }))
-    }
 }
 
 /// Derives the per-(window, MCU) VRT nonce from a run nonce — the one
@@ -1282,7 +1255,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_across_runs_and_reset() {
+    fn counters_accumulate_across_runs() {
         let mut sv = server();
         sv.relax_second_domain();
         sv.set_dimm_temperature(2, 60.0).unwrap();
@@ -1291,9 +1264,6 @@ mod tests {
         let b = sv.evaluate_run(&run, 1).unwrap();
         let total: u64 = sv.counters().iter().map(|d| d.counts.visible()).sum();
         assert_eq!(total, a.totals.visible() + b.totals.visible());
-        sv.reset_counters();
-        let zero: u64 = sv.counters().iter().map(|d| d.counts.visible()).sum();
-        assert_eq!(zero, 0);
     }
 
     #[test]
@@ -1625,21 +1595,11 @@ mod tests {
         let a = sv.evaluate_run(&run, 5).unwrap();
         let b = replica.evaluate_run(&run, 5).unwrap();
         assert_eq!(a, b, "a replica must reproduce the original's outcomes");
-        // The copies are independent: resetting one leaves the other's
-        // accumulated counters untouched.
-        sv.reset_counters();
+        // The copies are independent: another run on one leaves the
+        // other's accumulated counters untouched.
+        let next = sv.evaluate_run(&run, 6).unwrap();
+        assert!(next.totals.visible() > 0);
         let replica_total: u64 = replica.counters().iter().map(|d| d.counts.visible()).sum();
         assert_eq!(replica_total, b.totals.visible());
-    }
-
-    #[test]
-    fn measure_power_reflects_knobs() {
-        let mut sv = server();
-        let model = PowerModel::default();
-        let before = sv.measure_power(&model, &[0.0; 4]);
-        sv.relax_second_domain();
-        let after = sv.measure_power(&model, &[0.0; 4]);
-        assert!(after.dram_w < before.dram_w);
-        assert!(after.system_w < before.system_w);
     }
 }

@@ -254,6 +254,7 @@ impl RecordedRun {
     }
 
     /// A run holding the given operations (test/workload construction).
+    #[cfg(test)]
     pub fn from_trace(ops: impl IntoIterator<Item = TraceOp>, target_mcu: usize) -> Self {
         let mut run = RecordedRun::idle(target_mcu);
         for op in ops {

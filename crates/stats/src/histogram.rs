@@ -164,16 +164,6 @@ impl Histogram {
         self.lo + (i as f64 + 0.5) * self.bin_width()
     }
 
-    /// Empirical probability density per bin (`count / (total * width)`), so
-    /// the histogram integrates to the in-range fraction of the data.
-    pub fn density(&self) -> Vec<f64> {
-        if self.total == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        let norm = 1.0 / (self.total as f64 * self.bin_width());
-        self.counts.iter().map(|&c| c as f64 * norm).collect()
-    }
-
     /// Renders a compact ASCII bar chart (one line per bin), for the
     /// figure runner.
     pub fn render_ascii(&self, max_width: usize) -> String {
@@ -244,16 +234,6 @@ mod tests {
         assert_eq!(h.overflow(), 1);
         assert_eq!(h.total(), 2);
         assert_eq!(h.counts(), &[0, 0]);
-    }
-
-    #[test]
-    fn density_integrates_to_in_range_fraction() {
-        let mut h = Histogram::new(0.0, 10.0, 5).unwrap();
-        for i in 0..100 {
-            h.add(i as f64 / 10.0);
-        }
-        let integral: f64 = h.density().iter().map(|d| d * h.bin_width()).sum();
-        assert!((integral - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   Table I) and the weighted Jaccard similarity used for integer/real
 //!   chromosomes (Eq. 3).
 //! * [`descriptive`] — running moments (mean, variance, skewness, kurtosis).
-//! * [`normal`] — the normal distribution (PDF, CDF, quantiles, fitting),
+//! * [`normal`] — the normal distribution (CDF, tails, quantiles, fitting),
 //!   used to estimate the probability that a better pattern than the one
 //!   discovered by the GA exists (paper §V-A.5, Fig. 13).
 //! * [`dagostino`] — the D'Agostino–Pearson K² omnibus normality test the

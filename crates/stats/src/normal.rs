@@ -3,9 +3,9 @@
 //! The paper fits a Gaussian to the distribution of CE counts manifested by
 //! randomized data patterns and uses its upper tail to estimate the
 //! probability that a pattern better than the GA-discovered one exists
-//! (§V-A.5, Fig. 13). This module provides the PDF, CDF, quantile function and
-//! a moment fit, with `erf`/`erfc` implemented from scratch (no external math
-//! crates are available offline).
+//! (§V-A.5, Fig. 13). This module provides the CDF, upper tail, quantile
+//! function and a moment fit, with `erfc` implemented from scratch (no
+//! external math crates are available offline).
 
 use crate::descriptive::Moments;
 use serde::{Deserialize, Serialize};
@@ -105,12 +105,6 @@ impl Normal {
         self.std_dev
     }
 
-    /// Probability density function at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / self.std_dev;
-        (-0.5 * z * z).exp() / (self.std_dev * (2.0 * std::f64::consts::PI).sqrt())
-    }
-
     /// Cumulative distribution function `P(X <= x)`.
     pub fn cdf(&self, x: f64) -> f64 {
         let z = (x - self.mean) / (self.std_dev * std::f64::consts::SQRT_2);
@@ -151,16 +145,6 @@ impl Normal {
         }
         0.5 * (lo + hi)
     }
-}
-
-/// The error function, via the Abramowitz & Stegun 7.1.26-style rational
-/// approximation refined with one Newton step against the series; absolute
-/// error below `1.5e-7` before refinement and ~1e-12 after for moderate `x`.
-///
-/// We use the high-accuracy rational expansion from W. J. Cody's algorithm
-/// as adapted for double precision.
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
 }
 
 /// The complementary error function `erfc(x) = 1 - erf(x)` with good
@@ -265,9 +249,12 @@ mod tests {
             (3.0, 0.9999779095030014),
         ];
         for (x, want) in cases {
-            let got = erf(x);
+            let got = 1.0 - erfc(x);
             assert!((got - want).abs() < 1e-9, "erf({x}) = {got}, want {want}");
-            assert!((erf(-x) + want).abs() < 1e-9, "erf(-{x}) should be odd");
+            assert!(
+                (1.0 - erfc(-x) + want).abs() < 1e-9,
+                "erf(-{x}) should be odd"
+            );
         }
     }
 
@@ -304,20 +291,6 @@ mod tests {
             let x = n.quantile(p);
             assert!((n.cdf(x) - p).abs() < 1e-10, "p={p}");
         }
-    }
-
-    #[test]
-    fn pdf_integrates_to_one() {
-        let n = Normal::new(2.0, 0.7).unwrap();
-        // Trapezoid over +-8 sigma.
-        let (a, b) = (2.0 - 8.0 * 0.7, 2.0 + 8.0 * 0.7);
-        let steps = 20_000;
-        let h = (b - a) / steps as f64;
-        let mut sum = 0.5 * (n.pdf(a) + n.pdf(b));
-        for i in 1..steps {
-            sum += n.pdf(a + i as f64 * h);
-        }
-        assert!((sum * h - 1.0).abs() < 1e-6);
     }
 
     #[test]

@@ -21,11 +21,13 @@ pub fn parse_program(global_data: &str, local_data: &str, body: &str) -> Result<
     })
 }
 
-/// Parses a single expression (used by parameter bounds and tests).
+/// Parses a single expression (the parser tests check the expression
+/// grammar through it).
 ///
 /// # Errors
 ///
 /// Returns [`VplError::Parse`] when the input is not exactly one expression.
+#[cfg(test)]
 pub fn parse_expr(source: &str) -> Result<Expr, VplError> {
     let mut p = Parser::new(lex(source)?);
     let e = p.expr()?;
@@ -97,6 +99,7 @@ impl Parser {
         }
     }
 
+    #[cfg(test)]
     fn expect_eof(&mut self) -> Result<(), VplError> {
         match self.peek() {
             None => Ok(()),

@@ -39,15 +39,6 @@ pub struct ParamDecl {
 }
 
 impl ParamDecl {
-    /// Total number of 64-bit degrees of freedom this parameter contributes
-    /// to the chromosome.
-    pub fn arity(&self) -> u64 {
-        match self.shape {
-            ParamShape::Scalar { .. } => 1,
-            ParamShape::Array { len, .. } => len,
-        }
-    }
-
     /// The inclusive domain of each element.
     pub fn bounds(&self) -> (u64, u64) {
         match self.shape {
@@ -505,7 +496,6 @@ for (i = 0; i < 4; i += 1) {
             }
         );
         assert_eq!(p.params()[1].shape, ParamShape::Scalar { lo: 0, hi: 255 });
-        assert_eq!(p.params()[0].arity(), 4);
     }
 
     #[test]
