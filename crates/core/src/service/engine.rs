@@ -188,9 +188,11 @@ fn recovery_policy() -> SupervisionPolicy {
 /// journaled step's replay after a kill gets its old seq back, and
 /// everything else — quarantine notices, steps a recovery re-ran — moves
 /// the numbering ahead of the journal for good. That lead
-/// ([`offset`](Self::offset)) is persisted with every state change, and
-/// a revived campaign numbers on from its checkpoint's steps plus the
-/// lead, so no seq is ever published twice for different events.
+/// ([`offset`](Self::offset)) is persisted with every state change,
+/// together with the journaled steps it is relative to. A revived
+/// campaign numbers on from both, and moves past any steps its journal
+/// gained since when the journal reopens, so no seq is ever published
+/// twice for different events, even when the journal never reopens.
 struct EventLog {
     bus: EventBus<SeqEvent>,
     ring: VecDeque<SeqEvent>,
@@ -202,15 +204,15 @@ struct EventLog {
 }
 
 impl EventLog {
-    /// A stream whose numbering leads its (not yet opened) journal by
+    /// A stream whose numbering leads the journal's `journaled` steps by
     /// `offset`.
-    fn new(capacity: usize, offset: u64) -> Self {
+    fn new(capacity: usize, offset: u64, journaled: u64) -> Self {
         EventLog {
             bus: EventBus::new(capacity),
             ring: VecDeque::new(),
             capacity,
-            last_seq: offset,
-            journaled: 0,
+            last_seq: offset + journaled,
+            journaled,
         }
     }
 
@@ -552,6 +554,7 @@ impl<S: Storage + Clone> ServiceEngine<S> {
                 _ => None,
             },
             seq_offset: runtime.events.offset(),
+            seq_steps: runtime.events.journaled,
         };
         self.registry.write_spec(runtime.id, &stored)
     }
@@ -675,7 +678,7 @@ impl<S: Storage + Clone> ServiceEngine<S> {
                 log,
                 board_genes: HashSet::new(),
             })),
-            events: EventLog::new(self.event_capacity, 0),
+            events: EventLog::new(self.event_capacity, 0, 0),
         });
         if let Err(e) = self.persist_state(self.campaigns.len() - 1) {
             // Roll back: the campaign was never durably registered.
@@ -690,7 +693,7 @@ impl<S: Storage + Clone> ServiceEngine<S> {
 
     /// Rebuilds one campaign recovered by the boot scan.
     fn revive(&mut self, id: u64, stored: StoredSpec) -> io::Result<()> {
-        let mut events = EventLog::new(self.event_capacity, stored.seq_offset);
+        let mut events = EventLog::new(self.event_capacity, stored.seq_offset, stored.seq_steps);
         // Set when the journal cannot be reopened: the campaign is then
         // quarantined, and the rest of the boot proceeds.
         let mut fault = None;
@@ -1468,6 +1471,36 @@ mod tests {
         let mut engine = boot();
         engine.tick();
         assert_eq!(retained(&engine, id, 6), vec![(6, "g4".to_string())]);
+    }
+
+    #[test]
+    fn a_failed_recovery_after_a_restart_numbers_past_every_published_seq() {
+        let storage = SharedStorage::new(MemStorage::new());
+        let boot = || {
+            ServiceEngine::with_storage(storage.clone(), PathBuf::from("daemon"), 1, 64).unwrap()
+        };
+        let mut engine = boot();
+        let (id, _) = engine.submit(quick_spec(5)).unwrap();
+        engine.tick();
+        engine.tick();
+        // The third step's first journal append fails: quarantined, with
+        // the notice one seq ahead of the two journaled steps.
+        storage.with(|s| s.fail_op(0));
+        engine.tick();
+        storage.with(|s| s.clear_faults());
+        assert_eq!(
+            retained(&engine, id, 0),
+            [(1, "g0"), (2, "g1"), (3, "failed")].map(|(seq, kind)| (seq, kind.to_string()))
+        );
+        // Restart with the journal unreadable: the campaign revives
+        // `failed`, and its recovery fails before the journal reopens.
+        drop(engine);
+        let path = PathBuf::from(format!("daemon/c{id}.db.json"));
+        storage.with(|s| s.install(path, b"not a journal".to_vec()));
+        let mut engine = boot();
+        assert_eq!(engine.status(id).unwrap().state, "failed");
+        assert!(engine.set_paused(id, false).is_err());
+        assert_eq!(retained(&engine, id, 4), vec![(4, "failed".to_string())]);
     }
 
     #[test]

@@ -51,6 +51,12 @@ pub struct StoredSpec {
     /// files, where it reads 0.
     #[serde(default)]
     pub seq_offset: u64,
+    /// The journaled steps `seq_offset` is relative to, so a campaign
+    /// whose journal does not reopen after a restart still numbers on
+    /// past every seq it published. Absent in older spec files, where it
+    /// reads 0.
+    #[serde(default)]
+    pub seq_steps: u64,
 }
 
 /// The result file contents: the terminal report and full leaderboard.
@@ -247,6 +253,7 @@ mod tests {
             state: state.into(),
             error: None,
             seq_offset: 0,
+            seq_steps: 0,
         }
     }
 
@@ -305,6 +312,7 @@ mod tests {
         let (_, recovered) = CampaignRegistry::open(&dir).unwrap();
         assert_eq!(recovered[0].stored.state, "paused");
         assert_eq!(recovered[0].stored.seq_offset, 0);
+        assert_eq!(recovered[0].stored.seq_steps, 0);
         assert_eq!(recovered[0].stored.error, None);
         let _ = std::fs::remove_dir_all(&dir);
     }
