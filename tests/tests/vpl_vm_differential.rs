@@ -1,16 +1,21 @@
 //! Differential property tests: the tree-walking [`Interpreter`] is the
 //! reference oracle for the bytecode [`Vm`]. Randomly generated VPL
 //! programs — covering `for` loops, `if`/`else`, compound assignment,
-//! array indexing, malloc'd pointers, and the offset copy and reduce loops
-//! the VM fuses — must produce bit-identical
+//! array indexing, malloc'd pointers, the offset copy and reduce loops
+//! the VM fuses, comparisons as values and as conditions, division by
+//! immediates (zero included), and local declarations that shadow a
+//! global — must produce bit-identical
 //! observable behaviour on both tiers: the same `Result` (stats or
 //! error, including `ExecutionLimit` and out-of-bounds), the same bus
 //! memory image, and the same recorded DRAM trace.
 
+use dstress::templates::{process, ROW_ACCESS, STRIDE_ACCESS};
+use dstress::{EnvKind, ExperimentScale, WORST_WORD};
+use dstress_dram::geometry::RowKey;
 use dstress_platform::session::{SessionError, VirtAddr};
 use dstress_platform::{MemoryBus, ServerConfig, XGene2Server};
 use dstress_vpl::parser::parse_program;
-use dstress_vpl::{compile, ExecLimits, FusedShape, Interpreter, Vm};
+use dstress_vpl::{compile, BoundValue, ExecLimits, FusedShape, Interpreter, ParamShape, Vm};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -103,6 +108,19 @@ impl Gen {
                 let op = ["!", "-"][self.rng.gen_range(0usize..2)];
                 format!("{op}({inner})")
             }
+            // `/` and `%` by an immediate: powers of two (the top bit
+            // included), 1, and 0, which must fail at the same step.
+            5 => {
+                let inner = self.expr(depth - 1);
+                let op = ["/", "%"][self.rng.gen_range(0usize..2)];
+                format!("({inner} {op} {})", self.divisor())
+            }
+            // A comparison used as a value.
+            6 => {
+                let l = self.expr(depth - 1);
+                let r = self.expr(depth - 1);
+                format!("({l} {} {r})", self.comparison())
+            }
             _ => {
                 let ops = [
                     "+", "-", "*", "/", "%", "<<", ">>", "&", "|", "^", "==", "!=", "<", ">", "<=",
@@ -114,6 +132,16 @@ impl Gen {
                 format!("({l} {op} {r})")
             }
         }
+    }
+
+    /// An immediate divisor: a power of two (`0x8000000000000000` the
+    /// largest), 1, 3, or 0.
+    fn divisor(&mut self) -> &'static str {
+        ["1", "2", "4", "0x8000000000000000", "0", "3"][self.rng.gen_range(0usize..6)]
+    }
+
+    fn comparison(&mut self) -> &'static str {
+        ["==", "!=", "<", ">", "<=", ">="][self.rng.gen_range(0usize..6)]
     }
 
     /// An index expression for an array of `words` elements: usually in
@@ -151,7 +179,15 @@ impl Gen {
         let start = self.rng.gen_range(0u64..5);
         let bound = self.rng.gen_range(0u64..7);
         let body = self.block(depth - 1);
-        format!("for ({var} = {start}; {var} < {bound}; {var} += 1) {{ {body} }}")
+        // Every condition ends the loop once `var` passes `bound`.
+        let cond = match self.rng.gen_range(0u32..6) {
+            0 => format!("{var} <= {bound}"),
+            1 => format!("{bound} > {var}"),
+            2 => format!("!({var} >= {bound})"),
+            3 => format!("{var} < {bound} && {var} != 9"),
+            _ => format!("{var} < {bound}"),
+        };
+        format!("for ({var} = {start}; {cond}; {var} += 1) {{ {body} }}")
     }
 
     /// A loop in the offset copy or offset reduce shape the VM fuses:
@@ -196,7 +232,7 @@ impl Gen {
     }
 
     fn stmt(&mut self, depth: u32) -> String {
-        match self.rng.gen_range(0u32..16) {
+        match self.rng.gen_range(0u32..20) {
             0..=3 => {
                 let lv = self.lvalue(1);
                 let op = ["=", "+=", "-=", "*=", "/="][self.rng.gen_range(0usize..5)];
@@ -257,6 +293,31 @@ impl Gen {
                 )
             }
             14 | 15 if depth > 0 && !self.arrays.is_empty() => self.offset_loop(),
+            // `/=` on a local by an immediate divisor.
+            16 => {
+                let local = ["i", "j", "a", "b"][self.rng.gen_range(0usize..4)];
+                format!("{local} /= {};", self.divisor())
+            }
+            // A comparison as an `if` condition.
+            17 if depth > 0 => {
+                let l = self.expr(1);
+                let r = self.expr(1);
+                let cmp = self.comparison();
+                let then = self.block(depth - 1);
+                let els = self.block(depth - 1);
+                format!("if ({l} {cmp} {r}) {{ {then} }} else {{ {els} }}")
+            }
+            // A local declaration that shadows a global: from here on the
+            // global's name is a register, the one run-time change of a
+            // slot's kind. Inside a branch or loop the change is taken on
+            // some paths only.
+            18 if self.scalars.iter().any(|s| s == "gs") => {
+                format!("unsigned long long gs = {};", self.expr(1))
+            }
+            19 if !self.arrays.is_empty() => {
+                let (name, words) = self.arrays[self.rng.gen_range(0..self.arrays.len())].clone();
+                format!("unsigned long long {name} = malloc({});", words * 8)
+            }
             _ => {
                 let lv = self.lvalue(1);
                 format!("{lv} = {};", self.expr(1))
@@ -386,6 +447,66 @@ fn generator_reaches_the_offset_shapes() {
     }
 }
 
+/// The generator must also reach the shapes that change what the
+/// compiler emits: a global shadowed by a local declaration, division by
+/// an immediate power of two and by zero, `/=` on a local, and
+/// comparisons as values and as conditions.
+#[test]
+fn generator_reaches_shadowing_divisors_and_comparisons() {
+    let sources: Vec<String> = (0..200).map(|seed| Gen::new(seed).program().2).collect();
+    for needle in [
+        "unsigned long long gs = ",
+        "unsigned long long g0 = malloc(",
+        " / 0x8000000000000000)",
+        " % 4)",
+        " / 0)",
+        "a /= ",
+        "if ((",
+        " <= ",
+        "!(i >= ",
+    ] {
+        assert!(
+            sources.iter().any(|s| s.contains(needle)),
+            "no `{needle}` in 200 seeds"
+        );
+    }
+}
+
+/// More locals than a 16-bit register index can name: every one of them
+/// keeps its value, the last ones serve as loop counter, accumulator and
+/// pointer, and both tiers agree on the result and the bus.
+#[test]
+fn seventy_thousand_locals_run_identically() {
+    const N: usize = 70_000;
+    let local: String = (0..N)
+        .map(|k| format!("unsigned long long l{k} = {};", k % 97))
+        .collect();
+    let body = format!(
+        "unsigned long long p = malloc(64); \
+         for (l{c} = 0; l{c} < 8; l{c} += 1) {{ p[l{c}] = l{c} * 3 + l{a}; }} \
+         for (l{c} = 0; l{c} < 8; l{c} += 1) {{ l{a} += p[l{c}]; }} \
+         l{b} /= 4; l{b} += l{a} + l1 + l{mid}; out[0] = l{b}; out[1] = l{c}; out[2] = p[7];",
+        a = N - 1,
+        b = N - 2,
+        c = N - 3,
+        mid = N / 2,
+    );
+    let program = parse_program(
+        "volatile unsigned long long out[] = { 0, 0, 0 };",
+        &local,
+        &body,
+    )
+    .expect("parses");
+    let limits = ExecLimits::default();
+    let mut ibus = MirrorBus::default();
+    let iresult = Interpreter::new(limits).run(&program, &mut ibus);
+    let mut vbus = MirrorBus::default();
+    let vresult = compile(&program).and_then(|c| Vm::new(limits).run(&c, &mut vbus));
+    assert!(iresult.is_ok(), "{iresult:?}");
+    assert_eq!(iresult, vresult);
+    assert_eq!(ibus, vbus);
+}
+
 /// Out-of-bounds error parity, pinned (not left to generator luck): the
 /// index, the array name, and the word count in the error must match.
 #[test]
@@ -452,5 +573,65 @@ proptest! {
             &itrace, &vtrace,
             "recorded trace mismatch (seed {}):\n{}", seed, body
         );
+    }
+}
+
+/// The quick-scale access templates around one mid-DIMM victim, with the
+/// repetition count cut to 2 and the background fill to 16 words so that
+/// sweeping every budget stays cheap: the gather loops and their
+/// branches are what this pins; the fused fill is swept elsewhere. The
+/// stride coefficients and the row selection vary per element, so both
+/// arms of `if (sel[r])` run.
+fn access_virus(template: &str, env: &EnvKind, reps: &str) -> dstress_vpl::ast::Program {
+    let scale = ExperimentScale::quick();
+    let template = process(template, &scale).expect("template processes");
+    let mut bindings = env.bindings(&scale).expect("env bindings");
+    bindings.insert(reps.into(), BoundValue::Scalar(2));
+    bindings.insert("MEM_WORDS".into(), BoundValue::Scalar(16));
+    for p in template.params() {
+        let ParamShape::Array { len, hi, .. } = p.shape else {
+            panic!("access templates search arrays");
+        };
+        let values = (0..len).map(|k| (k * 7 + 3) % (hi + 1)).collect();
+        bindings.insert(p.name.clone(), BoundValue::Array(values));
+    }
+    template.instantiate(&bindings).expect("instantiates")
+}
+
+/// Every `ExecutionLimit` crossing of the stride and row access viruses,
+/// from a zero budget to the full run: the same `Result` and bus state on
+/// both tiers at each one.
+#[test]
+fn access_templates_agree_at_every_budget() {
+    let scale = ExperimentScale::quick();
+    let geo = scale.server.dimm.geometry;
+    let victims = vec![RowKey::new(0, 1, geo.rows_per_bank / 2)];
+    let stride = EnvKind::StrideAccess {
+        victims: victims.clone(),
+        fill: WORST_WORD,
+    };
+    let row = EnvKind::RowAccess {
+        victims,
+        fill: WORST_WORD,
+    };
+    for program in [
+        access_virus(STRIDE_ACCESS, &stride, "X_ITERS"),
+        access_virus(ROW_ACCESS, &row, "REPS"),
+    ] {
+        let compiled = compile(&program).expect("compiles");
+        let steps = Interpreter::new(ExecLimits::default())
+            .run(&program, &mut MirrorBus::default())
+            .expect("runs to completion")
+            .steps;
+        assert!(steps > 500, "the gather loops ran: {steps} steps");
+        for max_steps in 0..=steps {
+            let limits = ExecLimits { max_steps };
+            let mut ibus = MirrorBus::default();
+            let iresult = Interpreter::new(limits).run(&program, &mut ibus);
+            let mut vbus = MirrorBus::default();
+            let vresult = Vm::new(limits).run(&compiled, &mut vbus);
+            assert_eq!(iresult, vresult, "result mismatch at budget {max_steps}");
+            assert_eq!(ibus, vbus, "bus mismatch at budget {max_steps}");
+        }
     }
 }
