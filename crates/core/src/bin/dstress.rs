@@ -1024,8 +1024,10 @@ mod tests {
         assert!(listing.starts_with("chunks virus"), "{listing}");
         let fused: Vec<&str> = listing.lines().filter(|l| l.contains("fused")).collect();
         assert_eq!(fused.len(), 3, "{listing}");
+        // The copy writes through the local pointer register `buf` and
+        // reads the global slot `cpat`.
         assert!(
-            fused[1].contains("<buf>[$") && fused[1].contains("= $"),
+            fused[1].contains("<buf>[r") && fused[1].contains("= $"),
             "{}",
             fused[1]
         );

@@ -2,11 +2,13 @@
 //! (`dstress disasm`).
 //!
 //! The format is stable enough to diff across compiler changes: one
-//! indexed line per op, slot indices annotated with their source-level
-//! names, and an explicit header for the program's shape (slot/register
-//! counts, global backing images).
+//! indexed line per op, global slots (`$n<name>`) and local registers
+//! (`rn<name>`) annotated with their source-level names, and an explicit
+//! header for the program's shape (slot/register counts, global backing
+//! images). A `br.<cmp>` jumps when its comparison holds; the fused-loop
+//! prologue and every other condition lower to one.
 
-use crate::bytecode::{CompiledProgram, FusedBody, Offset, Op, Operand};
+use crate::bytecode::{AluOp, Base, CompiledProgram, FusedBody, Offset, Op, Operand};
 use std::fmt::Write as _;
 
 /// Renders `program` as an indexed assembly-style listing.
@@ -14,9 +16,10 @@ pub fn disassemble(program: &CompiledProgram) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "; slots={} regs={} ops={}",
-        program.num_slots,
+        "; slots={} regs={} locals={} ops={}",
+        program.names.len(),
         program.num_regs,
+        program.local_slots.len(),
         program.ops.len()
     );
     for (slot, image) in &program.globals {
@@ -41,22 +44,40 @@ fn slot_name(program: &CompiledProgram, slot: u32) -> String {
     }
 }
 
-fn operand(o: &Operand) -> String {
-    match o {
-        Operand::Imm(v) => format!("#{v}"),
-        Operand::Reg(r) => format!("r{r}"),
+fn reg(program: &CompiledProgram, r: u32) -> String {
+    match program.local_slots.get(r as usize) {
+        Some(&slot) => format!("r{r}<{}>", program.names[slot as usize]),
+        None => format!("r{r}"),
     }
 }
 
+fn operand(program: &CompiledProgram, o: &Operand) -> String {
+    match *o {
+        Operand::Imm(v) => format!("#{v}"),
+        Operand::Reg(r) => reg(program, r),
+    }
+}
+
+fn base(program: &CompiledProgram, b: Base) -> String {
+    match b {
+        Base::Slot(slot) => slot_name(program, slot),
+        Base::Reg(r) => reg(program, r),
+    }
+}
+
+fn lower(op: AluOp) -> String {
+    format!("{op:?}").to_lowercase()
+}
+
 fn render(program: &CompiledProgram, op: &Op) -> String {
+    let o = |x: &Operand| operand(program, x);
+    let r = |x: u32| reg(program, x);
+    let slot = |x: u32| slot_name(program, x);
     match op {
-        Op::Const { dst, value } => format!("const     r{dst} = #{value}"),
-        Op::Alu { op, dst, lhs, rhs } => format!(
-            "alu.{:<5} r{dst} = {}, {}",
-            format!("{op:?}").to_lowercase(),
-            operand(lhs),
-            operand(rhs)
-        ),
+        Op::Const { dst, value } => format!("const     {} = #{value}", r(*dst)),
+        Op::Alu { op, dst, lhs, rhs } => {
+            format!("alu.{:<5} {} = {}, {}", lower(*op), r(*dst), o(lhs), o(rhs))
+        }
         Op::DivRem {
             rem,
             dst,
@@ -64,104 +85,122 @@ fn render(program: &CompiledProgram, op: &Op) -> String {
             rhs,
             charge,
         } => format!(
-            "divrem    r{dst}, r{rem} = {}, {}  !{charge}",
-            operand(lhs),
-            operand(rhs)
+            "{}       {} = {}, {}  !{charge}",
+            if *rem { "rem" } else { "div" },
+            r(*dst),
+            o(lhs),
+            o(rhs)
         ),
-        Op::LoadSlot { dst, slot, charge } => {
-            format!(
-                "load      r{dst} = {}  !{charge}",
-                slot_name(program, *slot)
-            )
-        }
-        Op::StoreSlot { slot, src, charge } => {
-            format!(
-                "store     {} = {}  !{charge}",
-                slot_name(program, *slot),
-                operand(src)
-            )
-        }
+        Op::LoadSlot {
+            dst,
+            slot: s,
+            charge,
+        } => format!("load      {} = {}  !{charge}", r(*dst), slot(*s)),
+        Op::StoreSlot {
+            slot: s,
+            src,
+            charge,
+        } => format!("store     {} = {}  !{charge}", slot(*s), o(src)),
         Op::FoldSlot {
             op,
-            slot,
+            slot: s,
             src,
             charge,
         } => format!(
             "fold.{:<4} {} <- {}  !{charge}",
-            format!("{op:?}").to_lowercase(),
-            slot_name(program, *slot),
-            operand(src)
+            lower(*op),
+            slot(*s),
+            o(src)
         ),
+        Op::DivSlot {
+            slot: s,
+            src,
+            charge,
+        } => format!("fold.div  {} <- {}  !{charge}", slot(*s), o(src)),
         Op::LoadIndex {
             dst,
-            base,
+            base: b,
             index,
             charge,
         } => format!(
-            "loadx     r{dst} = {}[{}]  !{charge}",
-            slot_name(program, *base),
-            operand(index)
+            "loadx     {} = {}[{}]  !{charge}",
+            r(*dst),
+            slot(*b),
+            o(index)
         ),
         Op::StoreIndex {
-            base,
+            base: b,
             index,
             src,
             charge,
         } => format!(
             "storex    {}[{}] = {}  !{charge}",
-            slot_name(program, *base),
-            operand(index),
-            operand(src)
+            slot(*b),
+            o(index),
+            o(src)
+        ),
+        Op::LoadPtr {
+            dst,
+            ptr,
+            index,
+            charge,
+        } => format!(
+            "loadp     {} = {}[{}]  !{charge}",
+            r(*dst),
+            r(*ptr),
+            o(index)
+        ),
+        Op::StorePtr {
+            ptr,
+            index,
+            src,
+            charge,
+        } => format!(
+            "storep    {}[{}] = {}  !{charge}",
+            r(*ptr),
+            o(index),
+            o(src)
         ),
         Op::Malloc { dst, bytes, charge } => {
-            format!("malloc    r{dst} = {} bytes  !{charge}", operand(bytes))
+            format!("malloc    {} = {} bytes  !{charge}", r(*dst), o(bytes))
         }
-        Op::DeclSlot { slot, init } => {
-            format!(
-                "decl      {} = {}",
-                slot_name(program, *slot),
-                operand(init)
-            )
-        }
+        Op::DeclSlot { slot: s, init } => format!("decl      {} = {}", slot(*s), o(init)),
         Op::Bump { n } => format!("bump      !{n}"),
         Op::Jump { target, charge } => format!("jump      @{target}  !{charge}"),
-        Op::JumpIfZero {
-            cond,
+        Op::Branch {
+            cmp,
+            lhs,
+            rhs,
             target,
             charge,
-        } => format!("jz        {} -> @{target}  !{charge}", operand(cond)),
-        Op::JumpIfNonZero {
-            cond,
-            target,
-            charge,
-        } => format!("jnz       {} -> @{target}  !{charge}", operand(cond)),
-        Op::Nop => "nop".to_string(),
-        Op::FusedLoop(k) => {
-            let f = &program.fused[*k as usize];
-            let var = slot_name(program, f.var);
+        } => {
+            // Rendered as the condition under which the branch is taken.
+            let taken = cmp.negated().map(lower).expect("a branch compares");
+            format!(
+                "br.{taken:<6} {}, {} -> @{target}  !{charge}",
+                o(lhs),
+                o(rhs)
+            )
+        }
+        Op::FusedLoop { index, charge } => {
+            let f = &program.fused[*index as usize];
+            let var = r(f.var);
             let index = match f.body.offset() {
                 None => var.clone(),
-                Some(Offset { slot, imm: 0 }) => format!("{} + {var}", slot_name(program, slot)),
-                Some(Offset { slot, imm }) if (imm as i64) < 0 => format!(
-                    "{} - #{} + {var}",
-                    slot_name(program, slot),
-                    imm.wrapping_neg()
-                ),
-                Some(Offset { slot, imm }) => {
-                    format!("{} + #{imm} + {var}", slot_name(program, slot))
+                Some(Offset { reg: x, imm: 0 }) => format!("{} + {var}", r(x)),
+                Some(Offset { reg: x, imm }) if (imm as i64) < 0 => {
+                    format!("{} - #{} + {var}", r(x), imm.wrapping_neg())
                 }
+                Some(Offset { reg: x, imm }) => format!("{} + #{imm} + {var}", r(x)),
             };
             let (body, c_write) = match f.body {
-                FusedBody::StoreImm { base, value } => (
-                    format!("{}[{index}] = #{value}", slot_name(program, base)),
-                    None,
-                ),
-                FusedBody::Accumulate { op, base, acc, .. } => (
-                    format!(
-                        "{} {op:?}= {}[{index}]",
-                        slot_name(program, acc),
-                        slot_name(program, base),
-                    ),
+                FusedBody::StoreImm { base: b, value } => {
+                    (format!("{}[{index}] = #{value}", base(program, b)), None)
+                }
+                FusedBody::Accumulate {
+                    op, base: b, acc, ..
+                } => (
+                    format!("{} {op:?}= {}[{index}]", r(acc), base(program, b)),
                     None,
                 ),
                 FusedBody::Copy {
@@ -169,15 +208,15 @@ fn render(program: &CompiledProgram, op: &Op) -> String {
                 } => (
                     format!(
                         "{}[{index}] = {}[{var}]",
-                        slot_name(program, dst),
-                        slot_name(program, src),
+                        base(program, dst),
+                        base(program, src),
                     ),
                     Some(c_write),
                 ),
             };
             let write = c_write.map(|c| format!(",w={c}")).unwrap_or_default();
             format!(
-                "fused     for {var} < #{}: {body}  !c={},a={}{write},b={} exit @{}",
+                "fused     for {var} < #{}: {body}  !{charge} c={},a={}{write},b={} exit @{}",
                 f.bound, f.c_cond, f.c_access, f.c_back, f.exit
             )
         }
@@ -209,14 +248,15 @@ mod tests {
             .lines()
             .filter_map(|l| l.split_once("fused     ").map(|(_, rest)| rest))
             .collect();
-        let (i, s, cpat, acc, buf) = ("$1<i>", "$2<s>", "$0<cpat>", "$3<acc>", "$4<buf>");
+        // Locals are registers, the global a slot.
+        let (i, s, cpat, acc, buf) = ("r0<i>", "r1<s>", "$0<cpat>", "r2<acc>", "r3<buf>");
         assert_eq!(fused.len(), 5, "{listing}");
         assert!(fused[0].starts_with(&format!("for {i} < #8: {buf}[{i}] = #0  !")));
         assert!(fused[1].starts_with(&format!(
-            "for {i} < #4: {buf}[{s} + {i}] = {cpat}[{i}]  !c="
+            "for {i} < #4: {buf}[{s} + {i}] = {cpat}[{i}]  !3 c="
         )));
         assert!(
-            fused[1].ends_with("!c=4,a=3,w=3,b=2 exit @27"),
+            fused[1].ends_with("!3 c=4,a=3,w=3,b=2 exit @18"),
             "{}",
             fused[1]
         );
