@@ -9,7 +9,10 @@
 //! the configuration `core::evaluate` uses. `chunks/session-vm` runs the
 //! quick-scale CHUNKS virus (fill, 64-chunk span copy, offset reduce — all
 //! three fused, each run as one bus span call) through the recording
-//! session, pricing the copy path. `kernel/…` runs a loop nest the
+//! session, pricing the copy path. `stride/session-vm` runs the quick-scale
+//! STRIDE_ACCESS virus around the same victim through the recording
+//! session: its gather loop nest stays unfused, so it prices register
+//! dispatch and per-read trace recording. `kernel/…` runs a loop nest the
 //! fused-loop peephole does not match, so it prices ordinary op dispatch,
 //! which is also what a fused loop costs when it falls back to its unfused
 //! ops. `compile/program` prices the one-time lowering.
@@ -212,6 +215,27 @@ fn bench(c: &mut Criterion) {
             let mut session = server.session(2);
             let stats = Vm::new(limits)
                 .run(&chunks_compiled, &mut session)
+                .expect("runs");
+            std::hint::black_box((stats.steps, session.finish().len()))
+        })
+    });
+
+    // The stride-access virus around the same victim: a fused fill, then
+    // the unfused gather loop nest, one traced read per inner iteration.
+    let stride = EnvKind::StrideAccess {
+        victims: vec![RowKey::new(0, 1, geo.rows_per_bank / 2)],
+        fill: WORST_WORD,
+    };
+    let stride_compiled = compile(
+        &instantiate_uniform(&stride, &scale, WORST_WORD).expect("stride virus instantiates"),
+    )
+    .expect("compiles");
+    c.bench_function("stride/session-vm", |b| {
+        b.iter(|| {
+            server.reset_memory();
+            let mut session = server.session(2);
+            let stats = Vm::new(limits)
+                .run(&stride_compiled, &mut session)
                 .expect("runs");
             std::hint::black_box((stats.steps, session.finish().len()))
         })

@@ -55,20 +55,6 @@ impl CounterSnapshot {
             EventKind::SdcUndetected => self.sdc_undetected += count,
         }
     }
-
-    /// Element-wise difference `self - earlier`, saturating at zero.
-    #[must_use]
-    pub fn since(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
-        CounterSnapshot {
-            ce: self.ce.saturating_sub(earlier.ce),
-            ue: self.ue.saturating_sub(earlier.ue),
-            sdc_miscorrected: self
-                .sdc_miscorrected
-                .saturating_sub(earlier.sdc_miscorrected),
-            sdc_undetected: self.sdc_undetected.saturating_sub(earlier.sdc_undetected),
-            clean: self.clean.saturating_sub(earlier.clean),
-        }
-    }
 }
 
 impl std::ops::Add for CounterSnapshot {
@@ -176,28 +162,6 @@ mod tests {
         };
         c.record_snapshot(&delta);
         assert_eq!(c.snapshot(), CounterSnapshot { ce: 3, ..delta });
-    }
-
-    #[test]
-    fn since_diffs_and_saturates() {
-        let a = CounterSnapshot {
-            ce: 10,
-            ue: 1,
-            sdc_miscorrected: 0,
-            sdc_undetected: 0,
-            clean: 5,
-        };
-        let b = CounterSnapshot {
-            ce: 4,
-            ue: 2,
-            sdc_miscorrected: 0,
-            sdc_undetected: 0,
-            clean: 1,
-        };
-        let d = a.since(&b);
-        assert_eq!(d.ce, 6);
-        assert_eq!(d.ue, 0, "saturating subtraction");
-        assert_eq!(d.clean, 4);
     }
 
     #[test]

@@ -155,11 +155,6 @@ impl Codeword {
         }
     }
 
-    /// Total number of flipped bits relative to a reference codeword.
-    pub fn distance(&self, other: &Codeword) -> u32 {
-        (self.data ^ other.data).count_ones() + (self.check ^ other.check).count_ones()
-    }
-
     /// Computes the 7-bit Hamming syndrome of the stored word.
     fn syndrome(&self) -> u8 {
         let mut syndrome = 0u8;
@@ -345,13 +340,6 @@ mod tests {
         let cw = Codeword::from_raw(0xABCD, 0x5A);
         assert_eq!(cw.data(), 0xABCD);
         assert_eq!(cw.check(), 0x5A);
-    }
-
-    #[test]
-    fn distance_counts_all_differing_bits() {
-        let a = Codeword::from_raw(0b1010, 0x01);
-        let b = Codeword::from_raw(0b0110, 0x03);
-        assert_eq!(a.distance(&b), 3);
     }
 
     proptest! {

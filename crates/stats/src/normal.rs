@@ -74,14 +74,6 @@ impl Normal {
         Ok(Normal { mean, std_dev })
     }
 
-    /// Standard normal `N(0, 1)`.
-    pub fn standard() -> Self {
-        Normal {
-            mean: 0.0,
-            std_dev: 1.0,
-        }
-    }
-
     /// Fits by moments from accumulated observations (sample variance).
     ///
     /// # Errors
@@ -116,34 +108,6 @@ impl Normal {
     pub fn sf(&self, x: f64) -> f64 {
         let z = (x - self.mean) / (self.std_dev * std::f64::consts::SQRT_2);
         0.5 * erfc(z)
-    }
-
-    /// Quantile (inverse CDF) by bisection on the CDF.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `p` lies strictly inside `(0, 1)`.
-    pub fn quantile(&self, p: f64) -> f64 {
-        assert!(p > 0.0 && p < 1.0, "quantile requires p in (0,1), got {p}");
-        // Bracket by expanding around the mean, then bisect. 200 iterations
-        // of bisection give ~1e-60 interval shrinkage, far below f64 eps.
-        let mut lo = self.mean - 10.0 * self.std_dev;
-        let mut hi = self.mean + 10.0 * self.std_dev;
-        while self.cdf(lo) > p {
-            lo -= 10.0 * self.std_dev;
-        }
-        while self.cdf(hi) < p {
-            hi += 10.0 * self.std_dev;
-        }
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if self.cdf(mid) < p {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
     }
 }
 
@@ -268,7 +232,7 @@ mod tests {
 
     #[test]
     fn standard_normal_cdf_values() {
-        let n = Normal::standard();
+        let n = Normal::new(0.0, 1.0).unwrap();
         assert!((n.cdf(0.0) - 0.5).abs() < 1e-12);
         assert!((n.cdf(1.0) - 0.8413447460685429).abs() < 1e-9);
         assert!((n.cdf(-1.0) - 0.15865525393145707).abs() < 1e-9);
@@ -282,15 +246,6 @@ mod tests {
         // Deep tail: sf stays positive where 1-cdf would round to ~0.
         let tail = n.sf(100.0 + 8.0 * 15.0);
         assert!(tail > 0.0 && tail < 1e-14);
-    }
-
-    #[test]
-    fn quantile_inverts_cdf() {
-        let n = Normal::new(-3.0, 2.5).unwrap();
-        for &p in &[0.001, 0.1, 0.5, 0.9, 0.999] {
-            let x = n.quantile(p);
-            assert!((n.cdf(x) - p).abs() < 1e-10, "p={p}");
-        }
     }
 
     #[test]
@@ -322,7 +277,7 @@ mod tests {
 
         #[test]
         fn cdf_plus_sf_is_one(x in -50.0f64..50.0) {
-            let n = Normal::standard();
+            let n = Normal::new(0.0, 1.0).unwrap();
             prop_assert!((n.cdf(x) + n.sf(x) - 1.0).abs() < 1e-10);
         }
     }
