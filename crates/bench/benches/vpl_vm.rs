@@ -9,10 +9,13 @@
 //! the configuration `core::evaluate` uses. `chunks/session-vm` runs the
 //! quick-scale CHUNKS virus (fill, 64-chunk span copy, offset reduce — all
 //! three fused, each run as one bus span call) through the recording
-//! session, pricing the copy path. `stride/session-vm` runs the quick-scale
-//! STRIDE_ACCESS virus around the same victim through the recording
-//! session: its gather loop nest stays unfused, so it prices register
-//! dispatch and per-read trace recording. `kernel/…` runs a loop nest the
+//! session, pricing the copy path. `stride/session-vm` and `row/session-vm`
+//! run the STRIDE_ACCESS and ROW_ACCESS viruses through the recording
+//! session, around three victims (as many as the paper-scale stride search
+//! profiles) and with the paper-scale `X_ITERS`: their fused gather loops
+//! (four traced reads per stride iteration, two per row-access iteration,
+//! 24,576 and 12,288 iterations) outweigh the memory reset and the fused
+//! fill, so the rows price the gather. `kernel/…` runs a loop nest the
 //! fused-loop peephole does not match, so it prices ordinary op dispatch,
 //! which is also what a fused loop costs when it falls back to its unfused
 //! ops. `compile/program` prices the one-time lowering.
@@ -220,26 +223,43 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // The stride-access virus around the same victim: a fused fill, then
-    // the unfused gather loop nest, one traced read per inner iteration.
-    let stride = EnvKind::StrideAccess {
-        victims: vec![RowKey::new(0, 1, geo.rows_per_bank / 2)],
-        fill: WORST_WORD,
-    };
-    let stride_compiled = compile(
-        &instantiate_uniform(&stride, &scale, WORST_WORD).expect("stride virus instantiates"),
-    )
-    .expect("compiles");
-    c.bench_function("stride/session-vm", |b| {
-        b.iter(|| {
-            server.reset_memory();
-            let mut session = server.session(2);
-            let stats = Vm::new(limits)
-                .run(&stride_compiled, &mut session)
-                .expect("runs");
-            std::hint::black_box((stats.steps, session.finish().len()))
-        })
-    });
+    // The access viruses around three mid-DIMM victims in adjacent banks,
+    // with the paper-scale stride repetitions: a fused fill, then the
+    // fused gather loop nests.
+    let mut gather_scale = scale;
+    gather_scale.stride_iters = ExperimentScale::paper().stride_iters;
+    let victims: Vec<RowKey> = (1..4)
+        .map(|bank| RowKey::new(0, bank, geo.rows_per_bank / 2))
+        .collect();
+    for (name, env) in [
+        (
+            "stride/session-vm",
+            EnvKind::StrideAccess {
+                victims: victims.clone(),
+                fill: WORST_WORD,
+            },
+        ),
+        (
+            "row/session-vm",
+            EnvKind::RowAccess {
+                victims: victims.clone(),
+                fill: WORST_WORD,
+            },
+        ),
+    ] {
+        let compiled = compile(
+            &instantiate_uniform(&env, &gather_scale, WORST_WORD).expect("virus instantiates"),
+        )
+        .expect("compiles");
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                server.reset_memory();
+                let mut session = server.session(2);
+                let stats = Vm::new(limits).run(&compiled, &mut session).expect("runs");
+                std::hint::black_box((stats.steps, session.finish().len()))
+            })
+        });
+    }
 }
 
 criterion_group!(benches, bench);

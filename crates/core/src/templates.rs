@@ -387,8 +387,8 @@ mod tests {
 
     /// Pins which loops of each paper template run as one fused dispatch,
     /// at both scales, so a refactor cannot unfuse one silently: the fill
-    /// everywhere, word64's reduce, and chunks' span copy and offset reduce.
-    /// Row-triple's three-statement bodies and the access templates' gathers
+    /// everywhere, word64's reduce, chunks' span copy and offset reduce, and
+    /// the access templates' gathers. Row-triple's three-statement bodies
     /// stay unfused.
     #[test]
     fn paper_templates_fuse_their_span_loops() {
@@ -418,14 +418,14 @@ mod tests {
                         victims: victims.clone(),
                         fill: WORST_WORD,
                     },
-                    vec![Fill],
+                    vec![Fill, Gather],
                 ),
                 (
                     EnvKind::StrideAccess {
                         victims: victims.clone(),
                         fill: WORST_WORD,
                     },
-                    vec![Fill],
+                    vec![Fill, Gather],
                 ),
             ] {
                 let program = instantiate_uniform(&env, &s, WORST_WORD).unwrap();

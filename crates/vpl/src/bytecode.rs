@@ -64,29 +64,37 @@
 //! store with an immediate source, and `acc += v[i]` a load plus one
 //! register `Alu` instead of five tree nodes.
 //!
-//! On top of that, a peephole pass recognizes four counted-loop shapes
+//! On top of that, a peephole pass recognizes five counted-loop shapes
 //! that dominate the virus templates and plants an `Op::FusedLoop`
 //! superinstruction in front of the ordinary loop code:
 //!
 //! * the background fill `for (i = 0; i < N; i += 1) { buf[i] = C; }`;
 //! * the read-pressure reduction `acc ∘= buf[i]`;
 //! * the offset reduction `acc ∘= buf[off + i]` (or `buf[i + off]`);
-//! * the span copy `dst[off + i] = src[i]`.
+//! * the span copy `dst[off + i] = src[i]`;
+//! * the access templates' gather
+//!   `base = table[i * K + lane]; acc ∘= buf[base + off]`, with `off`
+//!   computed between the two reads by loop-invariant ops: register
+//!   arithmetic, division by a nonzero immediate, and reads at invariant
+//!   indices (see `Gather`).
 //!
-//! The counter, the accumulator and the offset must be locals — that is
-//! decided at compile time, so no slot kind is checked at run time. An
-//! offset is a loop-invariant local plus or minus an immediate, added with
-//! the unfused code's wrapping arithmetic; it may not be the counter, the
-//! accumulator or an array the loop indexes. A fused loop runs in one of
-//! two ways. When control reaches it, the VM checks that the whole loop
-//! fits the step budget and that its spans are in range without wrapping;
-//! if both hold, it runs the loop in bulk, as one bus span call, and adds
-//! the loop's total charge — the per-iteration charges read back from the
+//! The counter, the accumulator, a gather's `base` and the offset must be
+//! locals — that is decided at compile time, so no slot kind is checked
+//! at run time. An offset is a loop-invariant local plus or minus an
+//! immediate, added with the unfused code's wrapping arithmetic; it may not
+//! be the counter, the accumulator or an array the loop indexes. A gather
+//! writes no local but the counter, `base` and the accumulator, and stores
+//! nothing. A fused loop runs in one of two ways. When control reaches it,
+//! the VM checks that the whole loop fits the step budget and that its
+//! spans (a gather's table indices) are in range without wrapping; if both
+//! hold, it runs the loop in bulk — as one bus span call, or for a gather
+//! as a native loop making the same reads in the same order — and adds
+//! the loop's total charge: the per-iteration charges read back from the
 //! emitted ops (condition branch, bus access — a copy's read and its write
-//! separately — and back edge) times the iterations, plus the final
-//! failing condition. Otherwise it falls through to the unfused ops that
-//! still follow it, which run the loop exactly, a mid-loop budget trip or
-//! fault included.
+//! separately, a gather's charged ops summed — and back edge) times the
+//! iterations, plus the final failing condition. Otherwise it falls
+//! through to the unfused ops that still follow it, which run the loop
+//! exactly, a mid-loop budget trip or fault included.
 //!
 //! A fused loop's description lives in the [`CompiledProgram`]'s side
 //! table (`fused`); `Op::FusedLoop` carries only its index and the loop's
@@ -368,6 +376,36 @@ pub(crate) enum FusedBody {
         /// Steps charged at the write check.
         c_write: u32,
     },
+    /// The access templates' gather (see [`Gather`]); every charge of its
+    /// body sums into [`FusedLoop::c_access`].
+    Gather(Gather),
+}
+
+/// `base = table[var * stride + lane]; acc ∘= array[base + off]`, with
+/// `off` computed by `ops[invariant.0..invariant.1]`: loop-invariant
+/// register arithmetic, division by a nonzero immediate, and reads at
+/// loop-invariant indices (which stay on the bus every iteration).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Gather {
+    /// The table read first each iteration.
+    pub table: Base,
+    /// The counter's multiplier in the table index.
+    pub stride: u64,
+    /// The loop-invariant term of the table index.
+    pub lane: Operand,
+    /// The local register the table word lands in.
+    pub base: u32,
+    /// The op range computing `off`, between the two reads.
+    pub invariant: (u32, u32),
+    /// The gather offset added to `base`: an immediate, an invariant local,
+    /// or a temporary the invariant ops compute.
+    pub off: Operand,
+    /// Array being gathered from.
+    pub array: Base,
+    /// The fold operator.
+    pub op: AluOp,
+    /// Accumulator register.
+    pub acc: u32,
 }
 
 impl FusedBody {
@@ -377,6 +415,7 @@ impl FusedBody {
             FusedBody::StoreImm { .. } => None,
             FusedBody::Accumulate { off, .. } => off,
             FusedBody::Copy { off, .. } => Some(off),
+            FusedBody::Gather(_) => None,
         }
     }
 
@@ -386,6 +425,7 @@ impl FusedBody {
             FusedBody::Accumulate { off: None, .. } => FusedShape::Reduce,
             FusedBody::Accumulate { off: Some(_), .. } => FusedShape::OffsetReduce,
             FusedBody::Copy { .. } => FusedShape::Copy,
+            FusedBody::Gather(_) => FusedShape::Gather,
         }
     }
 }
@@ -402,6 +442,8 @@ pub enum FusedShape {
     OffsetReduce,
     /// `dst[off + var] = src[var]`.
     Copy,
+    /// `base = table[var * k + lane]; acc ∘= array[base + off]`.
+    Gather,
 }
 
 /// A virus program lowered to flat bytecode, ready for repeated execution
@@ -993,7 +1035,9 @@ impl Emitter {
         if target != exit || !self.is_local(var) {
             return;
         }
-        let Some((body, c_access, c_back)) = fused_body(rest, var, top, self.locals) else {
+        let Some((body, c_access, c_back)) = fused_body(rest, var, top, self.locals)
+            .or_else(|| gather_body(rest, top + 1, var, top, self.locals))
+        else {
             return;
         };
         let index = self.fused.len() as u32;
@@ -1184,6 +1228,179 @@ fn fused_body(ops: &[Op], var: u32, top: u32, locals: u32) -> Option<(FusedBody,
     }
 }
 
+/// A load op as `(dst, array, index, charge)`.
+fn load_of(op: &Op) -> Option<(u32, Base, Operand, u32)> {
+    match *op {
+        Op::LoadIndex {
+            dst,
+            base,
+            index,
+            charge,
+        } => Some((dst, Base::Slot(base), index, charge)),
+        Op::LoadPtr {
+            dst,
+            ptr,
+            index,
+            charge,
+        } => Some((dst, Base::Reg(ptr), index, charge)),
+        _ => None,
+    }
+}
+
+/// Matches a loop body plus its step tail against the gather shape (see
+/// [`Gather`]); `at` is the program index of `ops[0]`. Returns the body,
+/// the sum of its charges, and its back-edge charge.
+///
+/// The counter, `base` and the accumulator are distinct locals, and they
+/// are the only locals the body writes; everything else it reads (the
+/// lane, the offset's inputs, a pointer it indexes) is a local the body
+/// does not write, an immediate, or a temporary an earlier invariant op
+/// computed. So the offset is the same in every iteration, and so are the
+/// addresses of the invariant reads, since nothing in the body writes.
+fn gather_body(
+    ops: &[Op],
+    at: u32,
+    var: u32,
+    top: u32,
+    locals: u32,
+) -> Option<(FusedBody, u32, u32)> {
+    let [ref body @ .., gather, Op::Alu {
+        op,
+        dst: acc,
+        lhs: Operand::Reg(a),
+        rhs: Operand::Reg(e),
+    }, Op::Alu {
+        op: AluOp::Add,
+        dst: step,
+        lhs: Operand::Reg(s),
+        rhs: Operand::Imm(1),
+    }, Op::Jump {
+        target,
+        charge: c_back,
+    }] = *ops
+    else {
+        return None;
+    };
+    let (elem, array, gather_index, c_gather) = load_of(&gather)?;
+    if (step, s, target) != (var, var, top) || a != acc || acc >= locals || acc == var {
+        return None;
+    }
+    if elem != e || e < locals {
+        return None;
+    }
+    // The table index `var * stride + lane`, either part optional.
+    let (mut k, mut idx, mut stride, mut lane) = (0, var, 1, Operand::Imm(0));
+    if let Some(
+        &Op::Alu {
+            op: AluOp::Mul,
+            dst,
+            lhs: Operand::Reg(v),
+            rhs: Operand::Imm(c),
+        }
+        | &Op::Alu {
+            op: AluOp::Mul,
+            dst,
+            lhs: Operand::Imm(c),
+            rhs: Operand::Reg(v),
+        },
+    ) = body.first()
+    {
+        if v == var && dst >= locals {
+            (k, idx, stride) = (1, dst, c);
+        }
+    }
+    if let Some(&Op::Alu {
+        op: AluOp::Add,
+        dst,
+        lhs,
+        rhs,
+    }) = body.get(k)
+    {
+        match (lhs, rhs) {
+            (Operand::Reg(i), l) | (l, Operand::Reg(i)) if i == idx && dst >= locals => {
+                (k, idx, lane) = (k + 1, dst, l);
+            }
+            _ => {}
+        }
+    }
+    let (base, table, index, c_table) = load_of(body.get(k)?)?;
+    if index != Operand::Reg(idx) || base >= locals || base == var || base == acc {
+        return None;
+    }
+    k += 1;
+    // The gather index `base + off` (or `off + base`, or bare `base`).
+    let (end, off) = match (gather_index, body[k..].last()) {
+        (Operand::Reg(r), _) if r == base => (body.len(), Operand::Imm(0)),
+        (
+            Operand::Reg(t),
+            Some(&Op::Alu {
+                op: AluOp::Add,
+                dst,
+                lhs,
+                rhs,
+            }),
+        ) if dst == t && t >= locals => match (lhs, rhs) {
+            (Operand::Reg(b), o) | (o, Operand::Reg(b)) if b == base => (body.len() - 1, o),
+            _ => return None,
+        },
+        _ => return None,
+    };
+    // The invariant ops between the two reads.
+    let variant = [var, base, acc];
+    let invariant = |o: Operand, defined: &[u32]| match o {
+        Operand::Imm(_) => true,
+        Operand::Reg(r) if r < locals => !variant.contains(&r),
+        Operand::Reg(t) => defined.contains(&t),
+    };
+    // A read through a local pointer also reads that register.
+    let pointer = |b: Base| match b {
+        Base::Slot(_) => Operand::Imm(0),
+        Base::Reg(p) => Operand::Reg(p),
+    };
+    let mut defined = Vec::new();
+    let mut charge = c_table.checked_add(c_gather)?;
+    for op in &body[k..end] {
+        let (dst, inputs, c) = match *op {
+            Op::Alu { dst, lhs, rhs, .. } => (dst, [lhs, rhs], 0),
+            Op::DivRem {
+                dst,
+                lhs,
+                rhs: rhs @ Operand::Imm(1..),
+                charge,
+                ..
+            } => (dst, [lhs, rhs], charge),
+            _ => {
+                let (dst, array, index, charge) = load_of(op)?;
+                (dst, [pointer(array), index], charge)
+            }
+        };
+        if dst < locals || !inputs.iter().all(|&o| invariant(o, &defined)) {
+            return None;
+        }
+        defined.push(dst);
+        charge = charge.checked_add(c)?;
+    }
+    if !invariant(off, &defined)
+        || ![lane, pointer(table), pointer(array)]
+            .iter()
+            .all(|&o| invariant(o, &[]))
+    {
+        return None;
+    }
+    let gather = Gather {
+        table,
+        stride,
+        lane,
+        base,
+        invariant: (at + k as u32, at + end as u32),
+        off,
+        array,
+        op,
+        acc,
+    };
+    Some((FusedBody::Gather(gather), charge, c_back))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1278,6 +1495,82 @@ mod tests {
             unreachable!()
         };
         assert!(c_write > 0 && p.fused[0].c_access > 0);
+    }
+
+    #[test]
+    fn gather_loops_fuse() {
+        // The access templates' two gathers, and the index forms around
+        // them: lane before the scaled counter, an immediate or no lane, no
+        // multiplier, a bare `base`, an invariant local or immediate
+        // offset, a global array gathered from.
+        let p = compiled(
+            "volatile unsigned long long c[] = { 1, 2, 3, 4 }; \
+             volatile unsigned long long t[] = { 0, 1, 2, 3, 4, 5, 6, 7 };",
+            "unsigned long long x = 1; unsigned long long r = 1; unsigned long long v = 0; \
+             unsigned long long base = 0; unsigned long long acc = 0;",
+            "unsigned long long buf = malloc(256); \
+             for (v = 0; v < 2; v += 1) { base = t[v * 4 + r]; acc += buf[base + (c[r] * x + c[2 + r]) % 8]; } \
+             for (v = 0; v < 2; v += 1) { base = t[v * 4 + r]; acc += buf[base + (x * 9) % 8]; } \
+             for (v = 0; v < 2; v += 1) { base = t[r + 4 * v]; acc *= buf[(x * 9) % 8 + base]; } \
+             for (v = 0; v < 2; v += 1) { base = t[v * 2 + 1]; acc -= buf[base]; } \
+             for (v = 0; v < 2; v += 1) { base = t[v]; acc += buf[base + x]; } \
+             for (v = 0; v < 2; v += 1) { base = t[v + r]; acc += c[base + 1]; }",
+        );
+        assert_eq!(p.fused_shapes(), [FusedShape::Gather; 6]);
+        let gathers: Vec<Gather> = p
+            .fused
+            .iter()
+            .map(|f| match f.body {
+                FusedBody::Gather(g) => g,
+                other => unreachable!("{other:?}"),
+            })
+            .collect();
+        let reg = |name: &str| {
+            let slot = p.names.iter().position(|n| n == name).unwrap() as u32;
+            p.local_slots.iter().position(|&l| l == slot).unwrap() as u32
+        };
+        let (x, r) = (reg("x"), reg("r"));
+        assert_eq!((gathers[0].stride, gathers[0].lane), (4, Operand::Reg(r)));
+        // Two reads, a multiply, two adds and the remainder.
+        let (start, end) = gathers[0].invariant;
+        assert_eq!(end - start, 6);
+        assert_eq!(p.fused[0].c_access, 7 + 9 + 5 + 1);
+        assert_eq!(gathers[1].invariant.1 - gathers[1].invariant.0, 2);
+        assert_eq!(gathers[2].op, AluOp::Mul);
+        assert_eq!((gathers[3].stride, gathers[3].lane), (2, Operand::Imm(1)));
+        assert_eq!(gathers[3].off, Operand::Imm(0));
+        assert_eq!((gathers[4].stride, gathers[4].off), (1, Operand::Reg(x)));
+        assert_eq!(gathers[4].invariant.0, gathers[4].invariant.1);
+        assert_eq!(gathers[5].off, Operand::Imm(1));
+        assert!(matches!(gathers[5].array, Base::Slot(_)));
+    }
+
+    #[test]
+    fn gather_near_misses_do_not_fuse() {
+        // A store, an offset that depends on the counter, `base` or the
+        // accumulator, a zero or non-immediate divisor, `base` or the
+        // counter written in the body, a global `base` or accumulator,
+        // the counter as `base`, and `base` as the accumulator: keep the ops.
+        let p = compiled(
+            "volatile unsigned long long t[] = { 0, 1, 2, 3 }; volatile unsigned long long g = 0;",
+            "unsigned long long x = 1; unsigned long long v = 0; \
+             unsigned long long base = 0; unsigned long long acc = 0;",
+            "unsigned long long buf = malloc(256); \
+             for (v = 0; v < 2; v += 1) { base = t[v]; acc += buf[base + x]; t[0] = acc; } \
+             for (v = 0; v < 2; v += 1) { base = t[v]; acc += buf[base + (v * 9) % 8]; } \
+             for (v = 0; v < 2; v += 1) { base = t[v]; acc += buf[base + base % 8]; } \
+             for (v = 0; v < 2; v += 1) { base = t[v]; acc += buf[base + acc % 8]; } \
+             for (v = 0; v < 2; v += 1) { base = t[v]; acc += buf[base + (x * 9) % 0]; } \
+             for (v = 0; v < 2; v += 1) { base = t[v]; acc += buf[base + (x * 9) % x]; } \
+             for (v = 0; v < 2; v += 1) { base = t[v]; base += 1; acc += buf[base]; } \
+             for (v = 0; v < 2; v += 1) { base = t[v]; v += 0; acc += buf[base]; } \
+             for (v = 0; v < 2; v += 1) { g = t[v]; acc += buf[g]; } \
+             for (v = 0; v < 2; v += 1) { base = t[v]; g += buf[base]; } \
+             for (v = 0; v < 2; v += 1) { v = t[v]; acc += buf[v]; } \
+             for (v = 0; v < 2; v += 1) { base = t[v]; base += buf[base]; } \
+             for (v = 0; v < 2; v += 1) { base = t[v]; acc += buf[base + t[v]]; }",
+        );
+        assert!(p.fused.is_empty(), "{:?}", p.fused_shapes());
     }
 
     #[test]

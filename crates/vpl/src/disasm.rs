@@ -213,6 +213,34 @@ fn render(program: &CompiledProgram, op: &Op) -> String {
                     ),
                     Some(c_write),
                 ),
+                FusedBody::Gather(g) => {
+                    let mut table = match g.stride {
+                        1 => var.clone(),
+                        k => format!("{var} * #{k}"),
+                    };
+                    if g.lane != Operand::Imm(0) {
+                        table = format!("{table} + {}", o(&g.lane));
+                    }
+                    let (start, end) = g.invariant;
+                    let invariant = if start < end {
+                        format!(" inv @{start}..@{end}")
+                    } else {
+                        String::new()
+                    };
+                    (
+                        format!(
+                            "{} = {}[{table}]; {} {:?}= {}[{} + {}]{invariant}",
+                            r(g.base),
+                            base(program, g.table),
+                            r(g.acc),
+                            g.op,
+                            base(program, g.array),
+                            r(g.base),
+                            o(&g.off),
+                        ),
+                        None,
+                    )
+                }
             };
             let write = c_write.map(|c| format!(",w={c}")).unwrap_or_default();
             format!(
@@ -240,7 +268,9 @@ mod tests {
              for (i = 0; i < 4; i += 1) { buf[s + i] = cpat[i]; } \
              for (i = 0; i < 4; i += 1) { buf[i + (s - 1)] = cpat[i]; } \
              for (i = 0; i < 8; i += 1) { acc += buf[i]; } \
-             for (i = 0; i < 4; i += 1) { acc += buf[s + 3 + i]; }",
+             for (i = 0; i < 4; i += 1) { acc += buf[s + 3 + i]; } \
+             unsigned long long b = 0; \
+             for (i = 0; i < 2; i += 1) { b = cpat[i * 2 + s]; acc += buf[b + (cpat[s] * 3) % 8]; }",
         )
         .expect("parses");
         let listing = disassemble(&compile(&program).expect("compiles"));
@@ -250,7 +280,7 @@ mod tests {
             .collect();
         // Locals are registers, the global a slot.
         let (i, s, cpat, acc, buf) = ("r0<i>", "r1<s>", "$0<cpat>", "r2<acc>", "r3<buf>");
-        assert_eq!(fused.len(), 5, "{listing}");
+        assert_eq!(fused.len(), 6, "{listing}");
         assert!(fused[0].starts_with(&format!("for {i} < #8: {buf}[{i}] = #0  !")));
         assert!(fused[1].starts_with(&format!(
             "for {i} < #4: {buf}[{s} + {i}] = {cpat}[{i}]  !3 c="
@@ -263,5 +293,15 @@ mod tests {
         assert!(fused[2].contains(&format!("{buf}[{s} - #1 + {i}] = {cpat}[{i}]")));
         assert!(fused[3].contains(&format!("{acc} Add= {buf}[{i}]")));
         assert!(fused[4].contains(&format!("{acc} Add= {buf}[{s} + #3 + {i}]")));
+        // The gather names its table read, its gather read and the op range
+        // computing the offset between them.
+        assert!(
+            fused[5].starts_with(&format!(
+                "for {i} < #2: r4<b> = {cpat}[{i} * #2 + {s}]; {acc} Add= {buf}[r4<b> + r"
+            )),
+            "{}",
+            fused[5]
+        );
+        assert!(fused[5].contains("] inv @"), "{}", fused[5]);
     }
 }

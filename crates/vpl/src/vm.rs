@@ -13,7 +13,9 @@
 //! checked back edge, so an over-budget program raises exactly the
 //! interpreter's `ExecutionLimit`.
 
-use crate::bytecode::{alu, AluOp, Base, CompiledProgram, FusedBody, FusedLoop, Op, Operand};
+use crate::bytecode::{
+    alu, AluOp, Base, CompiledProgram, FusedBody, FusedLoop, Gather, Op, Operand,
+};
 use crate::error::VplError;
 use crate::interp::{ExecLimits, ExecStats};
 use crate::resolve::Slot;
@@ -262,7 +264,15 @@ impl Vm {
                 Op::FusedLoop { index, charge } => {
                     charge!(charge);
                     let f = &program.fused[index as usize];
-                    if self.run_fused(f, &slots, &mut regs, &mut stats, bus, &mut span_buf)? {
+                    if self.run_fused(
+                        program,
+                        f,
+                        &slots,
+                        &mut regs,
+                        &mut stats,
+                        bus,
+                        &mut span_buf,
+                    )? {
                         pc = f.exit as usize;
                     }
                 }
@@ -279,23 +289,26 @@ impl Vm {
     /// loop that still follows the op, which runs it exactly, so a budget
     /// trip, fault or wrap happens as unfused. It declines when the loop
     /// runs no iteration, when the whole loop might not fit the step
-    /// budget, or when a span it touches is out of range or wraps. (The
-    /// counter, the offset and the accumulator are locals, so no slot kind
-    /// needs checking.)
+    /// budget, or when a span it touches (a gather's table indices) is out
+    /// of range or wraps. (The counter, the offset, a gather's `base` and
+    /// the accumulator are locals, so no slot kind needs checking.)
     ///
     /// Otherwise the per-word stores collapse into one
     /// [`MemoryBus::fill_const`], the per-word loads into one
     /// [`MemoryBus::read_span`] (folded here in iteration order), and a
     /// copy into one [`MemoryBus::copy_span`], which the bus specifies for
-    /// overlapping spans too. The bus records the same per-word trace, the
-    /// stats advance by the same totals, and a bus failure surfaces at the
-    /// same first failing word.
+    /// overlapping spans too. A gather runs as a native loop over
+    /// [`MemoryBus::read_u64`] (see [`gather`]). The bus records the same
+    /// per-word trace, the stats advance by the same totals, and a bus
+    /// failure surfaces at the same first failing word.
     ///
     /// Out of line so the per-op dispatch loop in [`Vm::run`] carries none
     /// of this code.
     #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
     fn run_fused<B: BusOps>(
         &self,
+        program: &CompiledProgram,
         f: &FusedLoop,
         slots: &[Slot],
         regs: &mut [u64],
@@ -352,11 +365,124 @@ impl Vm {
                 stats.reads += n;
                 stats.writes += n;
             }
+            FusedBody::Gather(g) => {
+                let Some(reads) = gather(&g, program, v, n, slots, regs, span_buf, bus)? else {
+                    return Ok(false);
+                };
+                stats.reads += reads;
+            }
         }
         stats.steps += total as u64;
         regs[f.var as usize] = f.bound;
         Ok(true)
     }
+}
+
+/// The bulk path of a fused [`Gather`] over the `n ≥ 1` iterations from
+/// counter value `v`: `None`, without any effect, when a table index might
+/// leave its array or wrap; otherwise the number of reads made. The first
+/// iteration runs the invariant ops and keeps their read addresses in
+/// `addrs`; later iterations re-read those addresses, so every read stays
+/// on the bus in program order, and reuse the offset, which no write in the
+/// loop can change. The caller has proved that the whole loop fits the step
+/// budget, so an out-of-bounds gather or a bus error surfaces at the same
+/// access as in the unfused loop.
+#[allow(clippy::too_many_arguments)]
+fn gather<B: BusOps>(
+    g: &Gather,
+    program: &CompiledProgram,
+    v: u64,
+    n: u64,
+    slots: &[Slot],
+    regs: &mut [u64],
+    addrs: &mut Vec<u64>,
+    bus: &mut B,
+) -> Result<Option<u64>, VplError> {
+    let array_of = |b: Base| match b {
+        Base::Slot(s) => slots[s as usize],
+        Base::Reg(r) => Slot::Register(regs[r as usize]),
+    };
+    let lane = value(g.lane, regs);
+    let table = array_of(g.table);
+    let array = array_of(g.array);
+    let table_index = |v: u64| v.wrapping_mul(g.stride).wrapping_add(lane);
+    if let Slot::Memory { words, .. } = table {
+        let last = (v + n - 1)
+            .checked_mul(g.stride)
+            .and_then(|i| i.checked_add(lane));
+        if last.is_none_or(|last| last >= words) {
+            return Ok(None);
+        }
+    }
+    let gather_addr = |idx: u64| match (g.array, array) {
+        (Base::Slot(s), Slot::Memory { .. }) => element_addr(slots, &program.names, s, idx),
+        (_, array) => Ok(in_range_addr(array, idx)),
+    };
+    let (mut word, mut off, mut acc) = (0, 0, regs[g.acc as usize]);
+    addrs.clear();
+    for k in v..v + n {
+        word = bus.read_u64(in_range_addr(table, table_index(k)))?;
+        if k == v {
+            let (start, end) = g.invariant;
+            let ops = &program.ops[start as usize..end as usize];
+            invariant_ops(ops, &program.names, slots, regs, addrs, bus)?;
+            off = value(g.off, regs);
+        } else {
+            for &addr in addrs.iter() {
+                bus.read_u64(addr)?;
+            }
+        }
+        acc = alu(
+            g.op,
+            acc,
+            bus.read_u64(gather_addr(word.wrapping_add(off))?)?,
+        );
+    }
+    regs[g.base as usize] = word;
+    regs[g.acc as usize] = acc;
+    Ok(Some(n * (2 + addrs.len() as u64)))
+}
+
+/// Runs a gather's invariant ops once, pushing the address of each read
+/// onto `addrs`. The matcher admits only these four ops, and a `DivRem`
+/// only with a nonzero immediate divisor.
+fn invariant_ops<B: BusOps>(
+    ops: &[Op],
+    names: &[String],
+    slots: &[Slot],
+    regs: &mut [u64],
+    addrs: &mut Vec<u64>,
+    bus: &mut B,
+) -> Result<(), VplError> {
+    for op in ops {
+        match *op {
+            Op::Alu { op, dst, lhs, rhs } => {
+                regs[dst as usize] = alu(op, value(lhs, regs), value(rhs, regs));
+            }
+            Op::DivRem {
+                rem, dst, lhs, rhs, ..
+            } => {
+                let (l, r) = (value(lhs, regs), value(rhs, regs));
+                regs[dst as usize] = if rem { l % r } else { l / r };
+            }
+            Op::LoadIndex {
+                dst, base, index, ..
+            } => {
+                let addr = element_addr(slots, names, base, value(index, regs))?;
+                addrs.push(addr);
+                regs[dst as usize] = bus.read_u64(addr)?;
+            }
+            Op::LoadPtr {
+                dst, ptr, index, ..
+            } => {
+                let addr = pointer_addr(regs[ptr as usize], value(index, regs));
+                addrs.push(addr);
+                regs[dst as usize] = bus.read_u64(addr)?;
+            }
+            other => unreachable!("{other:?} is not an invariant gather op"),
+        }
+    }
+    Ok(())
 }
 
 /// Folds `words` into `init` in order with `op`, matched once outside the
@@ -420,6 +546,24 @@ fn write_slot<B: BusOps>(
         }
     }
     Ok(())
+}
+
+/// An operand's value (outside the dispatch loop's `val!`).
+#[inline]
+fn value(o: Operand, regs: &[u64]) -> u64 {
+    match o {
+        Operand::Imm(x) => x,
+        Operand::Reg(r) => regs[r as usize],
+    }
+}
+
+/// `array[idx]` for an index known to be in range, or through a pointer.
+#[inline]
+fn in_range_addr(array: Slot, idx: u64) -> u64 {
+    match array {
+        Slot::Memory { base, .. } => base + idx * 8,
+        Slot::Register(pointer) => pointer_addr(pointer, idx),
+    }
 }
 
 /// `pointer[idx]`, unchecked like the C it models.
@@ -768,6 +912,77 @@ mod tests {
                 assert_parity(global, local, body, ExecLimits { max_steps });
             }
         }
+    }
+
+    /// The gather path against the interpreter at every budget crossing,
+    /// including budgets between a fused loop's iterations and between the
+    /// reads of one iteration: invariant reads of a global, a pointer and
+    /// a global array gathered from, then a gather that runs its array out
+    /// of bounds mid-loop or a table index that runs past the table.
+    #[test]
+    fn bulk_gather_matches_strict_accounting() {
+        let head = "unsigned long long buf = malloc(128); \
+             for (v = 0; v < 16; v += 1) { buf[v] = v * 3; } \
+             for (x = 0; x < 2; x += 1) { for (r = 0; r < 2; r += 1) { \
+               for (v = 0; v < 3; v += 1) { \
+                 base = t[v * 2 + r]; acc += buf[base + (c[r] * x + c[2 + r]) % 4]; } } } \
+             for (v = 0; v < 3; v += 1) { base = t[v]; acc *= w[base + (x * 9) % 2]; }";
+        for (tail, array) in [
+            (
+                "for (v = 0; v < 4; v += 1) { base = t[v + 1]; acc += w[base]; }",
+                "w",
+            ),
+            (
+                "for (v = 0; v < 8; v += 1) { base = t[v]; acc += buf[base]; }",
+                "t",
+            ),
+        ] {
+            let program = parse_program(
+                "volatile unsigned long long c[] = { 3, 1, 4, 1 }; \
+                 volatile unsigned long long t[] = { 0, 2, 4, 6, 8, 10 }; \
+                 volatile unsigned long long w[] = { 5, 6, 7, 8, 9, 10 };",
+                "unsigned long long x = 0; unsigned long long r = 0; unsigned long long v = 0; \
+                 unsigned long long base = 0; unsigned long long acc = 7;",
+                &format!("{head} {tail}"),
+            )
+            .expect("parses");
+            // The sweep's top budget already runs into the error.
+            let err = Interpreter::new(ExecLimits { max_steps: 999 })
+                .run(&program, &mut MockBus::default())
+                .unwrap_err();
+            assert!(
+                format!("{err}").contains(&format!("out of bounds for `{array}`")),
+                "{err}"
+            );
+            let shapes = [FusedShape::Gather; 3];
+            assert_bulk_matches_interpreter(&program, &shapes, 0..1000);
+        }
+    }
+
+    #[test]
+    fn gather_through_pointer_tables_and_wrapping_indices_parity() {
+        // A local declaration shadows the table with a pointer (unchecked
+        // reads), a table index that wraps past `u64::MAX`, and a table
+        // index that overflows a named table's range check.
+        parity(
+            "volatile unsigned long long t[] = { 1, 2, 3, 4 };",
+            "unsigned long long v = 0; unsigned long long base = 0; \
+             unsigned long long acc = 0; unsigned long long r = 0;",
+            "unsigned long long buf = malloc(64); \
+             for (v = 0; v < 8; v += 1) { buf[v] = v + 1; } \
+             unsigned long long t = buf; \
+             for (v = 0; v < 4; v += 1) { base = t[v * 2 + 1]; acc += buf[base - 1]; } \
+             r = 0 - 16; \
+             for (v = 0; v < 4; v += 1) { base = t[v * 8 + r]; acc += buf[base]; } \
+             buf[0] = acc;",
+        );
+        parity(
+            "volatile unsigned long long t[] = { 1, 2, 3, 4 };",
+            "unsigned long long v = 0; unsigned long long base = 0; \
+             unsigned long long acc = 0; unsigned long long r = 0;",
+            "unsigned long long buf = malloc(64); r = 0 - 1; \
+             for (v = 0; v < 3; v += 1) { base = t[v * 0x8000000000000000 + r]; acc += buf[base]; }",
+        );
     }
 
     #[test]

@@ -60,6 +60,50 @@ impl MemoryBus for MirrorBus {
     }
 }
 
+/// The gather loops [`Gen::gather_loop`] emits: the fused shape and each
+/// of its near misses, which must run unfused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum GatherKind {
+    /// `base = gt[v * k + lane]; acc ∘= arr[base + off]`, `off` invariant.
+    Fused,
+    /// A store after the gather.
+    Store,
+    /// An immediate-lane table index that runs past `gt` inside the loop.
+    TablePastEnd,
+    /// An offset that depends on the counter.
+    CounterOffset,
+    /// An offset taken modulo zero.
+    ZeroDivisor,
+    /// An offset taken modulo a local.
+    RegisterDivisor,
+    /// `base` written between the two reads.
+    BaseWritten,
+    /// The counter written between the two reads.
+    CounterWritten,
+    /// `base` is the global `gs`, just shadowed by a local declaration.
+    GlobalBase,
+    /// The accumulator is the global `gs`, just shadowed.
+    GlobalAcc,
+}
+
+impl GatherKind {
+    const ALL: [GatherKind; 10] = [
+        GatherKind::Fused,
+        GatherKind::Store,
+        GatherKind::TablePastEnd,
+        GatherKind::CounterOffset,
+        GatherKind::ZeroDivisor,
+        GatherKind::RegisterDivisor,
+        GatherKind::BaseWritten,
+        GatherKind::CounterWritten,
+        GatherKind::GlobalBase,
+        GatherKind::GlobalAcc,
+    ];
+}
+
+/// Words of the gather table `gt`.
+const GATHER_TABLE_WORDS: u64 = 6;
+
 /// Seeded random VPL source generator. Every emitted program parses; the
 /// interesting divergence surface is runtime behaviour — loop budgets,
 /// out-of-bounds indices, division by zero — which the generator reaches
@@ -71,6 +115,8 @@ struct Gen {
     arrays: Vec<(String, u64)>,
     /// Declared scalar variables usable in expressions.
     scalars: Vec<String>,
+    /// The gather loops emitted so far, by kind.
+    gathers: Vec<GatherKind>,
 }
 
 impl Gen {
@@ -79,6 +125,7 @@ impl Gen {
             rng: StdRng::seed_from_u64(seed),
             arrays: Vec::new(),
             scalars: Vec::new(),
+            gathers: Vec::new(),
         }
     }
 
@@ -231,6 +278,84 @@ impl Gen {
         format!("{set} for ({var} = {start}; {var} < {bound}; {var} += 1) {{ {body} }}")
     }
 
+    /// A loop in the access templates' gather shape the VM fuses,
+    /// `base = gt[v * k + lane]; acc ∘= arr[base + off]` with `off`
+    /// loop-invariant (reads of `gt` at invariant indices, arithmetic on
+    /// the other counter, an immediate divisor), or one of its near misses
+    /// ([`GatherKind`]). `gt` holds small words, so a gather into a named
+    /// array lands in bounds or runs out of them mid-loop, and one through
+    /// `p` stays near its allocation; an invariant read may also run past
+    /// `gt` in the first iteration.
+    fn gather_loop(&mut self) -> String {
+        let has_gs = self.scalars.iter().any(|s| s == "gs");
+        let mut kind = GatherKind::ALL[self.rng.gen_range(0..GatherKind::ALL.len())];
+        if matches!(kind, GatherKind::GlobalBase | GatherKind::GlobalAcc) && !has_gs {
+            kind = GatherKind::Fused;
+        }
+        let (var, other) = [("i", "j"), ("j", "i")][self.rng.gen_range(0usize..2)];
+        let (mut base, mut acc) = [("a", "b"), ("b", "a")][self.rng.gen_range(0usize..2)];
+        let mut prefix = String::new();
+        match kind {
+            GatherKind::GlobalBase => base = "gs",
+            GatherKind::GlobalAcc => acc = "gs",
+            _ => {}
+        }
+        if base == "gs" || acc == "gs" {
+            prefix = format!("unsigned long long gs = {}; ", self.rng.gen_range(0u64..4));
+        }
+        let stride = self.rng.gen_range(1u64..3);
+        let start = self.rng.gen_range(0u64..2);
+        let (lane, bound) = if kind == GatherKind::TablePastEnd {
+            let lane = self.rng.gen_range(0u64..2);
+            (lane.to_string(), (GATHER_TABLE_WORDS - lane) / stride + 2)
+        } else if self.rng.gen_range(0u32..3) == 0 {
+            (other.to_string(), self.rng.gen_range(0u64..4))
+        } else {
+            let lane = self.rng.gen_range(0u64..2);
+            let last = (GATHER_TABLE_WORDS - 1 - lane) / stride;
+            (lane.to_string(), self.rng.gen_range(0..=last + 1))
+        };
+        let m = [1u64, 3, 4, 128][self.rng.gen_range(0usize..4)];
+        let off = match kind {
+            GatherKind::CounterOffset => format!("({var} * 3) % {m}"),
+            GatherKind::ZeroDivisor => format!("({other} * 9) % 0"),
+            GatherKind::RegisterDivisor => format!("({other} * 9) % {other}"),
+            _ => match self.rng.gen_range(0u32..4) {
+                0 => format!(
+                    "(gt[{}] * {other} + gt[{}]) % {m}",
+                    self.rng.gen_range(0..GATHER_TABLE_WORDS + 1),
+                    self.rng.gen_range(0..GATHER_TABLE_WORDS)
+                ),
+                1 => format!("({other} * 9) % {m}"),
+                2 => other.to_string(),
+                _ => self.rng.gen_range(0u64..3).to_string(),
+            },
+        };
+        let arr = if self.arrays.iter().any(|(a, _)| a == "p") && self.rng.gen_range(0u32..2) == 0 {
+            "p".to_string()
+        } else {
+            self.arrays[self.rng.gen_range(0..self.arrays.len())]
+                .0
+                .clone()
+        };
+        let op = ["+=", "-=", "*="][self.rng.gen_range(0usize..3)];
+        let between = match kind {
+            GatherKind::BaseWritten => format!("{base} += 1; "),
+            GatherKind::CounterWritten => format!("{var} += 0; "),
+            _ => String::new(),
+        };
+        let after = match kind {
+            GatherKind::Store => format!(" {arr}[0] = {acc};"),
+            _ => String::new(),
+        };
+        self.gathers.push(kind);
+        format!(
+            "{prefix}for ({var} = {start}; {var} < {bound}; {var} += 1) {{ \
+             {base} = gt[{var} * {stride} + {lane}]; {between}\
+             {acc} {op} {arr}[{base} + {off}];{after} }}"
+        )
+    }
+
     fn stmt(&mut self, depth: u32) -> String {
         match self.rng.gen_range(0u32..20) {
             0..=3 => {
@@ -292,6 +417,7 @@ impl Gen {
                      {{ {acc} += {var} * {k} + {extra}; }}"
                 )
             }
+            13 if depth > 0 && !self.arrays.is_empty() => self.gather_loop(),
             14 | 15 if depth > 0 && !self.arrays.is_empty() => self.offset_loop(),
             // `/=` on a local by an immediate divisor.
             16 => {
@@ -373,6 +499,15 @@ impl Gen {
             body.push_str(&self.stmt(2));
             body.push('\n');
         }
+        if !self.gathers.is_empty() {
+            let words: Vec<String> = (0..GATHER_TABLE_WORDS)
+                .map(|_| self.rng.gen_range(0u64..6).to_string())
+                .collect();
+            global.push_str(&format!(
+                "volatile unsigned long long gt[] = {{ {} }};\n",
+                words.join(", ")
+            ));
+        }
         (global, local, body)
     }
 }
@@ -444,6 +579,29 @@ fn generator_reaches_the_offset_shapes() {
     }
     for shape in [FusedShape::Copy, FusedShape::OffsetReduce] {
         assert!(shapes.contains(&shape), "no {shape:?} loop in 200 seeds");
+    }
+}
+
+/// The generator must reach the fused gather and each of its near misses,
+/// and the plain shape must fuse.
+#[test]
+fn generator_reaches_the_gather_shapes() {
+    let mut kinds = Vec::new();
+    let mut fused = false;
+    for seed in 0..200 {
+        let mut gen = Gen::new(seed);
+        let (global, local, body) = gen.program();
+        let program = parse_program(&global, &local, &body).expect("generated program parses");
+        let shapes = compile(&program).expect("compiles").fused_shapes();
+        fused |= shapes.contains(&FusedShape::Gather);
+        kinds.extend(gen.gathers);
+    }
+    assert!(fused, "no fused gather in 200 seeds");
+    for kind in GatherKind::ALL {
+        assert!(
+            kinds.contains(&kind),
+            "no {kind:?} gather loop in 200 seeds"
+        );
     }
 }
 
@@ -576,18 +734,60 @@ proptest! {
     }
 }
 
-/// The quick-scale access templates around one mid-DIMM victim, with the
-/// repetition count cut to 2 and the background fill to 16 words so that
-/// sweeping every budget stays cheap: the gather loops and their
-/// branches are what this pins; the fused fill is swept elsewhere. The
-/// stride coefficients and the row selection vary per element, so both
-/// arms of `if (sel[r])` run.
-fn access_virus(template: &str, env: &EnvKind, reps: &str) -> dstress_vpl::ast::Program {
-    let scale = ExperimentScale::quick();
-    let template = process(template, &scale).expect("template processes");
-    let mut bindings = env.bindings(&scale).expect("env bindings");
-    bindings.insert(reps.into(), BoundValue::Scalar(2));
-    bindings.insert("MEM_WORDS".into(), BoundValue::Scalar(16));
+/// A bus fault inside a fused gather surfaces at the same read on both
+/// tiers, with the same trace before it: a gather read that leaves every
+/// allocation in the third iteration, and an invariant read through a
+/// pointer to unmapped memory in the first.
+#[test]
+fn gather_bus_faults_surface_at_the_same_read() {
+    for off in ["(x * 9) % 8", "q[1] % 4"] {
+        let program = parse_program(
+            "volatile unsigned long long t[] = { 0, 1, 100000000, 3 };",
+            "unsigned long long x = 1; unsigned long long v = 0; unsigned long long base = 0; \
+             unsigned long long acc = 0; unsigned long long q = 8;",
+            &format!(
+                "unsigned long long buf = malloc(64); \
+                 for (v = 0; v < 4; v += 1) {{ base = t[v]; acc += buf[base + {off}]; }}"
+            ),
+        )
+        .expect("parses");
+        let compiled = compile(&program).expect("compiles");
+        assert_eq!(compiled.fused_shapes(), [FusedShape::Gather]);
+        let limits = ExecLimits::default();
+        let mut iserver = XGene2Server::new(ServerConfig::default());
+        let mut isession = iserver.session(2);
+        let iresult = Interpreter::new(limits).run(&program, &mut isession);
+        let itrace = isession.finish();
+        let mut vserver = XGene2Server::new(ServerConfig::default());
+        let mut vsession = vserver.session(2);
+        let vresult = Vm::new(limits).run(&compiled, &mut vsession);
+        let vtrace = vsession.finish();
+        assert!(
+            matches!(
+                iresult,
+                Err(dstress_vpl::VplError::Memory(SessionError::Unmapped(_)))
+            ),
+            "{iresult:?}"
+        );
+        assert_eq!(iresult, vresult, "{off}");
+        assert_eq!(itrace, vtrace, "{off}");
+    }
+}
+
+/// An access template instantiated at `scale` with `cuts` overriding
+/// environment bindings. The stride coefficients and the row selection
+/// vary per element, so both arms of `if (sel[r])` run.
+fn access_virus(
+    scale: &ExperimentScale,
+    template: &str,
+    env: &EnvKind,
+    cuts: &[(&str, u64)],
+) -> dstress_vpl::ast::Program {
+    let template = process(template, scale).expect("template processes");
+    let mut bindings = env.bindings(scale).expect("env bindings");
+    for &(name, value) in cuts {
+        bindings.insert(name.into(), BoundValue::Scalar(value));
+    }
     for p in template.params() {
         let ParamShape::Array { len, hi, .. } = p.shape else {
             panic!("access templates search arrays");
@@ -598,14 +798,19 @@ fn access_virus(template: &str, env: &EnvKind, reps: &str) -> dstress_vpl::ast::
     template.instantiate(&bindings).expect("instantiates")
 }
 
-/// Every `ExecutionLimit` crossing of the stride and row access viruses,
-/// from a zero budget to the full run: the same `Result` and bus state on
-/// both tiers at each one.
-#[test]
-fn access_templates_agree_at_every_budget() {
-    let scale = ExperimentScale::quick();
+/// The stride and row access viruses around `victims` mid-DIMM rows in
+/// adjacent banks, with their repetition counts cut to `reps` (`None`:
+/// as the scale binds them) and the background fill to `fill_words`.
+fn access_viruses(
+    scale: &ExperimentScale,
+    victims: u8,
+    reps: Option<u64>,
+    fill_words: Option<u64>,
+) -> [dstress_vpl::ast::Program; 2] {
     let geo = scale.server.dimm.geometry;
-    let victims = vec![RowKey::new(0, 1, geo.rows_per_bank / 2)];
+    let victims: Vec<RowKey> = (1..=victims)
+        .map(|bank| RowKey::new(0, bank, geo.rows_per_bank / 2))
+        .collect();
     let stride = EnvKind::StrideAccess {
         victims: victims.clone(),
         fill: WORST_WORD,
@@ -614,24 +819,65 @@ fn access_templates_agree_at_every_budget() {
         victims,
         fill: WORST_WORD,
     };
-    for program in [
-        access_virus(STRIDE_ACCESS, &stride, "X_ITERS"),
-        access_virus(ROW_ACCESS, &row, "REPS"),
-    ] {
-        let compiled = compile(&program).expect("compiles");
-        let steps = Interpreter::new(ExecLimits::default())
-            .run(&program, &mut MirrorBus::default())
-            .expect("runs to completion")
-            .steps;
-        assert!(steps > 500, "the gather loops ran: {steps} steps");
-        for max_steps in 0..=steps {
-            let limits = ExecLimits { max_steps };
-            let mut ibus = MirrorBus::default();
-            let iresult = Interpreter::new(limits).run(&program, &mut ibus);
-            let mut vbus = MirrorBus::default();
-            let vresult = Vm::new(limits).run(&compiled, &mut vbus);
-            assert_eq!(iresult, vresult, "result mismatch at budget {max_steps}");
-            assert_eq!(ibus, vbus, "bus mismatch at budget {max_steps}");
+    let cuts = |reps_name| {
+        let mut cuts: Vec<(&str, u64)> = Vec::new();
+        cuts.extend(reps.map(|r| (reps_name, r)));
+        cuts.extend(fill_words.map(|w| ("MEM_WORDS", w)));
+        cuts
+    };
+    [
+        access_virus(scale, STRIDE_ACCESS, &stride, &cuts("X_ITERS")),
+        access_virus(scale, ROW_ACCESS, &row, &cuts("REPS")),
+    ]
+}
+
+/// Every `ExecutionLimit` crossing of the quick-scale stride and row access
+/// viruses, from a zero budget to the full run: the same `Result` and bus
+/// state on both tiers at each one. The repetitions are cut to 2 and the
+/// background fill to 16 words so that sweeping every budget stays cheap:
+/// the gather loops and their branches are what this pins; the fused fill
+/// is swept elsewhere. With one victim a fused gather runs one iteration;
+/// with two, a budget also lands between its iterations.
+#[test]
+fn access_templates_agree_at_every_budget() {
+    let scale = ExperimentScale::quick();
+    for victims in [1, 2] {
+        for program in access_viruses(&scale, victims, Some(2), Some(16)) {
+            let compiled = compile(&program).expect("compiles");
+            assert_eq!(
+                compiled.fused_shapes(),
+                [FusedShape::Fill, FusedShape::Gather]
+            );
+            let steps = Interpreter::new(ExecLimits::default())
+                .run(&program, &mut MirrorBus::default())
+                .expect("runs to completion")
+                .steps;
+            assert!(steps > 500, "the gather loops ran: {steps} steps");
+            for max_steps in 0..=steps {
+                let limits = ExecLimits { max_steps };
+                let mut ibus = MirrorBus::default();
+                let iresult = Interpreter::new(limits).run(&program, &mut ibus);
+                let mut vbus = MirrorBus::default();
+                let vresult = Vm::new(limits).run(&compiled, &mut vbus);
+                assert_eq!(iresult, vresult, "result mismatch at budget {max_steps}");
+                assert_eq!(ibus, vbus, "bus mismatch at budget {max_steps}");
+            }
         }
+    }
+}
+
+/// The paper-scale access viruses, uncut, around four victims: the VM and
+/// the interpreter agree on the stats and the bus state of the full run.
+#[test]
+fn paper_scale_access_viruses_agree_with_four_victims() {
+    let limits = ExecLimits::default();
+    for program in access_viruses(&ExperimentScale::paper(), 4, None, None) {
+        let mut ibus = MirrorBus::default();
+        let iresult = Interpreter::new(limits).run(&program, &mut ibus);
+        let mut vbus = MirrorBus::default();
+        let vresult = compile(&program).and_then(|c| Vm::new(limits).run(&c, &mut vbus));
+        assert!(iresult.is_ok(), "{iresult:?}");
+        assert_eq!(iresult, vresult);
+        assert_eq!(ibus, vbus);
     }
 }
