@@ -1,5 +1,5 @@
-//! Persistent work-stealing evaluation pool throughput, and multi-campaign
-//! fair-share scheduling throughput.
+//! Persistent evaluation pool throughput, and multi-campaign fair-share
+//! scheduling throughput.
 //!
 //! Every row drives a full multi-generation GA campaign over a synthetic
 //! fitness whose cost is a pure, deterministic function of the chromosome:
@@ -7,14 +7,15 @@
 //! * `even` — every candidate costs the same.
 //! * `uneven` — roughly a quarter of random chromosomes cost ~32× more
 //!   (the adversarial shape of retry storms, step-budget blowouts and
-//!   cold plan caches), which work stealing balances across the workers.
+//!   cold plan caches); the workers balance it by claiming tasks from one
+//!   shared queue as they come free.
 //!
 //! `scheduler/serialN` vs `scheduler/multiplexN` compare running N uneven
 //! campaigns back to back (each on its own pool) against the
 //! `CampaignScheduler` fair-sharing them over one pool.
 //!
 //! Run with `cargo bench -p dstress-bench --bench scheduler`; it prints the
-//! median of every row. Rows at a worker count above the host's cores
+//! median of every row (`-- pool_` runs only the single-campaign rows). Rows at a worker count above the host's cores
 //! measure oversubscription, not scaling.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -85,15 +86,13 @@ fn session(seed: u64) -> SearchSession<BitGenome> {
     })
 }
 
-/// One full campaign on the persistent work-stealing pool.
+/// One full campaign on the persistent pool, alone on its scheduler.
 fn campaign_pooled(seed: u64, workers: usize, uneven: bool) -> f64 {
-    let mut session = session(seed);
-    let pool = EvalPool::new(&SpinFitness { uneven }, workers);
-    while !session.done() {
-        session.step(&pool);
-    }
-    pool.shutdown();
-    session.finish().best_fitness
+    let mut scheduler = CampaignScheduler::new(EvalPool::new(&SpinFitness { uneven }, workers));
+    scheduler.add(session(seed), None);
+    scheduler.run();
+    let (mut sessions, _replicas) = scheduler.finish();
+    sessions.pop().expect("one campaign").finish().best_fitness
 }
 
 /// N uneven campaigns run back to back, each on its own fresh pool.

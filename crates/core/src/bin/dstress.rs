@@ -290,17 +290,15 @@ fn print_word64_campaign(campaign: &BitCampaign) {
 }
 
 /// Pool observability: printed only when the campaign actually ran on the
-/// persistent work-stealing pool (the serial engine path leaves the
-/// per-worker task counts empty).
+/// persistent pool (the serial engine path leaves the per-worker task
+/// counts empty).
 fn print_pool_stats(stats: &dstress::EvalStats) {
     if stats.worker_tasks.is_empty() {
         return;
     }
     let tasks: Vec<String> = stats.worker_tasks.iter().map(u64::to_string).collect();
     println!(
-        "pool: {} steal{}, max worker idle {:.3} s, tasks per worker [{}]",
-        stats.steals,
-        if stats.steals == 1 { "" } else { "s" },
+        "pool: max worker idle {:.3} s, tasks per worker [{}]",
         stats.max_worker_idle_ns as f64 / 1e9,
         tasks.join(", "),
     );

@@ -8,10 +8,9 @@
 //! [`ServiceEngine::handle`] and ticking the scheduler, so the engine
 //! itself needs no locking; client threads answer only `Ping` themselves.
 //! A [`Reply::Watch`] flips the connection into streaming mode: the
-//! client thread writes the retained backlog (for `from_seq`
-//! reconnects), then pumps its [`Subscriber`] queue onto the socket
-//! until the campaign's bus closes, then returns to request/response
-//! mode.
+//! client thread pumps its [`Subscriber`] — a cursor into the campaign's
+//! event ring, starting at the requested `from_seq` — onto the socket
+//! until the ring closes, then returns to request/response mode.
 //!
 //! The connection edge is its own fault domain: every client read runs
 //! under a short poll timeout, so the client thread — never the engine —
@@ -58,8 +57,9 @@ pub struct DaemonConfig {
     pub dir: PathBuf,
     /// Evaluation worker threads shared by all campaigns of a substrate.
     pub workers: usize,
-    /// Per-subscriber event buffer; slower clients lag past this. Also
-    /// the per-campaign retained-event ring backing `watch --from-seq`.
+    /// Events each campaign's ring retains: every watcher reads them from
+    /// there (`watch --from-seq` included), and one that falls further
+    /// behind is told how many it lagged.
     pub event_capacity: usize,
     /// How long a started frame may dribble in before the connection is
     /// reaped (the slow-loris bound).
@@ -387,26 +387,17 @@ fn client_session(
             }
         };
         // A liveness probe must not wait for the engine's current tick.
-        let (reply, from_seq) = match request {
-            Request::Ping => (Reply::Response(Response::Pong), 0),
-            Request::Watch { from_seq, .. } => (ask(&commands, request), from_seq),
-            request => (ask(&commands, request), 0),
+        let reply = match request {
+            Request::Ping => Reply::Response(Response::Pong),
+            request => ask(&commands, request),
         };
         let served = match reply {
             Reply::Response(response) => write_line(&mut writer, &response).is_ok(),
             Reply::Watch {
                 campaign,
-                backlog,
-                subscriber,
+                mut subscriber,
             } => {
-                let settled = stream_watch(
-                    &mut writer,
-                    campaign,
-                    &backlog,
-                    from_seq,
-                    &subscriber,
-                    &shutdown,
-                );
+                let settled = stream_watch(&mut writer, campaign, &mut subscriber, &shutdown);
                 // A long watch is activity, not idleness.
                 last_activity = Instant::now();
                 settled.unwrap_or(false)
@@ -418,13 +409,11 @@ fn client_session(
     }
 }
 
-/// Writes a watch stream: the `Watching` acknowledgement, the backlog,
-/// then the subscription. Lag surfaces as an explicit seq-0
-/// [`Event::Lagged`] line. Events below `from_seq` (a replayed step a
-/// reconnecting client already saw before a restart) are suppressed so
-/// the client never sees a duplicate.
+/// Writes a watch stream: the `Watching` acknowledgement, then the
+/// subscription from its cursor. Lag surfaces as an explicit seq-0
+/// [`Event::Lagged`] line.
 ///
-/// Returns `true` when the campaign's bus closed: the stream then ends
+/// Returns `true` when the campaign's ring closed: the stream then ends
 /// with the `Ok` marker that returns the connection to request/response
 /// mode. A daemon shutdown returns `false` without the marker — settled
 /// is final, shutdown is a reconnect cue — so the caller drops the
@@ -433,22 +422,13 @@ fn client_session(
 fn stream_watch<W: Write>(
     out: &mut W,
     campaign: u64,
-    backlog: &[SeqEvent],
-    from_seq: u64,
-    subscriber: &Subscriber<SeqEvent>,
+    subscriber: &mut Subscriber,
     shutdown: &Arc<AtomicBool>,
 ) -> io::Result<bool> {
     write_line(out, &Response::Watching { campaign })?;
-    for event in backlog {
-        write_line(out, event)?;
-    }
     loop {
         match subscriber.recv_timeout(Duration::from_millis(100)) {
-            Recv::Event(event) => {
-                if event.seq == 0 || event.seq >= from_seq {
-                    write_line(out, &event)?;
-                }
-            }
+            Recv::Event(event) => write_line(out, &event)?,
             Recv::Lagged(missed) => write_line(
                 out,
                 &SeqEvent {

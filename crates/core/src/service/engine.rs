@@ -38,9 +38,11 @@
 //! the engine thread). [`tick`](ServiceEngine::tick) itself is
 //! infallible — no tenant fault ever propagates out of it.
 //!
-//! Every broadcast event is stamped with a per-campaign sequence number
-//! ([`SeqEvent`]) and retained in a small ring, so a `watch` that
-//! reconnects with `from_seq` replays exactly the missed suffix. The
+//! Every event is stamped with a per-campaign sequence number
+//! ([`SeqEvent`](crate::service::SeqEvent)) and kept once, in the
+//! campaign's ring, which every `watch` reads from its own cursor, so a
+//! `watch` that reconnects with `from_seq` replays exactly the missed
+//! suffix. The
 //! numbering survives restarts and quarantines: it is kept relative to
 //! the journal, with its lead persisted in the spec file.
 
@@ -49,14 +51,14 @@ use crate::evaluate::{Metric, ParallelBitFitness};
 use crate::patterns::BitCodec;
 use crate::scale::ExperimentScale;
 use crate::search::{Campaign, DStress};
-use crate::service::broadcast::{EventBus, Subscriber};
+use crate::service::broadcast::{EventRing, Subscriber};
 use crate::service::protocol::{
-    CampaignSpec, Event, LeaderboardEntry, Request, Response, SeqEvent, StatusReport,
+    CampaignSpec, Event, LeaderboardEntry, Request, Response, StatusReport,
 };
 use crate::service::registry::{CampaignRegistry, StoredResult, StoredSpec};
 use dstress_ga::journal::{CampaignJournal, DiskStorage, JournaledCampaign, Storage};
 use dstress_ga::{BitGenome, CampaignScheduler, EvalPool, SearchSession, SupervisionPolicy};
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -110,16 +112,13 @@ impl From<ServiceError> for DStressError {
 pub enum Reply {
     /// The one response frame.
     Response(Response),
-    /// A `watch` was accepted: the retained backlog from the requested
-    /// cut, then the live subscription to pump until the bus closes.
+    /// A `watch` was accepted: the subscriber to pump, from the requested
+    /// seq, until the campaign's ring closes.
     Watch {
         /// The watched campaign.
         campaign: u64,
-        /// Retained events with `seq >= from_seq`, after a seq-0
-        /// [`Event::Lagged`] when older ones were requested.
-        backlog: Vec<SeqEvent>,
-        /// The live subscription.
-        subscriber: Subscriber<SeqEvent>,
+        /// The subscription.
+        subscriber: Subscriber,
     },
 }
 
@@ -181,8 +180,9 @@ fn recovery_policy() -> SupervisionPolicy {
     }
 }
 
-/// One campaign's event stream: its sequence numbering, its broadcast
-/// bus, and the ring of recent events backing `watch --from-seq`.
+/// One campaign's event stream: the ring that numbers, retains and
+/// serves its events, and the journaled steps that numbering is
+/// relative to.
 ///
 /// Numbering is kept relative to the journal so it survives restarts: a
 /// journaled step's replay after a kill gets its old seq back, and
@@ -194,11 +194,7 @@ fn recovery_policy() -> SupervisionPolicy {
 /// gained since when the journal reopens, so no seq is ever published
 /// twice for different events, even when the journal never reopens.
 struct EventLog {
-    bus: EventBus<SeqEvent>,
-    ring: VecDeque<SeqEvent>,
-    capacity: usize,
-    /// The seq of the last published event (0 = none yet).
-    last_seq: u64,
+    ring: EventRing,
     /// The steps the journal resumes from (its checkpoint's).
     journaled: u64,
 }
@@ -208,26 +204,9 @@ impl EventLog {
     /// `offset`.
     fn new(capacity: usize, offset: u64, journaled: u64) -> Self {
         EventLog {
-            bus: EventBus::new(capacity),
-            ring: VecDeque::new(),
-            capacity,
-            last_seq: offset + journaled,
+            ring: EventRing::new(capacity, offset + journaled),
             journaled,
         }
-    }
-
-    /// Stamps, retains and broadcasts one event.
-    fn publish(&mut self, event: Event) {
-        self.last_seq += 1;
-        let stamped = SeqEvent {
-            seq: self.last_seq,
-            event,
-        };
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(stamped.clone());
-        self.bus.publish(&stamped);
     }
 
     /// The journal now resumes from `steps` (a commit, or a finished
@@ -240,32 +219,13 @@ impl EventLog {
     /// steps it gained since it was last seen (all of them after a
     /// restart), and never back.
     fn opened(&mut self, steps: u64) {
-        self.last_seq += steps.saturating_sub(self.journaled);
+        self.ring.skip(steps.saturating_sub(self.journaled));
         self.journaled = steps;
     }
 
     /// How far the numbering leads the journal's steps.
     fn offset(&self) -> u64 {
-        self.last_seq.saturating_sub(self.journaled)
-    }
-
-    /// The retained backlog from `from_seq` on (0 or 1 = everything
-    /// retained), prefixed with a seq-0 [`Event::Lagged`] counting the
-    /// events older than the ring, plus a live subscriber.
-    fn watch(&self, from_seq: u64) -> (Vec<SeqEvent>, Subscriber<SeqEvent>) {
-        let from = from_seq.max(1);
-        let first_retained = self.ring.front().map_or(self.last_seq + 1, |e| e.seq);
-        let mut backlog = Vec::new();
-        if from < first_retained {
-            backlog.push(SeqEvent {
-                seq: 0,
-                event: Event::Lagged {
-                    missed: first_retained - from,
-                },
-            });
-        }
-        backlog.extend(self.ring.iter().filter(|e| e.seq >= from).cloned());
-        (backlog, self.bus.subscribe())
+        self.ring.last_seq().saturating_sub(self.journaled)
     }
 }
 
@@ -493,10 +453,9 @@ impl<S: Storage + Clone> ServiceEngine<S> {
             Request::Resume { campaign } => self.set_paused(campaign, false).map(|()| Response::Ok),
             Request::Cancel { campaign } => self.cancel(campaign).map(|()| Response::Ok),
             Request::Watch { campaign, from_seq } => match self.watch(campaign, from_seq) {
-                Ok((backlog, subscriber)) => {
+                Ok(subscriber) => {
                     return Reply::Watch {
                         campaign,
-                        backlog,
                         subscriber,
                     }
                 }
@@ -699,7 +658,7 @@ impl<S: Storage + Clone> ServiceEngine<S> {
         let mut fault = None;
         let stage = match stored.state.as_str() {
             "done" | "cancelled" => {
-                events.bus.close();
+                events.ring.close();
                 let report = self.registry.read_result(id)?.map(|r| r.report);
                 if stored.state == "done" {
                     Stage::Done(report)
@@ -708,13 +667,18 @@ impl<S: Storage + Clone> ServiceEngine<S> {
                 }
             }
             // Quarantined across the restart: no scheduler slot until a
-            // `resume` retries recovery. The bus stays open.
+            // `resume` retries recovery. The ring stays open.
             "failed" => {
                 let error = stored
                     .error
                     .clone()
                     .unwrap_or_else(|| "storage failure".into());
-                Stage::Failed(Failure::blank(id, &stored.name, error, events.last_seq))
+                Stage::Failed(Failure::blank(
+                    id,
+                    &stored.name,
+                    error,
+                    events.ring.last_seq(),
+                ))
             }
             state => {
                 let paused = matches!(state, "paused" | "budget-paused");
@@ -729,7 +693,12 @@ impl<S: Storage + Clone> ServiceEngine<S> {
                     Err(e) => {
                         let error = format!("recovering campaign {id}: {e}");
                         fault = Some(error.clone());
-                        Stage::Failed(Failure::blank(id, &stored.name, error, events.last_seq))
+                        Stage::Failed(Failure::blank(
+                            id,
+                            &stored.name,
+                            error,
+                            events.ring.last_seq(),
+                        ))
                     }
                 }
             }
@@ -778,7 +747,7 @@ impl<S: Storage + Clone> ServiceEngine<S> {
     /// Quarantines one campaign after a storage fault: releases its
     /// scheduler slot back to the surviving tenants, snapshots its
     /// progress, records the failure, and broadcasts [`Event::Failed`]
-    /// (the bus stays open for the recovery's events). On a quarantined
+    /// (the ring stays open for the recovery's events). On a quarantined
     /// campaign it records and broadcasts the new error against the
     /// original failure; idempotent on terminal campaigns.
     fn fail_campaign(&mut self, idx: usize, error: String) {
@@ -793,7 +762,7 @@ impl<S: Storage + Clone> ServiceEngine<S> {
                 let session = self.groups[live.group].scheduler.remove(live.sched);
                 let (id, name) = (runtime.id, &runtime.name);
                 let report = report_from_session(id, name, "failed", &session, Some(error.clone()));
-                let at_seq = runtime.events.last_seq;
+                let at_seq = runtime.events.ring.last_seq();
                 runtime.stage = Stage::Failed(Failure {
                     at_seq,
                     attempts: 0,
@@ -802,7 +771,7 @@ impl<S: Storage + Clone> ServiceEngine<S> {
                 (at_seq, 0)
             }
         };
-        runtime.events.publish(Event::Failed {
+        runtime.events.ring.publish(Event::Failed {
             campaign: runtime.id,
             error,
             at_seq,
@@ -910,7 +879,7 @@ impl<S: Storage + Clone> ServiceEngine<S> {
                 for (g, _) in &board {
                     board_genes.insert(g.to_words());
                 }
-                events.publish(Event::Generation {
+                events.ring.publish(Event::Generation {
                     campaign: id,
                     generation: session.generation(),
                     best: board.first().map(|(g, f)| entry(g, *f)),
@@ -977,8 +946,8 @@ impl<S: Storage + Clone> ServiceEngine<S> {
         } else {
             Stage::Done(Some(report))
         };
-        runtime.events.publish(event);
-        runtime.events.bus.close();
+        runtime.events.ring.publish(event);
+        runtime.events.ring.close();
         self.persist_state(idx)
     }
 
@@ -1042,7 +1011,7 @@ impl<S: Storage + Clone> ServiceEngine<S> {
     }
 
     /// Cancels a campaign: its session is discarded, its journal (with
-    /// the latest checkpoint) is retained on disk, and its event bus
+    /// the latest checkpoint) is retained on disk, and its event ring
     /// closes after a [`Event::Cancelled`] notification.
     ///
     /// # Errors
@@ -1068,25 +1037,23 @@ impl<S: Storage + Clone> ServiceEngine<S> {
         })
     }
 
-    /// Subscribes to a campaign's event stream from `from_seq` onward:
-    /// returns the retained backlog (every ring event with
-    /// `seq >= from_seq`) plus a live subscriber for what follows.
-    /// `from_seq` 0 or 1 means "everything retained". If events older
-    /// than the ring were requested, the backlog is prefixed with a
-    /// seq-0 [`Event::Lagged`] counting the unrecoverable gap.
+    /// Subscribes to a campaign's event stream from `from_seq` onward
+    /// (0 or 1 = everything retained): the subscriber first reports, as
+    /// [`Recv::Lagged`](crate::service::Recv::Lagged), any requested
+    /// events older than the ring, then delivers every retained event
+    /// with `seq >= from_seq` and whatever follows.
     ///
-    /// Watching a terminal campaign yields its retained tail and a
-    /// subscriber that immediately reports closure.
+    /// Watching a terminal campaign yields its retained tail, then
+    /// closure.
     ///
     /// # Errors
     ///
     /// [`ServiceError::UnknownCampaign`] for an unknown id.
-    pub fn watch(
-        &self,
-        id: u64,
-        from_seq: u64,
-    ) -> Result<(Vec<SeqEvent>, Subscriber<SeqEvent>), ServiceError> {
-        Ok(self.campaigns[self.index(id)?].events.watch(from_seq))
+    pub fn watch(&self, id: u64, from_seq: u64) -> Result<Subscriber, ServiceError> {
+        Ok(self.campaigns[self.index(id)?]
+            .events
+            .ring
+            .subscribe(from_seq))
     }
 }
 
@@ -1128,9 +1095,26 @@ mod tests {
     use super::*;
     use crate::search::BitCampaign;
     use crate::service::broadcast::Recv;
+    use crate::service::protocol::SeqEvent;
     use dstress_ga::journal::{MemStorage, SharedStorage};
     use dstress_ga::{run_campaigns, CampaignRun};
     use std::time::Duration;
+
+    /// Everything a subscriber can read without waiting, a lag rendered
+    /// as the seq-0 [`Event::Lagged`] line the daemon writes for it.
+    fn backlog(sub: &mut Subscriber) -> Vec<SeqEvent> {
+        let mut events = Vec::new();
+        loop {
+            match sub.recv_timeout(Duration::ZERO) {
+                Recv::Event(event) => events.push(event),
+                Recv::Lagged(missed) => events.push(SeqEvent {
+                    seq: 0,
+                    event: Event::Lagged { missed },
+                }),
+                Recv::Empty | Recv::Closed => return events,
+            }
+        }
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dstress-engine-{tag}-{}", std::process::id()));
@@ -1235,8 +1219,8 @@ mod tests {
         let dir = temp_dir("lifecycle");
         let mut engine = ServiceEngine::new(dir.join("daemon"), 1, 64).unwrap();
         let (id, _) = engine.submit(quick_spec(9)).unwrap();
-        let (backlog, sub) = engine.watch(id, 0).unwrap();
-        assert!(backlog.is_empty(), "nothing published yet");
+        let mut sub = engine.watch(id, 0).unwrap();
+        assert!(backlog(&mut sub).is_empty(), "nothing published yet");
         engine.tick();
         match sub.recv_timeout(Duration::from_secs(1)) {
             Recv::Event(SeqEvent {
@@ -1410,8 +1394,7 @@ mod tests {
         id: u64,
         from_seq: u64,
     ) -> Vec<(u64, String)> {
-        let (backlog, _) = engine.watch(id, from_seq).unwrap();
-        backlog
+        backlog(&mut engine.watch(id, from_seq).unwrap())
             .into_iter()
             .map(|e| {
                 let kind = match e.event {
@@ -1513,21 +1496,69 @@ mod tests {
         assert_eq!(report.state, "done");
         let last_seq = u64::from(report.generation) + 2; // seed pass + Completed
                                                          // Reconnecting from within the ring replays exactly the suffix.
-        let (backlog, _) = engine.watch(id, last_seq - 1).unwrap();
+        let suffix = backlog(&mut engine.watch(id, last_seq - 1).unwrap());
         assert_eq!(
-            backlog.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            suffix.iter().map(|e| e.seq).collect::<Vec<_>>(),
             vec![last_seq - 1, last_seq]
         );
         // Reconnecting from before the ring flags the unrecoverable gap
         // with a connection-local (seq 0) Lagged notice, then the ring.
-        let (backlog, _) = engine.watch(id, 1).unwrap();
-        assert_eq!(backlog[0].seq, 0);
-        let Event::Lagged { missed } = backlog[0].event else {
-            panic!("expected a Lagged prefix, got {:?}", backlog[0].event);
+        let replay = backlog(&mut engine.watch(id, 1).unwrap());
+        assert_eq!(replay[0].seq, 0);
+        let Event::Lagged { missed } = replay[0].event else {
+            panic!("expected a Lagged prefix, got {:?}", replay[0].event);
         };
         assert_eq!(missed, last_seq - 4, "events 1..=N-4 fell out of the ring");
-        let seqs: Vec<u64> = backlog[1..].iter().map(|e| e.seq).collect();
+        let seqs: Vec<u64> = replay[1..].iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (last_seq - 3..=last_seq).collect::<Vec<_>>());
+        // A live watcher that starts inside the ring, then stops reading
+        // while more than the ring holds is published, learns of the gap
+        // exactly once, sees no seq twice, and accounts for every event
+        // published since its cursor.
+        let (live, _) = engine.submit(quick_spec(14)).unwrap();
+        for _ in 0..3 {
+            engine.tick();
+        }
+        let cursor = 2;
+        let mut sub = engine.watch(live, cursor).unwrap();
+        let Recv::Event(first) = sub.recv_timeout(Duration::ZERO) else {
+            panic!("the cursor's event is retained");
+        };
+        assert_eq!(first.seq, cursor);
+        let mut delivered = vec![first.seq];
+        let mut lags = Vec::new();
+        let mut read = |sub: &mut Subscriber, until_closed: bool| loop {
+            match sub.recv_timeout(Duration::ZERO) {
+                Recv::Event(event) => delivered.push(event.seq),
+                Recv::Lagged(missed) => lags.push(missed),
+                Recv::Empty => {
+                    assert!(!until_closed, "the cancelled stream must close");
+                    return;
+                }
+                Recv::Closed => {
+                    assert!(until_closed, "the live stream closed early");
+                    return;
+                }
+            }
+        };
+        for _ in 0..6 {
+            engine.tick();
+        }
+        assert_eq!(engine.status(live).unwrap().state, "running");
+        read(&mut sub, false);
+        engine.cancel(live).unwrap();
+        read(&mut sub, true);
+        assert_eq!(lags.len(), 1, "one Lagged notice per gap");
+        assert!(
+            delivered.windows(2).all(|w| w[0] < w[1]),
+            "no seq twice: {delivered:?}"
+        );
+        let last = *delivered.last().unwrap();
+        assert_eq!(
+            lags[0] + delivered.len() as u64,
+            last - cursor + 1,
+            "missed + delivered = published since the cursor"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

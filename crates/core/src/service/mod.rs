@@ -8,8 +8,9 @@
 //!
 //! * [`protocol`] — the wire types: newline-delimited JSON requests,
 //!   responses, and progress events, every one a plain serde round-trip.
-//! * [`broadcast`] — a bounded broadcast channel with lagging-client drop
-//!   semantics, one bus per campaign, feeding `watch` subscribers.
+//! * [`broadcast`] — one event ring per campaign: each event is kept
+//!   once, and every `watch` subscriber is a cursor into it that learns
+//!   when it lagged past the ring.
 //! * [`registry`] — the on-disk campaign registry: a spec file, a
 //!   per-campaign write-ahead journal (isolation), and a result file per
 //!   campaign, scanned on boot so every unfinished campaign resumes
@@ -38,7 +39,7 @@ pub mod engine;
 pub mod protocol;
 pub mod registry;
 
-pub use broadcast::{EventBus, Recv, Subscriber};
+pub use broadcast::{Recv, Subscriber};
 pub use daemon::{DaemonConfig, Dstressd};
 pub use engine::{campaign_db_paths, Reply, ServiceEngine, ServiceError};
 pub use protocol::{

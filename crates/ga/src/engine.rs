@@ -16,7 +16,7 @@ use crate::fitness::ParallelFitness;
 use crate::genome::Genome;
 use crate::journal::{run_campaigns, CampaignRun};
 use crate::ops::selection::SelectionScheme;
-use crate::pool::{EvalPool, PoolTask, RoundSubmission};
+use crate::pool::PoolTask;
 use crate::supervise::{
     finite_mean, nan_last_cmp, nan_last_max, EvalVerdict, HazardPlan, Incident, IncidentKind,
     PendingIncident, SupervisionPolicy,
@@ -154,31 +154,17 @@ pub struct EvalStats {
     /// benchmark. Absent in older checkpoints.
     #[serde(default)]
     pub compile_hits: u64,
-    /// Tasks executed by a worker other than the one they were dealt to —
-    /// work-stealing rebalance events. A runtime observable (like the
-    /// timing vector), not part of the determinism contract. Absent in
-    /// checkpoints from before the pool existed.
-    #[serde(default)]
-    pub steals: u64,
     /// The longest any pool worker sat idle inside a single scored round,
     /// in nanoseconds (round wall-clock minus that worker's busy time) —
-    /// the straggler-tail measure work stealing exists to shrink. Absent
-    /// in pre-pool checkpoints.
+    /// the straggler tail. A runtime observable (like the timing vector),
+    /// not part of the determinism contract. Absent in pre-pool
+    /// checkpoints.
     #[serde(default)]
     pub max_worker_idle_ns: u64,
     /// Substrate tasks each pool worker executed, indexed by worker slot.
     /// Absent in pre-pool checkpoints.
     #[serde(default)]
     pub worker_tasks: Vec<u64>,
-    /// Evaluations served by a warm replica-internal cache, as reported by
-    /// [`crate::ParallelFitness::cache_counters`]. Absent in pre-pool
-    /// checkpoints.
-    #[serde(default)]
-    pub replica_warm_hits: u64,
-    /// Evaluations that went through a replica-internal cache cold. Absent
-    /// in pre-pool checkpoints.
-    #[serde(default)]
-    pub replica_cold_misses: u64,
     /// Wall-clock seconds spent evaluating each scored round; index 0 is
     /// the initial population, subsequent entries are generations.
     pub generation_eval_seconds: Vec<f64>,
@@ -192,7 +178,6 @@ impl EvalStats {
 
     /// Folds one pool round's observability counters in.
     pub(crate) fn note_pool_round(&mut self, round: &PoolRoundStats) {
-        self.steals += round.steals;
         self.max_worker_idle_ns = self.max_worker_idle_ns.max(round.max_worker_idle_ns);
         if self.worker_tasks.len() < round.worker_tasks.len() {
             self.worker_tasks.resize(round.worker_tasks.len(), 0);
@@ -200,8 +185,6 @@ impl EvalStats {
         for (total, &n) in self.worker_tasks.iter_mut().zip(&round.worker_tasks) {
             *total += n;
         }
-        self.replica_warm_hits += round.warm_hits;
-        self.replica_cold_misses += round.cold_misses;
     }
 
     /// Merges another campaign's stats into this one — the scheduler's
@@ -219,7 +202,6 @@ impl EvalStats {
         self.workers = self.workers.max(other.workers);
         self.cache_size += other.cache_size;
         self.compile_hits += other.compile_hits;
-        self.steals += other.steals;
         self.max_worker_idle_ns = self.max_worker_idle_ns.max(other.max_worker_idle_ns);
         if self.worker_tasks.len() < other.worker_tasks.len() {
             self.worker_tasks.resize(other.worker_tasks.len(), 0);
@@ -227,8 +209,6 @@ impl EvalStats {
         for (total, &n) in self.worker_tasks.iter_mut().zip(&other.worker_tasks) {
             *total += n;
         }
-        self.replica_warm_hits += other.replica_warm_hits;
-        self.replica_cold_misses += other.replica_cold_misses;
         if self.generation_eval_seconds.len() < other.generation_eval_seconds.len() {
             self.generation_eval_seconds
                 .resize(other.generation_eval_seconds.len(), 0.0);
@@ -249,11 +229,8 @@ impl EvalStats {
 /// incidents, these are *not* part of the bit-identity contract.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct PoolRoundStats {
-    pub(crate) steals: u64,
     pub(crate) max_worker_idle_ns: u64,
     pub(crate) worker_tasks: Vec<u64>,
-    pub(crate) warm_hits: u64,
-    pub(crate) cold_misses: u64,
 }
 
 /// The outcome of a GA search.
@@ -622,8 +599,8 @@ impl<G: Genome + Eq + Hash> EvalCache<G> {
 /// The cache pre-pass of one scoring round: repeats resolved, distinct new
 /// chromosomes collected in dealing order with the population slots each
 /// fills, and the round's base evaluation index pinned. Shared verbatim by
-/// a lone session's [`SearchSession::step`] and the campaign scheduler, so
-/// the canonical numbering can never drift between them.
+/// every session the campaign scheduler steps, alone or with others, so
+/// the canonical numbering cannot depend on its co-tenants.
 #[derive(Debug)]
 pub(crate) struct RoundPlan<G> {
     /// Scores with cache hits pre-filled; pending slots still zero.
@@ -766,14 +743,14 @@ where
 /// callers can persist the complete engine state between generations and
 /// continue an interrupted search **bit-identically** (§III-F).
 ///
-/// One [`step`] call scores the initial population; each further call runs
-/// exactly one generation. [`checkpoint`] captures everything the next step
-/// depends on — population, scores, leaderboard, history, RNG stream
+/// Sessions are stepped by a [`CampaignScheduler`]: the first step scores
+/// the initial population; each further step runs exactly one generation.
+/// [`checkpoint`] captures everything the next step depends on — population, scores, leaderboard, history, RNG stream
 /// position, evaluation cache and counters — and [`resume`] reconstructs
 /// the session so the remaining steps draw the same random numbers and the
 /// same cached fitness values as an uninterrupted run.
 ///
-/// [`step`]: SearchSession::step
+/// [`CampaignScheduler`]: crate::CampaignScheduler
 /// [`checkpoint`]: SearchSession::checkpoint
 /// [`resume`]: SearchSession::resume
 #[derive(Debug)]
@@ -815,13 +792,11 @@ pub struct SearchSession<G> {
 
 impl<G: Genome + PartialEq + Eq + Hash + Sync> SearchSession<G> {
     /// Starts a fresh session: seeds the RNG and draws the initial
-    /// population (nothing is evaluated until the first [`step`]).
+    /// population (nothing is evaluated until the first step).
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid.
-    ///
-    /// [`step`]: SearchSession::step
     pub fn start(config: GaConfig, seed: u64, mut init: impl FnMut(&mut StdRng) -> G) -> Self {
         config.validate().expect("invalid GA configuration");
         let mut rng = StdRng::seed_from_u64(seed);
@@ -982,22 +957,12 @@ impl<G: Genome + PartialEq + Eq + Hash + Sync> SearchSession<G> {
         }
     }
 
-    /// Runs one step on a persistent evaluation pool: the first call
-    /// scores the initial population, each later call runs exactly one
-    /// generation (breed, score, update the convergence state). A no-op
-    /// once [`done`](SearchSession::done).
-    ///
-    /// Candidates become tasks in the pool's work-stealing deques,
-    /// evaluated by long-lived workers whose replica caches stay warm
-    /// across generations. The step is bit-identical for any worker count,
-    /// any steal interleaving and any hazard schedule, because verdicts are
-    /// keyed by the campaign-dense evaluation index and drained in dealing
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pool worker panics outside the supervised evaluation.
-    pub fn step<F>(&mut self, pool: &EvalPool<G, F>)
+    /// Runs one step on `pool`, exactly as a scheduler tick with this
+    /// session alone would: the unit tests' way to drive a session one
+    /// step at a time on a pool they keep. A no-op once
+    /// [`done`](SearchSession::done).
+    #[cfg(test)]
+    pub fn step<F>(&mut self, pool: &crate::pool::EvalPool<G, F>)
     where
         G: Send + 'static,
         F: ParallelFitness<G> + 'static,
@@ -1012,7 +977,7 @@ impl<G: Genome + PartialEq + Eq + Hash + Sync> SearchSession<G> {
         let execution = if round.plan.pending.is_empty() {
             None
         } else {
-            let submission = RoundSubmission {
+            let submission = crate::pool::RoundSubmission {
                 tasks: round.plan.pool_tasks(),
                 policy: self.policy,
                 hazards: self.hazards.clone(),
@@ -1164,9 +1129,7 @@ impl<G: Genome + PartialEq + Eq + Hash + Sync> SearchSession<G> {
     ///
     /// # Panics
     ///
-    /// Panics if nothing was ever evaluated (no [`step`] call).
-    ///
-    /// [`step`]: SearchSession::step
+    /// Panics if nothing was ever evaluated (no step taken).
     pub fn finish(self) -> SearchResult<G> {
         let sign = if self.config.minimize { -1.0 } else { 1.0 };
         let leaderboard: Vec<(G, f64)> = self
@@ -1323,6 +1286,7 @@ mod tests {
     use super::*;
     use crate::fitness::{Fitness, FnFitness};
     use crate::genome::{BitGenome, IntGenome};
+    use crate::pool::EvalPool;
 
     #[test]
     fn config_validation() {
@@ -1885,10 +1849,44 @@ mod tests {
         let legacy = format!("{}{}", &json[..at], &rest[end + 1..]);
         let state = EngineState::<BitGenome>::from_json(&legacy).unwrap();
         assert_eq!(state.eval_stats.cache_size, 0);
-        // And the rest of the state still resumes.
-        let mut resumed = SearchSession::resume(state);
-        while !resumed.done() {
-            resumed.step(&pool);
+        // Checkpoints written while the pool still counted steals and
+        // replica cache hits carry three keys the stats no longer have;
+        // unknown keys are ignored, so they load too.
+        let needle = "\"eval_stats\":{";
+        assert!(json.contains(needle));
+        let counted = json.replacen(
+            needle,
+            "\"eval_stats\":{\"steals\":3,\"replica_warm_hits\":2,\"replica_cold_misses\":5,",
+            1,
+        );
+        // And the rest of the state resumes bit-identically.
+        let resume = |json: &str| {
+            let state = EngineState::<BitGenome>::from_json(json).unwrap();
+            let mut resumed = SearchSession::resume(state);
+            while !resumed.done() {
+                resumed.step(&pool);
+            }
+            resumed.finish()
+        };
+        let reference = resume(&json);
+        for old in [legacy, counted] {
+            let result = resume(&old);
+            assert_eq!(result.best, reference.best);
+            assert_eq!(
+                result.best_fitness.to_bits(),
+                reference.best_fitness.to_bits()
+            );
+            assert_eq!(result.leaderboard, reference.leaderboard);
+            assert_eq!(result.history, reference.history);
+            assert_eq!(result.generations, reference.generations);
+            assert_eq!(
+                result.eval_stats.evaluations,
+                reference.eval_stats.evaluations
+            );
+            assert_eq!(
+                result.eval_stats.cache_hits,
+                reference.eval_stats.cache_hits
+            );
         }
     }
 

@@ -150,14 +150,10 @@ pub trait ParallelFitness<G: Genome>: Fitness<G> + Send {
     }
 
     /// Monotone counters of the replica's internal caches, as
-    /// `(warm_hits, cold_misses)`. The persistent evaluation pool samples
-    /// these around every task to report how warm each long-lived replica
-    /// stays across generations ([`crate::EvalStats::replica_warm_hits`] /
-    /// [`crate::EvalStats::replica_cold_misses`]). The default — for
-    /// substrates with no internal caches — reports zeros; no substrate in
-    /// this workspace overrides it. Kept because perfbench's fitness
-    /// wrappers forward it; goes with them at the next change to the
-    /// benchmark.
+    /// `(warm_hits, cold_misses)`. Nothing in the workspace reads them,
+    /// and no substrate overrides the default zeros. Kept because
+    /// perfbench's fitness wrappers forward it; goes with them at the next
+    /// change to the benchmark.
     fn cache_counters(&self) -> (u64, u64) {
         (0, 0)
     }

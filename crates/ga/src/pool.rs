@@ -1,15 +1,16 @@
-//! The persistent work-stealing evaluation pool — the engine's only
-//! executor — and the multi-campaign scheduler built on it.
+//! The persistent evaluation pool — the engine's only executor — and the
+//! multi-campaign scheduler built on it.
 //!
 //! [`EvalPool`] spawns its workers **once per campaign driver**: each owns
 //! a warm [`ParallelFitness`] replica whose plan/profile/compile caches
-//! survive across generations, candidates are pushed as tasks into
-//! per-worker deques, and an idle worker steals from the back of a loaded
-//! one, so one expensive candidate — a retry storm, a step-budget blowout,
-//! a cold plan cache — does not leave every other worker idle at the
-//! generation barrier. A serial search is a pool of one worker.
+//! survive across generations. A batch's candidates wait in one FIFO
+//! queue, and every free worker claims the front task, so one expensive
+//! candidate — a retry storm, a step-budget blowout, a cold plan cache —
+//! holds up only the worker running it; the others keep draining the
+//! queue until the generation barrier. A serial search is a pool of one
+//! worker.
 //!
-//! # Why stealing cannot change the result
+//! # Why the claim order cannot change the result
 //!
 //! Everything observable is keyed by the **campaign-dense evaluation
 //! index** assigned during the cache pre-pass (cache hits never consume
@@ -27,7 +28,7 @@
 //!   sorted by `(eval index, attempt, phase)`.
 //!
 //! The result — scores, journal records, incident stream — is therefore
-//! bit-identical for any worker count, any steal interleaving and any
+//! bit-identical for any worker count, any claim interleaving and any
 //! hazard schedule; the differential suites pin this, and pin the pool
 //! against a serial reference loop in the engine's tests.
 //!
@@ -73,7 +74,7 @@ pub(crate) struct RoundSubmission<G> {
     pub(crate) hazards: Option<HazardPlan>,
 }
 
-/// A task in a worker deque, tagged with the round it belongs to.
+/// A task in the batch queue, tagged with the round it belongs to.
 #[derive(Debug)]
 struct QueuedTask<G> {
     round: usize,
@@ -89,16 +90,13 @@ struct TaskDone {
     verdict: EvalVerdict,
     incidents: Vec<PendingIncident>,
     worker: usize,
-    stolen: bool,
-    warm_delta: u64,
-    cold_delta: u64,
     busy_ns: u64,
 }
 
-/// The in-flight batch: per-worker deques, per-round supervision, and the
-/// completions accumulated so far.
+/// The in-flight batch: the tasks not yet claimed, in fair-share order,
+/// per-round supervision, and the completions accumulated so far.
 struct Batch<G> {
-    queues: Vec<VecDeque<QueuedTask<G>>>,
+    queue: VecDeque<QueuedTask<G>>,
     outstanding: usize,
     supervision: Vec<(SupervisionPolicy, Option<HazardPlan>)>,
     done: Vec<TaskDone>,
@@ -126,51 +124,27 @@ struct Shared<G, F> {
     idle: Condvar,
 }
 
-/// What a worker claimed from the deques, with the supervision snapshot of
-/// the task's round and the queue the task came from (for requeueing if a
-/// kill hazard fires).
+/// What a worker claimed from the queue, with the supervision snapshot of
+/// the task's round.
 struct Claimed<G> {
     task: QueuedTask<G>,
-    stolen: bool,
-    source: usize,
     policy: SupervisionPolicy,
     hazards: Option<HazardPlan>,
 }
 
+/// The front task of the batch, unless worker `id` is dead.
 fn claim<G, F>(state: &mut PoolState<G, F>, id: usize) -> Option<Claimed<G>> {
     if state.dead.contains(&id) {
         return None;
     }
     let batch = state.batch.as_mut()?;
-    let workers = batch.queues.len();
-    if let Some(task) = batch.queues[id].pop_front() {
-        let (policy, hazards) = batch.supervision[task.round].clone();
-        return Some(Claimed {
-            task,
-            stolen: false,
-            source: id,
-            policy,
-            hazards,
-        });
-    }
-    // Steal from the back of the first loaded deque, scanning the ring
-    // from our right-hand neighbour. (Which queue we steal from is a pure
-    // load-balance choice — verdicts are keyed by evaluation index, so it
-    // cannot affect the result.)
-    for offset in 1..workers {
-        let victim = (id + offset) % workers;
-        if let Some(task) = batch.queues[victim].pop_back() {
-            let (policy, hazards) = batch.supervision[task.round].clone();
-            return Some(Claimed {
-                task,
-                stolen: true,
-                source: victim,
-                policy,
-                hazards,
-            });
-        }
-    }
-    None
+    let task = batch.queue.pop_front()?;
+    let (policy, hazards) = batch.supervision[task.round].clone();
+    Some(Claimed {
+        task,
+        policy,
+        hazards,
+    })
 }
 
 fn worker_loop<G, F>(id: usize, mut replica: F, shared: Arc<Shared<G, F>>)
@@ -194,8 +168,6 @@ where
         };
         let Claimed {
             task,
-            stolen,
-            source,
             policy,
             hazards,
         } = claimed;
@@ -204,7 +176,7 @@ where
             .is_some_and(|h| h.take_kill(task.eval_index))
         {
             // The worker dies before touching this candidate. Requeue the
-            // task where it came from — a survivor will steal it (the kill
+            // task at the front — a survivor claims it next (the kill
             // fired once, so it cannot fire again) — and record the loss
             // against the task's campaign. Losing the last worker revives
             // the whole pool so the batch always completes.
@@ -219,13 +191,12 @@ where
                 .as_mut()
                 .expect("a claimed task implies a batch");
             batch.losses.push((task.round, task.eval_index));
-            batch.queues[source].push_front(task);
+            batch.queue.push_front(task);
             drop(state);
             shared.work.notify_all();
             continue;
         }
         let started = Instant::now();
-        let (warm_before, cold_before) = replica.cache_counters();
         let mut local = Vec::new();
         let verdict = supervise_one(
             &mut replica,
@@ -235,7 +206,6 @@ where
             hazards.as_ref(),
             &mut local,
         );
-        let (warm_after, cold_after) = replica.cache_counters();
         let busy_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let mut state = shared.state.lock().expect("pool state poisoned");
         let batch = state
@@ -248,9 +218,6 @@ where
             verdict,
             incidents: local,
             worker: id,
-            stolen,
-            warm_delta: warm_after.saturating_sub(warm_before),
-            cold_delta: cold_after.saturating_sub(cold_before),
             busy_ns,
         });
         batch.outstanding -= 1;
@@ -261,13 +228,13 @@ where
     }
 }
 
-/// A persistent work-stealing evaluation pool: long-lived worker threads,
-/// each owning a warm [`ParallelFitness`] replica, fed task batches by one
-/// or more [`SearchSession`]s. See the [module docs](self) for the
-/// determinism argument.
+/// A persistent evaluation pool: long-lived worker threads, each owning a
+/// warm [`ParallelFitness`] replica, fed task batches by one or more
+/// [`SearchSession`]s. See the [module docs](self) for the determinism
+/// argument.
 ///
 /// Construct one per campaign driver (or per process), drive sessions
-/// through [`SearchSession::step`] or a [`CampaignScheduler`], and
+/// through a [`CampaignScheduler`], and
 /// [`shutdown`](EvalPool::shutdown) at the end to absorb the replicas'
 /// bookkeeping back into the master fitness.
 #[derive(Debug)]
@@ -333,9 +300,9 @@ where
     }
 
     /// Runs one batch: the submissions' tasks are interleaved round-robin
-    /// across campaigns (fair share), dealt round-robin into the live
-    /// workers' deques, and executed with stealing until every task has a
-    /// verdict. Returns one [`RoundExecution`] per submission, in order.
+    /// across campaigns (fair share) into one queue, which the live
+    /// workers drain from the front until every task has a verdict.
+    /// Returns one [`RoundExecution`] per submission, in order.
     pub(crate) fn execute(&self, rounds: Vec<RoundSubmission<G>>) -> Vec<RoundExecution> {
         let sizes: Vec<usize> = rounds.iter().map(|r| r.tasks.len()).collect();
         let total: usize = sizes.iter().sum();
@@ -349,12 +316,12 @@ where
         }
         // Fair-share interleave: one task from every round per cycle, so
         // within the batch no campaign waits behind another's whole round.
-        let mut interleaved: Vec<QueuedTask<G>> = Vec::with_capacity(total);
+        let mut interleaved = VecDeque::with_capacity(total);
         loop {
             let before = interleaved.len();
             for (round, stream) in task_streams.iter_mut().enumerate() {
                 if let Some(task) = stream.next() {
-                    interleaved.push(QueuedTask {
+                    interleaved.push_back(QueuedTask {
                         round,
                         slot: task.slot,
                         eval_index: task.eval_index,
@@ -369,20 +336,8 @@ where
         {
             let mut state = self.lock();
             assert!(state.batch.is_none(), "one pool batch at a time");
-            // A wholly-dead pool (can only happen transiently) revives.
-            if state.dead.len() >= self.workers {
-                state.dead.clear();
-            }
-            let alive: Vec<usize> = (0..self.workers)
-                .filter(|w| !state.dead.contains(w))
-                .collect();
-            let mut queues: Vec<VecDeque<QueuedTask<G>>> =
-                (0..self.workers).map(|_| VecDeque::new()).collect();
-            for (position, task) in interleaved.into_iter().enumerate() {
-                queues[alive[position % alive.len()]].push_back(task);
-            }
             state.batch = Some(Batch {
-                queues,
+                queue: interleaved,
                 outstanding: total,
                 supervision,
                 done: Vec::with_capacity(total),
@@ -429,11 +384,6 @@ where
             incidents[done.round].extend(done.incidents);
             let round_stats = &mut stats[done.round];
             round_stats.worker_tasks[done.worker] += 1;
-            if done.stolen {
-                round_stats.steals += 1;
-            }
-            round_stats.warm_hits += done.warm_delta;
-            round_stats.cold_misses += done.cold_delta;
             busy[done.worker] += done.busy_ns;
         }
         for (round, eval_index) in batch.losses {
@@ -788,8 +738,8 @@ mod tests {
     use crate::supervise::Hazard;
     use rand::rngs::StdRng;
 
-    /// A popcount fitness with an internal memo, so the pool's warm/cold
-    /// replica-cache counters have something real to sample.
+    /// A popcount fitness with an internal memo, whose counters show what
+    /// each replica evaluated.
     #[derive(Debug, Clone, Default)]
     struct MemoPopcount {
         memo: std::collections::HashMap<Vec<u64>, f64>,
@@ -819,10 +769,6 @@ mod tests {
         fn absorb(&mut self, replica: Self) {
             self.warm += replica.warm;
             self.cold += replica.cold;
-        }
-
-        fn cache_counters(&self) -> (u64, u64) {
-            (self.warm, self.cold)
         }
     }
 
@@ -941,14 +887,36 @@ mod tests {
             stats.evaluations,
             "every distinct evaluation runs exactly once on some worker"
         );
-        assert!(stats.steals <= stats.evaluations);
+        let replica_evaluations: u64 = replicas.iter().map(|r| r.warm + r.cold).sum();
         assert_eq!(
-            stats.replica_warm_hits + stats.replica_cold_misses,
-            stats.evaluations,
-            "memo counters partition the evaluations"
+            replica_evaluations, stats.evaluations,
+            "each task reached exactly one replica"
         );
-        let replica_cold: u64 = replicas.iter().map(|r| r.cold).sum();
-        assert_eq!(replica_cold, stats.replica_cold_misses);
+    }
+
+    #[test]
+    fn a_killed_worker_claims_no_further_tasks() {
+        let plan = HazardPlan::new();
+        plan.schedule(3, Hazard::KillWorker);
+        let mut session = session_with(61, Some(plan));
+        let pool = EvalPool::new(&MemoPopcount::default(), 2);
+        session.step(&pool);
+        assert_eq!(session.eval_stats().workers, 1, "one worker died");
+        let at_kill = session.eval_stats().worker_tasks.clone();
+        while !session.done() {
+            session.step(&pool);
+        }
+        pool.shutdown();
+        let stats = session.eval_stats();
+        let working = (0..2)
+            .filter(|&w| stats.worker_tasks[w] > at_kill[w])
+            .count();
+        assert_eq!(
+            working, 1,
+            "only the survivor ran later rounds: {at_kill:?} -> {:?}",
+            stats.worker_tasks
+        );
+        assert_eq!(stats.worker_tasks.iter().sum::<u64>(), stats.evaluations);
     }
 
     #[test]
@@ -1005,11 +973,8 @@ mod tests {
             workers: 2,
             cache_size: 5,
             compile_hits: 4,
-            steals: 2,
             max_worker_idle_ns: 100,
             worker_tasks: vec![6, 4],
-            replica_warm_hits: 1,
-            replica_cold_misses: 9,
             generation_eval_seconds: vec![0.5, 0.25],
         };
         let b = EvalStats {
@@ -1018,11 +983,8 @@ mod tests {
             workers: 4,
             cache_size: 7,
             compile_hits: 2,
-            steals: 5,
             max_worker_idle_ns: 40,
             worker_tasks: vec![1, 2, 3, 1],
-            replica_warm_hits: 2,
-            replica_cold_misses: 5,
             generation_eval_seconds: vec![0.125],
         };
         a.merge(&b);
@@ -1031,11 +993,8 @@ mod tests {
         assert_eq!(a.workers, 4, "workers is the max across campaigns");
         assert_eq!(a.cache_size, 12);
         assert_eq!(a.compile_hits, 6);
-        assert_eq!(a.steals, 7);
         assert_eq!(a.max_worker_idle_ns, 100);
         assert_eq!(a.worker_tasks, vec![7, 6, 3, 1]);
-        assert_eq!(a.replica_warm_hits, 3);
-        assert_eq!(a.replica_cold_misses, 14);
         assert_eq!(a.generation_eval_seconds, vec![0.625, 0.25]);
     }
 
@@ -1066,10 +1025,6 @@ mod tests {
         }
 
         fn absorb(&mut self, _replica: Self) {}
-
-        fn cache_counters(&self) -> (u64, u64) {
-            (0, 0)
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Differential tests for the persistent work-stealing evaluation pool and
-//! the multi-campaign fair-share scheduler: for *any* worker count, steal
+//! Differential tests for the persistent evaluation pool and the
+//! multi-campaign fair-share scheduler: for *any* worker count, claim
 //! interleaving and hazard schedule, the pool's results are bit-identical
 //! to one worker's (the engine's unit tests pin one worker against the
 //! serial reference loop); a journaled campaign kill-and-resumes
@@ -53,18 +53,18 @@ fn worker_counts() -> Vec<usize> {
     counts
 }
 
-/// A full campaign on the persistent pool at the given worker count.
+/// A full campaign on the persistent pool at the given worker count,
+/// alone on its scheduler.
 fn pooled_run(seed: u64, workers: usize, plan: Option<HazardPlan>) -> SearchResult<BitGenome> {
     let mut session = SearchSession::start(ga_config(), seed, |rng: &mut StdRng| {
         BitGenome::random(rng, 24)
     });
     session.set_hazards(plan);
-    let pool = EvalPool::new(&Popcount, workers);
-    while !session.done() {
-        session.step(&pool);
-    }
-    pool.shutdown();
-    session.finish()
+    let mut scheduler = CampaignScheduler::new(EvalPool::new(&Popcount, workers));
+    scheduler.add(session, None);
+    scheduler.run();
+    let (mut sessions, _replicas) = scheduler.finish();
+    sessions.pop().expect("one campaign").finish()
 }
 
 /// Leaderboard comparison that survives the `NaN` scores of quarantined
@@ -150,7 +150,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The pool's acceptance criterion: under any hazard schedule — which
-    /// also perturbs task costs and thus the steal interleaving — every
+    /// also perturbs task costs and thus the claim interleaving — every
     /// worker count produces the same trajectory as one worker.
     #[test]
     fn pooled_trajectories_are_worker_count_invariant(spec_and_kills in hazards()) {
