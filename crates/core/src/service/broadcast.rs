@@ -111,7 +111,7 @@ impl EventRing {
     pub fn new(capacity: usize, last_seq: u64) -> Self {
         assert!(capacity >= 1, "a ring retains at least one event");
         let ring = Ring {
-            events: VecDeque::with_capacity(capacity),
+            events: VecDeque::new(),
             capacity,
             last_seq,
             closed: false,
